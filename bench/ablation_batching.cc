@@ -1,13 +1,9 @@
 // Ablation: batched message transport on the CC<->exec hot path. Every
 // lock acquire/grant/release is a word-sized message on a per-pair SPSC
-// queue (Section 3.1), and both directions of the batching now exist:
-//
-//  * receive side (`batched_mp`): the batched drain pops up to a cache
-//    line of messages per head publication, while the unbatched baseline
-//    publishes the consumer index once per message;
-//  * send side (`coalesced_send`): senders stage messages in a per-pair
-//    mp::SendBuffer and publish the tail once per flushed line, while the
-//    baseline publishes once per message.
+// queue (Section 3.1), published by its sender the moment it is produced.
+// The receive side is batched (`batched_mp`): the drain pops up to a cache
+// line of messages per head publication, while the unbatched baseline
+// publishes the consumer index once per message.
 //
 // Note what is and is not ablated: every arm uses the line-packed payload
 // layout (one modeled coherence line per 8 messages), so this measures
@@ -15,13 +11,7 @@
 //
 // Expected shape: the receive-side gap grows with message pressure — more
 // CC threads per transaction means more messages per commit, and bursts at
-// each CC thread deepen, giving batching more to amortize. The send side
-// is a genuine trade under the simulator's cost model: coalescing cuts
-// tail publications by kMsgsPerLine (see BM_SpscSendBuffer's
-// tail_pubs_per_msg counter) but holds staged messages until the sender's
-// quantum ends, and at these shapes the added critical-path latency can
-// outweigh the saved coherence traffic — which is exactly why it ships as
-// an ablation flag rather than a hard-wired behaviour.
+// each CC thread deepen, giving batching more to amortize.
 #include <vector>
 
 #include "bench/common/bench_harness.h"
@@ -41,25 +31,20 @@ int main() {
   struct Arm {
     const char* label;
     bool batched_mp;
-    bool coalesced_send;
     bool combined_grants = false;
     bool adaptive_drain_batch = false;
   };
   const Arm arms[] = {
-      {"batched+coalesced (default)", true, true},
-      {"recv batched only", true, false},
-      {"send coalesced only", false, true},
-      {"neither (msg/pub)", false, false},
+      {"batched (default)", true},
+      {"unbatched (msg/pop)", false},
       // CC->exec grant combining on top of the default: packs a quantum's
       // grants per exec thread into single words (fewer words, one extra
       // quantum of grant latency).
-      {"default + combined grants", true, true, true},
+      {"default + combined grants", true, true},
       // Burst-adaptive drain batch sizing on top of the default: each
       // receiver pops in batches sized by its measured burst depth
-      // (mp::detail::BurstEstimator) instead of a full line — the receive
-      // side of the same latency/amortization trade adaptive_flush makes
-      // on the send side.
-      {"default + adaptive drain batch", true, true, false, true},
+      // (mp::detail::BurstEstimator) instead of a full line.
+      {"default + adaptive drain batch", true, false, true},
   };
   for (const Arm& arm : arms) {
     std::vector<double> tputs;
@@ -76,7 +61,6 @@ int main() {
       engine::OrthrusOptions oo;
       oo.num_cc = kCc;
       oo.batched_mp = arm.batched_mp;
-      oo.coalesced_send = arm.coalesced_send;
       oo.combined_grants = arm.combined_grants;
       oo.adaptive_drain_batch = arm.adaptive_drain_batch;
       engine::OrthrusEngine eng(BenchOptions(kCores), oo);

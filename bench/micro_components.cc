@@ -11,7 +11,6 @@
 #include "lock/lock_table.h"
 #include "mp/multi_mesh.h"
 #include "mp/queue_mesh.h"
-#include "mp/send_buffer.h"
 #include "mp/spsc_queue.h"
 
 namespace {
@@ -79,7 +78,9 @@ void BM_QueueMeshDrain(benchmark::State& state) {
     for (int s = 0; s < senders; ++s) {
       mesh.at(s, 0).PushBatch(buf, kBurst);
     }
-    mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; }, max_batch);
+    while (mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; },
+                      max_batch) != 0) {
+    }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -105,11 +106,12 @@ void BM_QueueMeshDrainAdaptive(benchmark::State& state) {
     for (int s = 0; s < senders; ++s) {
       mesh.at(s, 0).PushBatch(buf, static_cast<std::size_t>(s + 1) * 8);
     }
-    mesh.Drain(
-        0, [&sink](std::uint64_t v) { sink += v; },
-        mp::QueueMesh<std::uint64_t>::kDefaultBatch,
-        adaptive ? mp::DrainOrder::kDeepestFirst
-                 : mp::DrainOrder::kRoundRobin);
+    while (mesh.Drain(
+               0, [&sink](std::uint64_t v) { sink += v; },
+               mp::QueueMesh<std::uint64_t>::kDefaultBatch,
+               adaptive ? mp::DrainOrder::kDeepestFirst
+                        : mp::DrainOrder::kRoundRobin) != 0) {
+    }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -118,38 +120,6 @@ void BM_QueueMeshDrainAdaptive(benchmark::State& state) {
 BENCHMARK(BM_QueueMeshDrainAdaptive)
     ->ArgsProduct({{4, 16}, {0, 1}})
     ->ArgNames({"senders", "adaptive"});
-
-// Sender-side coalescing: kMsgsPerLine-sized bursts staged through a
-// SendBuffer vs. the per-message baseline (stage capacity 1 == unbuffered
-// QueueMesh::Send publication behaviour). The `tail_pubs_per_msg` counter
-// is the point: coalesced must sit at 1/kMsgsPerLine (>= 4x fewer tail
-// publications than the baseline's 1.0); items/s compares the hot paths.
-void BM_SpscSendBuffer(benchmark::State& state) {
-  const bool coalesced = state.range(0) != 0;
-  constexpr std::size_t kBurst = mp::SpscQueue<std::uint64_t>::kMsgsPerLine;
-  mp::QueueMesh<std::uint64_t> mesh(1, 1, 256);
-  mp::SendBuffer<std::uint64_t> sb(&mesh, 0, coalesced ? kBurst : 1);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kBurst; ++i) {
-      sb.Send(0, i);
-    }
-    sb.FlushAll();
-    mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; });
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBurst));
-  state.counters["tail_pubs_per_msg"] =
-      sb.messages() != 0
-          ? static_cast<double>(sb.publications()) /
-                static_cast<double>(sb.messages())
-          : 0.0;
-}
-BENCHMARK(BM_SpscSendBuffer)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"coalesced"});
 
 // MPSC mesh fan-in: `senders` producers share one CAS-reserved ring per
 // receiver instead of owning per-pair SPSC queues. Compare items/s against
@@ -169,7 +139,8 @@ void BM_MultiMeshDrain(benchmark::State& state) {
         pushed += mesh.at(0).PushBatch(buf + pushed, kBurst - pushed);
       }
     }
-    mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; });
+    while (mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; }) != 0) {
+    }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -14,7 +14,6 @@
 #include "lock/space_map.h"
 #include "mp/multi_mesh.h"
 #include "mp/queue_mesh.h"
-#include "mp/send_buffer.h"
 #include "txn/ollp.h"
 #include "wal/wal.h"
 
@@ -459,8 +458,6 @@ class SharedCcTable {
 
 using Mesh = mp::QueueMesh<std::uint64_t>;
 using MultiMesh = mp::MultiMesh<std::uint64_t>;
-using SendBuf = mp::SendBuffer<std::uint64_t>;
-using MultiSendBuf = mp::MultiSendBuffer<std::uint64_t>;
 
 // One lock partition's owner-private state (elastic_cc mode). The shard —
 // not the CC thread — owns the lock table and the held-request count, so a
@@ -481,19 +478,14 @@ struct Shared {
   int n_exec = 0;
   bool forwarding = true;
   bool combined_grants = false;
-  bool adaptive_flush = false;
   bool elastic = false;
   // Messages popped per PopBatch on the receive side; 1 is the unbatched
   // ablation baseline.
   std::size_t drain_batch = Mesh::kDefaultBatch;
-  // Messages staged per (sender, receiver) pair before a send buffer
-  // flushes; 1 is the per-message-publication ablation baseline
-  // (coalesced_send off).
-  std::size_t send_stage = SendBuf::kDefaultStage;
   // Sender visit order when draining (adaptive_drain ablation flag).
   mp::DrainOrder drain_order = mp::DrainOrder::kRoundRobin;
-  // Receive-side mirror of adaptive_flush: each thread sizes its Drain
-  // max_batch from its measured per-quantum burst depth.
+  // Each thread sizes its Drain max_batch from its measured per-quantum
+  // burst depth.
   bool adaptive_drain_batch = false;
   hal::Cycles cc_op_cycles = 20;
   // Vectorized CC stage (see OrthrusOptions::vectorized_cc): flat-batch
@@ -571,10 +563,6 @@ class CcThread {
         // elastic_cc: lock tables live in the SpaceMap's shards; the
         // thread-local table stays unused (minimal footprint).
         locks_(shared->elastic_cc ? 2 : lock_slots),
-        out_cc_(&shared->cc_to_cc, cc_id, shared->send_stage,
-                shared->adaptive_flush),
-        out_exec_(&shared->cc_to_exec, cc_id, shared->send_stage,
-                  shared->adaptive_flush),
         controller_(controller),
         controller2d_(controller2d),
         epoch_cycles_(epoch_cycles) {
@@ -613,12 +601,10 @@ class CcThread {
       }
       const bool progress =
           shared_->vectorized_cc ? DrainVectorized() : DrainOnce();
-      // End of the scheduling quantum: grants, forwards, and acks staged
-      // while handling this quantum's messages go out before we either
-      // loop or idle — a staged message must never wait on an idle sender.
+      // End of the scheduling quantum: grants stashed while handling this
+      // quantum's messages (combined_grants, vectorized_cc) go out before
+      // we either loop or idle. Every other message left when produced.
       FlushCombinedGrants();
-      out_cc_.FlushAll();
-      out_exec_.FlushAll();
       if (controller_ != nullptr || controller2d_ != nullptr) {
         MaybeReallocate();
       }
@@ -628,8 +614,6 @@ class CcThread {
       }
       if (maybe_done) {
         ORTHRUS_CHECK_MSG(held_ == 0, "CC exiting with locks held");
-        ORTHRUS_CHECK_MSG(out_cc_.Pending() == 0 && out_exec_.Pending() == 0,
-                          "CC exiting with staged messages");
         ORTHRUS_CHECK_MSG(StashedGrants() == 0,
                           "CC exiting with stashed combined grants");
         break;
@@ -678,8 +662,7 @@ class CcThread {
   }
 
   // Drain granularity for this quantum: the configured batch, or the
-  // burst-depth estimate when adaptive_drain_batch is on (the receive-side
-  // mirror of SendBuffer's adaptive_flush).
+  // burst-depth estimate when adaptive_drain_batch is on.
   std::size_t DrainBatch() const {
     return drain_est_.Batch(shared_->adaptive_drain_batch,
                             shared_->drain_batch);
@@ -899,9 +882,8 @@ class CcThread {
   }
 
   void ParkCc() {
-    ORTHRUS_CHECK_MSG(out_cc_.Pending() == 0 && out_exec_.Pending() == 0 &&
-                          StashedGrants() == 0,
-                      "CC parking with staged messages");
+    ORTHRUS_CHECK_MSG(StashedGrants() == 0,
+                      "CC parking with stashed combined grants");
     router_->Deactivate();
     // The park predicate also watches the shard owner words: if the
     // target briefly rose and fell again while this thread never got a
@@ -1009,7 +991,7 @@ class CcThread {
   }
 
   // Packs each exec thread's stashed grant slots into words of up to
-  // kMaxCombinedGrants and stages them for the quantum flush.
+  // kMaxCombinedGrants and sends them.
   void FlushCombinedGrants() {
     if (!shared_->combined_grants && !shared_->vectorized_cc) return;
     for (int e = 0; e < shared_->n_exec; ++e) {
@@ -1019,7 +1001,8 @@ class CcThread {
       while (i < stash.size()) {
         const int count = static_cast<int>(
             std::min<std::size_t>(kMaxCombinedGrants, stash.size() - i));
-        out_exec_.Send(e, EncodeCombinedGrant(&stash[i], count));
+        shared_->cc_to_exec.Send(cc_id_, e,
+                                 EncodeCombinedGrant(&stash[i], count));
         stats_->messages_sent++;
         i += static_cast<std::size_t>(count);
       }
@@ -1050,7 +1033,7 @@ class CcThread {
                                  : -1;
       if (part >= 0 && shared_->space->ShardOwner(part) !=
                            static_cast<std::uint64_t>(cc_id_)) {
-        out_cc_.Send(router_->OwnerOf(part), word);
+        shared_->cc_to_cc.Send(cc_id_, router_->OwnerOf(part), word);
         stats_->messages_sent++;
         stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
         return;
@@ -1171,7 +1154,7 @@ class CcThread {
     if (shared_->shared_cc != nullptr) {
       runnable_.clear();
       shared_->shared_cc->ReleaseAll(tcb, &runnable_);
-      out_exec_.Send(tcb->exec_id, Encode(tcb, kAck));
+      shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kAck));
       stats_->messages_sent++;
       // Continue the transactions our release unblocked; any that complete
       // their lock set are handed to their execution threads.
@@ -1198,7 +1181,7 @@ class CcThread {
     }
     // Release requests are satisfied and acknowledged immediately
     // (Section 3.1).
-    out_exec_.Send(tcb->exec_id, Encode(tcb, kAck));
+    shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kAck));
     stats_->messages_sent++;
   }
 
@@ -1310,7 +1293,7 @@ class CcThread {
           static_cast<std::uint8_t>(tcb->slot));
       return;
     }
-    out_exec_.Send(tcb->exec_id, Encode(tcb, kGrant));
+    shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kGrant));
     stats_->messages_sent++;
   }
 
@@ -1328,7 +1311,8 @@ class CcThread {
       if (!shared_->forwarding) {
         // Ablation mode: the execution thread mediates every hop, paying
         // two message delays per CC thread (2*Ncc total).
-        out_exec_.Send(tcb->exec_id, Encode(tcb, kStageDone));
+        shared_->cc_to_exec.Send(cc_id_, tcb->exec_id,
+                                 Encode(tcb, kStageDone));
         stats_->messages_sent++;
         return;
       }
@@ -1342,9 +1326,10 @@ class CcThread {
           if (AcquireStage(tcb)) continue;  // granted: keep advancing
           return;  // queued behind a conflict in our own shard
         }
-        out_cc_.Send(router_->OwnerOf(part), Encode(tcb, kAcquire));
+        shared_->cc_to_cc.Send(cc_id_, router_->OwnerOf(part),
+                               Encode(tcb, kAcquire));
       } else {
-        out_cc_.Send(part, Encode(tcb, kAcquire));
+        shared_->cc_to_cc.Send(cc_id_, part, Encode(tcb, kAcquire));
       }
       stats_->messages_sent++;
       return;
@@ -1355,10 +1340,6 @@ class CcThread {
   Shared* shared_;
   WorkerStats* stats_;
   CcLockTable locks_;
-  // Outgoing staging buffers (one per destination mesh); flushed at the
-  // end of every scheduling quantum in Main.
-  SendBuf out_cc_;
-  SendBuf out_exec_;
   // Elastic-epoch controller state (CC 0 only; null elsewhere).
   ElasticController* controller_;
   ElasticController2D* controller2d_;
@@ -1421,20 +1402,6 @@ class ExecThread {
         max_inflight_(max_inflight),
         source_(workload.MakeSource(shared->n_cc + exec_id)),
         admission_(driver_options, db, source_.get(), worker) {
-    // Elastic mode stages exec->CC sends for the dynamic MPSC mesh;
-    // static mode keeps the per-pair SPSC buffer. Exactly one exists.
-    if (shared_->elastic) {
-      // Shard hint = exec id: stable for the thread's lifetime, spreads
-      // senders evenly across the mesh's shards.
-      out_cc_multi_ = std::make_unique<MultiSendBuf>(  // lint:allow-alloc setup
-          &shared->exec_to_cc_multi, exec_id, shared->send_stage,
-          shared->adaptive_flush);
-    } else {
-      out_cc_ = std::make_unique<SendBuf>(  // lint:allow-alloc setup
-          &shared->exec_to_cc, exec_id,
-                                          shared->send_stage,
-                                          shared->adaptive_flush);
-    }
     if (shared_->elastic_cc) {
       // Router slots are worker ids: CC threads first, then exec threads.
       router_ = std::make_unique<Router>(  // lint:allow-alloc setup
@@ -1478,15 +1445,12 @@ class ExecThread {
   // Elastic lifecycle: the thread registers as a mesh sender up front and
   // stays registered while active. When the controller's target drops
   // below this thread's index it stops admitting, drains its in-flight
-  // window to empty, flushes every staged line, retires from the mesh, and
-  // parks on the gate; resume re-registers and re-opens admission. The
-  // drain-to-empty ordering is what guarantees no message is ever lost or
-  // stranded across a reallocation epoch.
+  // window to empty, retires from the mesh, and parks on the gate; resume
+  // re-registers and re-opens admission. The drain-to-empty ordering is
+  // what guarantees no message is ever lost or stranded across a
+  // reallocation epoch.
   void Main() {
-    if (shared_->elastic) {
-      shared_->exec_to_cc_multi.RegisterSender();
-      out_cc_multi_->Rebind();
-    }
+    if (shared_->elastic) RegisterCcSender();
     // The wal producer registers with the log's mesh and publishes its
     // epoch heartbeat from its constructor, so it must be built on-core
     // (ExecThread itself is constructed before the workers start).
@@ -1521,9 +1485,6 @@ class ExecThread {
       if (!shared_->elastic || shared_->exec_gate.Active(exec_id_)) {
         progress |= IssueNew();
       }
-      // End of the scheduling quantum: acquires and releases staged while
-      // polling/issuing go out before we either loop or idle.
-      FlushOut();
       if (shared_->elastic) PublishStatsIfChanged();
       if (progress) {
         idle.Reset();
@@ -1540,8 +1501,6 @@ class ExecThread {
       idle.Idle();
       stats_->Add(TimeCategory::kWaiting, hal::Now() - t0);
     }
-    ORTHRUS_CHECK_MSG(OutPending() == 0,
-                      "exec exiting with staged messages");
     // Drop out of the epoch mins: a finished thread's frozen heartbeats
     // must not pin the read epoch or the reader floor for stragglers.
     if (shared_->snapshot_reads) db_->epoch_clock()->Retire(exec_id_);
@@ -1576,24 +1535,21 @@ class ExecThread {
   // --- exec->CC send path (static SPSC or elastic MPSC) ----------------
 
   void SendCc(int cc, std::uint64_t w) {
-    if (out_cc_multi_ != nullptr) {
-      out_cc_multi_->Send(cc, w);
+    if (shared_->elastic) {
+      shared_->exec_to_cc_multi.SendOnRing(cc, cc_ring_, w);
     } else {
-      out_cc_->Send(cc, w);
+      shared_->exec_to_cc.Send(exec_id_, cc, w);
     }
   }
 
-  void FlushOut() {
-    if (out_cc_multi_ != nullptr) {
-      out_cc_multi_->FlushAll();
-    } else {
-      out_cc_->FlushAll();
-    }
-  }
-
-  std::size_t OutPending() const {
-    return out_cc_multi_ != nullptr ? out_cc_multi_->Pending()
-                                    : out_cc_->Pending();
+  // Joins the elastic exec->CC sender population and resolves this
+  // thread's ring under the current routing modulus. The ring stays fixed
+  // until the next registration, so this thread's stream stays FIFO.
+  // Shard hint = exec id: stable for the thread's lifetime, spreads senders
+  // evenly across the mesh's shards.
+  void RegisterCcSender() {
+    shared_->exec_to_cc_multi.RegisterSender();
+    cc_ring_ = shared_->exec_to_cc_multi.RingForHint(exec_id_);
   }
 
   // --- elastic park / resume -------------------------------------------
@@ -1608,11 +1564,8 @@ class ExecThread {
   }
 
   void ParkUntilResumedOrStopping() {
-    // Drain-to-empty before retiring: the quantum flush above emptied the
-    // staging arrays, and inflight_ == 0 means no grant, ack, or release
-    // involving this thread is outstanding anywhere in the mesh.
-    ORTHRUS_CHECK_MSG(OutPending() == 0,
-                      "exec parking with staged messages");
+    // Drain-to-empty before retiring: inflight_ == 0 means no grant, ack,
+    // or release involving this thread is outstanding anywhere in the mesh.
     worker_->PublishEpochStats();
     // Park the wal producer first: it flushes its staged fragments,
     // publishes the done sentinel (so loggers stop waiting on this
@@ -1636,8 +1589,7 @@ class ExecThread {
       epoch_cache_.rh = storage::EpochClock::kRetired;
       db_->epoch_clock()->PublishIdle(exec_id_, &epoch_cache_);
     }
-    shared_->exec_to_cc_multi.RegisterSender();
-    out_cc_multi_->Rebind();
+    RegisterCcSender();
     if (wal_ != nullptr) wal_->Resume();
     if (shared_->elastic_cc) router_->Refresh();
   }
@@ -1942,11 +1894,8 @@ class ExecThread {
   int max_inflight_;
   std::unique_ptr<workload::TxnSource> source_;
   runtime::TxnAdmission admission_;
-  // Outgoing staging buffer toward the CC threads; flushed at the end of
-  // every scheduling quantum in Main. Exactly one is non-null: the
-  // per-pair SPSC buffer (static roles) or the MPSC buffer (elastic).
-  std::unique_ptr<SendBuf> out_cc_;
-  std::unique_ptr<MultiSendBuf> out_cc_multi_;
+  // Elastic mode: this thread's exec->CC ring (see RegisterCcSender).
+  int cc_ring_ = 0;
   std::vector<std::unique_ptr<Tcb, TcbDeleter>> tcbs_;
   std::vector<int> free_slots_;
   int inflight_ = 0;
@@ -2036,9 +1985,7 @@ std::string OrthrusEngine::name() const {
   std::string n = orthrus_.split_index ? "split-orthrus" : "orthrus";
   if (!orthrus_.forwarding) n += "-nofwd";
   if (!orthrus_.batched_mp) n += "-nobatch";
-  if (!orthrus_.coalesced_send) n += "-nocoalesce";
   if (orthrus_.adaptive_drain) n += "-adaptive";
-  if (orthrus_.adaptive_flush) n += "-aflush";
   if (orthrus_.combined_grants) n += "-cgrant";
   if (orthrus_.shared_cc_table) n += "-sharedcc";
   if (orthrus_.elastic) n += "-elastic";
@@ -2124,7 +2071,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.wal = options_.wal;
   shared.forwarding = orthrus_.forwarding;
   shared.combined_grants = orthrus_.combined_grants;
-  shared.adaptive_flush = orthrus_.adaptive_flush;
   shared.elastic = orthrus_.elastic;
   shared.elastic_cc = orthrus_.elastic_cc;
   shared.n_parts = n_parts;
@@ -2231,7 +2177,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.cc_to_exec.Reset(n_cc, n_exec, gq_cap,
                           placement ? &exec_recv : nullptr);
   if (!orthrus_.batched_mp) shared.drain_batch = 1;
-  if (!orthrus_.coalesced_send) shared.send_stage = 1;
   if (orthrus_.adaptive_drain) {
     // Measured-imbalance trigger: deepest-first only when a receiver's
     // depth snapshot is actually skewed (see mp::DrainOrder::kAdaptive).

@@ -21,6 +21,11 @@
 // on lock grants. Lock releases are messages too, and are acknowledged
 // immediately by CC threads (as in the paper); a transaction's slot is
 // recycled once all its release acks arrive.
+//
+// Every acquire, grant, release and ack is enqueued the moment the protocol
+// produces it. Holding messages until the sender's scheduling quantum ends
+// would make the CC and exec stages run in lock-step: natively that left
+// exec threads idle a third of the time with a full in-flight window.
 #ifndef ORTHRUS_ENGINE_ORTHRUS_ORTHRUS_ENGINE_H_
 #define ORTHRUS_ENGINE_ORTHRUS_ORTHRUS_ENGINE_H_
 
@@ -45,13 +50,6 @@ struct OrthrusOptions {
   // line-packed payload layout of mp::SpscQueue stays active either way.
   bool batched_mp = true;
 
-  // Sender-side counterpart of batched_mp: stage outgoing messages in a
-  // per-(sender, receiver) mp::SendBuffer and flush a payload line per
-  // tail publication, with an explicit FlushAll at the end of each
-  // scheduling quantum. Ablation flag: off degrades the stage depth to 1,
-  // i.e. one tail publication per message — the pre-coalescing behaviour.
-  bool coalesced_send = true;
-
   // Adaptive drain order (mp::DrainOrder::kAdaptive): receivers snapshot
   // their input-queue depths and switch to deepest-first service only when
   // the snapshot is measurably imbalanced (max >= kImbalanceRatio * mean);
@@ -63,17 +61,8 @@ struct OrthrusOptions {
   // queue depth to rank) and drains in fixed shard order.
   bool adaptive_drain = false;
 
-  // Adaptive send-flush thresholds (mp::SendBuffer's adaptive_flush):
-  // size each (sender, receiver) pair's flush boundary from the measured
-  // per-quantum burst depth instead of always staging a full payload
-  // line. Cuts the up-to-a-quantum grant latency that quantum-end-only
-  // flushing costs at shallow bursts, while deep bursts keep the
-  // one-publication-per-line amortization. Changes flush timing, hence
-  // event order, so it is opt-in like adaptive_drain.
-  bool adaptive_flush = false;
-
-  // Receive-side mirror of adaptive_flush: size each thread's Drain
-  // max_batch from the measured per-quantum burst depth
+  // Size each thread's Drain max_batch from the measured per-quantum
+  // burst depth
   // (mp::detail::BurstEstimator) instead of always popping up to a full
   // payload line. Shallow steady traffic then publishes the consumer index
   // after every few messages — senders see queue space sooner, cutting

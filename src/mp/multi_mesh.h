@@ -157,21 +157,30 @@ class MultiMesh {
   // one ring and the sender's stream stays FIFO. On an *adaptive* mesh
   // the modulus can move between two Sends (a concurrent register or
   // retire), splitting a raw sender's stream across rings — so raw Send
-  // there is for tests and single-shot messages only; a FIFO sender must
-  // stage through MultiSendBuffer, which resolves its ring exactly once
-  // per registration (Rebind) as RingForHint's contract requires.
+  // there is for tests and single-shot messages only; a FIFO sender
+  // resolves its ring exactly once per registration (RingForHint) and
+  // sends with SendOnRing, or stages through MultiSendBuffer, which does
+  // the same (Rebind).
   void Send(int receiver, T value, int shard_hint = 0) {
-    MpscQueue<T>& q =
-        at(receiver, adaptive_ ? RingForHint(shard_hint)
-                               : shard_hint % shards_);
+    SendOnRing(receiver,
+               adaptive_ ? RingForHint(shard_hint) : shard_hint % shards_,
+               value);
+  }
+
+  // Blocking send onto `ring`, a ring the sender resolved with RingForHint
+  // when it registered.
+  void SendOnRing(int receiver, int ring, T value) {
+    MpscQueue<T>& q = at(receiver, ring);
     detail::WedgeSpin spin;
     while (!q.TryEnqueue(value)) spin.Pause();
   }
 
-  // Drains the receiver's queues (all live shards, fixed shard order),
-  // invoking fn(message) on each message in per-shard arrival order. Pops
-  // in batches of up to `max_batch` (clamped to [1, one payload line]).
-  // Returns messages delivered.
+  // Delivers what is addressed to the receiver (all live shards, fixed
+  // shard order), invoking fn(message) on each message in per-shard
+  // arrival order: one PopBatch of up to `max_batch` (clamped to [1, one
+  // payload line]) per shard per call, the same per-sender bound as
+  // QueueMesh::Drain. Returns messages delivered; callers that need the
+  // rings empty loop until it returns 0.
   template <typename Fn>
   std::size_t Drain(int receiver, Fn&& fn,
                     std::size_t max_batch = kDefaultBatch) {
@@ -184,12 +193,9 @@ class MultiMesh {
     T buf[kDefaultBatch];
     std::size_t delivered = 0;
     for (int s = 0; s < live; ++s) {
-      MpscQueue<T>& q = at(receiver, s);
-      std::size_t n;
-      while ((n = q.PopBatch(buf, batch)) != 0) {
-        for (std::size_t i = 0; i < n; ++i) fn(buf[i]);
-        delivered += n;
-      }
+      const std::size_t n = at(receiver, s).PopBatch(buf, batch);
+      for (std::size_t i = 0; i < n; ++i) fn(buf[i]);
+      delivered += n;
     }
     return delivered;
   }

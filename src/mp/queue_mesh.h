@@ -8,12 +8,15 @@
 //  * Send: blocking enqueue with a wedge diagnostic. Queue capacities are
 //    provable bounds on outstanding messages per pair, so a full queue that
 //    stays full is a protocol bug, not backpressure.
-//  * Drain: batched delivery of everything addressed to one receiver.
-//    Messages are popped PopBatch-wise (up to a cache line per pop), so a
-//    burst from one sender costs one index publication and ~one payload
-//    line transfer per kMsgsPerLine messages instead of one per message.
-//    `max_batch = 1` degrades to per-message delivery — the ablation
-//    baseline for measuring exactly that difference.
+//  * Drain: batched, bounded delivery of what is addressed to one
+//    receiver. Each call pops at most one PopBatch (up to a cache line) per
+//    sender, so a burst from one sender costs one index publication and
+//    ~one payload line transfer per kMsgsPerLine messages instead of one
+//    per message, and a sender that keeps publishing cannot hold the
+//    receiver on its queue while the others wait. Callers that need the
+//    queues empty loop until Drain returns 0. `max_batch = 1` degrades to
+//    per-message delivery — the ablation baseline for measuring exactly
+//    that difference.
 #ifndef ORTHRUS_MP_QUEUE_MESH_H_
 #define ORTHRUS_MP_QUEUE_MESH_H_
 
@@ -27,6 +30,62 @@
 #include "mp/spsc_queue.h"
 
 namespace orthrus::mp {
+namespace detail {
+
+// Integer EWMA of per-quantum burst depths, used to size adaptive drain
+// batches. Asymmetric rounding: estimates climb (ceil) faster than they
+// decay (floor), so a workload returning to deep bursts recovers full-line
+// batches in a few quanta while shallow phases still pull the batch down.
+// Deterministic — pure integer state fed only by observed counts.
+class BurstEstimator {
+ public:
+  // Feed the number of messages observed during one scheduling quantum
+  // (callers skip empty quanta).
+  void Observe(std::size_t burst_depth) {
+    ORTHRUS_DCHECK(burst_depth >= 1);
+    if (est_ == 0) {
+      est_ = burst_depth;
+    } else if (burst_depth > est_) {
+      est_ = (3 * est_ + burst_depth + 3) / 4;  // ceil: climb fast
+    } else {
+      est_ = (3 * est_ + burst_depth) / 4;  // floor: decay gradually
+    }
+    if (est_ < 1) est_ = 1;
+  }
+
+  // Threshold in [1, cap]; before the first observation the full line
+  // (`cap`) is used, i.e. exactly the non-adaptive behaviour.
+  std::size_t Threshold(std::size_t cap) const {
+    if (est_ == 0 || est_ >= cap) return cap;
+    return est_;
+  }
+
+  std::size_t estimate() const { return est_; }
+
+ private:
+  std::size_t est_ = 0;
+};
+
+// Receive-side batch policy: a BurstEstimator paired with its opt-in
+// flag and fallback, so every consumer sizing its drains adaptively
+// applies the same contract — threshold from the measured burst depth
+// when adaptive (the fallback until the first observation), and only
+// non-empty drains feed the estimate.
+class DrainBatchPolicy {
+ public:
+  std::size_t Batch(bool adaptive, std::size_t fallback) const {
+    return adaptive ? est_.Threshold(fallback) : fallback;
+  }
+  void Observe(bool adaptive, std::size_t delivered) {
+    if (adaptive && delivered != 0) est_.Observe(delivered);
+  }
+  const BurstEstimator& estimator() const { return est_; }
+
+ private:
+  BurstEstimator est_;
+};
+
+}  // namespace detail
 
 // Order in which Drain visits the queues addressed to a receiver.
 enum class DrainOrder {
@@ -128,14 +187,14 @@ class QueueMesh {
     while (!q.TryEnqueue(value)) spin.Pause();
   }
 
-  // Drains every queue addressed to `receiver`, invoking fn(message) on
-  // each message in per-sender FIFO order. Every sender is visited at
-  // least once regardless of `order`, so a single call always delivers the
-  // same multiset the round-robin path would. Pops in batches of up to
-  // `max_batch` (clamped to [1, one payload line]; callers commonly loop
-  // until Drain returns 0, so a zero batch must clamp up rather than
-  // silently deliver nothing forever). Returns messages delivered.
-  // `order` picks the sender visit order; see DrainOrder.
+  // Delivers what is addressed to `receiver`, invoking fn(message) on each
+  // message in per-sender FIFO order: one PopBatch of up to `max_batch`
+  // (clamped to [1, one payload line]) per sender per call. Every sender is
+  // visited once regardless of `order`, so a single call always delivers
+  // the same multiset the round-robin path would. Callers loop until Drain
+  // returns 0, so a zero batch must clamp up rather than silently deliver
+  // nothing forever. Returns messages delivered. `order` picks the sender
+  // visit order; see DrainOrder.
   template <typename Fn>
   std::size_t Drain(int receiver, Fn&& fn,
                     std::size_t max_batch = kDefaultBatch,
@@ -145,13 +204,14 @@ class QueueMesh {
     if (batch == 0) batch = 1;
     T buf[kDefaultBatch];
     std::size_t delivered = 0;
-    // Pops one sender's queue until empty, shared by both visit orders.
+    // Pops one line from one sender's queue, shared by both visit orders.
+    // The bound is the fairness contract: a sender that publishes message
+    // by message, even from inside fn, cannot keep the receiver on its
+    // queue past one line.
     const auto drain_queue = [&](SpscQueue<T>& q) {
-      std::size_t n;
-      while ((n = q.PopBatch(buf, batch)) != 0) {
-        for (std::size_t i = 0; i < n; ++i) fn(buf[i]);
-        delivered += n;
-      }
+      const std::size_t n = q.PopBatch(buf, batch);
+      for (std::size_t i = 0; i < n; ++i) fn(buf[i]);
+      delivered += n;
     };
     if (order != DrainOrder::kRoundRobin && senders_ > 1) {
       ReceiverScratch& scratch = depth_scratch_[receiver];

@@ -1,46 +1,31 @@
-// SendBuffer: sender-side batching over a QueueMesh.
+// MultiSendBuffer: sender-side staging over a MultiMesh.
 //
-// The mesh's receive side has been batched since the queues were built —
-// Drain pops up to a cache line of messages per head publication — but a
-// sender calling QueueMesh::Send still publishes its tail index once per
-// message, so the coherence amortization of Section 3.1 only ran one way.
-// SendBuffer closes that gap: each sender stages outgoing messages in a
-// plain-memory array per (sender, receiver) pair and flushes them with one
-// PushBatch — one tail publication and ~one payload-line transfer per
-// staging-array's worth of messages instead of one publication each.
+// A sender calling MultiMesh::Send pays one reservation CAS and one tail
+// publication per message. MultiSendBuffer stages outgoing messages in a
+// plain-memory array per receiver and flushes them with one
+// MpscQueue::PushBatch — one CAS and one tail publication per staged line
+// instead of one per message. That amortization is worth its latency only
+// where the receiver waits for a batch anyway: the WAL's group commit
+// stages redo fragments through it, since nothing is acknowledged before
+// the epoch seals. ORTHRUS's lock-path messages are published as they are
+// produced instead (a staged grant stalls its transaction).
 //
 // The staging arrays are sender-private plain memory, so staging a message
 // costs no modeled coherence traffic at all; the shared queue is touched
-// only at flush time. A pair auto-flushes when its staging array fills
+// only at flush time. A receiver's stage auto-flushes when it fills
 // (default: one payload line, the point past which a bigger batch buys no
-// further line amortization); the owner must call FlushAll() at the end of
+// further line amortization); the owner calls FlushAll() at the end of
 // each scheduling quantum so staged messages never outlive the sender's
-// attention — an unflushed grant is a stalled transaction.
+// attention.
 //
-// Flush boundaries can instead be sized from the measured burst depth
-// (`adaptive_flush`): when a sender's bursts toward a receiver run shallow
-// — the common case for grant/ack traffic at low fan-in — waiting for a
-// full line means every message sits staged until the quantum-end
-// FlushAll, paying up to a quantum of latency for amortization that never
-// materializes. Each (sender, receiver) pair keeps a BurstEstimator fed
-// with the messages staged per quantum and flushes once the stage reaches
-// the estimated burst depth; deep bursts grow the estimate back to the
-// full line within a few quanta, so steady line-sized traffic keeps the
-// one-publication-per-line behaviour exactly.
-//
-// Flush is blocking like QueueMesh::Send: queue capacities are provable
+// Flush is blocking like MultiMesh::Send: queue capacities are provable
 // bounds on outstanding messages (staging does not increase them — a
-// staged message was "outstanding" the moment the protocol produced it),
-// so a partial PushBatch retries until the receiver makes room and a
-// queue that stays full is a protocol bug, not backpressure.
+// staged message was "outstanding" the moment it was produced), so a
+// partial PushBatch retries until the receiver makes room and a queue that
+// stays full is a protocol bug, not backpressure.
 //
-// MultiSendBuffer is the same staging layer over a MultiMesh: one staging
-// array per receiver, flushed with MpscQueue::PushBatch (one CAS + one
-// tail publication per flushed line instead of one per message). It is
-// what an elastic sender population stages through; see MultiMesh's
-// sender-lifecycle contract for the retire protocol. Both buffers share
-// one implementation (detail::SendStaging); a concrete buffer only
-// resolves which queue a receiver's stage flushes into.
+// Senders are anonymous; a thread owns its buffer, and the MultiMesh retire
+// protocol requires Pending() == 0 before the owner retires.
 #ifndef ORTHRUS_MP_SEND_BUFFER_H_
 #define ORTHRUS_MP_SEND_BUFFER_H_
 
@@ -50,87 +35,50 @@
 #include "common/macros.h"
 #include "hal/hal.h"
 #include "mp/multi_mesh.h"
-#include "mp/queue_mesh.h"
 
 namespace orthrus::mp {
-namespace detail {
 
-// Integer EWMA of per-quantum burst depths toward one receiver, used to
-// size adaptive flush thresholds. Asymmetric rounding: estimates climb
-// (ceil) faster than they decay (floor), so a workload returning to deep
-// bursts recovers full-line staging in a few quanta while shallow phases
-// still pull the threshold down. Deterministic — pure integer state fed
-// only by observed counts.
-class BurstEstimator {
+template <typename T>
+class MultiSendBuffer final {
  public:
-  // Feed the number of messages staged toward the receiver during one
-  // scheduling quantum (callers skip empty quanta).
-  void Observe(std::size_t burst_depth) {
-    ORTHRUS_DCHECK(burst_depth >= 1);
-    if (est_ == 0) {
-      est_ = burst_depth;
-    } else if (burst_depth > est_) {
-      est_ = (3 * est_ + burst_depth + 3) / 4;  // ceil: climb fast
-    } else {
-      est_ = (3 * est_ + burst_depth) / 4;  // floor: decay gradually
-    }
-    if (est_ < 1) est_ = 1;
-  }
+  static constexpr std::size_t kDefaultStage = MpscQueue<T>::kMsgsPerLine;
 
-  // Flush threshold in [1, cap]; before the first observation the full
-  // line (`cap`) is used, i.e. exactly the non-adaptive behaviour.
-  std::size_t Threshold(std::size_t cap) const {
-    if (est_ == 0 || est_ >= cap) return cap;
-    return est_;
-  }
+  // `shard_hint` picks which of the mesh's per-receiver shards this sender
+  // flushes into (reduced modulo the routing shard count); it must stay
+  // fixed for the buffer's lifetime so the sender's own messages stay FIFO.
+  explicit MultiSendBuffer(MultiMesh<T>* mesh, int shard_hint = 0,
+                           std::size_t stage_capacity = kDefaultStage)
+      : mesh_(mesh),
+        hint_(shard_hint),
+        // Resolve through the routing modulus even at construction: on an
+        // adaptive mesh the raw allocated-ring count (kMaxAutoShards) can
+        // exceed the drain high-water, and a ring above it would strand
+        // anything sent before the first Rebind().
+        shard_(mesh->RingForHint(shard_hint)),
+        receivers_(mesh->receivers()),
+        stage_(stage_capacity < 1 ? 1 : stage_capacity),
+        slots_(static_cast<std::size_t>(receivers_) * stage_),
+        counts_(static_cast<std::size_t>(receivers_), 0) {}
 
-  std::size_t estimate() const { return est_; }
+  MultiSendBuffer(const MultiSendBuffer&) = delete;
+  MultiSendBuffer& operator=(const MultiSendBuffer&) = delete;
 
- private:
-  std::size_t est_ = 0;
-};
-
-// Receive-side batch policy: a BurstEstimator paired with its opt-in
-// flag and fallback, so every consumer sizing its drains adaptively
-// applies the same contract — threshold from the measured burst depth
-// when adaptive (the fallback until the first observation), and only
-// non-empty drains feed the estimate.
-class DrainBatchPolicy {
- public:
-  std::size_t Batch(bool adaptive, std::size_t fallback) const {
-    return adaptive ? est_.Threshold(fallback) : fallback;
-  }
-  void Observe(bool adaptive, std::size_t delivered) {
-    if (adaptive && delivered != 0) est_.Observe(delivered);
-  }
-  const BurstEstimator& estimator() const { return est_; }
-
- private:
-  BurstEstimator est_;
-};
-
-// The shared staging engine behind SendBuffer and MultiSendBuffer: the
-// per-receiver staging matrix, flush thresholds (fixed or burst-adaptive),
-// quantum bookkeeping, and the message/publication counters. The derived
-// buffer contributes exactly one thing through CRTP: `queue(receiver)`,
-// the ring a receiver's stage flushes into.
-template <typename T, typename Derived>
-class SendStaging {
- public:
   std::size_t stage_capacity() const { return stage_; }
-  bool adaptive_flush() const { return adaptive_; }
 
-  // Stages `value` for `receiver`; flushes the pair once its stage reaches
-  // the flush threshold (the full stage, or the measured burst depth when
-  // adaptive).
+  // Re-resolves the ring for this buffer's hint under the mesh's current
+  // routing modulus. Call right after each RegisterSender on an adaptive
+  // mesh: the modulus tracks the sender population, and the drain-to-empty
+  // retire contract guarantees nothing of ours is left on the old ring.
+  void Rebind() { shard_ = mesh_->RingForHint(hint_); }
+
+  // Stages `value` for `receiver`; flushes the receiver's stage once full.
   void Send(int receiver, T value) {
     ORTHRUS_DCHECK(receiver >= 0 && receiver < receivers_);
     const std::size_t r = static_cast<std::size_t>(receiver);
     std::size_t& n = counts_[r];
     slots_[r * stage_ + n] = value;
     messages_++;
-    if (adaptive_) quantum_msgs_[r]++;
-    if (++n >= FlushThreshold(r)) Flush(receiver);
+    if (++n >= stage_) Flush(receiver);
   }
 
   // Pushes everything staged for `receiver` into its queue, retrying
@@ -139,7 +87,7 @@ class SendStaging {
     std::size_t& n = counts_[static_cast<std::size_t>(receiver)];
     if (n == 0) return;
     const T* buf = &slots_[static_cast<std::size_t>(receiver) * stage_];
-    auto& q = static_cast<Derived*>(this)->queue(receiver);
+    MpscQueue<T>& q = mesh_->at(receiver, shard_);
     std::size_t pushed = 0;
     detail::WedgeSpin spin;
     while (pushed < n) {
@@ -154,18 +102,11 @@ class SendStaging {
     n = 0;
   }
 
-  // Flushes every pair, in ascending receiver order (deterministic under
-  // the simulator). Call at the end of each scheduling quantum; this is
-  // also where the adaptive threshold observes the quantum's burst depths.
+  // Flushes every receiver's stage, in ascending receiver order
+  // (deterministic under the simulator). Call at the end of each
+  // scheduling quantum.
   void FlushAll() {
-    for (int r = 0; r < receivers_; ++r) {
-      Flush(r);
-      if (adaptive_) {
-        const std::size_t i = static_cast<std::size_t>(r);
-        if (quantum_msgs_[i] != 0) bursts_[i].Observe(quantum_msgs_[i]);
-        quantum_msgs_[i] = 0;
-      }
-    }
+    for (int r = 0; r < receivers_; ++r) Flush(r);
   }
 
   // Messages staged but not yet flushed (all receivers).
@@ -183,116 +124,18 @@ class SendStaging {
   // average messages per publication, vs. exactly 1 for unbuffered Send.
   std::uint64_t publications() const { return publications_; }
 
-  // Current flush threshold toward `receiver` (== stage_capacity() when
-  // not adaptive or before the first observation). Test observability.
-  std::size_t FlushThreshold(std::size_t receiver) const {
-    return adaptive_ ? bursts_[receiver].Threshold(stage_) : stage_;
-  }
-
- protected:
-  SendStaging(int receivers, std::size_t stage_capacity, bool adaptive_flush)
-      : receivers_(receivers),
-        stage_(stage_capacity < 1 ? 1 : stage_capacity),
-        adaptive_(adaptive_flush),
-        slots_(static_cast<std::size_t>(receivers) * stage_),
-        counts_(static_cast<std::size_t>(receivers), 0),
-        // Quantum bookkeeping exists only when the adaptive threshold
-        // consumes it; the default path pays nothing for it.
-        quantum_msgs_(adaptive_flush ? static_cast<std::size_t>(receivers)
-                                     : 0),
-        bursts_(adaptive_flush ? static_cast<std::size_t>(receivers) : 0) {}
-
-  SendStaging(const SendStaging&) = delete;
-  SendStaging& operator=(const SendStaging&) = delete;
-
- private:
-  const int receivers_;
-  const std::size_t stage_;
-  const bool adaptive_;
-  // Flat [receiver][stage_] staging matrix + per-receiver fill counts.
-  // Plain memory: exactly one thread owns a buffer.
-  std::vector<T> slots_;
-  std::vector<std::size_t> counts_;
-  // Messages staged per receiver in the current quantum (adaptive-flush
-  // burst measurement; reset by FlushAll). Empty when not adaptive.
-  std::vector<std::size_t> quantum_msgs_;
-  std::vector<BurstEstimator> bursts_;
-  std::uint64_t messages_ = 0;
-  std::uint64_t publications_ = 0;
-};
-
-}  // namespace detail
-
-template <typename T>
-class SendBuffer final
-    : public detail::SendStaging<T, SendBuffer<T>> {
- public:
-  // Stage one payload line per pair by default: flushes then publish the
-  // tail once per line, matching the receive side's per-line pops.
-  static constexpr std::size_t kDefaultStage = SpscQueue<T>::kMsgsPerLine;
-
-  // `stage_capacity = 1` degrades to exactly QueueMesh::Send's per-message
-  // publication behaviour — the ablation baseline. `adaptive_flush` sizes
-  // the per-receiver flush threshold from the measured burst depth instead
-  // of always staging a full line.
-  SendBuffer(QueueMesh<T>* mesh, int sender,
-             std::size_t stage_capacity = kDefaultStage,
-             bool adaptive_flush = false)
-      : detail::SendStaging<T, SendBuffer<T>>(mesh->receivers(),
-                                              stage_capacity, adaptive_flush),
-        mesh_(mesh),
-        sender_(sender) {
-    ORTHRUS_CHECK(sender >= 0 && sender < mesh->senders());
-  }
-
-  int sender() const { return sender_; }
-
-  SpscQueue<T>& queue(int receiver) { return mesh_->at(sender_, receiver); }
-
- private:
-  QueueMesh<T>* mesh_;
-  const int sender_;
-};
-
-// Sender-side staging over a MultiMesh. Senders are anonymous; a thread
-// owns its buffer, and the MultiMesh retire protocol requires
-// Pending() == 0 before the owner retires. `shard_hint` picks which of
-// the mesh's per-receiver shards this sender flushes into (reduced modulo
-// the shard count); it must stay fixed for the buffer's lifetime so the
-// sender's own messages stay FIFO.
-template <typename T>
-class MultiSendBuffer final
-    : public detail::SendStaging<T, MultiSendBuffer<T>> {
- public:
-  static constexpr std::size_t kDefaultStage = MpscQueue<T>::kMsgsPerLine;
-
-  explicit MultiSendBuffer(MultiMesh<T>* mesh, int shard_hint = 0,
-                           std::size_t stage_capacity = kDefaultStage,
-                           bool adaptive_flush = false)
-      : detail::SendStaging<T, MultiSendBuffer<T>>(
-            mesh->receivers(), stage_capacity, adaptive_flush),
-        mesh_(mesh),
-        hint_(shard_hint),
-        // Resolve through the routing modulus even at construction: on an
-        // adaptive mesh the raw allocated-ring count (kMaxAutoShards) can
-        // exceed the drain high-water, and a ring above it would strand
-        // anything sent before the first Rebind().
-        shard_(mesh->RingForHint(shard_hint)) {}
-
-  int shard() const { return shard_; }
-
-  // Re-resolves the ring for this buffer's hint under the mesh's current
-  // routing modulus. Call right after each RegisterSender on an adaptive
-  // mesh: the modulus tracks the sender population, and the drain-to-empty
-  // retire contract guarantees nothing of ours is left on the old ring.
-  void Rebind() { shard_ = mesh_->RingForHint(hint_); }
-
-  MpscQueue<T>& queue(int receiver) { return mesh_->at(receiver, shard_); }
-
  private:
   MultiMesh<T>* mesh_;
   const int hint_;
   int shard_;
+  const int receivers_;
+  const std::size_t stage_;
+  // Flat [receiver][stage_] staging matrix + per-receiver fill counts.
+  // Plain memory: exactly one thread owns a buffer.
+  std::vector<T> slots_;
+  std::vector<std::size_t> counts_;
+  std::uint64_t messages_ = 0;
+  std::uint64_t publications_ = 0;
 };
 
 }  // namespace orthrus::mp

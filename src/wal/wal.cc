@@ -273,8 +273,9 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
     const bool barrier_ok =
         leaving_count != 0 && map_.AllObservedAtLeast(barrier_version);
 
-    // 4. Drain fragments: append to owned streams, stash the rest.
-    const std::size_t drained = mesh_.Drain(logger_index, [&](std::uint64_t v) {
+    // 4. Drain fragments to empty (the barrier above relies on it): append
+    // to owned streams, stash the rest.
+    const auto on_fragment = [&](std::uint64_t v) {
       const auto* f = reinterpret_cast<const FragmentMsg*>(v);
       // The producer's whole-slot write must happen-before this read (the
       // mesh indices are the edge); slot reuse is additionally ordered by
@@ -288,8 +289,8 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
         stash[static_cast<std::size_t>(p)].push_back(f);
         ++stashed_total;
       }
-    });
-    if (drained != 0) progress = true;
+    };
+    while (mesh_.Drain(logger_index, on_fragment) != 0) progress = true;
 
     // 5. Apply stashes for partitions we have (since) acquired.
     if (stashed_total != 0) {

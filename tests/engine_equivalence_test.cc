@@ -166,9 +166,8 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
   // ORTHRUS variants: every message-passing configuration (forwarding
-  // on/off, batched delivery on/off, sender-side coalescing on/off,
-  // adaptive drain order / flush thresholds / drain batch sizing,
-  // combined grants, shared CC table) must agree with the
+  // on/off, batched delivery on/off, adaptive drain order / drain batch
+  // sizing, combined grants, shared CC table) must agree with the
   // shared-everything engines. Every case runs with elastic=false and
   // elastic_cc=false (the OrthrusOptions defaults), so this whole list is
   // the pin that the elastic-roles and lock-space-routing refactors left
@@ -181,8 +180,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     bool batched_mp;
     bool shared_cc;
     bool adaptive_drain = false;
-    bool coalesced_send = true;
-    bool adaptive_flush = false;
     bool combined_grants = false;
     bool adaptive_drain_batch = false;
     bool vectorized_cc = false;
@@ -192,19 +189,16 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
        {OrthrusCase{true, true, false}, OrthrusCase{false, true, false},
         OrthrusCase{true, false, false}, OrthrusCase{true, true, true},
         OrthrusCase{true, true, false, /*adaptive_drain=*/true},
-        OrthrusCase{true, true, false, false, /*coalesced_send=*/false},
-        OrthrusCase{true, true, false, false, true, /*adaptive_flush=*/true},
-        OrthrusCase{true, true, false, false, true, false,
-                    /*combined_grants=*/true},
-        OrthrusCase{true, true, false, false, true, false, false,
+        OrthrusCase{true, true, false, false, /*combined_grants=*/true},
+        OrthrusCase{true, true, false, false, false,
                     /*adaptive_drain_batch=*/true},
-        OrthrusCase{true, true, false, false, true, false, false, false,
+        OrthrusCase{true, true, false, false, false, false,
                     /*vectorized_cc=*/true},
         // snapshot_reads over pure RMW: every transaction still runs the
         // lock path, but versions install and the epoch clock ticks —
         // neither may change what commits.
-        OrthrusCase{true, true, false, false, true, false, false, false,
-                    false, /*snapshot_reads=*/true}}) {
+        OrthrusCase{true, true, false, false, false, false, false,
+                    /*snapshot_reads=*/true}}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     // One transaction in flight per exec thread: the commit cap is checked
@@ -214,8 +208,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     oo.batched_mp = c.batched_mp;
     oo.shared_cc_table = c.shared_cc;
     oo.adaptive_drain = c.adaptive_drain;
-    oo.coalesced_send = c.coalesced_send;
-    oo.adaptive_flush = c.adaptive_flush;
     oo.combined_grants = c.combined_grants;
     oo.adaptive_drain_batch = c.adaptive_drain_batch;
     oo.vectorized_cc = c.vectorized_cc;
@@ -446,18 +438,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
     oo.adaptive_drain = adaptive;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
-                                  kOrthrusCc));
-  }
-  {
-    // Sender-side coalescing off: per-message tail publications, same
-    // committed multiset.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.coalesced_send = false;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,

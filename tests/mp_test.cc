@@ -3,7 +3,7 @@
 // true-concurrency stress on the native platform), the CAS-reserved MPSC
 // queue and its MultiMesh (dynamic sender populations), the QueueMesh that
 // wires full sender x receiver matrices of queues, and the sender-side
-// SendBuffer coalescing layer.
+// MultiSendBuffer staging layer.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -20,6 +20,15 @@
 
 namespace orthrus::mp {
 namespace {
+
+// Drain pops at most one line per sender per call; loop it until the
+// receiver's queues are empty. Returns messages delivered.
+template <typename Mesh, typename Fn, typename... Args>
+std::size_t DrainAll(Mesh& mesh, int receiver, Fn&& fn, Args... args) {
+  std::size_t total = 0;
+  while (const std::size_t n = mesh.Drain(receiver, fn, args...)) total += n;
+  return total;
+}
 
 TEST(SpscQueue, FifoOrder) {
   SpscQueue<std::uint64_t> q(8);
@@ -356,9 +365,8 @@ TEST(QueueMesh, DrainPreservesPerSenderFifo) {
     mesh.Send(1, 0, 1000 + i);
   }
   std::vector<std::uint64_t> got;
-  const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
-    got.push_back(v);
-  });
+  const std::size_t n =
+      DrainAll(mesh, 0, [&](std::uint64_t v) { got.push_back(v); });
   EXPECT_EQ(n, 40u);
   std::uint64_t expect0 = 0, expect1 = 1000;
   for (std::uint64_t v : got) {
@@ -373,20 +381,65 @@ TEST(QueueMesh, DrainPreservesPerSenderFifo) {
 }
 
 TEST(QueueMesh, UnbatchedDrainDeliversTheSameMessages) {
+  // One message per sender per call: repeated drains interleave the
+  // senders round-robin, each sender's stream still in FIFO order.
   QueueMesh<std::uint64_t> mesh(4, 1, 32);
   for (int s = 0; s < 4; ++s) {
     for (std::uint64_t i = 0; i < 9; ++i) mesh.Send(s, 0, s * 100 + i);
   }
   std::vector<std::uint64_t> got;
-  const std::size_t n = mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); }, /*max_batch=*/1);
+  const std::size_t n = DrainAll(
+      mesh, 0, [&](std::uint64_t v) { got.push_back(v); }, /*max_batch=*/1);
   EXPECT_EQ(n, 36u);
   std::size_t idx = 0;
-  for (std::uint64_t s = 0; s < 4; ++s) {
-    for (std::uint64_t i = 0; i < 9; ++i) {
+  for (std::uint64_t i = 0; i < 9; ++i) {
+    for (std::uint64_t s = 0; s < 4; ++s) {
       EXPECT_EQ(got[idx++], s * 100 + i);
     }
   }
+}
+
+// The fairness bound: a sender that keeps publishing while the receiver
+// drains (here sender 0 / shard 0, refilled from inside the callback up to
+// 1000 times) must not hold the receiver on its queue. One Drain call
+// takes at most one line from it and still delivers the other sender.
+template <typename Mesh, typename SendFn>
+void ExpectDrainBoundedPerSender(Mesh& mesh, SendFn send) {
+  constexpr std::size_t kLine = Mesh::kDefaultBatch;
+  constexpr std::uint64_t kOther = 1ull << 40;  // sender 1's message
+  for (std::uint64_t i = 0; i < kLine; ++i) send(0, i);
+  send(1, kOther);
+  int refills = 0;
+  std::size_t from0 = 0;
+  std::vector<std::uint64_t> from1;
+  const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
+    if (v == kOther) {
+      from1.push_back(v);
+      return;
+    }
+    from0++;
+    if (refills < 1000) {
+      refills++;
+      send(0, v + kLine);
+    }
+  });
+  EXPECT_LE(from0, kLine);
+  EXPECT_EQ(from1, (std::vector<std::uint64_t>{kOther}));
+  EXPECT_EQ(n, from0 + 1);
+}
+
+TEST(QueueMesh, DrainTakesAtMostOneLinePerSender) {
+  QueueMesh<std::uint64_t> mesh(2, 1, 64);
+  ExpectDrainBoundedPerSender(mesh, [&](int s, std::uint64_t v) {
+    mesh.Send(s, 0, v);
+  });
+}
+
+TEST(MultiMesh, DrainTakesAtMostOneLinePerShard) {
+  MultiMesh<std::uint64_t> mesh(1, 64, /*shards=*/2);
+  ExpectDrainBoundedPerSender(mesh, [&](int s, std::uint64_t v) {
+    mesh.Send(0, v, /*shard_hint=*/s);
+  });
 }
 
 TEST(QueueMesh, AdaptiveDrainServesDeepestQueueFirst) {
@@ -515,10 +568,10 @@ TEST(QueueMesh, DrainZeroMaxBatchStillDelivers) {
   mesh.Send(1, 0, 100);
 #ifdef NDEBUG
   std::vector<std::uint64_t> got;
-  const std::size_t n = mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); }, /*max_batch=*/0);
+  const std::size_t n = DrainAll(
+      mesh, 0, [&](std::uint64_t v) { got.push_back(v); }, /*max_batch=*/0);
   EXPECT_EQ(n, 6u);
-  const std::vector<std::uint64_t> want = {0, 1, 2, 3, 4, 100};
+  const std::vector<std::uint64_t> want = {0, 100, 1, 2, 3, 4};
   EXPECT_EQ(got, want);
   EXPECT_EQ(mesh.SizeRawTotal(), 0u);
 #else
@@ -1013,148 +1066,9 @@ TEST(MultiMesh, NativeProducerChurnStress) {
   EXPECT_EQ(mesh.SizeRawTotal(), 0u);
 }
 
-// -------------------------------------------------------------- SendBuffer
-
-TEST(SendBuffer, StagesUntilFlushAll) {
-  QueueMesh<std::uint64_t> mesh(1, 2, 32);
-  SendBuffer<std::uint64_t> sb(&mesh, 0);
-  sb.Send(0, 1);
-  sb.Send(1, 2);
-  sb.Send(0, 3);
-  // Nothing visible to receivers until a flush.
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-  EXPECT_EQ(sb.Pending(), 3u);
-  sb.FlushAll();
-  EXPECT_EQ(sb.Pending(), 0u);
-  EXPECT_EQ(mesh.SizeRawTotal(), 3u);
-  std::vector<std::uint64_t> got0, got1;
-  mesh.Drain(0, [&](std::uint64_t v) { got0.push_back(v); });
-  mesh.Drain(1, [&](std::uint64_t v) { got1.push_back(v); });
-  EXPECT_EQ(got0, (std::vector<std::uint64_t>{1, 3}));
-  EXPECT_EQ(got1, (std::vector<std::uint64_t>{2}));
-  // One publication per flushed pair.
-  EXPECT_EQ(sb.messages(), 3u);
-  EXPECT_EQ(sb.publications(), 2u);
-}
-
-TEST(SendBuffer, AutoFlushesWhenStageFills) {
-  QueueMesh<std::uint64_t> mesh(1, 1, 64);
-  SendBuffer<std::uint64_t> sb(&mesh, 0);
-  const std::size_t stage = sb.stage_capacity();
-  EXPECT_EQ(stage, SpscQueue<std::uint64_t>::kMsgsPerLine);
-  for (std::size_t i = 0; i < stage - 1; ++i) {
-    sb.Send(0, i);
-    EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-  }
-  sb.Send(0, stage - 1);  // fills the stage: flushes without FlushAll
-  EXPECT_EQ(mesh.SizeRawTotal(), stage);
-  EXPECT_EQ(sb.Pending(), 0u);
-  EXPECT_EQ(sb.publications(), 1u);
-}
-
-TEST(SendBuffer, CoalescingPublishesFewerTailIndices) {
-  // The acceptance bar for sender-side coalescing: at kMsgsPerLine-sized
-  // bursts the coalesced sender publishes its tail >= 4x less often than
-  // the per-message baseline (stage capacity 1, which degrades to exactly
-  // QueueMesh::Send behaviour: one publication per message).
-  constexpr std::size_t kBurst = SpscQueue<std::uint64_t>::kMsgsPerLine;
-  constexpr int kBursts = 64;
-  const auto publications = [](std::size_t stage_capacity) {
-    QueueMesh<std::uint64_t> mesh(1, 1, 256);
-    SendBuffer<std::uint64_t> sb(&mesh, 0, stage_capacity);
-    std::uint64_t sink = 0;
-    for (int b = 0; b < kBursts; ++b) {
-      for (std::size_t i = 0; i < kBurst; ++i) {
-        sb.Send(0, static_cast<std::uint64_t>(b) * kBurst + i);
-      }
-      sb.FlushAll();
-      mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; });
-    }
-    EXPECT_EQ(sb.messages(), static_cast<std::uint64_t>(kBursts) * kBurst);
-    return sb.publications();
-  };
-  const std::uint64_t coalesced = publications(kBurst);
-  const std::uint64_t per_message = publications(1);
-  EXPECT_EQ(per_message, static_cast<std::uint64_t>(kBursts) * kBurst);
-  EXPECT_EQ(coalesced, static_cast<std::uint64_t>(kBursts));
-  EXPECT_GE(per_message, 4 * coalesced);
-}
-
-TEST(SendBuffer, NativePartialFlushStress) {
-  // A ring as small as one stage forces Flush's partial-PushBatch retry
-  // path constantly: the consumer frees slots mid-flush. FIFO must hold
-  // and nothing may be lost or duplicated.
-  constexpr std::uint64_t kN = 100000;
-  QueueMesh<std::uint64_t> mesh(1, 1, 8);
-  hal::NativePlatform platform(2);
-  std::uint64_t publications = 0;
-  platform.Spawn(0, [&] {
-    SendBuffer<std::uint64_t> sb(&mesh, 0);
-    for (std::uint64_t i = 0; i < kN; ++i) sb.Send(0, i);
-    sb.FlushAll();
-    publications = sb.publications();
-  });
-  bool ok = true;
-  platform.Spawn(1, [&] {
-    std::uint64_t expect = 0;
-    while (expect < kN) {
-      const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
-        if (v != expect) ok = false;
-        expect++;
-      });
-      if (n == 0) hal::CpuRelax();
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-  // Partial flushes can only add publications beyond the one-per-stage
-  // floor; they never lose messages.
-  EXPECT_GE(publications, kN / SpscQueue<std::uint64_t>::kMsgsPerLine);
-}
-
-TEST(SendBuffer, NativeTwoSendersTwoReceiversStress) {
-  // Full mesh shape: two coalescing senders fanning out to two receivers,
-  // per-(sender, receiver) FIFO checked at both consumers.
-  constexpr std::uint64_t kPer = 40000;  // per (sender, receiver) pair
-  QueueMesh<std::uint64_t> mesh(2, 2, 16);
-  hal::NativePlatform platform(4);
-  for (int s = 0; s < 2; ++s) {
-    platform.Spawn(s, [&mesh, s] {
-      SendBuffer<std::uint64_t> sb(&mesh, s);
-      for (std::uint64_t i = 0; i < kPer; ++i) {
-        for (int r = 0; r < 2; ++r) {
-          sb.Send(r, (static_cast<std::uint64_t>(s) << 32) | i);
-        }
-      }
-      sb.FlushAll();
-    });
-  }
-  bool ok[2] = {true, true};
-  for (int r = 0; r < 2; ++r) {
-    platform.Spawn(2 + r, [&mesh, &ok, r] {
-      std::uint64_t next_from[2] = {0, 0};
-      std::uint64_t received = 0;
-      while (received < 2 * kPer) {
-        const std::size_t n = mesh.Drain(r, [&](std::uint64_t v) {
-          const int s = static_cast<int>(v >> 32);
-          if (s >= 2 || (v & 0xFFFFFFFFull) != next_from[s]) ok[r] = false;
-          next_from[s]++;
-        });
-        received += n;
-        if (n == 0) hal::CpuRelax();
-      }
-    });
-  }
-  platform.Run();
-  EXPECT_TRUE(ok[0]);
-  EXPECT_TRUE(ok[1]);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-}
-
 // -------------------------------------------------------- MultiSendBuffer
 
-TEST(MultiSendBuffer, StagesAndCoalescesLikeSendBuffer) {
+TEST(MultiSendBuffer, StagesAndCoalesces) {
   MultiMesh<std::uint64_t> mesh(2, 64);
   MultiSendBuffer<std::uint64_t> sb(&mesh);
   sb.Send(0, 1);
@@ -1188,94 +1102,9 @@ TEST(MultiSendBuffer, AutoFlushesWhenStageFills) {
   EXPECT_EQ(sb.publications(), 1u);
 }
 
-// ------------------------------------------- adaptive flush thresholds
-
-// The measured-burst-depth flush boundary: shallow per-quantum bursts pull
-// the threshold down to the observed depth, so messages stop waiting for
-// the quantum-end FlushAll; deep bursts grow it back to the full line.
-TEST(SendBuffer, AdaptiveFlushTracksBurstDepth) {
-  QueueMesh<std::uint64_t> mesh(1, 1, 256);
-  SendBuffer<std::uint64_t> sb(&mesh, 0, SendBuffer<std::uint64_t>::kDefaultStage,
-                               /*adaptive_flush=*/true);
-  const std::size_t line = sb.stage_capacity();
-  std::uint64_t sink = 0;
-  const auto drain = [&] { mesh.Drain(0, [&](std::uint64_t v) { sink += v; }); };
-
-  // Before any observation the threshold is the full line: a 2-message
-  // burst stays staged until FlushAll, exactly the non-adaptive behaviour.
-  sb.Send(0, 1);
-  sb.Send(0, 2);
-  EXPECT_EQ(sb.FlushThreshold(0), line);
-  EXPECT_EQ(sb.Pending(), 2u);
-  sb.FlushAll();
-  drain();
-
-  // Shallow 2-message quanta converge the threshold to 2 (the estimator's
-  // first observation IS the depth)...
-  EXPECT_EQ(sb.FlushThreshold(0), 2u);
-  // ...so the burst now flushes at depth 2 with no FlushAll needed.
-  sb.Send(0, 3);
-  EXPECT_EQ(sb.Pending(), 1u);
-  sb.Send(0, 4);
-  EXPECT_EQ(sb.Pending(), 0u);  // auto-flushed at the measured depth
-  sb.FlushAll();  // quantum end: observes depth 2 again
-  drain();
-  EXPECT_EQ(sb.FlushThreshold(0), 2u);
-
-  // Deep quanta (a full line each) grow the threshold back to the line
-  // within a few quanta — asymmetric rounding climbs faster than it decays.
-  for (int q = 0; q < 8 && sb.FlushThreshold(0) < line; ++q) {
-    for (std::size_t i = 0; i < line; ++i) {
-      sb.Send(0, 100 + i);
-    }
-    sb.FlushAll();
-    drain();
-  }
-  EXPECT_EQ(sb.FlushThreshold(0), line);
-  // Back at the full line, a partial burst stages again.
-  sb.Send(0, 5);
-  EXPECT_EQ(sb.Pending(), 1u);
-  sb.FlushAll();
-  drain();
-}
-
-TEST(SendBuffer, AdaptiveFlushOffIsByteIdentical) {
-  // adaptive_flush=false must behave exactly as before: full-line staging
-  // regardless of burst history.
-  QueueMesh<std::uint64_t> mesh(1, 1, 256);
-  SendBuffer<std::uint64_t> sb(&mesh, 0);
-  std::uint64_t sink = 0;
-  for (int q = 0; q < 4; ++q) {
-    sb.Send(0, 1);
-    sb.Send(0, 2);
-    EXPECT_EQ(sb.Pending(), 2u);  // never auto-flushes below a line
-    sb.FlushAll();
-    mesh.Drain(0, [&](std::uint64_t v) { sink += v; });
-  }
-  EXPECT_EQ(sb.FlushThreshold(0), sb.stage_capacity());
-}
-
-TEST(MultiSendBuffer, AdaptiveFlushTracksBurstDepth) {
-  MultiMesh<std::uint64_t> mesh(1, 256);
-  MultiSendBuffer<std::uint64_t> sb(
-      &mesh, /*shard_hint=*/0, MultiSendBuffer<std::uint64_t>::kDefaultStage,
-      /*adaptive_flush=*/true);
-  std::uint64_t sink = 0;
-  sb.Send(0, 1);
-  sb.Send(0, 2);
-  sb.FlushAll();
-  mesh.Drain(0, [&](std::uint64_t v) { sink += v; });
-  EXPECT_EQ(sb.FlushThreshold(0), 2u);
-  sb.Send(0, 3);
-  sb.Send(0, 4);
-  EXPECT_EQ(sb.Pending(), 0u);  // auto-flushed at the measured depth
-  sb.FlushAll();
-  mesh.Drain(0, [&](std::uint64_t v) { sink += v; });
-}
-
-// The estimator itself: climbs with ceil rounding, decays with floor, so
-// a line-deep workload recovers full staging quickly while shallow phases
-// still pull the threshold down. These exact sequences are pinned.
+// The drain-batch estimator: climbs with ceil rounding, decays with floor,
+// so a line-deep workload recovers full-line batches quickly while shallow
+// phases still pull the batch down. These exact sequences are pinned.
 TEST(BurstEstimator, AsymmetricConvergence) {
   detail::BurstEstimator est;
   EXPECT_EQ(est.Threshold(8), 8u);  // no observation: full line

@@ -249,15 +249,21 @@ TEST(OrthrusCombinedGrants, RejectsOversizedInflightWindow) {
   EXPECT_DEATH(OrthrusEngine(SmallRun(6), oo), "CHECK");
 }
 
-TEST(OrthrusAdaptiveFlush, ConservesUnderShallowBursts) {
-  // Depth-triggered flush boundaries change message timing, never message
-  // content: commits and effects must be conserved.
+TEST(OrthrusStatic, WorksOnNativeThreads) {
+  // The default static path — per-pair SPSC meshes, messages published
+  // as produced, bounded drains — under true concurrency, at the shape the
+  // native OLTP benchmark runs: one CC thread, two exec threads with eight
+  // transactions in flight each, and a 64-key hot set.
   OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.adaptive_flush = true;
+  oo.num_cc = 1;
+  oo.max_inflight = 8;
+  KvConfig kv;
+  kv.num_records = 4000;
+  kv.hot_records = 64;
+  kv.num_partitions = 1;
   KvWorkload* wl = nullptr;
   storage::Database db;
-  RunResult r = RunOrthrus(MultiPartKv(2, 2), oo, 6, &wl, &db);
+  RunResult r = RunOrthrus(kv, oo, 3, &wl, &db, /*native=*/true);
   EXPECT_GT(r.total.committed, 0u);
   EXPECT_EQ(wl->SumCounters(db), r.total.committed * 10);
 }
