@@ -55,18 +55,7 @@ int main() {
       WorkerStats exec_total;
       for (int i = kCc; i < kCores; ++i) exec_total.Merge(r.per_worker[i]);
       print_breakdown("orthrus (64 exec)", exec_total);
-    }
-    {
-      workload::tpcc::TpccWorkload wl(scale_for(w));
-      engine::OrthrusOptions oo;
-      oo.num_cc = kCc;
-      oo.vectorized_cc = true;
-      engine::OrthrusEngine eng(BenchOptions(kCores), oo);
-      RunResult r = RunPoint(&eng, &wl, kCores, 1, kCc);
-      WorkerStats exec_total;
-      for (int i = kCc; i < kCores; ++i) exec_total.Merge(r.per_worker[i]);
-      print_breakdown("orthrus-veccc (64 exec)", exec_total);
-      // CC-side vectorization counters live on the CC workers [0, kCc).
+      // CC inbox depth per drain, over the CC workers [0, kCc).
       WorkerStats cc_total;
       for (int i = 0; i < kCc; ++i) cc_total.Merge(r.per_worker[i]);
       const double occupancy =
@@ -74,11 +63,8 @@ int main() {
               ? 0.0
               : static_cast<double>(cc_total.cc_batch_msgs) /
                     static_cast<double>(cc_total.cc_batches);
-      std::printf("%-22s cc_batch_occupancy %.2f msgs/batch   "
-                  "key_runs_combined %llu\n",
-                  "", occupancy,
-                  static_cast<unsigned long long>(
-                      cc_total.cc_key_runs_combined));
+      std::printf("%-22s cc_batch_occupancy %.2f msgs/drain\n", "",
+                  occupancy);
     }
     {
       workload::tpcc::TpccWorkload wl(scale_for(w));

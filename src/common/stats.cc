@@ -18,7 +18,9 @@ void WorkerStats::Merge(const WorkerStats& other) {
   wal_wait_cycles += other.wal_wait_cycles;
   cc_batches += other.cc_batches;
   cc_batch_msgs += other.cc_batch_msgs;
-  cc_key_runs_combined += other.cc_key_runs_combined;
+  if (other.cc_live_locks_max > cc_live_locks_max) {
+    cc_live_locks_max = other.cc_live_locks_max;
+  }
   for (int i = 0; i < static_cast<int>(TimeCategory::kCount); ++i) {
     cycles[i] += other.cycles[i];
   }

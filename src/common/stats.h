@@ -35,13 +35,14 @@ struct WorkerStats {
   std::uint64_t send_stall_cycles = 0;  // cycles those sends busy-waited
   std::uint64_t wal_fragments = 0;  // redo-log fragments emitted (wal)
   std::uint64_t wal_wait_cycles = 0;  // cycles waiting on group commit
-  // Vectorized CC stage (OrthrusOptions::vectorized_cc): drained batches
-  // processed, messages across them (occupancy = msgs / batches), and
-  // same-key acquire runs served by a memoized lock lookup instead of a
-  // fresh bucket walk. All zero when the knob is off.
+  // ORTHRUS CC loop: drains that delivered at least one message, and the
+  // messages they delivered (occupancy = msgs / batches = CC inbox depth
+  // per drain).
   std::uint64_t cc_batches = 0;
   std::uint64_t cc_batch_msgs = 0;
-  std::uint64_t cc_key_runs_combined = 0;
+  // Most locks live at once in any one ORTHRUS CC lock table (thread-local
+  // or lock-space shard). Merged by max, not summed.
+  std::uint64_t cc_live_locks_max = 0;
   std::uint64_t cycles[static_cast<int>(TimeCategory::kCount)] = {0, 0, 0};
   Histogram txn_latency;  // commit latency in cycles
 

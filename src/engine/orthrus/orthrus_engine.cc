@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/autotune.h"
+#include "engine/orthrus/cc_lock_table.h"
 #include "hal/hal.h"
 #include "hal/slab_arena.h"
 #include "hal/topology.h"
@@ -21,7 +22,6 @@ namespace orthrus::engine {
 namespace {
 
 using txn::Access;
-using txn::Conflicts;
 using txn::LockMode;
 using txn::Txn;
 
@@ -106,34 +106,26 @@ int DecodeCombinedSlot(std::uint64_t w, int i) {
   return static_cast<int>((w >> (8 * (i + 1))) & 0xFF);
 }
 
-struct Tcb;
 struct ScLock;
-struct CcRequest;
 
-// Lock state for one key in a CC thread's *local* (partitioned-mode) table.
-// Plain memory: a single CC thread owns it — exactly how ORTHRUS eliminates
-// synchronization and data-movement overhead on lock meta-data (S 3.1).
-struct CcLock {
-  std::uint64_t key = 0;
-  std::uint32_t table = 0;
-  bool used = false;
-  CcRequest* head = nullptr;
-  CcRequest* tail = nullptr;
-  // O(1) grant checks / single-pass grant sweeps (see lock::LockHead).
-  std::uint32_t queued_total = 0;
-  std::uint32_t queued_x = 0;
-};
-
+// One lock request. Each transaction's requests live inline in its TCB
+// (index = access index), so neither CC mode allocates request nodes.
 struct CcRequest {
   Tcb* tcb = nullptr;
-  CcLock* lock = nullptr;     // partitioned-mode owner lock
   ScLock* sc_lock = nullptr;  // shared-mode owner lock (Section 3.4)
   CcRequest* next = nullptr;
   CcRequest* prev = nullptr;
-  std::uint16_t access_idx = 0;
+  // Partitioned mode: the access's (table, key), copied at acquire so a
+  // release finds its lock without reading the access array, which the
+  // exec thread has written since (row resolution in Execute).
+  std::uint64_t key = 0;
+  std::uint32_t table = 0;
   LockMode mode = LockMode::kShared;
   bool granted = false;
 };
+
+using CcLock = engine::CcLock<CcRequest>;
+using CcLockTable = engine::CcLockTable<CcRequest>;
 
 // One lock-acquisition stage: the contiguous range of the (sorted) access
 // array living in one lock partition. With the static lock space a
@@ -158,134 +150,24 @@ struct alignas(kTcbAlign) Tcb {
   int cur_stage = 0;  // stage being (or about to be) processed
   std::array<Stage, kMaxStages> stages;
 
-  // CC-side bookkeeping for the stage in progress.
-  std::uint32_t pending = 0;  // ungranted locks at the current CC
-  std::array<CcRequest*, kMaxAccesses> reqs{};
-
   // Exec-side bookkeeping.
   int pending_acks = 0;
   bool replan_pending = false;
   bool counted_commit = false;
 
   // Shared-CC mode (Section 3.4): index of the next lock to acquire in
-  // global key order, the CC thread handling this transaction, and inline
-  // request nodes (all of a transaction's requests live in its TCB, so no
-  // cross-thread allocator is needed).
+  // global key order and the CC thread handling this transaction.
   int next_acq = 0;
   int home_cc = -1;
+
+  // CC-side state, starting on a line of its own so that CC writes never
+  // share a cache line with the exec thread's bookkeeping above.
+  // `pending` counts the ungranted locks of the stage in progress. The
+  // request nodes are one per access; each stage's slice belongs to the
+  // CC thread owning that stage's partition (to the acquiring CC thread in
+  // shared-CC mode) from acquire until release.
+  alignas(kCacheLineSize) std::uint32_t pending = 0;
   std::array<CcRequest, kMaxAccesses> inline_reqs{};
-};
-
-// ------------------------------------------- CC-thread-local lock table
-
-// Open-addressing pointer table over pool-allocated CcLock objects. Lock
-// objects have stable addresses (queued requests point at them), so growth
-// only rehashes the pointer array. Single-threaded; no synchronization.
-class CcLockTable {
- public:
-  explicit CcLockTable(std::size_t initial_slots = 1 << 14)
-      : slots_(NextPowerOfTwo(initial_slots), nullptr) {}
-
-  ~CcLockTable() {
-    for (CcRequest* r : req_blocks_) delete[] r;
-    for (CcLock* l : lock_blocks_) delete[] l;
-  }
-
-  CcLock* FindOrCreate(std::uint32_t table, std::uint64_t key) {
-    if ((used_ + 1) * 3 > slots_.size() * 2) Grow();
-    std::size_t pos = Hash(table, key) & (slots_.size() - 1);
-    while (slots_[pos] != nullptr) {
-      if (slots_[pos]->key == key && slots_[pos]->table == table) {
-        return slots_[pos];
-      }
-      pos = (pos + 1) & (slots_.size() - 1);
-    }
-    CcLock* l = AllocLock();
-    l->key = key;
-    l->table = table;
-    l->head = l->tail = nullptr;
-    slots_[pos] = l;
-    used_++;
-    return l;
-  }
-
-  CcRequest* AllocRequest() {
-    if (free_ == nullptr) NewRequestBlock();
-    CcRequest* r = free_;
-    free_ = r->next;
-    r->next = r->prev = nullptr;
-    r->granted = false;
-    return r;
-  }
-
-  void FreeRequest(CcRequest* r) {
-    r->tcb = nullptr;
-    r->lock = nullptr;
-    r->prev = nullptr;
-    r->next = free_;
-    free_ = r;
-  }
-
-  // Batch-prefetch hint for (table, key): the slot word, then — when the
-  // lock already exists — the lock object behind it (two-level group
-  // prefetch). Read-only and cost-free: a pure hardware hint, so sweeping
-  // a whole batch of these ahead of processing is always safe.
-  void PrefetchFor(std::uint32_t table, std::uint64_t key) const {
-    const std::size_t pos = Hash(table, key) & (slots_.size() - 1);
-    hal::Prefetch(&slots_[pos]);
-    if (slots_[pos] != nullptr) hal::Prefetch(slots_[pos]);
-  }
-
-  std::size_t used() const { return used_; }
-
- private:
-  static std::size_t Hash(std::uint32_t table, std::uint64_t key) {
-    std::uint64_t h = (key ^ (static_cast<std::uint64_t>(table) << 56)) *
-                      0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-
-  void Grow() {
-    std::vector<CcLock*> bigger(slots_.size() * 2, nullptr);
-    const std::size_t mask = bigger.size() - 1;
-    for (CcLock* l : slots_) {
-      if (l == nullptr) continue;
-      std::size_t pos = Hash(l->table, l->key) & mask;
-      while (bigger[pos] != nullptr) pos = (pos + 1) & mask;
-      bigger[pos] = l;
-    }
-    slots_ = std::move(bigger);
-  }
-
-  CcLock* AllocLock() {
-    constexpr int kBlock = 4096;
-    if (next_lock_ == locks_in_block_) {
-      // lint:allow-alloc cold path: block pool growth, amortized over 4096
-      lock_blocks_.push_back(new CcLock[kBlock]);
-      next_lock_ = 0;
-      locks_in_block_ = kBlock;
-    }
-    return &lock_blocks_.back()[next_lock_++];
-  }
-
-  void NewRequestBlock() {
-    constexpr int kBlock = 1024;
-    // lint:allow-alloc cold path: block pool growth, amortized over 1024
-    CcRequest* block = new CcRequest[kBlock];
-    req_blocks_.push_back(block);
-    for (int i = 0; i < kBlock; ++i) {
-      block[i].next = free_;
-      free_ = &block[i];
-    }
-  }
-
-  std::vector<CcLock*> slots_;
-  std::size_t used_ = 0;
-  CcRequest* free_ = nullptr;
-  std::vector<CcRequest*> req_blocks_;
-  std::vector<CcLock*> lock_blocks_;
-  int next_lock_ = 0;
-  int locks_in_block_ = 0;
 };
 
 // -------------------------------------- shared CC lock table (Section 3.4)
@@ -340,7 +222,6 @@ class SharedCcTable {
       ScLock* lock = FindOrCreate(b, a.table, a.key);
       CcRequest* r = &tcb->inline_reqs[tcb->next_acq];
       r->tcb = tcb;
-      r->access_idx = static_cast<std::uint16_t>(tcb->next_acq);
       r->mode = a.mode;
       r->next = nullptr;
       r->prev = lock->tail;
@@ -465,7 +346,7 @@ using MultiMesh = mp::MultiMesh<std::uint64_t>;
 // transfer and the teardown accounting stays exact across any number of
 // handoffs.
 struct CcShard {
-  explicit CcShard(std::size_t lock_slots) : locks(lock_slots) {}
+  explicit CcShard(std::size_t max_live) : locks(max_live) {}
   CcLockTable locks;
   std::uint64_t held = 0;  // requests enqueued and not yet released
 };
@@ -488,15 +369,6 @@ struct Shared {
   // burst depth.
   bool adaptive_drain_batch = false;
   hal::Cycles cc_op_cycles = 20;
-  // Vectorized CC stage (see OrthrusOptions::vectorized_cc): flat-batch
-  // drain, prefetch sweep, same-key run combining, once-per-batch grant
-  // flush through the combined-grants staging path.
-  bool vectorized_cc = false;
-  std::size_t cc_batch = 256;
-  bool cc_prefetch = true;
-  bool cc_combine = true;
-  hal::Cycles cc_prefetched_op_cycles = 6;
-  hal::Cycles cc_run_op_cycles = 3;
 
   // Snapshot read path (OrthrusOptions::snapshot_reads): classified
   // read-only transactions execute lock-free against the epoch-versioned
@@ -554,27 +426,24 @@ class CcThread {
   // the CC thread that runs the elastic reallocation epochs (CC 0);
   // `epoch_cycles` is that controller's decision period in cycles.
   CcThread(int cc_id, Shared* shared, WorkerStats* stats,
-           std::size_t lock_slots, ElasticController* controller = nullptr,
+           std::size_t max_live_locks,
+           ElasticController* controller = nullptr,
            ElasticController2D* controller2d = nullptr,
            hal::Cycles epoch_cycles = 0)
       : cc_id_(cc_id),
         shared_(shared),
         stats_(stats),
-        // elastic_cc: lock tables live in the SpaceMap's shards; the
-        // thread-local table stays unused (minimal footprint).
-        locks_(shared->elastic_cc ? 2 : lock_slots),
+        // Lock tables live in the SpaceMap's shards under elastic_cc and
+        // in SharedCcTable in shared-CC mode; the thread-local table then
+        // stays unused (minimal footprint).
+        locks_(shared->elastic_cc || shared->shared_cc != nullptr
+                   ? 1
+                   : max_live_locks),
         controller_(controller),
         controller2d_(controller2d),
         epoch_cycles_(epoch_cycles) {
-    // vectorized_cc stages its grants through the same per-exec stash the
-    // combined_grants path flushes, so either knob sizes it.
-    if (shared->combined_grants || shared->vectorized_cc) {
+    if (shared->combined_grants) {
       grant_stash_.resize(static_cast<std::size_t>(shared->n_exec));
-    }
-    if (shared->vectorized_cc) {
-      // Setup-time sizing: the flat drain buffer never grows on the hot
-      // path (DrainInto stops at its capacity; the remainder stays queued).
-      batch_buf_.resize(shared->cc_batch);
     }
     if (shared->elastic_cc) {
       // lint:allow-alloc setup
@@ -586,6 +455,16 @@ class CcThread {
     // Polling cached-empty queues costs L1 hits; a small cap keeps grant
     // latency low while still bounding event rates when truly idle.
     hal::IdleBackoff idle(128);
+    // One clock read per loop iteration: the span since the previous read
+    // is locking time when that iteration's drain delivered messages, and
+    // waiting time otherwise (empty polls, idle backoff, parking).
+    hal::Cycles last = hal::Now();
+    const auto account = [&](bool busy) {
+      const hal::Cycles now = hal::Now();
+      stats_->Add(busy ? TimeCategory::kLocking : TimeCategory::kWaiting,
+                  now - last);
+      last = now;
+    };
     while (true) {
       // Read the termination predicate *before* draining: if it was true
       // before a drain that found nothing, no message can arrive later.
@@ -599,33 +478,36 @@ class CcThread {
         MaybeRemap();
         may_park = ParkBarrierHolds();
       }
-      const bool progress =
-          shared_->vectorized_cc ? DrainVectorized() : DrainOnce();
+      const bool progress = DrainOnce();
       // End of the scheduling quantum: grants stashed while handling this
-      // quantum's messages (combined_grants, vectorized_cc) go out before
-      // we either loop or idle. Every other message left when produced.
+      // quantum's messages (combined_grants) go out before we either loop
+      // or idle. Every other message left when produced.
       FlushCombinedGrants();
       if (controller_ != nullptr || controller2d_ != nullptr) {
         MaybeReallocate();
       }
       if (progress) {
+        account(/*busy=*/true);
         idle.Reset();
         continue;
       }
       if (maybe_done) {
+        account(/*busy=*/false);
         ORTHRUS_CHECK_MSG(held_ == 0, "CC exiting with locks held");
+        ORTHRUS_CHECK_MSG(locks_.used() == 0,
+                          "CC exiting with live locks in its table");
         ORTHRUS_CHECK_MSG(StashedGrants() == 0,
                           "CC exiting with stashed combined grants");
+        stats_->cc_live_locks_max = locks_.high_water();
         break;
       }
       if (may_park) {
         ParkCc();
         idle.Reset();
-        continue;
+      } else {
+        idle.Idle();
       }
-      const hal::Cycles t0 = hal::Now();
-      idle.Idle();
-      stats_->Add(TimeCategory::kWaiting, hal::Now() - t0);
+      account(/*busy=*/false);
     }
   }
 
@@ -658,7 +540,10 @@ class CcThread {
                                    shared_->drain_order);
     }
     drain_est_.Observe(shared_->adaptive_drain_batch, n);
-    return n != 0;
+    if (n == 0) return false;
+    stats_->cc_batches++;
+    stats_->cc_batch_msgs += n;
+    return true;
   }
 
   // Drain granularity for this quantum: the configured batch, or the
@@ -666,156 +551,6 @@ class CcThread {
   std::size_t DrainBatch() const {
     return drain_est_.Batch(shared_->adaptive_drain_batch,
                             shared_->drain_batch);
-  }
-
-  // --- vectorized CC stage (vectorized_cc) -----------------------------
-
-  // Batch-shaped counterpart of DrainOnce: gathers up to cc_batch messages
-  // into the flat buffer (same mesh visit order and per-sender FIFO as the
-  // scalar drain; anything past the cap stays queued for the next quantum)
-  // and processes the span as a unit.
-  bool DrainVectorized() {
-    const std::size_t batch = DrainBatch();
-    std::uint64_t* buf = batch_buf_.data();
-    const std::size_t cap = batch_buf_.size();
-    std::size_t n =
-        shared_->elastic
-            ? shared_->exec_to_cc_multi.DrainInto(cc_id_, buf, cap, batch)
-            : shared_->exec_to_cc.DrainInto(cc_id_, buf, cap, batch,
-                                            shared_->drain_order);
-    if (shared_->forwarding || shared_->elastic_cc) {
-      n += shared_->cc_to_cc.DrainInto(cc_id_, buf + n, cap - n, batch,
-                                       shared_->drain_order);
-    }
-    drain_est_.Observe(shared_->adaptive_drain_batch, n);
-    if (n != 0) ProcessBatch(n);
-    return n != 0;
-  }
-
-  // The gather -> prefetch -> process -> scatter pipeline over one drained
-  // span. Messages are handled in exactly the order the scalar drain would
-  // have delivered them — the batch view changes how the work is done (one
-  // prefetch sweep, memoized same-key lookups, one deferred grant sweep
-  // per release run), never what is decided.
-  void ProcessBatch(std::size_t n) {
-    stats_->cc_batches++;
-    stats_->cc_batch_msgs += n;
-    // Single-owner staging: only this CC thread ever touches its batch
-    // buffer; the tag documents (and, under race_detect, verifies) that.
-    hal::RaceCheck(batch_buf_.data(), n * sizeof(std::uint64_t),
-                   /*is_write=*/true, "orthrus.cc.batch_buf");
-    if (shared_->cc_prefetch) {
-      const hal::Cycles t0 = hal::Now();
-      PrefetchSweepPass(n);
-      stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
-    }
-    in_batch_ = true;
-    ResetMemo();
-    for (std::size_t i = 0; i < n; ++i) Handle(batch_buf_[i]);
-    FlushGrantSweep();
-    in_batch_ = false;
-    ResetMemo();
-  }
-
-  // Pass one: walk the batch issuing prefetch hints for every request's
-  // TCB, lock bucket, and (for releases) queued request nodes, then charge
-  // the sweep's overlapped fill window once. Hints only — nothing is
-  // decided here, and under elastic_cc only shards this thread currently
-  // owns (raw-load check; eventual visibility suffices for a hint) are
-  // touched, so no foreign table is ever read mid-mutation.
-  void PrefetchSweepPass(std::size_t n) {
-    std::size_t lines = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t w = batch_buf_[i];
-      Tcb* tcb = DecodeTcb(w);
-      hal::Prefetch(tcb);
-      lines++;
-      const MsgTag tag = DecodeTag(w);
-      if (tag == kAcquire) {
-        const Stage& stage = tcb->stages[tcb->cur_stage];
-        const CcLockTable* locks = TableForPrefetch(stage.part);
-        if (locks == nullptr) continue;
-        for (std::uint16_t a = stage.begin; a < stage.end; ++a) {
-          const Access& acc = tcb->txn.accesses[a];
-          locks->PrefetchFor(acc.table, acc.key);
-          lines += 2;
-        }
-      } else if (tag == kRelease) {
-        const Stage* stage = StageForRelease(tcb, w);
-        if (stage == nullptr) continue;
-        for (std::uint16_t a = stage->begin; a < stage->end; ++a) {
-          CcRequest* r = tcb->reqs[a];
-          if (r != nullptr) {
-            hal::Prefetch(r);
-            lines++;
-          }
-        }
-      }
-    }
-    hal::PrefetchSweep(lines);
-  }
-
-  // Lock table whose buckets pass one may hint for partition `part`, or
-  // null when this thread does not currently own it (the message will be
-  // re-routed by Handle anyway).
-  const CcLockTable* TableForPrefetch(int part) const {
-    if (!shared_->elastic_cc) return &locks_;
-    if (shared_->space->ShardOwnerRaw(part) !=
-        static_cast<std::uint64_t>(cc_id_)) {
-      return nullptr;
-    }
-    return &shared_->space->shard(part)->locks;
-  }
-
-  // The stage a kRelease message addresses: explicit in the message under
-  // elastic_cc, this thread's (unique) stage otherwise.
-  const Stage* StageForRelease(Tcb* tcb, std::uint64_t w) const {
-    if (shared_->elastic_cc) {
-      const Stage& stage = tcb->stages[DecodeStage(w)];
-      return shared_->space->ShardOwnerRaw(stage.part) ==
-                     static_cast<std::uint64_t>(cc_id_)
-                 ? &stage
-                 : nullptr;
-    }
-    for (int s = 0; s < tcb->n_stages; ++s) {
-      if (tcb->stages[s].part == cc_id_) return &tcb->stages[s];
-    }
-    return nullptr;
-  }
-
-  // Same-key memo (cc_combine): the last (table, key) resolved this batch
-  // and the lock it mapped to. A hit must match the exact table instance
-  // plus (table, key) — then staleness is impossible to get wrong: CcLock
-  // objects are pool-allocated (never freed or moved) and FindOrCreate is
-  // deterministic, so whatever the memo remembers is still the answer.
-  void ResetMemo() {
-    memo_locks_ = nullptr;
-    last_lock_ = nullptr;
-    last_table_ = 0;
-    last_key_ = 0;
-  }
-
-  void SetMemo(CcLockTable* locks, std::uint32_t table, std::uint64_t key,
-               CcLock* lock) {
-    memo_locks_ = locks;
-    last_table_ = table;
-    last_key_ = key;
-    last_lock_ = lock;
-  }
-
-  // Flushes the deferred release grant sweep (cc_combine): one
-  // GrantFollowers pass serves a whole same-lock release run. Grants are
-  // monotone in unlinks — nothing between the deferral and the flush can
-  // make a grantable follower ungrantable — so one final sweep grants
-  // exactly what incremental sweeps would have. The pending pointer is
-  // cleared *before* the sweep: GrantFollowers can advance a transaction
-  // into AcquireStage on this same thread (elastic_cc local continue),
-  // which may legally re-enter the deferral machinery.
-  void FlushGrantSweep() {
-    CcLock* lock = grant_pending_;
-    if (lock == nullptr) return;
-    grant_pending_ = nullptr;
-    GrantFollowers(lock);
   }
 
   // --- elastic_cc: epoch handoff, retire, resume -----------------------
@@ -894,9 +629,8 @@ class CcThread {
     // then re-park — otherwise every message for that shard would chase
     // an owner that never runs. Raw loads: eventual visibility is all
     // the wake-up needs, and the spin must not bill modeled traffic.
-    const hal::Cycles parked = shared_->cc_gate.Park(
+    shared_->cc_gate.Park(
         cc_id_, [this] { return RunDrained() || OwnsAnyShardRaw(); });
-    stats_->Add(TimeCategory::kWaiting, parked);
     // No refresh here: the next quantum's MaybeRemap rebuilds the view
     // (Deactivate zeroed the cached version) and runs the relinquish
     // sweep, which is how a shard handed to us mid-park is passed onward.
@@ -993,7 +727,7 @@ class CcThread {
   // Packs each exec thread's stashed grant slots into words of up to
   // kMaxCombinedGrants and sends them.
   void FlushCombinedGrants() {
-    if (!shared_->combined_grants && !shared_->vectorized_cc) return;
+    if (!shared_->combined_grants) return;
     for (int e = 0; e < shared_->n_exec; ++e) {
       std::vector<std::uint8_t>& stash =
           grant_stash_[static_cast<std::size_t>(e)];
@@ -1011,7 +745,6 @@ class CcThread {
   }
 
   void Handle(std::uint64_t word) {
-    const hal::Cycles t0 = hal::Now();
     Tcb* tcb = DecodeTcb(word);
     const MsgTag tag = DecodeTag(word);
     if (shared_->elastic_cc) {
@@ -1035,7 +768,6 @@ class CcThread {
                            static_cast<std::uint64_t>(cc_id_)) {
         shared_->cc_to_cc.Send(cc_id_, router_->OwnerOf(part), word);
         stats_->messages_sent++;
-        stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
         return;
       }
     }
@@ -1049,7 +781,6 @@ class CcThread {
       default:
         ORTHRUS_CHECK_MSG(false, "unexpected message at CC thread");
     }
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
   }
 
   // Enqueues the current stage's lock requests into the stage partition's
@@ -1058,19 +789,16 @@ class CcThread {
   bool AcquireStage(Tcb* tcb) {
     // Race-detector tags (free when race_detect is off): the CC thread
     // holding the in-flight kAcquire owns cur_stage, the stage entry, and
-    // the stage's reqs slice; the mesh message that carried the tcb here is
-    // the happens-before edge. Tag granularity is the stage slice, never
-    // the whole tcb — other CC threads legally touch their own disjoint
-    // slices concurrently during release fan-out.
+    // the stage's request slice; the mesh message that carried the tcb
+    // here is the happens-before edge. Tag granularity is the stage slice,
+    // never the whole tcb — other CC threads legally touch their own
+    // disjoint slices concurrently during release fan-out.
     hal::RaceCheck(&tcb->cur_stage, sizeof(tcb->cur_stage),
                    /*is_write=*/false, "orthrus.tcb.stage");
     const Stage& stage = tcb->stages[tcb->cur_stage];
     hal::RaceCheck(&stage, sizeof(stage), /*is_write=*/false,
                    "orthrus.tcb.stages");
-    hal::RaceCheck(&tcb->reqs[stage.begin],
-                   sizeof(CcRequest*) *
-                       static_cast<std::size_t>(stage.end - stage.begin),
-                   /*is_write=*/true, "orthrus.tcb.reqs");
+    RaceCheckRequests(tcb, stage);
     ORTHRUS_DCHECK(shared_->elastic_cc || stage.part == cc_id_);
     CcShard* shard =
         shared_->elastic_cc ? shared_->space->shard(stage.part) : nullptr;
@@ -1078,38 +806,19 @@ class CcThread {
     std::uint32_t pending = 0;
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       const Access& a = tcb->txn.accesses[i];
-      CcLock* lock;
-      if (!in_batch_) {
-        // Scalar path: untouched — one full-cost lookup per request.
-        hal::ConsumeCycles(shared_->cc_op_cycles);
-        lock = locks.FindOrCreate(a.table, a.key);
-      } else if (shared_->cc_combine && memo_locks_ == &locks &&
-                 last_table_ == a.table && last_key_ == a.key) {
-        // Same-key run: reuse the memoized lock — no hash, no probe walk.
-        hal::ConsumeCycles(shared_->cc_run_op_cycles);
-        lock = last_lock_;
-        stats_->cc_key_runs_combined++;
-      } else {
-        // Batch mode: the pass-one sweep (when on) already pulled the
-        // bucket and lock lines in, leaving only the resident walk.
-        hal::ConsumeCycles(shared_->cc_prefetch
-                               ? shared_->cc_prefetched_op_cycles
-                               : shared_->cc_op_cycles);
-        lock = locks.FindOrCreate(a.table, a.key);
-      }
-      // A deferred release sweep on this same lock must grant before we
-      // enqueue behind it — the sweep must see the queue state the
-      // releases left, not one with our request appended.
-      if (lock == grant_pending_) FlushGrantSweep();
-      CcRequest* r = locks.AllocRequest();
+      hal::ConsumeCycles(shared_->cc_op_cycles);
+      CcLock* lock = locks.FindOrInsert(a.table, a.key);
+      CcRequest* r = &tcb->inline_reqs[i];
       r->tcb = tcb;
-      r->lock = lock;
-      r->access_idx = i;
+      r->key = a.key;
+      r->table = a.table;
       r->mode = a.mode;
-      // FIFO enqueue; counters make the grant check O(1).
+      // FIFO enqueue. An exclusive request is grantable only on an empty
+      // queue, a shared one while no exclusive request is queued.
       const bool grantable = a.mode == LockMode::kExclusive
-                                 ? lock->queued_total == 0
+                                 ? lock->head == nullptr
                                  : lock->queued_x == 0;
+      r->next = nullptr;
       r->prev = lock->tail;
       if (lock->tail != nullptr) {
         lock->tail->next = r;
@@ -1117,21 +826,16 @@ class CcThread {
         lock->head = r;
       }
       lock->tail = r;
-      lock->queued_total++;
       if (a.mode == LockMode::kExclusive) lock->queued_x++;
       r->granted = grantable;
-      if (!r->granted) {
+      if (!grantable) {
         pending++;
         stats_->lock_waits++;
       }
-      tcb->reqs[i] = r;
       if (shard != nullptr) {
         shard->held++;
       } else {
         held_++;
-      }
-      if (in_batch_ && shared_->cc_combine) {
-        SetMemo(&locks, a.table, a.key, lock);
       }
     }
     if (pending != 0) {
@@ -1140,6 +844,14 @@ class CcThread {
       tcb->pending = pending;
     }
     return pending == 0;
+  }
+
+  // The stage's request nodes belong to the CC thread processing it.
+  static void RaceCheckRequests(Tcb* tcb, const Stage& stage) {
+    hal::RaceCheck(&tcb->inline_reqs[stage.begin],
+                   sizeof(CcRequest) *
+                       static_cast<std::size_t>(stage.end - stage.begin),
+                   /*is_write=*/true, "orthrus.tcb.reqs");
   }
 
   void ProcessAcquire(Tcb* tcb) {
@@ -1187,69 +899,34 @@ class CcThread {
 
   // Releases one stage's requests from `locks` (the stage partition's
   // table under elastic_cc, the thread-local table otherwise), granting
-  // unblocked followers and updating the matching held-lock counter.
+  // unblocked followers, erasing locks left with no queued request, and
+  // updating the matching held-lock counter. Each lock is found again by
+  // its (table, key): an earlier Erase may have moved it.
   void ReleaseStage(Tcb* tcb, const Stage& stage, CcLockTable& locks,
                     std::uint64_t& held) {
-    // Concurrent releases of *other* stages are legal; this tag covers only
-    // this stage's slice (disjoint 8-byte granules per request pointer).
+    // Concurrent releases of *other* stages are legal; these tags cover
+    // only this stage's entry and request slice.
     hal::RaceCheck(&stage, sizeof(stage), /*is_write=*/false,
                    "orthrus.tcb.stages");
-    hal::RaceCheck(&tcb->reqs[stage.begin],
-                   sizeof(CcRequest*) *
-                       static_cast<std::size_t>(stage.end - stage.begin),
-                   /*is_write=*/true, "orthrus.tcb.reqs");
+    RaceCheckRequests(tcb, stage);
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
-      CcRequest* r = tcb->reqs[i];
-      ORTHRUS_DCHECK(r != nullptr && r->lock != nullptr);
-      CcLock* lock = r->lock;
-      if (!in_batch_) {
-        // Scalar path: untouched — unlink, sweep, recycle, per request.
-        hal::ConsumeCycles(shared_->cc_op_cycles);
-        Unlink(r);
-        GrantFollowers(lock);
-      } else if (shared_->cc_combine) {
-        // Batched release: defer the grant sweep so one GrantFollowers
-        // pass serves a whole same-lock run. A different lock's deferred
-        // sweep flushes first — at most one lock is ever pending.
-        if (lock == last_lock_ && memo_locks_ == &locks) {
-          hal::ConsumeCycles(shared_->cc_run_op_cycles);
-          stats_->cc_key_runs_combined++;
-        } else {
-          hal::ConsumeCycles(shared_->cc_prefetch
-                                 ? shared_->cc_prefetched_op_cycles
-                                 : shared_->cc_op_cycles);
-        }
-        Unlink(r);
-        if (grant_pending_ != nullptr && grant_pending_ != lock) {
-          FlushGrantSweep();
-        }
-        grant_pending_ = lock;
-        SetMemo(&locks, lock->table, lock->key, lock);
+      CcRequest* r = &tcb->inline_reqs[i];
+      hal::ConsumeCycles(shared_->cc_op_cycles);
+      CcLock* lock = locks.Find(r->table, r->key);
+      ORTHRUS_DCHECK(lock != nullptr);
+      Unlink(lock, r);
+      if (lock->head == nullptr) {
+        locks.Erase(lock);
       } else {
-        hal::ConsumeCycles(shared_->cc_prefetch
-                               ? shared_->cc_prefetched_op_cycles
-                               : shared_->cc_op_cycles);
-        Unlink(r);
         GrantFollowers(lock);
       }
-      locks.FreeRequest(r);
-      tcb->reqs[i] = nullptr;
       ORTHRUS_DCHECK(held > 0);
       held--;
     }
   }
 
-  [[maybe_unused]] static bool NoConflictAhead(const CcRequest* r) {
-    for (const CcRequest* p = r->prev; p != nullptr; p = p->prev) {
-      if (Conflicts(r->mode, p->mode)) return false;
-    }
-    return true;
-  }
-
-  static void Unlink(CcRequest* r) {
-    CcLock* lock = r->lock;
-    ORTHRUS_DCHECK(lock->queued_total > 0);
-    lock->queued_total--;
+  static void Unlink(CcLock* lock, CcRequest* r) {
+    ORTHRUS_DCHECK(lock->head != nullptr);
     if (r->mode == LockMode::kExclusive) lock->queued_x--;
     if (r->prev != nullptr) {
       r->prev->next = r->next;
@@ -1264,6 +941,10 @@ class CcThread {
     r->prev = r->next = nullptr;
   }
 
+  // Grants the queue's newly compatible prefix. A granted transaction may
+  // advance into AcquireStage on this thread (elastic_cc local continue),
+  // which can insert into the same table but never erases, so `lock` stays
+  // valid for the whole sweep.
   void GrantFollowers(CcLock* lock) {
     bool x_seen = false;
     for (CcRequest* r = lock->head; r != nullptr; r = r->next) {
@@ -1284,11 +965,9 @@ class CcThread {
   }
 
   void SendGrant(Tcb* tcb) {
-    if (shared_->combined_grants || shared_->vectorized_cc) {
+    if (shared_->combined_grants) {
       // Stash the grant as a slot id; FlushCombinedGrants packs this exec
-      // thread's quantum of grants into words at quantum end. This is the
-      // vectorized stage's single-pass grant flush: grants produced while
-      // processing a batch accumulate here and publish once.
+      // thread's quantum of grants into words at quantum end.
       grant_stash_[static_cast<std::size_t>(tcb->exec_id)].push_back(
           static_cast<std::uint8_t>(tcb->slot));
       return;
@@ -1351,22 +1030,11 @@ class CcThread {
   hal::Cycles next_epoch_ = 0;
   hal::Cycles last_epoch_now_ = 0;
   std::uint64_t last_epoch_committed_ = 0;
-  // Per-exec-thread grant stash (combined_grants and vectorized_cc modes),
-  // cleared every quantum by FlushCombinedGrants.
+  // Per-exec-thread grant stash (combined_grants), cleared every quantum
+  // by FlushCombinedGrants.
   std::vector<std::vector<std::uint8_t>> grant_stash_;
   std::uint64_t held_ = 0;
   std::vector<Tcb*> runnable_;  // scratch for shared-mode release grants
-  // --- vectorized CC state (vectorized_cc; all inert otherwise) --------
-  // Flat drain buffer (ctor-sized, single owner), the in-batch flag that
-  // gates every vectorized branch so the scalar path stays byte-identical,
-  // the same-key memo, and the lock whose release grant sweep is deferred.
-  std::vector<std::uint64_t> batch_buf_;
-  bool in_batch_ = false;
-  CcLockTable* memo_locks_ = nullptr;
-  CcLock* last_lock_ = nullptr;
-  std::uint32_t last_table_ = 0;
-  std::uint64_t last_key_ = 0;
-  CcLock* grant_pending_ = nullptr;
 };
 
 // ----------------------------------------------------------- exec thread
@@ -1969,16 +1637,6 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
   if (orthrus_.backpressure_admission) {
     ORTHRUS_CHECK(orthrus_.backpressure_epoch_seconds > 0);
   }
-  if (orthrus_.vectorized_cc) {
-    // Grant staging packs in-flight window slots one byte each (the same
-    // encoding combined_grants uses).
-    ORTHRUS_CHECK_MSG(orthrus_.max_inflight <= 256,
-                      "vectorized_cc needs max_inflight <= 256");
-    ORTHRUS_CHECK_MSG(!orthrus_.shared_cc_table,
-                      "the shared CC table's loop is not message-shaped; "
-                      "vectorized_cc batches the partitioned drain");
-    ORTHRUS_CHECK(orthrus_.cc_batch >= 1);
-  }
 }
 
 std::string OrthrusEngine::name() const {
@@ -1993,7 +1651,6 @@ std::string OrthrusEngine::name() const {
   if (orthrus_.adaptive_drain_batch) n += "-adbatch";
   if (orthrus_.line_aligned_mesh) n += "-linemesh";
   if (orthrus_.backpressure_admission) n += "-bp";
-  if (orthrus_.vectorized_cc) n += "-veccc";
   if (orthrus_.snapshot_reads) n += "-snap";
   return n;
 }
@@ -2076,12 +1733,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.n_parts = n_parts;
   shared.adaptive_drain_batch = orthrus_.adaptive_drain_batch;
   shared.cc_op_cycles = orthrus_.cc_op_cycles;
-  shared.vectorized_cc = orthrus_.vectorized_cc;
-  shared.cc_batch = static_cast<std::size_t>(orthrus_.cc_batch);
-  shared.cc_prefetch = orthrus_.cc_prefetch;
-  shared.cc_combine = orthrus_.cc_combine;
-  shared.cc_prefetched_op_cycles = orthrus_.cc_prefetched_op_cycles;
-  shared.cc_run_op_cycles = orthrus_.cc_run_op_cycles;
   shared.snapshot_reads = orthrus_.snapshot_reads;
   if (orthrus_.snapshot_reads) {
     // Version pairs + epoch clock, (re)seeded from the current main slabs
@@ -2207,6 +1858,12 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   // controller and stands up the remappable lock space.
   std::unique_ptr<ElasticController> controller;
   std::unique_ptr<ElasticController2D> controller2d;
+  // Live-lock bound for every CC lock table: each in-flight transaction
+  // queues at most kMaxAccesses requests, all of which may land in one
+  // table.
+  const std::size_t max_live_locks = static_cast<std::size_t>(n_exec) *
+                                     inflight *
+                                     static_cast<std::size_t>(kMaxAccesses);
   lock::HashRing ring(std::max(n_cc, 1));
   SpaceMap space;
   hal::Cycles epoch_cycles = 0;
@@ -2235,11 +1892,10 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
     shared.cc_gate.SetTarget(t0.cc);
     // One router slot per worker (CC threads then exec threads); shards
     // start under the initial map so the first quantum claims nothing.
-    const std::size_t cc_lock_shard_slots = 1 << 14;
     space.Reset(n_parts, ring.OwnersFor(n_parts, t0.cc), n_cc + n_exec,
-                [cc_lock_shard_slots](int) {
+                [max_live_locks](int) {
                   // lint:allow-alloc setup: shards built before the run
-                  return std::make_unique<CcShard>(cc_lock_shard_slots);
+                  return std::make_unique<CcShard>(max_live_locks);
                 });
     shared.space = &space;
     shared.ring = &ring;
@@ -2257,15 +1913,11 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
     shared.exec_gate.SetTarget(controller->target());
   }
 
-  // CC lock tables start small and grow (address-stable) as each partition's
-  // key footprint materializes.
-  const std::size_t cc_lock_slots = 1 << 14;
-
   std::vector<std::unique_ptr<CcThread>> cc_threads;
   std::vector<std::unique_ptr<ExecThread>> exec_threads;
   for (int c = 0; c < n_cc; ++c) {
     cc_threads.push_back(std::make_unique<CcThread>(  // lint:allow-alloc setup
-        c, &shared, &pool.worker(c).stats, cc_lock_slots,
+        c, &shared, &pool.worker(c).stats, max_live_locks,
         c == 0 ? controller.get() : nullptr,
         c == 0 ? controller2d.get() : nullptr, epoch_cycles));
   }
@@ -2303,7 +1955,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
 
   // Consistency: every queue fully drained, every elastic sender retired,
   // and — across any number of partition handoffs — every lock released
-  // (the shard-resident held counts survive ownership moves exactly).
+  // and erased (the shard-resident held counts and tables survive
+  // ownership moves exactly). The thread-local tables are checked by their
+  // CC threads on exit.
   ORTHRUS_CHECK(shared.exec_to_cc.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.exec_to_cc_multi.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.cc_to_cc.SizeRawTotal() == 0);
@@ -2313,6 +1967,11 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
     for (int p = 0; p < n_parts; ++p) {
       ORTHRUS_CHECK_MSG(space.shard(p)->held == 0,
                         "lock-space shard torn down with locks held");
+      ORTHRUS_CHECK_MSG(space.shard(p)->locks.used() == 0,
+                        "lock-space shard torn down with live locks");
+      WorkerStats& cc0 = pool.worker(0).stats;
+      cc0.cc_live_locks_max = std::max<std::uint64_t>(
+          cc0.cc_live_locks_max, space.shard(p)->locks.high_water());
       ORTHRUS_CHECK_MSG(space.ShardOwnerRaw(p) <
                             static_cast<std::uint64_t>(n_cc),
                         "lock-space shard owned by an invalid CC slot");

@@ -5,7 +5,9 @@
 // keeps its lock meta-data strictly core-local), and the remaining cores
 // run *only* transaction logic. The two kinds of cores share no data
 // structures; they cooperate exclusively through per-pair latch-free SPSC
-// message queues (Section 3.1).
+// message queues (Section 3.1). A CC thread's lock table holds only locks
+// with queued requests (cc_lock_table.h), so it stays cache-resident
+// however many distinct keys a run touches.
 //
 // Lock acquisition follows the deadlock-avoidance discipline of Section
 // 3.2: a transaction's full lock set is known up front (from analysis or
@@ -189,53 +191,6 @@ struct OrthrusOptions {
 
   // Cap-adjustment window for backpressure_admission, in (virtual) seconds.
   double backpressure_epoch_seconds = 0.0002;
-
-  // Vectorized CC stage: a CC thread drains its input meshes into a flat
-  // batch (mp::QueueMesh::DrainInto) and processes the batch as a unit —
-  // a prefetch sweep over every request's lock bucket, then in-order
-  // processing with same-key run combining (one bucket walk and one grant
-  // decision chain per run) and grant accumulation flushed through the
-  // combined-grants staging path once per batch. Arrival order — and with
-  // it wait-die priority semantics and the per-lock FIFO queues the
-  // equivalence digests pin — is untouched: the batch is processed in
-  // exactly the order the scalar drain would have delivered. Off by
-  // default: the scalar drain path stays byte-identical (sim clocks and
-  // digests). Requires max_inflight <= 256 (grant staging uses one-byte
-  // slot ids, like combined_grants) and is incompatible with
-  // shared_cc_table (whose CC loop is not message-shaped).
-  bool vectorized_cc = false;
-
-  // Messages gathered per CC batch (vectorized_cc). Larger batches widen
-  // the prefetch sweep, lengthen combinable runs, and amortize the
-  // per-quantum flush over more messages, but add up to a batch of
-  // queueing delay before the first message is served. The default is
-  // sized past the inbox depth a saturated fan-in sustains (~100 messages
-  // in ablation_cc_batch), so the cap binds only under overload; a
-  // shallow cap forces drain/flush quanta the scalar path never pays and
-  // can lose to it outright (the batch-16 column of the ablation).
-  int cc_batch = 256;
-
-  // Pass-1 prefetch sweep over the batch's lock buckets (vectorized_cc).
-  // Ablation knob: off skips the sweep and the per-op cost stays
-  // cc_op_cycles instead of cc_prefetched_op_cycles.
-  bool cc_prefetch = true;
-
-  // Same-key run combining (vectorized_cc): adjacent batch entries for one
-  // (table, key) reuse the memoized lock lookup, and a release's grant
-  // sweep is deferred to the end of its run so one LockHead traversal
-  // serves the whole run. Ablation knob.
-  bool cc_combine = true;
-
-  // Modeled CPU work per lock op when the batch prefetch sweep covered its
-  // bucket (vectorized_cc && cc_prefetch): the demand-miss stalls that
-  // dominate cc_op_cycles were overlapped by the sweep, leaving the
-  // arithmetic and (now cache-resident) pointer chase.
-  hal::Cycles cc_prefetched_op_cycles = 6;
-
-  // Modeled CPU work per lock op served from the same-key memo
-  // (vectorized_cc && cc_combine): no hash, no bucket walk — just the
-  // queue-node append against an already-resident LockHead.
-  hal::Cycles cc_run_op_cycles = 3;
 
   // Snapshot read path: epoch-versioned storage + CC bypass for read-only
   // transactions. Writers additionally install their committed post-images

@@ -200,33 +200,6 @@ class MultiMesh {
     return delivered;
   }
 
-  // Drain-to-batch view: pops everything addressed to `receiver` directly
-  // into the caller's flat buffer (same fixed shard order as Drain),
-  // stopping once `max_out` messages have been gathered — the remainder
-  // stays queued. Returns the number of messages written to `out`. See
-  // QueueMesh::DrainInto for the vectorized-intake rationale.
-  std::size_t DrainInto(int receiver, T* out, std::size_t max_out,
-                        std::size_t max_batch = kDefaultBatch) {
-    ORTHRUS_DCHECK(max_batch >= 1);
-    std::size_t batch = max_batch < kDefaultBatch ? max_batch : kDefaultBatch;
-    if (batch == 0) batch = 1;
-    const int live =
-        adaptive_ ? static_cast<int>(drain_shards_.load()) : shards_;
-    std::size_t filled = 0;
-    for (int s = 0; s < live && filled < max_out; ++s) {
-      MpscQueue<T>& q = at(receiver, s);
-      std::size_t n;
-      while (filled < max_out &&
-             (n = q.PopBatch(out + filled,
-                             batch < max_out - filled ? batch
-                                                      : max_out - filled)) !=
-                 0) {
-        filled += n;
-      }
-    }
-    return filled;
-  }
-
   // --- sender lifecycle -------------------------------------------------
   //
   // A thread that will send into the mesh registers first; when it parks

@@ -257,63 +257,6 @@ class QueueMesh {
     return delivered;
   }
 
-  // Drain-to-batch view: pops everything addressed to `receiver` directly
-  // into the caller's flat buffer instead of invoking a per-message
-  // callback, visiting senders in exactly the order Drain would (including
-  // the snapshot/adaptive reorder), and stopping once `max_out` messages
-  // have been gathered — the remainder stays queued for the next call.
-  // Returns the number of messages written to `out`. This is the CC stage's
-  // vectorized intake: the receiver gets one contiguous span it can sweep
-  // with prefetches and process as a unit (gather -> prefetch -> process ->
-  // scatter) rather than a message at a time.
-  std::size_t DrainInto(int receiver, T* out, std::size_t max_out,
-                        std::size_t max_batch = kDefaultBatch,
-                        DrainOrder order = DrainOrder::kRoundRobin) {
-    ORTHRUS_DCHECK(max_batch >= 1);
-    std::size_t batch = max_batch < kDefaultBatch ? max_batch : kDefaultBatch;
-    if (batch == 0) batch = 1;
-    std::size_t filled = 0;
-    // Pops one sender's queue until empty or the output span is full.
-    const auto drain_queue = [&](SpscQueue<T>& q) {
-      std::size_t n;
-      while (filled < max_out &&
-             (n = q.PopBatch(out + filled,
-                             std::min(batch, max_out - filled))) != 0) {
-        filled += n;
-      }
-    };
-    if (order != DrainOrder::kRoundRobin && senders_ > 1) {
-      ReceiverScratch& scratch = depth_scratch_[receiver];
-      std::vector<DepthEntry>& depths = scratch.depths;
-      depths.clear();
-      std::size_t max_depth = 0;
-      std::size_t total = 0;
-      int nonzero = 0;
-      for (int s = 0; s < senders_; ++s) {
-        const std::size_t d = at(s, receiver).SizeConsumer();
-        depths.push_back({d, s});
-        total += d;
-        if (d != 0) nonzero++;
-        if (d > max_depth) max_depth = d;
-      }
-      const bool deepest =
-          order == DrainOrder::kDeepestFirst ||
-          (nonzero > 1 && max_depth > 1 &&
-           max_depth * static_cast<std::size_t>(nonzero) >=
-               kImbalanceRatio * total);
-      if (deepest) std::sort(depths.begin(), depths.end());
-      scratch.last_deepest = deepest;
-      for (const DepthEntry& e : depths) {
-        drain_queue(at(e.sender, receiver));
-      }
-      return filled;
-    }
-    for (int s = 0; s < senders_; ++s) {
-      drain_queue(at(s, receiver));
-    }
-    return filled;
-  }
-
   // Whether the receiver's most recent snapshot-based Drain (kDeepestFirst
   // or kAdaptive) actually reordered senders. Observability for tests and
   // benches; meaningless after a kRoundRobin drain.

@@ -182,7 +182,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     bool adaptive_drain = false;
     bool combined_grants = false;
     bool adaptive_drain_batch = false;
-    bool vectorized_cc = false;
     bool snapshot_reads = false;
   };
   for (const OrthrusCase& c :
@@ -192,12 +191,10 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
         OrthrusCase{true, true, false, false, /*combined_grants=*/true},
         OrthrusCase{true, true, false, false, false,
                     /*adaptive_drain_batch=*/true},
-        OrthrusCase{true, true, false, false, false, false,
-                    /*vectorized_cc=*/true},
         // snapshot_reads over pure RMW: every transaction still runs the
         // lock path, but versions install and the epoch clock ticks —
         // neither may change what commits.
-        OrthrusCase{true, true, false, false, false, false, false,
+        OrthrusCase{true, true, false, false, false, false,
                     /*snapshot_reads=*/true}}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
@@ -210,7 +207,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     oo.adaptive_drain = c.adaptive_drain;
     oo.combined_grants = c.combined_grants;
     oo.adaptive_drain_batch = c.adaptive_drain_batch;
-    oo.vectorized_cc = c.vectorized_cc;
     oo.snapshot_reads = c.snapshot_reads;
     ORTHRUS_CHECK(!oo.elastic);     // the static-mesh digest pin
     ORTHRUS_CHECK(!oo.elastic_cc);  // the static lock-space pin
@@ -444,20 +440,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
                                   kOrthrusCc));
   }
   {
-    // Vectorized CC stage: batch drain + prefetch sweep + per-key
-    // combining + one grant flush per batch reorders grant *timing*
-    // within a quantum, never lock-queue order — the committed TPC-C
-    // transaction set is the pin.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.vectorized_cc = true;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
-                                  kOrthrusCc));
-  }
-  {
     // Snapshot reads over TPC-C: NewOrder needs reconnaissance and the
     // ring tables carry append regions, so the eligibility gate routes
     // every transaction through ordinary CC — but versions still install
@@ -523,20 +505,6 @@ TEST(EngineEquivalence, FullMixSeededDeliveriesMatchAcrossEngines) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpccAt(&eng, kOrthrusCc + kExecWorkers,
-                                    kOrthrusCc, kOrthrusCc, scale));
-  }
-  {
-    // Vectorized CC stage over the full five-type mix: the hardest digest
-    // pin, since Delivery/StockLevel reads observe grant-order-sensitive
-    // state. Batch-deferred grant flushes must not change which orders
-    // get delivered.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.vectorized_cc = true;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpccAt(&eng, kOrthrusCc + kExecWorkers,

@@ -4,6 +4,12 @@
 // stats attribution, and Zipfian-skew handling.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
+#include "engine/orthrus/cc_lock_table.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
@@ -176,6 +182,21 @@ TEST(OrthrusStats, CcWorkersAccrueLockingTime) {
   EXPECT_GT(cc_lock, 0u);
   EXPECT_GT(exec_exec, 0u);
   EXPECT_EQ(cc_exec, 0u);  // CC threads never run transaction logic
+}
+
+TEST(OrthrusStats, CcDrainCountersMeasureInboxDepth) {
+  // cc_batches counts the CC loop's non-empty drains and cc_batch_msgs
+  // the messages they delivered. Single-partition transactions send each
+  // CC exactly one acquire and one release.
+  OrthrusOptions oo;
+  oo.num_cc = 2;
+  KvWorkload* wl = nullptr;
+  storage::Database db;
+  RunResult r = RunOrthrus(MultiPartKv(2, 1), oo, 6, &wl, &db);
+  ASSERT_GT(r.total.committed, 0u);
+  EXPECT_EQ(r.total.cc_batch_msgs, 2 * r.total.committed);
+  EXPECT_GT(r.total.cc_batches, 0u);
+  EXPECT_LE(r.total.cc_batches, r.total.cc_batch_msgs);
 }
 
 TEST(OrthrusInflight, WindowOneStillCorrect) {
@@ -856,124 +877,6 @@ TEST(OrthrusElastic, SharedCcTableComposes) {
   EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
 }
 
-TEST(OrthrusVectorizedCc, ConservesAndCountsBatches) {
-  // The vectorized CC stage drains a flat batch, prefetch-sweeps it, and
-  // processes requests in arrival order with per-key combining. Grant
-  // timing moves (single flush per batch), message content does not:
-  // commits and effects are conserved, and the batch counters prove the
-  // vector path actually ran.
-  OrthrusOptions oo;
-  oo.num_cc = 1;  // fan-in: every partition's requests share one CC batch
-  oo.vectorized_cc = true;
-  KvConfig kv;
-  kv.num_records = 4000;
-  // Single-op transactions on one hot key: every staged acquire and
-  // release the CC thread drains names the same key, so a batch with two
-  // or more messages is a combinable run by construction.
-  kv.hot_records = 1;
-  kv.hot_ops = 1;
-  kv.ops_per_txn = 1;
-  kv.num_partitions = 1;
-  KvWorkload* wl = nullptr;
-  storage::Database db;
-  RunResult r = RunOrthrus(kv, oo, 6, &wl, &db);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl->SumCounters(db), r.total.committed * 1);
-  ASSERT_GT(r.total.cc_batches, 0u);
-  EXPECT_GE(r.total.cc_batch_msgs, r.total.cc_batches);
-  EXPECT_GT(r.total.cc_key_runs_combined, 0u);
-}
-
-TEST(OrthrusVectorizedCc, ScalarRunLeavesBatchCountersZero) {
-  // With the knob off the batch path must be unreachable: the counters it
-  // alone increments stay zero.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  KvWorkload* wl = nullptr;
-  storage::Database db;
-  RunResult r = RunOrthrus(MultiPartKv(2, 2), oo, 6, &wl, &db);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_EQ(r.total.cc_batches, 0u);
-  EXPECT_EQ(r.total.cc_batch_msgs, 0u);
-  EXPECT_EQ(r.total.cc_key_runs_combined, 0u);
-}
-
-TEST(OrthrusVectorizedCc, KnobOffIsByteIdentical) {
-  // The sim-clock probe: a run with the vectorization knobs spelled out
-  // as off must be bit-identical — committed count and global sim clock —
-  // to a run constructed with defaults. The scalar drain loop must cost
-  // the refactor nothing.
-  const auto run = [](bool spell_out) {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.max_inflight = 4;
-    if (spell_out) {
-      oo.vectorized_cc = false;
-      oo.cc_batch = 256;
-      oo.cc_prefetch = true;
-      oo.cc_combine = true;
-    }
-    KvConfig kv;
-    kv.num_records = 4000;
-    kv.hot_records = 16;
-    kv.num_partitions = 2;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(SmallRun(6), oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_pair(r.total.committed, sim.GlobalClock());
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(OrthrusVectorizedCc, DeterministicAndComposesWithElasticCc) {
-  // Vectorized drain over the elastic-CC multi-mesh: shard handoff epochs
-  // change which CC thread drains a partition, never what the batch does.
-  const auto run = [] {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.vectorized_cc = true;
-    oo.elastic = true;
-    oo.elastic_cc = true;
-    oo.elastic_epoch_seconds = 0.0002;
-    KvWorkload wl(ElasticCcKv(2));
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(ElasticRun(8), oo);
-    hal::SimPlatform sim(8);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_tuple(r.total.committed, wl.SumCounters(db),
-                           sim.GlobalClock());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_GT(std::get<0>(a), 0u);
-  EXPECT_EQ(std::get<1>(a), std::get<0>(a) * 10);
-  EXPECT_EQ(a, b);
-}
-
-TEST(OrthrusVectorizedCc, RejectsOversizedInflightWindow) {
-  // The batch grant flush reuses the combined-grant encoding, so slot ids
-  // must fit one byte even when combined_grants itself is off.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.vectorized_cc = true;
-  oo.max_inflight = 257;
-  EXPECT_DEATH(OrthrusEngine(SmallRun(6), oo), "CHECK");
-}
-
-TEST(OrthrusVectorizedCc, RejectsSharedCcTable) {
-  // The shared CC table's loop is not message-shaped; there is no drained
-  // batch to vectorize.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.vectorized_cc = true;
-  oo.shared_cc_table = true;
-  EXPECT_DEATH(OrthrusEngine(SmallRun(6), oo), "CHECK");
-}
-
 TEST(OrthrusSnapshotReads, OffIsByteIdentical) {
   // The sim-clock probe for the snapshot read path: with the knob off, no
   // version slab exists, no epoch ever ticks, no heartbeat is published,
@@ -1107,6 +1010,179 @@ TEST(OrthrusSnapshotReads, ComposesWithElasticRoles) {
   const auto a = run();
   EXPECT_GT(std::get<0>(a), 0u);
   EXPECT_EQ(a, run());
+}
+
+// --------------------------------------------------------- CC lock table
+
+struct TestNode {};
+using TestTable = engine::CcLockTable<TestNode>;
+
+// Keys (in table `t`) whose home slot is `home`, found by scanning.
+std::vector<std::uint64_t> KeysHomedAt(const TestTable& table,
+                                       std::uint32_t t, std::size_t home,
+                                       int n, std::uint64_t from = 0) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = from; static_cast<int>(keys.size()) < n; ++k) {
+    if (table.Home(t, k) == home) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(CcLockTable, ProbeChainsWrapPastTheArrayEnd) {
+  TestTable table(8);  // 16 slots
+  const std::size_t last = table.slots() - 1;
+  const std::vector<std::uint64_t> keys = KeysHomedAt(table, 1, last, 3);
+  TestNode nodes[3];
+  std::vector<TestTable::Lock*> at;
+  for (int i = 0; i < 3; ++i) {
+    at.push_back(table.FindOrInsert(1, keys[i]));
+    at.back()->tail = &nodes[i];
+  }
+  // The first key sits in the last slot; the next two wrap to the front.
+  EXPECT_LT(at[1], at[0]);
+  EXPECT_LT(at[2], at[0]);
+  EXPECT_LT(at[1], at[2]);
+  // Erasing the head of the chain shifts both wrapped entries back.
+  table.Erase(table.Find(1, keys[0]));
+  EXPECT_EQ(table.Find(1, keys[0]), nullptr);
+  ASSERT_NE(table.Find(1, keys[1]), nullptr);
+  EXPECT_EQ(table.Find(1, keys[1]), at[0]);
+  EXPECT_EQ(table.Find(1, keys[1])->tail, &nodes[1]);
+  EXPECT_EQ(table.Find(1, keys[2])->tail, &nodes[2]);
+  table.Erase(table.Find(1, keys[2]));
+  table.Erase(table.Find(1, keys[1]));
+  EXPECT_EQ(table.used(), 0u);
+  EXPECT_EQ(table.high_water(), 3u);
+}
+
+TEST(CcLockTable, RandomInsertEraseMatchesStdMap) {
+  // 200k random inserts, erases and re-inserts against a std::map
+  // reference. The key universe mixes keys sharing a home slot near the
+  // array end (chains that wrap), keys sharing a home slot mid-array, and
+  // random keys over three tables. Each entry's `tail` carries a payload
+  // that must travel with the entry through backward-shift moves.
+  constexpr std::size_t kMaxLive = 256;
+  TestTable table(kMaxLive);
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> universe;
+  for (std::uint64_t k : KeysHomedAt(table, 0, table.slots() - 2, 40)) {
+    universe.emplace_back(0, k);
+  }
+  for (std::uint64_t k : KeysHomedAt(table, 2, table.slots() / 2, 40)) {
+    universe.emplace_back(2, k);
+  }
+  std::mt19937_64 rng(12345);
+  for (int i = 0; i < 600; ++i) {
+    universe.emplace_back(static_cast<std::uint32_t>(rng() % 3), rng());
+  }
+  std::vector<TestNode> payloads(universe.size());
+  std::map<std::pair<std::uint32_t, std::uint64_t>, TestNode*> ref;
+  std::vector<std::size_t> live;  // universe indexes present in `ref`
+  std::vector<bool> is_live(universe.size(), false);
+  const auto verify_all = [&] {
+    ASSERT_EQ(table.used(), ref.size());
+    for (std::size_t u = 0; u < universe.size(); ++u) {
+      TestTable::Lock* l = table.Find(universe[u].first, universe[u].second);
+      if (is_live[u]) {
+        ASSERT_NE(l, nullptr);
+        ASSERT_EQ(l->table, universe[u].first);
+        ASSERT_EQ(l->key, universe[u].second);
+        ASSERT_EQ(l->tail, ref.at(universe[u]));
+      } else {
+        ASSERT_EQ(l, nullptr);
+      }
+    }
+  };
+  for (int op = 0; op < 200000; ++op) {
+    const bool insert = live.empty() ||
+                        (live.size() < kMaxLive && rng() % 100 < 52);
+    if (insert) {
+      const std::size_t u = rng() % universe.size();
+      TestTable::Lock* l =
+          table.FindOrInsert(universe[u].first, universe[u].second);
+      if (is_live[u]) {
+        ASSERT_EQ(l->tail, ref.at(universe[u]));
+      } else {
+        ASSERT_EQ(l->tail, nullptr);
+        l->tail = &payloads[u];
+        ref[universe[u]] = &payloads[u];
+        is_live[u] = true;
+        live.push_back(u);
+      }
+    } else {
+      const std::size_t i = rng() % live.size();
+      const std::size_t u = live[i];
+      live[i] = live.back();
+      live.pop_back();
+      TestTable::Lock* l = table.Find(universe[u].first, universe[u].second);
+      ASSERT_NE(l, nullptr);
+      ASSERT_EQ(l->tail, &payloads[u]);
+      l->tail = nullptr;
+      table.Erase(l);
+      ref.erase(universe[u]);
+      is_live[u] = false;
+    }
+    if (op % 4096 == 0) verify_all();
+  }
+  verify_all();
+  EXPECT_GT(table.high_water(), kMaxLive / 2);
+  for (std::size_t u : live) {
+    TestTable::Lock* l = table.Find(universe[u].first, universe[u].second);
+    ASSERT_NE(l, nullptr);
+    l->tail = nullptr;
+    table.Erase(l);
+    is_live[u] = false;
+  }
+  ref.clear();
+  EXPECT_EQ(table.used(), 0u);
+  verify_all();
+}
+
+TEST(CcLockTable, CapacityCheckFiresPastTheBound) {
+  TestTable table(8);
+  for (std::uint64_t k = 0; k < 8; ++k) table.FindOrInsert(0, k);
+  EXPECT_EQ(table.FindOrInsert(0, 3), table.Find(0, 3));  // no new entry
+  EXPECT_EQ(table.used(), 8u);
+  EXPECT_DEATH(table.FindOrInsert(0, 8), "live-lock bound");
+}
+
+// Boundedness: uniform KV touching many times more distinct keys than the
+// live-lock bound. Every CC lock table (thread-local, or lock-space shard
+// under elastic_cc) stays within n_exec * max_inflight * kMaxAccesses;
+// the engine's teardown CHECKs that each ends empty.
+TEST(OrthrusStatic, LiveLocksStayWithinBound) {
+  constexpr std::uint64_t kMaxAccesses = 40;
+  for (const bool elastic_cc : {false, true}) {
+    OrthrusOptions oo;
+    oo.num_cc = 2;
+    oo.elastic = elastic_cc;
+    oo.elastic_cc = elastic_cc;
+    KvConfig kv;
+    kv.num_records = 200000;
+    kv.num_partitions = elastic_cc ? 4 : 2;
+    KvWorkload wl(kv);
+    storage::Database db;
+    wl.Load(&db, 1);
+    EngineOptions eo = SmallRun(6);
+    eo.max_txns_per_worker = 0;
+    eo.duration_seconds = 0.004;
+    OrthrusEngine eng(eo, oo);
+    hal::SimPlatform sim(6);
+    RunResult r = eng.Run(&sim, &db, wl);
+    const std::uint64_t bound =
+        static_cast<std::uint64_t>(eng.num_exec()) *
+        static_cast<std::uint64_t>(oo.max_inflight) * kMaxAccesses;
+    EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+    // Ten keys per transaction out of 200k: nearly all distinct.
+    EXPECT_GE(r.total.committed * 10, 10 * bound) << elastic_cc;
+    EXPECT_GT(r.total.cc_live_locks_max, 0u) << elastic_cc;
+    EXPECT_LE(r.total.cc_live_locks_max, bound) << elastic_cc;
+    // Merged by max, not summed.
+    std::uint64_t per_worker_max = 0;
+    for (const WorkerStats& w : r.per_worker) {
+      per_worker_max = std::max(per_worker_max, w.cc_live_locks_max);
+    }
+    EXPECT_EQ(r.total.cc_live_locks_max, per_worker_max);
+  }
 }
 
 }  // namespace

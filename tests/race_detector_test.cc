@@ -336,18 +336,6 @@ TEST(RaceClean, OrthrusHighContention) {
   RunKv(&eng, &wl, 6, 1, /*race_detect=*/true);
 }
 
-TEST(RaceClean, OrthrusVectorizedCcHighContention) {
-  // The vectorized drain stages messages into batch_buf_ and stashes
-  // grants in per-exec arrays; both are CC-thread-private but the
-  // detector must prove it — the staging buffer is RaceCheck-tagged.
-  KvWorkload wl(SmallKv(2));
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.vectorized_cc = true;
-  engine::OrthrusEngine eng(SmallRun(6), oo);
-  RunKv(&eng, &wl, 6, 1, /*race_detect=*/true);
-}
-
 TEST(RaceClean, OrthrusSharedCcTable) {
   KvWorkload wl(SmallKv(2));
   OrthrusOptions oo;
