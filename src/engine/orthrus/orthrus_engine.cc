@@ -9,6 +9,7 @@
 
 #include "engine/autotune.h"
 #include "engine/orthrus/cc_lock_table.h"
+#include "engine/orthrus/stages.h"
 #include "hal/hal.h"
 #include "hal/slab_arena.h"
 #include "hal/topology.h"
@@ -25,8 +26,6 @@ using txn::Access;
 using txn::LockMode;
 using txn::Txn;
 
-constexpr int kMaxAccesses = 40;   // TPC-C NewOrder peaks at ~18
-constexpr int kMaxStages = kMaxAccesses;
 static_assert(kMaxStages <= 64, "stage indexes ride in 6 message bits");
 
 // ------------------------------------------------------------- messages
@@ -126,16 +125,6 @@ struct CcRequest {
 
 using CcLock = engine::CcLock<CcRequest>;
 using CcLockTable = engine::CcLockTable<CcRequest>;
-
-// One lock-acquisition stage: the contiguous range of the (sorted) access
-// array living in one lock partition. With the static lock space a
-// partition IS a CC thread (partition id == CC id); under elastic_cc the
-// owning CC thread is resolved through the lock::SpaceMap at send time.
-struct Stage {
-  std::int32_t part = -1;
-  std::uint16_t begin = 0;
-  std::uint16_t end = 0;
-};
 
 // Transaction control block. Owned by one execution thread's slot; while a
 // kAcquire message is in flight the fields below `cur_stage` are logically
@@ -354,12 +343,16 @@ struct CcShard {
 using SpaceMap = lock::SpaceMap<CcShard>;
 using Router = lock::LockSpaceRouter<CcShard>;
 
+// State every thread of one run shares. Fields without an initializer are
+// copied from the options by OrthrusEngine::Run before any thread starts;
+// they carry no defaults of their own, so the options are their one source
+// of truth.
 struct Shared {
-  int n_cc = 0;
-  int n_exec = 0;
-  bool forwarding = true;
-  bool combined_grants = false;
-  bool elastic = false;
+  int n_cc;
+  int n_exec;
+  bool forwarding;
+  bool combined_grants;
+  bool elastic;
   // Messages popped per PopBatch on the receive side; 1 is the unbatched
   // ablation baseline.
   std::size_t drain_batch = Mesh::kDefaultBatch;
@@ -367,15 +360,15 @@ struct Shared {
   mp::DrainOrder drain_order = mp::DrainOrder::kRoundRobin;
   // Each thread sizes its Drain max_batch from its measured per-quantum
   // burst depth.
-  bool adaptive_drain_batch = false;
-  hal::Cycles cc_op_cycles = 20;
+  bool adaptive_drain_batch;
+  hal::Cycles cc_op_cycles;
 
   // Snapshot read path (OrthrusOptions::snapshot_reads): classified
   // read-only transactions execute lock-free against the epoch-versioned
   // slabs, inline on their exec thread — zero CC messages. Writers install
   // post-images under their held locks in Execute. The epoch clock lives
   // on the database (set up by Run); heartbeat slot = exec id.
-  bool snapshot_reads = false;
+  bool snapshot_reads;
 
   // Queue meshes, indexed (sender, receiver).
   Mesh exec_to_cc;  // (exec, cc)  acquire + release (static roles)
@@ -400,8 +393,8 @@ struct Shared {
   // consistent-hash partitions owned through the SpaceMap; CC threads
   // above cc_gate's target hand their partitions off and park. Router
   // slots are worker ids (CC threads first, like everything else).
-  bool elastic_cc = false;
-  int n_parts = 0;
+  bool elastic_cc;
+  int n_parts;
   SpaceMap* space = nullptr;
   const lock::HashRing* ring = nullptr;
   runtime::ParkGate cc_gate;
@@ -412,7 +405,7 @@ struct Shared {
 
   // Durability (null = off): each exec thread owns wal producer slot
   // exec_id; logger workers ride above the CC/exec cores.
-  wal::GroupCommitLog* wal = nullptr;
+  wal::GroupCommitLog* wal;
 
   // Section 3.4 mode: non-null when CC threads share one latched table.
   std::unique_ptr<SharedCcTable> shared_cc;
@@ -1158,14 +1151,15 @@ class ExecThread {
         idle.Reset();
         continue;
       }
-      if (Stopping() && inflight_ == 0 && WalDrained()) break;
+      // One reading gates the exit and starts the waiting span.
+      const hal::Cycles t0 = hal::Now();
+      if (Stopping(t0) && inflight_ == 0 && WalDrained()) break;
       if (shared_->elastic && inflight_ == 0 && WalDrained() &&
           !shared_->exec_gate.Active(exec_id_)) {
         ParkUntilResumedOrStopping();
         idle.Reset();
         continue;
       }
-      const hal::Cycles t0 = hal::Now();
       idle.Idle();
       stats_->Add(TimeCategory::kWaiting, hal::Now() - t0);
     }
@@ -1192,10 +1186,11 @@ class ExecThread {
   // (wal_uncaptured_ — disjoint from the pending queue, which a
   // transaction only enters at Capture). Without it a capped run would
   // admit cap-plus-pipeline-depth. Durability off keeps the historical
-  // committed-only gate, bit-identical to pre-wal runs.
-  bool Stopping() const {
+  // committed-only gate, bit-identical to pre-wal runs. `now` is the
+  // caller's clock reading.
+  bool Stopping(hal::Cycles now) const {
     return !admission_.Open(
-        wal_ != nullptr ? wal_->PendingCount() + wal_uncaptured_ : 0);
+        now, wal_ != nullptr ? wal_->PendingCount() + wal_uncaptured_ : 0);
   }
 
   bool WalDrained() const { return wal_ == nullptr || wal_->Drained(); }
@@ -1247,7 +1242,8 @@ class ExecThread {
     if (shared_->snapshot_reads) db_->epoch_clock()->Retire(exec_id_);
     shared_->exec_to_cc_multi.RetireSender();
     const hal::Cycles parked =
-        shared_->exec_gate.Park(exec_id_, [this] { return Stopping(); });
+        shared_->exec_gate.Park(exec_id_,
+                                [this] { return Stopping(hal::Now()); });
     stats_->Add(TimeCategory::kWaiting, parked);
     if (shared_->snapshot_reads) {
       // Rejoin the mins at current values. The publish cache still holds
@@ -1307,13 +1303,20 @@ class ExecThread {
     return shared_->elastic_cc ? router_->OwnerOf(part) : part;
   }
 
+  // Clock readings chain through the stage boundaries: the first is taken
+  // only once a slot is free, and each later one is the end of the
+  // previous stage — Admit's post-plan stamp starts Dispatch, whose end
+  // gates the next admission.
   bool IssueNew() {
     bool issued = false;
     // Backpressure admission: the cap tracks the AIMD window when the mode
     // is on and equals max_inflight_ (making the check redundant with the
     // free-slot test) when off — no clock read, byte-identical.
     const int cap = admission_.InflightCap(max_inflight_);
-    while (!free_slots_.empty() && inflight_ < cap && !Stopping()) {
+    hal::Cycles now = 0;  // 0: not read yet
+    while (!free_slots_.empty() && inflight_ < cap) {
+      if (now == 0) now = hal::Now();
+      if (Stopping(now)) break;
       // Durability admission gate: every admitted transaction will Capture
       // into the fragment arena when its grant arrives — regardless of
       // arena pressure at that moment — so admission reserves a worst-case
@@ -1323,7 +1326,8 @@ class ExecThread {
       const int slot = free_slots_.back();
       free_slots_.pop_back();
       Tcb* tcb = tcbs_[slot].get();
-      admission_.Admit(&tcb->txn);  // pull + plan (reconnaissance) + stamp
+      // Pull + plan (reconnaissance) + stamp.
+      now = admission_.Admit(&tcb->txn, now);
       // Snapshot bypass: a classified read-only transaction never enters
       // the CC mesh — it executes lock-free against the versioned slabs
       // right here and its slot recycles immediately. It also never
@@ -1331,7 +1335,7 @@ class ExecThread {
       // counter stays untouched.
       if (shared_->snapshot_reads && tcb->txn.read_only &&
           SnapshotEligible(tcb->txn)) {
-        ExecuteSnapshot(tcb);
+        now = ExecuteSnapshot(tcb);
         free_slots_.push_back(slot);
         issued = true;
         continue;
@@ -1339,7 +1343,7 @@ class ExecThread {
       if (wal_ != nullptr) wal_uncaptured_++;
       tcb->replan_pending = false;
       tcb->counted_commit = false;
-      Dispatch(tcb);
+      now = Dispatch(tcb, now);
       issued = true;
     }
     return issued;
@@ -1347,9 +1351,9 @@ class ExecThread {
 
   // Sorts accesses into CC-thread order and starts the acquisition chain.
   // In shared-CC mode the sort is the global key order and a single home CC
-  // thread (round robin) handles the whole transaction.
-  void Dispatch(Tcb* tcb) {
-    const hal::Cycles t0 = hal::Now();
+  // thread (round robin) handles the whole transaction. `t0` is the
+  // caller's clock reading; returns the reading that ends the span.
+  hal::Cycles Dispatch(Tcb* tcb, hal::Cycles t0) {
     Txn& t = tcb->txn;
     ORTHRUS_CHECK(t.accesses.size() <= kMaxAccesses);
     if (shared_->shared_cc != nullptr) {
@@ -1362,33 +1366,12 @@ class ExecThread {
       inflight_++;
       shared_->inflight_global.fetch_add(1);
       SendAcquire(tcb, tcb->home_cc);
-      stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
-      return;
+      const hal::Cycles t1 = hal::Now();
+      stats_->Add(TimeCategory::kLocking, t1 - t0);
+      return t1;
     }
-    const storage::Partitioner& part = db_->partitioner();
-    std::sort(t.accesses.begin(), t.accesses.end(),
-              [&part](const Access& a, const Access& b) {
-                const int pa = part.PartOf(a.key);
-                const int pb = part.PartOf(b.key);
-                if (pa != pb) return pa < pb;
-                if (a.table != b.table) return a.table < b.table;
-                return a.key < b.key;
-              });
-    tcb->n_stages = 0;
-    for (std::size_t i = 0; i < t.accesses.size(); ++i) {
-      const int p = part.PartOf(t.accesses[i].key);
-      if (tcb->n_stages == 0 || tcb->stages[tcb->n_stages - 1].part != p) {
-        ORTHRUS_CHECK(tcb->n_stages < kMaxStages);
-        Stage& s = tcb->stages[tcb->n_stages++];
-        s.part = p;
-        s.begin = static_cast<std::uint16_t>(i);
-        s.end = static_cast<std::uint16_t>(i + 1);
-      } else {
-        tcb->stages[tcb->n_stages - 1].end =
-            static_cast<std::uint16_t>(i + 1);
-      }
-    }
-    ORTHRUS_CHECK(tcb->n_stages > 0);
+    tcb->n_stages = BuildStages(&t.accesses, db_->partitioner(),
+                                sort_scratch_.data(), tcb->stages.data());
     // Slot reuse: the previous occupant's CC-side touches happen-before
     // this dispatch via the ack messages that freed the slot.
     hal::RaceCheck(&tcb->cur_stage, sizeof(tcb->cur_stage), /*is_write=*/true,
@@ -1400,7 +1383,9 @@ class ExecThread {
     inflight_++;
     shared_->inflight_global.fetch_add(1);
     SendAcquire(tcb, RouteTo(tcb->stages[0].part));
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
+    const hal::Cycles t1 = hal::Now();
+    stats_->Add(TimeCategory::kLocking, t1 - t0);
+    return t1;
   }
 
   void SendAcquire(Tcb* tcb, int cc) {
@@ -1408,14 +1393,17 @@ class ExecThread {
     stats_->messages_sent++;
   }
 
-  // All locks granted: run the procedure, then release everything.
+  // All locks granted: run the procedure, then release everything. Three
+  // clock readings: the start, the end of the logic (which also stamps
+  // the commit latency and starts the release span), and the end.
   void Execute(Tcb* tcb) {
-    hal::Cycles t0 = hal::Now();
+    const hal::Cycles t0 = hal::Now();
     Txn& t = tcb->txn;
     for (Access& a : t.accesses) ResolveRow(db_, &a);
     txn::ExecContext ec{db_, stats_, /*charge_cycles=*/true};
     const bool ok = t.logic->Run(&t, ec);
-    stats_->Add(TimeCategory::kExecution, hal::Now() - t0);
+    const hal::Cycles t1 = hal::Now();
+    stats_->Add(TimeCategory::kExecution, t1 - t0);
 
     if (ok) {
       if (wal_ != nullptr) {
@@ -1427,7 +1415,7 @@ class ExecThread {
         wal_uncaptured_--;
       } else {
         stats_->committed++;
-        stats_->txn_latency.Record(hal::Now() - t.start_cycles);
+        stats_->txn_latency.Record(t1 - t.start_cycles);
       }
       tcb->counted_commit = true;
       // Version install, still under every lock (the releases below are
@@ -1452,7 +1440,6 @@ class ExecThread {
       tcb->replan_pending = true;  // stale OLLP estimate: re-plan after acks
     }
 
-    t0 = hal::Now();
     hal::RaceCheck(&tcb->pending_acks, sizeof(tcb->pending_acks),
                    /*is_write=*/true, "orthrus.tcb.acks");
     if (shared_->shared_cc != nullptr) {
@@ -1469,7 +1456,7 @@ class ExecThread {
         stats_->messages_sent++;
       }
     }
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
+    stats_->Add(TimeCategory::kLocking, hal::Now() - t1);
   }
 
   // --- snapshot read path ----------------------------------------------
@@ -1488,8 +1475,9 @@ class ExecThread {
 
   // Lock-free snapshot execution: load the read epoch once, copy each
   // row's newest version stamped at or below it into the staging buffer,
-  // run the logic against the copies. Zero locks, zero messages.
-  void ExecuteSnapshot(Tcb* tcb) {
+  // run the logic against the copies. Zero locks, zero messages. Returns
+  // the reading that ends the span.
+  hal::Cycles ExecuteSnapshot(Tcb* tcb) {
     const hal::Cycles t0 = hal::Now();
     Txn& t = tcb->txn;
     storage::EpochClock* clock = db_->epoch_clock();
@@ -1527,9 +1515,11 @@ class ExecThread {
     ORTHRUS_CHECK_MSG(ok, "snapshot read-only txn demanded a re-plan");
     // Read-only commits are trivially durable (no redo): they bypass the
     // WAL pipeline, so they are counted here even with durability on.
+    const hal::Cycles t1 = hal::Now();
     stats_->committed++;
-    stats_->txn_latency.Record(hal::Now() - t.start_cycles);
-    stats_->Add(TimeCategory::kExecution, hal::Now() - t0);
+    stats_->txn_latency.Record(t1 - t.start_cycles);
+    stats_->Add(TimeCategory::kExecution, t1 - t0);
+    return t1;
   }
 
   void OnAck(Tcb* tcb) {
@@ -1545,7 +1535,7 @@ class ExecThread {
         inflight_--;
         shared_->inflight_global.fetch_add(
             static_cast<std::uint64_t>(-1));
-        Dispatch(tcb);
+        Dispatch(tcb, hal::Now());
         return;
       }
     }
@@ -1567,6 +1557,8 @@ class ExecThread {
   std::vector<std::unique_ptr<Tcb, TcbDeleter>> tcbs_;
   std::vector<int> free_slots_;
   int inflight_ = 0;
+  // Dispatch's sort buffer: accesses paired with their partitions.
+  std::array<PartedAccess, kMaxAccesses> sort_scratch_;
   // Durability (null when off): producer owned by Main's frame — it must
   // be constructed and destroyed on-core. wal_uncaptured_ counts admitted
   // transactions that have not reached Capture yet (see IssueNew).

@@ -15,7 +15,12 @@ TxnDriver::TxnDriver(const DriverOptions& options, storage::Database* db,
 
 void TxnDriver::Run() {
   txn::Txn t;
-  while (admission_.Open(wal_ != nullptr ? wal_->PendingCount() : 0)) {
+  while (true) {
+    // One reading gates admission and starts it.
+    hal::Cycles now = hal::Now();
+    if (!admission_.Open(now, wal_ != nullptr ? wal_->PendingCount() : 0)) {
+      break;
+    }
     if (wal_ != nullptr) {
       // Quantum maintenance first (flush staged fragments, heartbeat the
       // epoch, acknowledge matured commits), then the arena gate: Capture
@@ -26,8 +31,9 @@ void TxnDriver::Run() {
         hal::CpuRelax();
         continue;
       }
+      now = hal::Now();  // the maintenance above is not admission
     }
-    admission_.Admit(&t);
+    admission_.Admit(&t, now);
     bool done = false;
     while (!done) {
       switch (strategy_->TryExecute(&t)) {

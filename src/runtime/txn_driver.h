@@ -122,17 +122,19 @@ class TxnAdmission {
                workload::TxnSource* source, WorkerContext* ctx)
       : options_(options), planner_(db), source_(source), ctx_(ctx) {}
 
-  // True while the worker may start another transaction. `inflight` is the
-  // caller's count of admitted-but-unacknowledged commits (the wal pending
-  // queue): they count against the cap so a capped durable run admits
-  // exactly the cap, not cap-plus-pipeline-depth.
-  bool Open(std::uint64_t inflight = 0) const {
+  // True while the worker may start another transaction at `now`, the
+  // caller's clock reading (the gate reads no clock of its own, so a caller
+  // can share one reading across adjacent stage boundaries). `inflight` is
+  // the caller's count of admitted-but-unacknowledged commits (the wal
+  // pending queue): they count against the cap so a capped durable run
+  // admits exactly the cap, not cap-plus-pipeline-depth.
+  bool Open(hal::Cycles now, std::uint64_t inflight = 0) const {
     std::uint64_t done = ctx_->stats.committed + inflight;
     if (options_.resume_committed != nullptr) {
       done += (*options_.resume_committed)[static_cast<std::size_t>(
           ctx_->worker_id)];
     }
-    return !ctx_->clock.Expired() &&
+    return now < ctx_->clock.deadline &&
            (options_.max_txns_per_worker == 0 ||
             done < options_.max_txns_per_worker);
   }
@@ -183,19 +185,23 @@ class TxnAdmission {
   // Fills `t` with the next transaction: source pull, OLLP plan, wait-die
   // timestamp (age-ordered, low 16 bits break ties between workers — see
   // kWorkerIdBits; WorkerPool CHECKs that worker ids fit), latency start
-  // stamp, restart counter reset.
-  void Admit(txn::Txn* t) {
-    const hal::Cycles t0 = hal::Now();
+  // stamp, restart counter reset. `now` is the caller's clock reading at
+  // the start of admission. Admit reads the clock once, after planning:
+  // that reading ends the span charged with charge_admission, becomes
+  // t->start_cycles, and is returned for the caller's next stage.
+  hal::Cycles Admit(txn::Txn* t, hal::Cycles now) {
     source_->Next(t);
     planner_.Plan(t);
+    const hal::Cycles end = hal::Now();
     if (options_.charge_admission) {
-      ctx_->stats.Add(TimeCategory::kExecution, hal::Now() - t0);
+      ctx_->stats.Add(TimeCategory::kExecution, end - now);
     }
     t->timestamp = (++ts_counter_ << kWorkerIdBits) |
                    static_cast<std::uint64_t>(ctx_->worker_id);
-    t->start_cycles = hal::Now();
+    t->start_cycles = end;
     t->restarts = 0;
     t->read_only = Classify(t);
+    return end;
   }
 
   // Read-only classification: every planned access is kShared. Costs no

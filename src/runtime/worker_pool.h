@@ -41,7 +41,8 @@ inline constexpr int kWorkerIdBits = 16;
 inline constexpr int kMaxWorkers = 1 << kWorkerIdBits;
 
 // Per-worker deadline bookkeeping. Begin/Finish run on the worker's own
-// logical core so start/end are that core's clock readings.
+// logical core so start/end are that core's clock readings. The deadline
+// is checked against the caller's reading (TxnAdmission::Open).
 struct WorkerClock {
   hal::Cycles start = 0;
   hal::Cycles deadline = 0;
@@ -52,7 +53,6 @@ struct WorkerClock {
     deadline = start + static_cast<hal::Cycles>(duration_seconds *
                                                 cycles_per_second);
   }
-  bool Expired() const { return hal::Now() >= deadline; }
   void Finish() { end = hal::Now(); }
 };
 

@@ -18,23 +18,33 @@
 namespace orthrus::runtime {
 namespace {
 
-// Minimal transaction type: static single-access set, Run always succeeds
-// (the fake strategies below never call it).
+// Minimal transaction type: static single-access set, planned in
+// `plan_cycles` of modeled work; Run always succeeds (the fake strategies
+// below never call it).
 class NoopLogic final : public txn::TxnLogic {
  public:
+  explicit NoopLogic(hal::Cycles plan_cycles = 0)
+      : plan_cycles_(plan_cycles) {}
   void BuildAccessSet(txn::Txn* t, storage::Database*) override {
+    hal::ConsumeCycles(plan_cycles_);
     txn::Access a;
     a.table = 0;
     a.key = 1;
     t->accesses.push_back(a);
   }
   bool Run(txn::Txn*, const txn::ExecContext&) override { return true; }
+
+ private:
+  hal::Cycles plan_cycles_;
 };
 
+// Pulls each transaction in `next_cycles` of modeled work.
 class NoopSource final : public workload::TxnSource {
  public:
-  explicit NoopSource(txn::TxnLogic* logic) : logic_(logic) {}
+  explicit NoopSource(txn::TxnLogic* logic, hal::Cycles next_cycles = 0)
+      : logic_(logic), next_cycles_(next_cycles) {}
   void Next(txn::Txn* t) override {
+    hal::ConsumeCycles(next_cycles_);
     t->ResetForReuse();
     t->logic = logic_;
     issued_++;
@@ -43,6 +53,7 @@ class NoopSource final : public workload::TxnSource {
 
  private:
   txn::TxnLogic* logic_;
+  hal::Cycles next_cycles_;
   std::uint64_t issued_ = 0;
 };
 
@@ -288,9 +299,9 @@ TEST(TxnAdmission, TimestampTieBreakSurvivesWorker256) {
   TxnAdmission a256(opts, &db, &src_b, &pool.worker(256));
 
   txn::Txn t0_first, t256_first, t0_second;
-  a0.Admit(&t0_first);
-  a256.Admit(&t256_first);
-  a0.Admit(&t0_second);
+  a0.Admit(&t0_first, 0);
+  a256.Admit(&t256_first, 0);
+  a0.Admit(&t0_second, 0);
 
   // Same age, different workers: distinct, ordered by worker id.
   EXPECT_NE(t0_first.timestamp, t256_first.timestamp);
@@ -298,6 +309,76 @@ TEST(TxnAdmission, TimestampTieBreakSurvivesWorker256) {
   // Age dominates the tie-break: worker 256's first admission is strictly
   // older than worker 0's second, despite the bigger worker tag.
   EXPECT_LT(t256_first.timestamp, t0_second.timestamp);
+}
+
+// Admission reads no clock before planning: callers pass the reading that
+// starts it. Source pull and planning are the whole charged span, and the
+// one post-plan reading is both its end and the latency start stamp.
+struct AdmitProbe {
+  hal::Cycles t0 = 0;
+  hal::Cycles returned = 0;
+  hal::Cycles start_cycles = 0;
+  std::uint64_t charged = 0;
+};
+
+// `gap` cycles pass between the caller's reading and the Admit call.
+AdmitProbe ProbeAdmit(bool charge_admission, hal::Cycles next_cycles,
+                      hal::Cycles plan_cycles, hal::Cycles gap) {
+  NoopLogic logic(plan_cycles);
+  NoopSource source(&logic, next_cycles);
+  storage::Database db;
+  hal::SimPlatform sim(1);
+  WorkerPool pool(&sim, 1, kAmpleDuration);
+  DriverOptions opts;
+  opts.charge_admission = charge_admission;
+  AdmitProbe p;
+  pool.Spawn(0, [&](WorkerContext& ctx) {
+    TxnAdmission admission(opts, &db, &source, &ctx);
+    hal::ConsumeCycles(1234);  // a reading away from the clock's origin
+    txn::Txn t;
+    p.t0 = hal::Now();
+    hal::ConsumeCycles(gap);
+    const std::uint64_t before = ctx.stats.Get(TimeCategory::kExecution);
+    p.returned = admission.Admit(&t, p.t0);
+    p.start_cycles = t.start_cycles;
+    p.charged = ctx.stats.Get(TimeCategory::kExecution) - before;
+  });
+  pool.Run();
+  return p;
+}
+
+TEST(TxnAdmission, AdmitStampsAndReturnsTheOnePostPlanReading) {
+  constexpr hal::Cycles kNext = 700;
+  constexpr hal::Cycles kPlan = 50;
+  for (const bool charge : {true, false}) {
+    const AdmitProbe p = ProbeAdmit(charge, kNext, kPlan, /*gap=*/0);
+    EXPECT_EQ(p.start_cycles, p.t0 + kNext + kPlan) << charge;
+    EXPECT_EQ(p.returned, p.start_cycles) << charge;
+    EXPECT_EQ(p.charged, charge ? kNext + kPlan : 0u) << charge;
+  }
+  // The charged span starts at the caller's reading, not at the call.
+  constexpr hal::Cycles kGap = 9;
+  const AdmitProbe p = ProbeAdmit(true, kNext, kPlan, kGap);
+  EXPECT_EQ(p.start_cycles, p.t0 + kGap + kNext + kPlan);
+  EXPECT_EQ(p.charged, kGap + kNext + kPlan);
+}
+
+TEST(TxnAdmission, OpenComparesTheCallersReadingWithTheDeadline) {
+  NoopLogic logic;
+  NoopSource source(&logic);
+  storage::Database db;
+  hal::SimPlatform sim(1);
+  WorkerPool pool(&sim, 1, 1000.0 / SimCps());
+  pool.Spawn(0, [&](WorkerContext& ctx) {
+    TxnAdmission admission(DriverOptions{}, &db, &source, &ctx);
+    const hal::Cycles deadline = ctx.clock.deadline;
+    ASSERT_GT(deadline, ctx.clock.start);
+    EXPECT_TRUE(admission.Open(deadline - 1));
+    EXPECT_FALSE(admission.Open(deadline));
+    // The gate reads no clock: the live one is still far from the deadline.
+    EXPECT_LT(hal::Now(), deadline);
+  });
+  pool.Run();
 }
 
 TEST(WorkerPool, RejectsWorkerIdsBeyondTheTieBreakField) {
