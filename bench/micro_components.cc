@@ -90,37 +90,6 @@ BENCHMARK(BM_QueueMeshDrain)
     ->ArgsProduct({{4, 16}, {1, 8}})
     ->ArgNames({"senders", "batch"});
 
-// Adaptive (deepest-first) drain under a skewed burst: sender s holds
-// (s+1) * 8 messages, so visit order matters. Compare items/s against
-// BM_QueueMeshDrain to price the per-sender depth snapshot + sort.
-void BM_QueueMeshDrainAdaptive(benchmark::State& state) {
-  const int senders = static_cast<int>(state.range(0));
-  const bool adaptive = state.range(1) != 0;
-  mp::QueueMesh<std::uint64_t> mesh(senders, 1, 256);
-  std::uint64_t buf[256];
-  for (std::size_t i = 0; i < 256; ++i) buf[i] = i;
-  std::int64_t per_iter = 0;
-  for (int s = 0; s < senders; ++s) per_iter += (s + 1) * 8;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (int s = 0; s < senders; ++s) {
-      mesh.at(s, 0).PushBatch(buf, static_cast<std::size_t>(s + 1) * 8);
-    }
-    while (mesh.Drain(
-               0, [&sink](std::uint64_t v) { sink += v; },
-               mp::QueueMesh<std::uint64_t>::kDefaultBatch,
-               adaptive ? mp::DrainOrder::kDeepestFirst
-                        : mp::DrainOrder::kRoundRobin) != 0) {
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          per_iter);
-}
-BENCHMARK(BM_QueueMeshDrainAdaptive)
-    ->ArgsProduct({{4, 16}, {0, 1}})
-    ->ArgNames({"senders", "adaptive"});
-
 // MPSC mesh fan-in: `senders` producers share one CAS-reserved ring per
 // receiver instead of owning per-pair SPSC queues. Compare items/s against
 // BM_QueueMeshDrain at the same sender count to price the reservation CAS
@@ -147,47 +116,6 @@ void BM_MultiMeshDrain(benchmark::State& state) {
                           senders * static_cast<std::int64_t>(kBurst));
 }
 BENCHMARK(BM_MultiMeshDrain)->Arg(4)->Arg(16)->ArgNames({"senders"});
-
-// Line-aligned MPSC reservations: whole-line reservations with skip
-// padding versus the default packed layout, at a given batch depth.
-// Shallow batches pay the padding (more ring slots consumed per value,
-// hence more head/tail traffic per delivered message); line-deep batches
-// are byte-for-byte the packed behaviour. The native counters here show
-// the single-threaded overhead floor; the win the mode exists for —
-// concurrent producers no longer invalidating each other's payload lines
-// mid-line — is a coherence effect priced by the simulator, not visible
-// to a one-thread benchmark.
-void BM_MpscLineAligned(benchmark::State& state) {
-  const bool aligned = state.range(0) != 0;
-  const std::size_t batch = static_cast<std::size_t>(state.range(1));
-  constexpr std::uint64_t kSkip = ~0ull;
-  mp::MpscQueue<std::uint64_t> q(2048, aligned, kSkip);
-  std::uint64_t buf[64];
-  for (std::size_t i = 0; i < 64; ++i) buf[i] = i;
-  std::uint64_t out[64];
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (int burst = 0; burst < 8; ++burst) {
-      std::size_t pushed = 0;
-      while (pushed < batch) {
-        pushed += q.PushBatch(buf + pushed, batch - pushed);
-      }
-    }
-    std::size_t n;
-    while ((n = q.PopBatch(out, 64)) != 0) {
-      for (std::size_t i = 0; i < n; ++i) sink += out[i];
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8 *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_MpscLineAligned)
-    ->Args({0, 2})
-    ->Args({1, 2})
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->ArgNames({"aligned", "batch"});
 
 void BM_LockTableAcquireRelease(benchmark::State& state) {
   lock::LockTable::Config cfg;

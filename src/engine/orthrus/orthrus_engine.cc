@@ -31,29 +31,20 @@ static_assert(kMaxStages <= 64, "stage indexes ride in 6 message bits");
 // ------------------------------------------------------------- messages
 
 // A message is a pointer to a transaction control block with a small tag in
-// the low (alignment) bits — except kGrantCombined, which carries no
-// pointer at all: it packs up to kMaxCombinedGrants in-flight-window slot
-// ids (one byte each) plus a count, so several grants bound for the same
-// exec thread cost one message word.
+// the low (alignment) bits.
 //
 // kRelease additionally carries the index of the stage being released in
 // bits [3, 9): with a remappable lock space one CC thread can own several
 // of a transaction's stages, so "release my stage" is no longer
 // self-describing. TCBs are 512-byte aligned to free those bits.
 enum MsgTag : std::uint64_t {
-  kAcquire = 0,        // exec->CC or CC->CC: acquire locks for cur_stage
-  kRelease = 1,        // exec->CC: release one stage's locks of tcb
-  kGrant = 2,          // CC->exec: all stages granted, execute
-  kStageDone = 3,      // CC->exec (non-forwarding mode): one stage granted
-  kAck = 4,            // CC->exec: release processed
-  kGrantCombined = 5,  // CC->exec: packed slot-id grants (combined_grants)
+  kAcquire = 0,    // exec->CC or CC->CC: acquire locks for cur_stage
+  kRelease = 1,    // exec->CC: release one stage's locks of tcb
+  kGrant = 2,      // CC->exec: all stages granted, execute
+  kStageDone = 3,  // CC->exec (non-forwarding mode): one stage granted
+  kAck = 4,        // CC->exec: release processed
   kTagMask = 7,
 };
-
-// kGrantCombined word layout: bits [0,3) tag, bits [3,7) slot count
-// (1..kMaxCombinedGrants), byte i+1 the i-th slot id. Slot ids are
-// in-flight-window indexes, so combined grants require max_inflight <= 256.
-constexpr int kMaxCombinedGrants = 7;
 
 // TCB alignment: 3 tag bits + 6 stage-index bits (kMaxStages <= 64).
 constexpr std::uint64_t kTcbAlign = 512;
@@ -85,24 +76,6 @@ MsgTag DecodeTag(std::uint64_t w) { return static_cast<MsgTag>(w & kTagMask); }
 
 int DecodeStage(std::uint64_t w) {
   return static_cast<int>((w >> kStageShift) & kStageFieldMask);
-}
-
-std::uint64_t EncodeCombinedGrant(const std::uint8_t* slots, int count) {
-  ORTHRUS_DCHECK(count >= 1 && count <= kMaxCombinedGrants);
-  std::uint64_t w =
-      kGrantCombined | (static_cast<std::uint64_t>(count) << 3);
-  for (int i = 0; i < count; ++i) {
-    w |= static_cast<std::uint64_t>(slots[i]) << (8 * (i + 1));
-  }
-  return w;
-}
-
-int DecodeCombinedCount(std::uint64_t w) {
-  return static_cast<int>((w >> 3) & 0xF);
-}
-
-int DecodeCombinedSlot(std::uint64_t w, int i) {
-  return static_cast<int>((w >> (8 * (i + 1))) & 0xFF);
 }
 
 struct ScLock;
@@ -351,16 +324,7 @@ struct Shared {
   int n_cc;
   int n_exec;
   bool forwarding;
-  bool combined_grants;
   bool elastic;
-  // Messages popped per PopBatch on the receive side; 1 is the unbatched
-  // ablation baseline.
-  std::size_t drain_batch = Mesh::kDefaultBatch;
-  // Sender visit order when draining (adaptive_drain ablation flag).
-  mp::DrainOrder drain_order = mp::DrainOrder::kRoundRobin;
-  // Each thread sizes its Drain max_batch from its measured per-quantum
-  // burst depth.
-  bool adaptive_drain_batch;
   hal::Cycles cc_op_cycles;
 
   // Snapshot read path (OrthrusOptions::snapshot_reads): classified
@@ -435,9 +399,6 @@ class CcThread {
         controller_(controller),
         controller2d_(controller2d),
         epoch_cycles_(epoch_cycles) {
-    if (shared->combined_grants) {
-      grant_stash_.resize(static_cast<std::size_t>(shared->n_exec));
-    }
     if (shared->elastic_cc) {
       // lint:allow-alloc setup
       router_ = std::make_unique<Router>(shared->space, cc_id);
@@ -472,10 +433,6 @@ class CcThread {
         may_park = ParkBarrierHolds();
       }
       const bool progress = DrainOnce();
-      // End of the scheduling quantum: grants stashed while handling this
-      // quantum's messages (combined_grants) go out before we either loop
-      // or idle. Every other message left when produced.
-      FlushCombinedGrants();
       if (controller_ != nullptr || controller2d_ != nullptr) {
         MaybeReallocate();
       }
@@ -489,8 +446,6 @@ class CcThread {
         ORTHRUS_CHECK_MSG(held_ == 0, "CC exiting with locks held");
         ORTHRUS_CHECK_MSG(locks_.used() == 0,
                           "CC exiting with live locks in its table");
-        ORTHRUS_CHECK_MSG(StashedGrants() == 0,
-                          "CC exiting with stashed combined grants");
         stats_->cc_live_locks_max = locks_.high_water();
         break;
       }
@@ -513,37 +468,22 @@ class CcThread {
 
   bool DrainOnce() {
     const auto handle = [this](std::uint64_t w) { Handle(w); };
-    const std::size_t batch = DrainBatch();
     // Elastic mode: exec senders live on the dynamic MPSC mesh (fan-in is
     // a set of shared shard queues per CC thread, drained in fixed shard
-    // order — drain_order does not apply there: messages inside a shard
-    // already arrive in global order, so there is no per-sender depth to
-    // rank); static mode keeps the per-pair SPSC matrix, where
-    // drain_order picks the sender visit order.
-    std::size_t n =
-        shared_->elastic
-            ? shared_->exec_to_cc_multi.Drain(cc_id_, handle, batch)
-            : shared_->exec_to_cc.Drain(cc_id_, handle, batch,
-                                        shared_->drain_order);
+    // order); static mode keeps the per-pair SPSC matrix.
+    std::size_t n = shared_->elastic
+                        ? shared_->exec_to_cc_multi.Drain(cc_id_, handle)
+                        : shared_->exec_to_cc.Drain(cc_id_, handle);
     // The CC->CC mesh carries forwarding chains — and, under elastic_cc,
     // misrouted messages chasing a shard's current owner, which exist
     // whether or not forwarding is on.
     if (shared_->forwarding || shared_->elastic_cc) {
-      n += shared_->cc_to_cc.Drain(cc_id_, handle, batch,
-                                   shared_->drain_order);
+      n += shared_->cc_to_cc.Drain(cc_id_, handle);
     }
-    drain_est_.Observe(shared_->adaptive_drain_batch, n);
     if (n == 0) return false;
     stats_->cc_batches++;
     stats_->cc_batch_msgs += n;
     return true;
-  }
-
-  // Drain granularity for this quantum: the configured batch, or the
-  // burst-depth estimate when adaptive_drain_batch is on.
-  std::size_t DrainBatch() const {
-    return drain_est_.Batch(shared_->adaptive_drain_batch,
-                            shared_->drain_batch);
   }
 
   // --- elastic_cc: epoch handoff, retire, resume -----------------------
@@ -610,8 +550,6 @@ class CcThread {
   }
 
   void ParkCc() {
-    ORTHRUS_CHECK_MSG(StashedGrants() == 0,
-                      "CC parking with stashed combined grants");
     router_->Deactivate();
     // The park predicate also watches the shard owner words: if the
     // target briefly rose and fell again while this thread never got a
@@ -706,34 +644,6 @@ class CcThread {
                    "[elastic] epoch@%llu rate=%.3g/cycle target %d->%d\n",
                    static_cast<unsigned long long>(now), rate, before,
                    target);
-    }
-  }
-
-  // --- combined grants -------------------------------------------------
-
-  std::size_t StashedGrants() const {
-    std::size_t n = 0;
-    for (const auto& s : grant_stash_) n += s.size();
-    return n;
-  }
-
-  // Packs each exec thread's stashed grant slots into words of up to
-  // kMaxCombinedGrants and sends them.
-  void FlushCombinedGrants() {
-    if (!shared_->combined_grants) return;
-    for (int e = 0; e < shared_->n_exec; ++e) {
-      std::vector<std::uint8_t>& stash =
-          grant_stash_[static_cast<std::size_t>(e)];
-      std::size_t i = 0;
-      while (i < stash.size()) {
-        const int count = static_cast<int>(
-            std::min<std::size_t>(kMaxCombinedGrants, stash.size() - i));
-        shared_->cc_to_exec.Send(cc_id_, e,
-                                 EncodeCombinedGrant(&stash[i], count));
-        stats_->messages_sent++;
-        i += static_cast<std::size_t>(count);
-      }
-      stash.clear();
     }
   }
 
@@ -958,13 +868,6 @@ class CcThread {
   }
 
   void SendGrant(Tcb* tcb) {
-    if (shared_->combined_grants) {
-      // Stash the grant as a slot id; FlushCombinedGrants packs this exec
-      // thread's quantum of grants into words at quantum end.
-      grant_stash_[static_cast<std::size_t>(tcb->exec_id)].push_back(
-          static_cast<std::uint8_t>(tcb->slot));
-      return;
-    }
     shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kGrant));
     stats_->messages_sent++;
   }
@@ -1018,14 +921,9 @@ class CcThread {
   hal::Cycles epoch_cycles_;
   // elastic_cc: this thread's cached lock-space view (null otherwise).
   std::unique_ptr<Router> router_;
-  // adaptive_drain_batch: per-quantum burst depths on the receive side.
-  mp::detail::DrainBatchPolicy drain_est_;
   hal::Cycles next_epoch_ = 0;
   hal::Cycles last_epoch_now_ = 0;
   std::uint64_t last_epoch_committed_ = 0;
-  // Per-exec-thread grant stash (combined_grants), cleared every quantum
-  // by FlushCombinedGrants.
-  std::vector<std::vector<std::uint8_t>> grant_stash_;
   std::uint64_t held_ = 0;
   std::vector<Tcb*> runnable_;  // scratch for shared-mode release grants
 };
@@ -1266,13 +1164,6 @@ class ExecThread {
             case kGrant:
               Execute(DecodeTcb(w));
               break;
-            case kGrantCombined:
-              // Packed slot ids: every listed in-flight window slot has
-              // its full lock set granted.
-              for (int i = 0; i < DecodeCombinedCount(w); ++i) {
-                Execute(tcbs_[DecodeCombinedSlot(w, i)].get());
-              }
-              break;
             case kStageDone: {
               // Non-forwarding mode: we mediate the next hop ourselves.
               Tcb* tcb = DecodeTcb(w);
@@ -1289,11 +1180,7 @@ class ExecThread {
             default:
               ORTHRUS_CHECK_MSG(false, "unexpected message at exec thread");
           }
-        },
-        drain_est_.Batch(shared_->adaptive_drain_batch,
-                         shared_->drain_batch),
-        shared_->drain_order);
-    drain_est_.Observe(shared_->adaptive_drain_batch, n);
+        });
     return n != 0;
   }
 
@@ -1575,8 +1462,6 @@ class ExecThread {
   std::vector<std::uint8_t> snap_scratch_;
   std::uint32_t snap_stride_ = 0;
   storage::EpochClock::PublishCache epoch_cache_;
-  // adaptive_drain_batch: per-quantum burst depths on the receive side.
-  mp::detail::DrainBatchPolicy drain_est_;
 };
 
 }  // namespace
@@ -1586,11 +1471,6 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
   ORTHRUS_CHECK(orthrus_.num_cc >= 1);
   ORTHRUS_CHECK(options_.num_cores > orthrus_.num_cc);
   ORTHRUS_CHECK(orthrus_.max_inflight >= 1);
-  if (orthrus_.combined_grants) {
-    // Combined grants address in-flight window slots with one byte each.
-    ORTHRUS_CHECK_MSG(orthrus_.max_inflight <= 256,
-                      "combined_grants needs max_inflight <= 256");
-  }
   if (orthrus_.elastic) {
     ORTHRUS_CHECK(orthrus_.elastic_min_exec >= 1);
     ORTHRUS_CHECK(orthrus_.elastic_min_exec <=
@@ -1612,12 +1492,6 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
     ORTHRUS_CHECK(orthrus_.cc_partitions == 0 ||
                   orthrus_.cc_partitions >= orthrus_.num_cc);
   }
-  if (orthrus_.line_aligned_mesh) {
-    // Whole-line reservations only exist on the dynamic MPSC mesh; the
-    // static per-pair SPSC queues have one producer and no interleaving.
-    ORTHRUS_CHECK_MSG(orthrus_.elastic,
-                      "line_aligned_mesh shapes the elastic exec->CC mesh");
-  }
   ORTHRUS_CHECK(orthrus_.mesh_capacity_factor > 0.0 &&
                 orthrus_.mesh_capacity_factor <= 1.0);
   if (orthrus_.mesh_capacity_factor < 1.0) {
@@ -1634,14 +1508,9 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
 std::string OrthrusEngine::name() const {
   std::string n = orthrus_.split_index ? "split-orthrus" : "orthrus";
   if (!orthrus_.forwarding) n += "-nofwd";
-  if (!orthrus_.batched_mp) n += "-nobatch";
-  if (orthrus_.adaptive_drain) n += "-adaptive";
-  if (orthrus_.combined_grants) n += "-cgrant";
   if (orthrus_.shared_cc_table) n += "-sharedcc";
   if (orthrus_.elastic) n += "-elastic";
   if (orthrus_.elastic_cc) n += "cc";
-  if (orthrus_.adaptive_drain_batch) n += "-adbatch";
-  if (orthrus_.line_aligned_mesh) n += "-linemesh";
   if (orthrus_.backpressure_admission) n += "-bp";
   if (orthrus_.snapshot_reads) n += "-snap";
   return n;
@@ -1719,11 +1588,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.n_exec = n_exec;
   shared.wal = options_.wal;
   shared.forwarding = orthrus_.forwarding;
-  shared.combined_grants = orthrus_.combined_grants;
   shared.elastic = orthrus_.elastic;
   shared.elastic_cc = orthrus_.elastic_cc;
   shared.n_parts = n_parts;
-  shared.adaptive_drain_batch = orthrus_.adaptive_drain_batch;
   shared.cc_op_cycles = orthrus_.cc_op_cycles;
   shared.snapshot_reads = orthrus_.snapshot_reads;
   if (orthrus_.snapshot_reads) {
@@ -1794,11 +1661,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
             ? static_cast<std::size_t>((n_exec + shards - 1) / shards)
             : static_cast<std::size_t>(n_exec);
     std::size_t mcap = per_txn_msgs * inflight * senders_per_shard + 4;
-    if (orthrus_.line_aligned_mesh) {
-      // Whole-line reservations pad every push to a line boundary, so the
-      // outstanding-slot bound inflates by up to a line per send.
-      mcap *= MultiMesh::kDefaultBatch;
-    }
     if (orthrus_.mesh_capacity_factor < 1.0) {
       // Deliberate under-provisioning (backpressure benches): sends that
       // exceed the scaled ring spin until the CC drains — never deadlock,
@@ -1806,12 +1668,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
       mcap = static_cast<std::size_t>(static_cast<double>(mcap) *
                                       orthrus_.mesh_capacity_factor);
     }
-    const std::size_t mcap_floor =
-        orthrus_.line_aligned_mesh ? MultiMesh::kDefaultBatch : 1;
-    if (mcap < mcap_floor) mcap = mcap_floor;
-    shared.exec_to_cc_multi.Reset(
-        n_cc, NextPowerOfTwo(mcap), shards, orthrus_.line_aligned_mesh,
-        /*skip=*/0, placement ? &cc_recv_multi : nullptr);
+    if (mcap < 1) mcap = 1;
+    shared.exec_to_cc_multi.Reset(n_cc, NextPowerOfTwo(mcap), shards,
+                                  placement ? &cc_recv_multi : nullptr);
   } else {
     shared.exec_to_cc.Reset(n_exec, n_cc, aq_cap,
                             placement ? &cc_recv : nullptr);
@@ -1819,12 +1678,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.cc_to_cc.Reset(n_cc, n_cc, fq_cap, placement ? &cc_recv : nullptr);
   shared.cc_to_exec.Reset(n_cc, n_exec, gq_cap,
                           placement ? &exec_recv : nullptr);
-  if (!orthrus_.batched_mp) shared.drain_batch = 1;
-  if (orthrus_.adaptive_drain) {
-    // Measured-imbalance trigger: deepest-first only when a receiver's
-    // depth snapshot is actually skewed (see mp::DrainOrder::kAdaptive).
-    shared.drain_order = mp::DrainOrder::kAdaptive;
-  }
 
   runtime::WorkerPool pool(platform, options_.num_cores + loggers,
                            options_.duration_seconds, options_.rng_seed);

@@ -46,42 +46,6 @@ struct OrthrusOptions {
   // Section 3.3 optimization: CC->CC forwarding of lock-acquisition chains.
   bool forwarding = true;
 
-  // Batched message delivery: drain queues a cache line of messages at a
-  // time instead of one message per pop. Ablation flag: off isolates the
-  // index-publication amortization (every pop publishes the head) — the
-  // line-packed payload layout of mp::SpscQueue stays active either way.
-  bool batched_mp = true;
-
-  // Adaptive drain order (mp::DrainOrder::kAdaptive): receivers snapshot
-  // their input-queue depths and switch to deepest-first service only when
-  // the snapshot is measurably imbalanced (max >= kImbalanceRatio * mean);
-  // balanced snapshots keep the fixed sender order. Deterministic, but a
-  // different event order than the fixed round-robin the equivalence
-  // digests are pinned to, so it is opt-in. Applies to the SPSC meshes
-  // only: in elastic mode the exec->CC path is MPSC (messages inside a
-  // shard already arrive in global order, so there is no per-sender
-  // queue depth to rank) and drains in fixed shard order.
-  bool adaptive_drain = false;
-
-  // Size each thread's Drain max_batch from the measured per-quantum
-  // burst depth
-  // (mp::detail::BurstEstimator) instead of always popping up to a full
-  // payload line. Shallow steady traffic then publishes the consumer index
-  // after every few messages — senders see queue space sooner, cutting
-  // blocking-send backpressure — while deep bursts grow the batch back to
-  // the full line within a few quanta. Changes delivery granularity, hence
-  // event order, so it is opt-in like adaptive_drain.
-  bool adaptive_drain_batch = false;
-
-  // CC->exec grant combining: instead of one word per grant, a CC thread
-  // stages the grants produced during one scheduling quantum per exec
-  // thread and packs up to 7 of them (as in-flight-window slot ids) into a
-  // single message word flushed at quantum end. Fewer words on the
-  // grant-heavy CC->exec path at the price of up to a quantum of added
-  // grant latency — an ablation flag, measured in ablation_batching.
-  // Requires max_inflight <= 256 (slot ids must fit one byte).
-  bool combined_grants = false;
-
   // Elastic thread roles: make the CC/exec split a *runtime* property.
   // All (num_cores - num_cc) exec threads are spawned, but only a
   // controller-chosen prefix is active; the rest park (runtime::ParkGate)
@@ -162,16 +126,6 @@ struct OrthrusOptions {
   // the thread does nothing else — the cache-locality benefit of
   // partitioned functionality (Section 2.1 / 3.1).
   hal::Cycles cc_op_cycles = 12;
-
-  // Whole-line reservations for the elastic exec->CC MultiMesh
-  // (mp::MpscQueue's line_aligned mode): no two exec senders ever write
-  // payload words into the same line, eliminating the mid-line
-  // interleaving cost of the shared rings. The capacity bound is
-  // multiplied by the line size to absorb padding (see Run()'s mesh
-  // sizing); message encodings never produce the 0 word (TCB pointers are
-  // 512-aligned non-null), which serves as the skip sentinel. Requires
-  // elastic=true; off keeps the historical ring layout bit-for-bit.
-  bool line_aligned_mesh = false;
 
   // Scales the elastic exec->CC mesh capacity relative to its provable
   // bound (1.0 = fully provisioned, never blocks). Values < 1 deliberately

@@ -34,36 +34,17 @@ class MpscQueue {
   static constexpr std::size_t kMsgsPerLine = detail::LineRing<T>::kMsgsPerLine;
 
   // Capacity must be a power of two (index masking).
-  //
-  // `line_aligned` (opt-in): every reservation is rounded up to a whole
-  // payload line, the unused tail filled with `skip` sentinels the
-  // consumer silently discards. Reservations then start and end on line
-  // boundaries, so no two producers ever write payload words into the
-  // same line — eliminating the mid-line interleaving that bills each of
-  // two concurrent producers a coherence transfer for the other's line.
-  // The trade: up to kMsgsPerLine - 1 slots of padding per push (worst at
-  // single-message sends), so capacity bounds must be multiplied by the
-  // line size, and `skip` must be a value no producer ever enqueues.
   // The optional (arena, home_socket) pair NUMA-places the payload blocks
   // and tags them for the sim's distance model — see detail::LineRing. The
   // queue's own index lines stay wherever the queue object lives; receivers
   // construct their meshes, so first-touch already puts those right.
-  explicit MpscQueue(std::size_t capacity, bool line_aligned = false,
-                     T skip = T(), hal::SlabArena* arena = nullptr,
+  explicit MpscQueue(std::size_t capacity, hal::SlabArena* arena = nullptr,
                      int home_socket = -1)
-      : capacity_(capacity),
-        line_aligned_(line_aligned),
-        skip_(skip),
-        ring_(capacity, arena, home_socket) {
+      : capacity_(capacity), ring_(capacity, arena, home_socket) {
     if (home_socket >= 0) {
       reserve_.SetHomeRaw(home_socket);
       tail_.SetHomeRaw(home_socket);
       head_.SetHomeRaw(home_socket);
-    }
-    if (line_aligned) {
-      // A power-of-two capacity >= one line is automatically a whole
-      // number of lines, which the alignment invariant needs.
-      ORTHRUS_CHECK(capacity >= kMsgsPerLine);
     }
   }
 
@@ -71,7 +52,6 @@ class MpscQueue {
   MpscQueue& operator=(const MpscQueue&) = delete;
 
   std::size_t capacity() const { return capacity_; }
-  bool line_aligned() const { return line_aligned_; }
 
   // Producer side (any thread). Returns false when the queue is full.
   bool TryEnqueue(T value) { return PushBatch(&value, 1) == 1; }
@@ -83,33 +63,16 @@ class MpscQueue {
     if (n == 0) return 0;
     std::uint64_t start = reserve_.load();
     std::size_t count;
-    std::size_t reserved;
     for (;;) {
       const std::size_t free_slots =
           capacity_ - static_cast<std::size_t>(start - head_.load());
-      if (!line_aligned_) {
-        if (free_slots == 0) return 0;
-        count = n < free_slots ? n : free_slots;
-        reserved = count;
-      } else {
-        // Whole-line reservations: the range must end on a line boundary,
-        // so a partial trailing line of free space is unusable. `start`
-        // is always line-aligned (inductively: every reservation advances
-        // it by a line multiple).
-        ORTHRUS_DCHECK(start % kMsgsPerLine == 0);
-        const std::size_t free_lines = free_slots / kMsgsPerLine;
-        if (free_lines == 0) return 0;
-        count = n < free_lines * kMsgsPerLine ? n : free_lines * kMsgsPerLine;
-        reserved = (count + kMsgsPerLine - 1) / kMsgsPerLine * kMsgsPerLine;
-      }
+      if (free_slots == 0) return 0;
+      count = n < free_slots ? n : free_slots;
       // Failure refreshes `start` with the current reservation index.
-      if (reserve_.compare_exchange(start, start + reserved)) break;
+      if (reserve_.compare_exchange(start, start + count)) break;
     }
     for (std::size_t i = 0; i < count; ++i) {
       ring_.Store(start + i, values[i]);
-    }
-    for (std::size_t i = count; i < reserved; ++i) {
-      ring_.Store(start + i, skip_);
     }
     // Publish in reservation order: the tail must sweep past every
     // predecessor's range before ours becomes visible, or the consumer
@@ -131,77 +94,41 @@ class MpscQueue {
                           "producer died mid-push");
       }
     }
-    tail_.store(start + reserved);
+    tail_.store(start + count);
     return count;
   }
 
   // Consumer side (single thread). Returns false when the queue is empty.
-  // In line-aligned mode padding sentinels are consumed and discarded. An
-  // empty poll that consumed nothing stays read-only — publishing an
-  // unchanged head would dirty a line every producer reads for its
-  // free-slot check.
   bool TryDequeue(T* out) {
-    const std::uint64_t scanned_from = head_local_;
-    for (;;) {
-      if (head_local_ == tail_cache_) {
-        tail_cache_ = tail_.load();
-        if (head_local_ == tail_cache_) {
-          if (head_local_ != scanned_from) head_.store(head_local_);
-          return false;
-        }
-      }
-      *out = ring_.Load(head_local_);
-      head_local_++;
-      if (!line_aligned_ || !(*out == skip_)) {
-        head_.store(head_local_);
-        return true;
-      }
+    if (head_local_ == tail_cache_) {
+      tail_cache_ = tail_.load();
+      if (head_local_ == tail_cache_) return false;
     }
+    *out = ring_.Load(head_local_);
+    head_local_++;
+    head_.store(head_local_);
+    return true;
   }
 
-  // Consumer side, batched: dequeues up to `n` values, publishing the head
-  // once for the whole batch. In line-aligned mode padding sentinels are
-  // consumed (they free their slots) but not delivered; a return of 0
-  // still means the queue was drained empty.
+  // Consumer side, batched: dequeues up to `n` values in one contiguous
+  // grab, publishing the head once for the whole batch. An empty poll
+  // stays read-only — publishing an unchanged head would dirty a line
+  // every producer reads for its free-slot check.
   std::size_t PopBatch(T* out, std::size_t n) {
     if (n == 0) return 0;
-    std::size_t got = 0;
-    std::uint64_t scanned_from = head_local_;
-    for (;;) {
-      std::size_t avail =
-          static_cast<std::size_t>(tail_cache_ - head_local_);
-      if (avail == 0 || got + avail < n) {
-        tail_cache_ = tail_.load();
-        avail = static_cast<std::size_t>(tail_cache_ - head_local_);
-        if (avail == 0) break;
-      }
-      if (!line_aligned_) {
-        const std::size_t count = (n - got) < avail ? (n - got) : avail;
-        for (std::size_t i = 0; i < count; ++i) {
-          out[got + i] = ring_.Load(head_local_ + i);
-        }
-        head_local_ += count;
-        got += count;
-        break;  // one contiguous grab, exactly the historical behaviour
-      }
-      // Skip-aware scan: deliver real values, discard padding, stop once
-      // the caller's batch is full or the snapshot is exhausted.
-      while (avail != 0 && got < n) {
-        const T v = ring_.Load(head_local_);
-        head_local_++;
-        avail--;
-        if (!(v == skip_)) out[got++] = v;
-      }
-      if (got == n) break;
+    std::size_t avail = static_cast<std::size_t>(tail_cache_ - head_local_);
+    if (avail < n) {
+      tail_cache_ = tail_.load();
+      avail = static_cast<std::size_t>(tail_cache_ - head_local_);
+      if (avail == 0) return 0;
     }
-    if (head_local_ != scanned_from) head_.store(head_local_);
-    return got;
-  }
-
-  // Consumer-side occupancy (refreshes the cached tail).
-  std::size_t SizeConsumer() {
-    tail_cache_ = tail_.load();
-    return static_cast<std::size_t>(tail_cache_ - head_local_);
+    const std::size_t count = n < avail ? n : avail;
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = ring_.Load(head_local_ + i);
+    }
+    head_local_ += count;
+    head_.store(head_local_);
+    return count;
   }
 
   // Consumer-side emptiness probe (refreshes the cached tail).
@@ -218,8 +145,6 @@ class MpscQueue {
 
  private:
   const std::size_t capacity_;
-  const bool line_aligned_;
-  const T skip_{};
   detail::LineRing<T> ring_;
 
   // Shared indices. `reserve_` is CAS-bumped by producers to claim slots;

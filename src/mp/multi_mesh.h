@@ -10,8 +10,8 @@
 // per-pair SPSC design exists to avoid, and fan-in FIFO is global arrival
 // order rather than per-sender round-robin (one sender's messages still
 // arrive in its send order — a single producer's reservations are
-// ordered). Drain keeps the batched shape of QueueMesh::Drain: up to
-// `max_batch` messages per head publication, clamped to one payload line.
+// ordered). Drain keeps the batched shape of QueueMesh::Drain: up to one
+// payload line of messages per head publication.
 //
 // Sharding: with one ring per receiver, every producer contends on the
 // same reservation CAS, publishes its tail through one global
@@ -92,14 +92,9 @@ class MultiMesh {
   // carried a sender may still hold undrained messages. Note the capacity
   // bound: with an adaptive modulus any ring may in the worst case serve
   // the whole population, so size `capacity` for all senders on one ring.
-  // `line_aligned`/`skip` select MpscQueue's whole-line reservation mode
-  // for every ring (capacity bounds must then be multiplied by
-  // kMsgsPerLine; `skip` must be a value no sender ever enqueues).
   // `placement`, when non-null, must have one entry per receiver and NUMA-
-  // places each receiver's rings. Defaults reproduce the historical mesh
-  // exactly.
+  // places each receiver's rings.
   void Reset(int receivers, std::size_t capacity, int shards = 1,
-             bool line_aligned = false, T skip = T(),
              const std::vector<ReceiverPlacement>* placement = nullptr) {
     ORTHRUS_CHECK(receivers >= 1);
     ORTHRUS_CHECK(shards >= 0);
@@ -118,7 +113,7 @@ class MultiMesh {
           placement != nullptr ? (*placement)[i / shards_]
                                : ReceiverPlacement{};
       queues_.push_back(std::make_unique<MpscQueue<T>>(  // lint:allow-alloc setup
-          capacity, line_aligned, skip, p.arena, p.home_socket));
+          capacity, p.arena, p.home_socket));
     }
   }
 
@@ -177,23 +172,17 @@ class MultiMesh {
 
   // Delivers what is addressed to the receiver (all live shards, fixed
   // shard order), invoking fn(message) on each message in per-shard
-  // arrival order: one PopBatch of up to `max_batch` (clamped to [1, one
-  // payload line]) per shard per call, the same per-sender bound as
-  // QueueMesh::Drain. Returns messages delivered; callers that need the
-  // rings empty loop until it returns 0.
+  // arrival order: one PopBatch of up to one payload line per shard per
+  // call, the same per-sender bound as QueueMesh::Drain. Returns messages
+  // delivered; callers that need the rings empty loop until it returns 0.
   template <typename Fn>
-  std::size_t Drain(int receiver, Fn&& fn,
-                    std::size_t max_batch = kDefaultBatch) {
-    ORTHRUS_DCHECK(max_batch >= 1);
-    std::size_t batch = max_batch < kDefaultBatch ? max_batch : kDefaultBatch;
-    if (batch == 0) batch = 1;  // release builds: never wedge a caller that
-                                // loops until progress
+  std::size_t Drain(int receiver, Fn&& fn) {
     const int live =
         adaptive_ ? static_cast<int>(drain_shards_.load()) : shards_;
     T buf[kDefaultBatch];
     std::size_t delivered = 0;
     for (int s = 0; s < live; ++s) {
-      const std::size_t n = at(receiver, s).PopBatch(buf, batch);
+      const std::size_t n = at(receiver, s).PopBatch(buf, kDefaultBatch);
       for (std::size_t i = 0; i < n; ++i) fn(buf[i]);
       delivered += n;
     }

@@ -116,15 +116,6 @@ class SpscQueue {
     return count;
   }
 
-  // Consumer-side occupancy: refreshes the cached tail and returns how
-  // many messages are currently poppable. Costs one (possibly remote) load
-  // of the shared tail index — the price QueueMesh's deepest-first drain
-  // pays for knowing queue depths.
-  std::size_t SizeConsumer() {
-    tail_cache_ = tail_.load();
-    return static_cast<std::size_t>(tail_cache_ - head_local_);
-  }
-
   // Consumer-side emptiness probe (refreshes the cached tail).
   bool Empty() {
     if (head_local_ != tail_cache_) return false;

@@ -166,8 +166,7 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
   // ORTHRUS variants: every message-passing configuration (forwarding
-  // on/off, batched delivery on/off, adaptive drain order / drain batch
-  // sizing, combined grants, shared CC table) must agree with the
+  // on/off, shared CC table, snapshot reads) must agree with the
   // shared-everything engines. Every case runs with elastic=false and
   // elastic_cc=false (the OrthrusOptions defaults), so this whole list is
   // the pin that the elastic-roles and lock-space-routing refactors left
@@ -177,36 +176,23 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
   // orthrus_engine_test.
   struct OrthrusCase {
     bool forwarding;
-    bool batched_mp;
     bool shared_cc;
-    bool adaptive_drain = false;
-    bool combined_grants = false;
-    bool adaptive_drain_batch = false;
     bool snapshot_reads = false;
   };
   for (const OrthrusCase& c :
-       {OrthrusCase{true, true, false}, OrthrusCase{false, true, false},
-        OrthrusCase{true, false, false}, OrthrusCase{true, true, true},
-        OrthrusCase{true, true, false, /*adaptive_drain=*/true},
-        OrthrusCase{true, true, false, false, /*combined_grants=*/true},
-        OrthrusCase{true, true, false, false, false,
-                    /*adaptive_drain_batch=*/true},
+       {OrthrusCase{true, false}, OrthrusCase{false, false},
+        OrthrusCase{true, true},
         // snapshot_reads over pure RMW: every transaction still runs the
         // lock path, but versions install and the epoch clock ticks —
         // neither may change what commits.
-        OrthrusCase{true, true, false, false, false, false,
-                    /*snapshot_reads=*/true}}) {
+        OrthrusCase{true, false, /*snapshot_reads=*/true}}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     // One transaction in flight per exec thread: the commit cap is checked
     // before each issue, so each worker commits exactly its first K.
     oo.max_inflight = 1;
     oo.forwarding = c.forwarding;
-    oo.batched_mp = c.batched_mp;
     oo.shared_cc_table = c.shared_cc;
-    oo.adaptive_drain = c.adaptive_drain;
-    oo.combined_grants = c.combined_grants;
-    oo.adaptive_drain_batch = c.adaptive_drain_batch;
     oo.snapshot_reads = c.snapshot_reads;
     ORTHRUS_CHECK(!oo.elastic);     // the static-mesh digest pin
     ORTHRUS_CHECK(!oo.elastic_cc);  // the static lock-space pin
@@ -429,11 +415,10 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kExecWorkers, kExecWorkers, 0));
   }
-  for (const bool adaptive : {false, true}) {
+  {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    oo.adaptive_drain = adaptive;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,

@@ -4,7 +4,6 @@
 // queue and its MultiMesh (dynamic sender populations), the QueueMesh that
 // wires full sender x receiver matrices of queues, and the sender-side
 // MultiSendBuffer staging layer.
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -58,19 +57,6 @@ TEST(SpscQueue, EmptyProbe) {
   std::uint64_t v;
   q.TryDequeue(&v);
   EXPECT_TRUE(q.Empty());
-}
-
-TEST(SpscQueue, SizeConsumerTracksOccupancy) {
-  SpscQueue<std::uint64_t> q(8);
-  EXPECT_EQ(q.SizeConsumer(), 0u);
-  q.TryEnqueue(1);
-  q.TryEnqueue(2);
-  EXPECT_EQ(q.SizeConsumer(), 2u);  // refreshes the cached tail
-  std::uint64_t v;
-  q.TryDequeue(&v);
-  EXPECT_EQ(q.SizeConsumer(), 1u);
-  q.TryDequeue(&v);
-  EXPECT_EQ(q.SizeConsumer(), 0u);
 }
 
 TEST(SpscQueue, WraparoundManyTimes) {
@@ -442,87 +428,6 @@ TEST(MultiMesh, DrainTakesAtMostOneLinePerShard) {
   });
 }
 
-TEST(QueueMesh, AdaptiveDrainServesDeepestQueueFirst) {
-  // Sender depths 2 / 5 / 3: deepest-first delivery must visit sender 1,
-  // then sender 2, then sender 0, preserving per-sender FIFO within each.
-  QueueMesh<std::uint64_t> mesh(3, 1, 16);
-  const std::size_t depth[3] = {2, 5, 3};
-  for (int s = 0; s < 3; ++s) {
-    for (std::size_t i = 0; i < depth[s]; ++i) {
-      mesh.Send(s, 0, static_cast<std::uint64_t>(s) * 100 + i);
-    }
-  }
-  std::vector<std::uint64_t> got;
-  const std::size_t n = mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); },
-      QueueMesh<std::uint64_t>::kDefaultBatch, DrainOrder::kDeepestFirst);
-  EXPECT_EQ(n, 10u);
-  std::vector<std::uint64_t> want;
-  for (std::uint64_t i = 0; i < 5; ++i) want.push_back(100 + i);
-  for (std::uint64_t i = 0; i < 3; ++i) want.push_back(200 + i);
-  for (std::uint64_t i = 0; i < 2; ++i) want.push_back(i);
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-}
-
-TEST(QueueMesh, AdaptiveDrainBreaksDepthTiesBySenderId) {
-  // Equal depths must fall back to ascending sender order so the adaptive
-  // drain stays deterministic.
-  QueueMesh<std::uint64_t> mesh(4, 1, 16);
-  for (int s = 3; s >= 0; --s) {
-    mesh.Send(s, 0, static_cast<std::uint64_t>(s) * 10);
-    mesh.Send(s, 0, static_cast<std::uint64_t>(s) * 10 + 1);
-  }
-  std::vector<std::uint64_t> got;
-  mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); },
-      QueueMesh<std::uint64_t>::kDefaultBatch, DrainOrder::kDeepestFirst);
-  const std::vector<std::uint64_t> want = {0, 1, 10, 11, 20, 21, 30, 31};
-  EXPECT_EQ(got, want);
-}
-
-TEST(QueueMesh, AdaptiveDrainDeliversEverythingUnderStress) {
-  // Skewed native-thread fan-in: adaptivity must never lose, duplicate, or
-  // reorder messages within a sender.
-  constexpr int kSenders = 3;
-  constexpr std::uint64_t kPer = 30000;
-  QueueMesh<std::uint64_t> mesh(kSenders, 1, 128);
-  hal::NativePlatform platform(kSenders + 1);
-  for (int s = 0; s < kSenders; ++s) {
-    platform.Spawn(s, [&mesh, s] {
-      // Skew: sender s sends (s+1)/3 of the heaviest stream.
-      const std::uint64_t mine = kPer * (s + 1) / kSenders;
-      for (std::uint64_t i = 0; i < mine; ++i) {
-        mesh.Send(s, 0, static_cast<std::uint64_t>(s) * kPer + i);
-      }
-    });
-  }
-  std::uint64_t total = 0;
-  for (int s = 0; s < kSenders; ++s) total += kPer * (s + 1) / kSenders;
-  std::uint64_t received = 0;
-  std::uint64_t next_from[kSenders] = {0, 0, 0};
-  bool ok = true;
-  platform.Spawn(kSenders, [&] {
-    while (received < total) {
-      const std::size_t n = mesh.Drain(
-          0,
-          [&](std::uint64_t v) {
-            const int s = static_cast<int>(v / kPer);
-            if (s >= kSenders || v % kPer != next_from[s]) ok = false;
-            next_from[s]++;
-          },
-          QueueMesh<std::uint64_t>::kDefaultBatch,
-          DrainOrder::kDeepestFirst);
-      received += n;
-      if (n == 0) hal::CpuRelax();
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(received, total);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-}
-
 TEST(QueueMesh, NativeManyToOneStress) {
   // Three producers, one consumer draining through the mesh: per-sender
   // FIFO with nothing lost or duplicated.
@@ -577,114 +482,6 @@ TEST(QueueMesh, DrainZeroMaxBatchStillDelivers) {
 #else
   EXPECT_DEATH(mesh.Drain(0, [](std::uint64_t) {}, /*max_batch=*/0), "CHECK");
 #endif
-}
-
-// Deepest-first used to skip senders whose queues were empty at snapshot
-// time, so messages landing mid-drain could make one call deliver strictly
-// less than the round-robin path. Both orders must now deliver the same
-// multiset: every sender is visited at least once per call.
-TEST(QueueMesh, DeepestFirstVisitsSnapshotEmptySenders) {
-  const auto run = [](DrainOrder order) {
-    QueueMesh<std::uint64_t> mesh(3, 1, 16);
-    mesh.Send(1, 0, 101);
-    mesh.Send(1, 0, 102);
-    bool injected = false;
-    std::vector<std::uint64_t> got;
-    mesh.Drain(
-        0,
-        [&](std::uint64_t v) {
-          if (!injected) {
-            // Lands on sender 2, whose queue was empty at snapshot time.
-            mesh.Send(2, 0, 777);
-            injected = true;
-          }
-          got.push_back(v);
-        },
-        QueueMesh<std::uint64_t>::kDefaultBatch, order);
-    return got;
-  };
-  std::vector<std::uint64_t> rr = run(DrainOrder::kRoundRobin);
-  std::vector<std::uint64_t> df = run(DrainOrder::kDeepestFirst);
-  std::sort(rr.begin(), rr.end());
-  std::sort(df.begin(), df.end());
-  const std::vector<std::uint64_t> want = {101, 102, 777};
-  EXPECT_EQ(rr, want);
-  EXPECT_EQ(df, want);
-}
-
-// ----------------------------------------------- measured-imbalance drain
-
-TEST(QueueMesh, AdaptiveOrderKeepsSenderOrderWhenBalanced) {
-  // Equal depths: max == mean, far below the kImbalanceRatio trigger, so
-  // kAdaptive must serve plain sender order (and skip the sort).
-  QueueMesh<std::uint64_t> mesh(3, 1, 16);
-  for (int s = 2; s >= 0; --s) {
-    mesh.Send(s, 0, static_cast<std::uint64_t>(s) * 10);
-    mesh.Send(s, 0, static_cast<std::uint64_t>(s) * 10 + 1);
-  }
-  std::vector<std::uint64_t> got;
-  mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); },
-      QueueMesh<std::uint64_t>::kDefaultBatch, DrainOrder::kAdaptive);
-  const std::vector<std::uint64_t> want = {0, 1, 10, 11, 20, 21};
-  EXPECT_EQ(got, want);
-  EXPECT_FALSE(mesh.LastDrainWasDeepest(0));
-}
-
-TEST(QueueMesh, AdaptiveOrderSkipsSortOnSparseSnapshots) {
-  // One lone message among empty queues trivially satisfies the max/mean
-  // ratio (the empties drag the mean toward zero) but reordering cannot
-  // help — the trigger must not fire on it, nor on a single deep queue
-  // with no competing sender.
-  QueueMesh<std::uint64_t> mesh(16, 1, 16);
-  mesh.Send(3, 0, 42);
-  std::vector<std::uint64_t> got;
-  mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); },
-      QueueMesh<std::uint64_t>::kDefaultBatch, DrainOrder::kAdaptive);
-  EXPECT_EQ(got, (std::vector<std::uint64_t>{42}));
-  EXPECT_FALSE(mesh.LastDrainWasDeepest(0));
-
-  for (std::uint64_t i = 0; i < 8; ++i) mesh.Send(5, 0, i);
-  got.clear();
-  mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); },
-      QueueMesh<std::uint64_t>::kDefaultBatch, DrainOrder::kAdaptive);
-  EXPECT_EQ(got.size(), 8u);
-  EXPECT_FALSE(mesh.LastDrainWasDeepest(0));
-
-  // Two active senders at nearly equal depths (4 vs 5) among 14 idle
-  // ones: the mean is taken over the non-empty senders, so this is
-  // balanced (5 < 2 * 4.5), not skewed — the 14 empties must not drag
-  // the mean down and force a pointless sort.
-  for (std::uint64_t i = 0; i < 4; ++i) mesh.Send(2, 0, i);
-  for (std::uint64_t i = 0; i < 5; ++i) mesh.Send(9, 0, i);
-  got.clear();
-  mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); },
-      QueueMesh<std::uint64_t>::kDefaultBatch, DrainOrder::kAdaptive);
-  EXPECT_EQ(got.size(), 9u);
-  EXPECT_FALSE(mesh.LastDrainWasDeepest(0));
-}
-
-TEST(QueueMesh, AdaptiveOrderGoesDeepestFirstWhenSkewed) {
-  // Depths 1 / 8 / 1: max/mean = 2.4 >= kImbalanceRatio, so the snapshot
-  // trips the trigger and sender 1 is served first.
-  QueueMesh<std::uint64_t> mesh(3, 1, 16);
-  mesh.Send(0, 0, 1);
-  for (std::uint64_t i = 0; i < 8; ++i) mesh.Send(1, 0, 100 + i);
-  mesh.Send(2, 0, 201);
-  std::vector<std::uint64_t> got;
-  const std::size_t n = mesh.Drain(
-      0, [&](std::uint64_t v) { got.push_back(v); },
-      QueueMesh<std::uint64_t>::kDefaultBatch, DrainOrder::kAdaptive);
-  EXPECT_EQ(n, 10u);
-  EXPECT_TRUE(mesh.LastDrainWasDeepest(0));
-  std::vector<std::uint64_t> want;
-  for (std::uint64_t i = 0; i < 8; ++i) want.push_back(100 + i);
-  want.push_back(1);    // ties below the deepest fall back to sender order
-  want.push_back(201);
-  EXPECT_EQ(got, want);
 }
 
 // --------------------------------------------------------------- MpscQueue
@@ -1100,177 +897,6 @@ TEST(MultiSendBuffer, AutoFlushesWhenStageFills) {
   EXPECT_EQ(mesh.SizeRawTotal(), stage);
   EXPECT_EQ(sb.Pending(), 0u);
   EXPECT_EQ(sb.publications(), 1u);
-}
-
-// The drain-batch estimator: climbs with ceil rounding, decays with floor,
-// so a line-deep workload recovers full-line batches quickly while shallow
-// phases still pull the batch down. These exact sequences are pinned.
-TEST(BurstEstimator, AsymmetricConvergence) {
-  detail::BurstEstimator est;
-  EXPECT_EQ(est.Threshold(8), 8u);  // no observation: full line
-  est.Observe(2);
-  EXPECT_EQ(est.estimate(), 2u);
-  EXPECT_EQ(est.Threshold(8), 2u);
-  // Climb 2 -> 8 with ceil rounding: 2, 4(ceil 3.75), 5, 6(ceil 5.75), ...
-  std::vector<std::size_t> climb;
-  for (int i = 0; i < 6; ++i) {
-    est.Observe(8);
-    climb.push_back(est.estimate());
-  }
-  EXPECT_EQ(climb, (std::vector<std::size_t>{4, 5, 6, 7, 8, 8}));
-  // Decay 8 -> 2 with floor rounding.
-  std::vector<std::size_t> decay;
-  for (int i = 0; i < 6; ++i) {
-    est.Observe(2);
-    decay.push_back(est.estimate());
-  }
-  EXPECT_EQ(decay, (std::vector<std::size_t>{6, 5, 4, 3, 2, 2}));
-  // Never below 1.
-  for (int i = 0; i < 4; ++i) est.Observe(1);
-  EXPECT_EQ(est.estimate(), 1u);
-  EXPECT_EQ(est.Threshold(8), 1u);
-}
-
-// -------------------------------------- line-aligned MPSC reservations
-
-constexpr std::uint64_t kSkip = ~0ull;
-
-TEST(MpscQueueLineAligned, PadsReservationsToWholeLines) {
-  // One message reserves a whole line; the padding occupies ring slots
-  // (visible to SizeRaw) but is never delivered.
-  MpscQueue<std::uint64_t> q(64, /*line_aligned=*/true, kSkip);
-  ASSERT_TRUE(q.TryEnqueue(7));
-  EXPECT_EQ(q.SizeRaw(), q.kMsgsPerLine);  // 1 value + line padding
-  std::uint64_t buf[16];
-  EXPECT_EQ(q.PopBatch(buf, 16), 1u);
-  EXPECT_EQ(buf[0], 7u);
-  EXPECT_EQ(q.SizeRaw(), 0u);  // padding consumed with the value
-}
-
-TEST(MpscQueueLineAligned, FifoAcrossMixedBatchSizes) {
-  MpscQueue<std::uint64_t> q(128, /*line_aligned=*/true, kSkip);
-  std::uint64_t next = 0;
-  std::uint64_t expect = 0;
-  for (const std::size_t batch : {1u, 3u, 8u, 11u, 2u, 5u}) {
-    std::uint64_t vals[16];
-    for (std::size_t i = 0; i < batch; ++i) vals[i] = next++;
-    ASSERT_EQ(q.PushBatch(vals, batch), batch);
-    std::uint64_t out[16];
-    std::size_t got;
-    while ((got = q.PopBatch(out, 16)) != 0) {
-      for (std::size_t i = 0; i < got; ++i) EXPECT_EQ(out[i], expect++);
-    }
-  }
-  EXPECT_EQ(expect, next);
-  EXPECT_EQ(q.SizeRaw(), 0u);
-}
-
-TEST(MpscQueueLineAligned, FullRejectsWhenNoWholeLineIsFree) {
-  // Capacity 16 = two lines: two single-message pushes (one padded line
-  // each) fill the ring even though only two value slots are used.
-  MpscQueue<std::uint64_t> q(16, /*line_aligned=*/true, kSkip);
-  ASSERT_TRUE(q.TryEnqueue(1));
-  ASSERT_TRUE(q.TryEnqueue(2));
-  EXPECT_FALSE(q.TryEnqueue(3));
-  std::uint64_t out[16];
-  EXPECT_EQ(q.PopBatch(out, 16), 2u);
-  EXPECT_EQ(out[0], 1u);
-  EXPECT_EQ(out[1], 2u);
-  EXPECT_TRUE(q.TryEnqueue(3));  // space again once padding drained
-}
-
-TEST(MpscQueueLineAligned, NativeProducersNeverShareALine) {
-  // The pin for the feature: under true concurrency every producer's
-  // values arrive in order, nothing is lost or duplicated, and — the
-  // property line alignment exists for — every delivered run of one line's
-  // worth of values comes from a single producer (reservations never
-  // interleave mid-line). The consumer checks the second property by
-  // popping one line at a time and verifying each line is single-owner.
-  constexpr int kProducers = 4;
-  constexpr std::uint64_t kPer = 30000;
-  constexpr std::size_t kLine = MpscQueue<std::uint64_t>::kMsgsPerLine;
-  MpscQueue<std::uint64_t> q(1024, /*line_aligned=*/true, kSkip);
-  hal::NativePlatform platform(kProducers + 1);
-  for (int p = 0; p < kProducers; ++p) {
-    platform.Spawn(p, [&q, p] {
-      std::uint64_t buf[kLine];
-      std::uint64_t i = 0;
-      while (i < kPer) {
-        // Vary batch depth to exercise padded and unpadded lines.
-        const std::size_t want =
-            1 + static_cast<std::size_t>((p + i) % kLine);
-        std::size_t fill = 0;
-        while (fill < want && i + fill < kPer) {
-          buf[fill] = (static_cast<std::uint64_t>(p) << 32) | (i + fill);
-          fill++;
-        }
-        std::size_t pushed = 0;
-        while (pushed < fill) {
-          const std::size_t k = q.PushBatch(buf + pushed, fill - pushed);
-          if (k == 0) hal::CpuRelax();
-          pushed += k;
-        }
-        i += fill;
-      }
-    });
-  }
-  const std::uint64_t total = kProducers * kPer;
-  std::uint64_t received = 0;
-  std::uint64_t next_from[kProducers] = {0, 0, 0, 0};
-  bool fifo_ok = true;
-  platform.Spawn(kProducers, [&] {
-    std::uint64_t buf[kLine];
-    while (received < total) {
-      const std::size_t n = q.PopBatch(buf, kLine);
-      if (n == 0) {
-        hal::CpuRelax();
-        continue;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const int p = static_cast<int>(buf[i] >> 32);
-        const std::uint64_t seq = buf[i] & 0xFFFFFFFFull;
-        if (p >= kProducers || seq != next_from[p]) fifo_ok = false;
-        next_from[p]++;
-      }
-      received += n;
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(fifo_ok);
-  EXPECT_EQ(received, total);
-  EXPECT_EQ(q.SizeRaw(), 0u);
-}
-
-TEST(MpscQueueLineAligned, SimulatedProducersAreDeterministic) {
-  const auto run = [] {
-    hal::SimPlatform sim(3);
-    MpscQueue<std::uint64_t> q(64, /*line_aligned=*/true, kSkip);
-    std::uint64_t sum = 0, received = 0;
-    for (int p = 0; p < 2; ++p) {
-      sim.Spawn(p, [&q, p] {
-        for (std::uint64_t i = 1; i <= 300; ++i) {
-          while (!q.TryEnqueue(static_cast<std::uint64_t>(p) * 1000 + i)) {
-            hal::CpuRelax();
-          }
-          hal::ConsumeCycles(5 + 2 * static_cast<hal::Cycles>(p));
-        }
-      });
-    }
-    sim.Spawn(2, [&] {
-      std::uint64_t buf[8];
-      while (received < 600) {
-        const std::size_t n = q.PopBatch(buf, 8);
-        for (std::size_t i = 0; i < n; ++i) sum += buf[i];
-        received += n;
-        if (n == 0) hal::CpuRelax();
-      }
-    });
-    sim.Run();
-    return std::make_pair(sum, sim.GlobalClock());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a, b);
 }
 
 // ------------------------------------------ adaptive MultiMesh sharding
