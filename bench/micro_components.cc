@@ -1,11 +1,17 @@
 // Component micro-benchmarks (google-benchmark): real-time costs of the
 // building blocks on the host machine — SPSC queue ops, lock-table
-// acquire/release, RNG draws, fiber switches, and simulator event
-// dispatch. These measure the *infrastructure itself* (wall-clock), unlike
-// the fig* binaries which measure *simulated* engine throughput.
+// acquire/release, index probes, RNG draws, fiber switches, and simulator
+// event dispatch. These measure the *infrastructure itself* (wall-clock),
+// unlike the fig* binaries which measure *simulated* engine throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "common/rng.h"
+#include "engine/engine.h"
 #include "hal/fiber.h"
 #include "hal/sim_platform.h"
 #include "lock/lock_table.h"
@@ -133,50 +139,59 @@ void BM_LockTableAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockTableAcquireRelease);
 
-// Scalar acquire loop vs AcquireBatch on a Zipf-skewed key stream: the
-// batch path's win is one bucket walk per same-key run (skew makes runs)
-// plus the prefetch sweep hiding bucket-miss latency on real hardware.
-// Shared mode so duplicate keys inside one batch grant instead of
-// self-conflicting. arg0: 0 = scalar, 1 = vectorized; arg1: batch size.
-void BM_LockTableBatch(benchmark::State& state) {
-  const bool vectorized = state.range(0) != 0;
-  const std::size_t batch = static_cast<std::size_t>(state.range(1));
-  lock::LockTable::Config cfg;
-  cfg.num_buckets = 1 << 12;
-  cfg.max_lock_heads = 1 << 16;
-  cfg.max_workers = 1;
-  lock::LockTable table(cfg);
-  WorkerStats stats;
-  lock::WorkerLockCtx* ctx = table.RegisterWorker(0, &stats);
-  Rng rng(42);
-  ZipfianGenerator zipf(1024, 0.9);
-  std::vector<lock::LockTable::BatchRequest> reqs(batch);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      reqs[i].ctx = ctx;
-      reqs[i].table = 0;
-      reqs[i].key = zipf.Next(&rng);
-      reqs[i].mode = txn::LockMode::kShared;
-    }
-    if (vectorized) {
-      table.AcquireBatch(reqs.data(), batch, nullptr);
-    } else {
-      for (std::size_t i = 0; i < batch; ++i) {
-        reqs[i].result = table.Acquire(reqs[i].ctx, reqs[i].table,
-                                       reqs[i].key, reqs[i].mode, nullptr);
-      }
-    }
-    table.ReleaseAll(ctx);
+// Index probe plus first row touch, per access, on 10-access sets drawn
+// uniformly from one table: a serial ResolveRow loop against the batched
+// engine::ResolveRows, whose index and row prefetches overlap the misses.
+// 8M rows (100-byte payload, 0.8 GB plus a 512 MiB index) miss every
+// cache level; 200k rows mostly fit in L2/L3. Off-core, so nothing is
+// charged. arg0: rows; arg1: 0 = serial loop, 1 = ResolveRows.
+storage::Database* ProbeDb(std::uint64_t rows) {
+  static std::map<std::uint64_t, std::unique_ptr<storage::Database>> dbs;
+  std::unique_ptr<storage::Database>& db = dbs[rows];
+  if (db == nullptr) {
+    db = std::make_unique<storage::Database>();
+    storage::Table* t = db->CreateTable(0, "kv", rows, 100);
+    for (std::uint64_t k = 0; k < rows; ++k) t->Insert(k);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
+  return db.get();
 }
-BENCHMARK(BM_LockTableBatch)
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->ArgNames({"vectorized", "batch"});
+
+void BM_ResolveRows(benchmark::State& state) {
+  constexpr std::size_t kSet = 10;
+  constexpr std::size_t kSets = 1 << 14;
+  const auto rows = static_cast<std::uint64_t>(state.range(0));
+  const bool batched = state.range(1) != 0;
+  storage::Database* db = ProbeDb(rows);
+  Rng rng(7);
+  std::vector<txn::Access> pool(kSets * kSet);
+  for (txn::Access& a : pool) a.key = rng.NextU64(rows);
+  std::vector<txn::Access> set(kSet);
+  std::size_t next = 0;
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    std::copy_n(pool.begin() + static_cast<std::ptrdiff_t>(next * kSet), kSet,
+                set.begin());
+    next = (next + 1) & (kSets - 1);
+    if (batched) {
+      engine::ResolveRows(db, &set);
+    } else {
+      for (txn::Access& a : set) engine::ResolveRow(db, &a);
+    }
+    for (const txn::Access& a : set) {
+      sum += *static_cast<const std::uint64_t*>(a.row);
+    }
+  }
+  benchmark::DoNotOptimize(sum);
+  state.counters["ns_per_access"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kSet),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ResolveRows)
+    ->Args({8000000, 0})
+    ->Args({8000000, 1})
+    ->Args({200000, 0})
+    ->Args({200000, 1})
+    ->ArgNames({"rows", "batched"});
 
 void BM_FiberSwitchPair(benchmark::State& state) {
   // Round-trip context switch cost: main -> fiber -> main.

@@ -31,7 +31,7 @@ class DeadlockFreeStrategy final : public runtime::LockingStrategy {
 
     // Phase 2: execute with all locks held.
     t0 = hal::Now();
-    for (txn::Access& a : t->accesses) ResolveRow(db_, &a);
+    ResolveRows(db_, &t->accesses);
     txn::ExecContext ec{db_, stats(), /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
     stats()->Add(TimeCategory::kExecution, hal::Now() - t0);

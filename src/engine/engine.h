@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "hal/hal.h"
@@ -110,14 +111,32 @@ class Engine {
   virtual std::string name() const = 0;
 };
 
+// Sub-index holding `key` in table `t`: 0 unless the table is split.
+inline int IndexPartition(const storage::Database* db, const storage::Table* t,
+                          std::uint64_t key) {
+  return t->num_partitions() > 1 ? db->partitioner().PartOf(key) : 0;
+}
+
 // Resolves the row pointer for an access, charging the modeled index-probe
 // cost. Routes to the right sub-index when the table is split.
 inline void ResolveRow(storage::Database* db, txn::Access* a) {
   storage::Table* t = db->GetTable(a->table);
-  const int p =
-      t->num_partitions() > 1 ? db->partitioner().PartOf(a->key) : 0;
-  a->row = t->Lookup(a->key, p);
+  a->row = t->Lookup(a->key, IndexPartition(db, t, a->key));
   ORTHRUS_CHECK_MSG(a->row != nullptr, "access to missing key");
+}
+
+// Resolves a whole access set in three passes: prefetch every probe's
+// first index line, resolve every access in order (the same charges as
+// ResolveRow), then prefetch every row. The misses of one pass overlap
+// instead of following one another. Prefetches are free in the sim.
+inline void ResolveRows(storage::Database* db,
+                        std::vector<txn::Access>* accesses) {
+  for (const txn::Access& a : *accesses) {
+    const storage::Table* t = db->GetTable(a.table);
+    t->PrefetchIndex(a.key, IndexPartition(db, t, a.key));
+  }
+  for (txn::Access& a : *accesses) ResolveRow(db, &a);
+  for (const txn::Access& a : *accesses) hal::Prefetch(a.row);
 }
 
 }  // namespace orthrus::engine

@@ -120,7 +120,7 @@ class MvccStrategy final : public runtime::ExecutionStrategy {
     stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
 
     t0 = hal::Now();
-    for (Access& a : t->accesses) ResolveRow(db_, &a);
+    ResolveRows(db_, &t->accesses);
     txn::ExecContext ec{db_, stats_, /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
     stats_->Add(TimeCategory::kExecution, hal::Now() - t0);

@@ -88,8 +88,8 @@ struct CcRequest {
   CcRequest* next = nullptr;
   CcRequest* prev = nullptr;
   // Partitioned mode: the access's (table, key), copied at acquire so a
-  // release finds its lock without reading the access array, which the
-  // exec thread has written since (row resolution in Execute).
+  // release finds its lock without reading the access array, whose lines
+  // the exec thread owns again once the grant returns.
   std::uint64_t key = 0;
   std::uint32_t table = 0;
   LockMode mode = LockMode::kShared;
@@ -1236,13 +1236,25 @@ class ExecThread {
     return issued;
   }
 
-  // Sorts accesses into CC-thread order and starts the acquisition chain.
-  // In shared-CC mode the sort is the global key order and a single home CC
-  // thread (round robin) handles the whole transaction. `t0` is the
-  // caller's clock reading; returns the reading that ends the span.
+  // Resolves and prefetches every access's row, sorts the accesses into
+  // CC-thread order and starts the acquisition chain. In shared-CC mode the
+  // sort is the global key order and a single home CC thread (round robin)
+  // handles the whole transaction. `t0` is the caller's clock reading;
+  // returns the reading that ends the span.
+  //
+  // Resolution is planned data access: the index is read-only during a
+  // run, so a row's address does not depend on its lock, and the misses
+  // overlap the lock requests instead of lengthening lock hold time.
+  // Before the grant only pointers are stored and prefetch hints issued;
+  // row contents are never touched. It sits after Admit's stamp, so
+  // commit latency includes it, and before the first acquire, after which
+  // the CC threads read these Access lines. It is charged to kExecution.
   hal::Cycles Dispatch(Tcb* tcb, hal::Cycles t0) {
     Txn& t = tcb->txn;
     ORTHRUS_CHECK(t.accesses.size() <= kMaxAccesses);
+    ResolveRows(db_, &t.accesses);
+    const hal::Cycles tr = hal::Now();
+    stats_->Add(TimeCategory::kExecution, tr - t0);
     if (shared_->shared_cc != nullptr) {
       std::sort(t.accesses.begin(), t.accesses.end(), txn::AccessKeyOrder());
       hal::RaceCheck(&tcb->next_acq, sizeof(tcb->next_acq), /*is_write=*/true,
@@ -1254,7 +1266,7 @@ class ExecThread {
       shared_->inflight_global.fetch_add(1);
       SendAcquire(tcb, tcb->home_cc);
       const hal::Cycles t1 = hal::Now();
-      stats_->Add(TimeCategory::kLocking, t1 - t0);
+      stats_->Add(TimeCategory::kLocking, t1 - tr);
       return t1;
     }
     tcb->n_stages = BuildStages(&t.accesses, db_->partitioner(),
@@ -1271,7 +1283,7 @@ class ExecThread {
     shared_->inflight_global.fetch_add(1);
     SendAcquire(tcb, RouteTo(tcb->stages[0].part));
     const hal::Cycles t1 = hal::Now();
-    stats_->Add(TimeCategory::kLocking, t1 - t0);
+    stats_->Add(TimeCategory::kLocking, t1 - tr);
     return t1;
   }
 
@@ -1280,13 +1292,13 @@ class ExecThread {
     stats_->messages_sent++;
   }
 
-  // All locks granted: run the procedure, then release everything. Three
-  // clock readings: the start, the end of the logic (which also stamps
-  // the commit latency and starts the release span), and the end.
+  // All locks granted: run the procedure on the rows Dispatch resolved and
+  // prefetched, then release everything. Three clock readings: the start,
+  // the end of the logic (which also stamps the commit latency and starts
+  // the release span), and the end.
   void Execute(Tcb* tcb) {
     const hal::Cycles t0 = hal::Now();
     Txn& t = tcb->txn;
-    for (Access& a : t.accesses) ResolveRow(db_, &a);
     txn::ExecContext ec{db_, stats_, /*charge_cycles=*/true};
     const bool ok = t.logic->Run(&t, ec);
     const hal::Cycles t1 = hal::Now();

@@ -35,7 +35,7 @@ class PartitionedStrategy final : public runtime::ExecutionStrategy {
     st_->Add(TimeCategory::kLocking, hal::Now() - t0);
 
     t0 = hal::Now();
-    for (txn::Access& a : t->accesses) ResolveRow(db_, &a);
+    ResolveRows(db_, &t->accesses);
     txn::ExecContext ec{db_, st_, /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
     st_->Add(TimeCategory::kExecution, hal::Now() - t0);

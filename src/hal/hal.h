@@ -159,15 +159,6 @@ class Platform {
     (void)is_write;
     (void)label;
   }
-
-  // Declares that the current core just issued a prefetch sweep covering
-  // `lines` cache lines (see hal::PrefetchSweep). The simulator charges one
-  // batched fill window — the overlapped line transfers pay roughly a
-  // single memory-latency cost instead of `lines` serial misses, which is
-  // the whole point of sweeping prefetches ahead of a batch. The default
-  // (and the native platform, where the real prefetch instructions already
-  // ran) is a no-op. Not a scheduling point.
-  virtual void OnPrefetchSweep(std::size_t lines) { (void)lines; }
 };
 
 // ---------------------------------------------------------------------
@@ -203,24 +194,14 @@ inline int CoreId() {
 
 // Hints the hardware to pull `addr`'s line toward the calling core. A pure
 // hardware hint: no modeled cost, no scheduling point, no side effect under
-// simulation — the sim charges prefetch benefit per *sweep* (below), not
-// per line, so a stray Prefetch can never perturb a modeled clock.
+// simulation and no modeled credit, so a prefetch can never perturb a
+// modeled clock; its benefit shows only natively.
 inline void Prefetch(const void* addr) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(addr);
 #else
   (void)addr;
 #endif
-}
-
-// Declares that the calling core just swept `lines` prefetches ahead of a
-// batch it is about to process (no-op off-core and when lines == 0). Under
-// simulation this charges the batched fill window once — see
-// Platform::OnPrefetchSweep; on the native platform the Prefetch calls
-// themselves did the work.
-inline void PrefetchSweep(std::size_t lines) {
-  CoreContext* cc = CurrentCore();
-  if (cc != nullptr && lines != 0) cc->platform->OnPrefetchSweep(lines);
 }
 
 // Declares a plain access to cross-core payload memory — record rows under

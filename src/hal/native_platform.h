@@ -36,11 +36,6 @@ class NativePlatform final : public Platform {
   void CpuRelax() override;
   void OnAtomicAccess(LineMeta* line, MemOp op) override;
 
-  // On real hardware the hal::Prefetch calls preceding the sweep already
-  // issued the prefetch instructions; the sweep itself has nothing left to
-  // do (no cost model to charge).
-  void OnPrefetchSweep(std::size_t lines) override { (void)lines; }
-
  private:
   // Nominal rate used to convert wall nanoseconds into "cycles" so that
   // engine code can use one time unit on both platforms.

@@ -260,15 +260,4 @@ void SimPlatform::OnPlainAccess(const void* addr, std::size_t bytes,
                            cores_[current_].local_now);
 }
 
-void SimPlatform::OnPrefetchSweep(std::size_t lines) {
-  // One flat fill window per sweep, regardless of line count: the fills
-  // overlap, which is the benefit prefetching buys over demand misses. Not
-  // a scheduling point — like ConsumeCycles, it just advances the local
-  // clock, so a path that never sweeps is byte-identical.
-  ORTHRUS_DCHECK(current_ >= 0);
-  cores_[current_].local_now += config_.prefetch_sweep_cycles;
-  stats_.prefetch_sweeps++;
-  stats_.prefetch_lines += lines;
-}
-
 }  // namespace orthrus::hal

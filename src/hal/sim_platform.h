@@ -67,14 +67,6 @@ struct SimConfig {
   // (a group commit amortizes it over the whole batch).
   Cycles storage_sync_base_cycles = 16000;
   Cycles storage_sync_line_cycles = 4;   // per 64B written since last sync
-  // Prefetch sweep model (hal::PrefetchSweep). A batch of prefetches issued
-  // ahead of processing overlaps its line fills: the sweep charges this flat
-  // window once per batch — roughly one memory-latency exposure (the default
-  // matches local_transfer_cycles) — instead of a serial miss per line. The
-  // *benefit* shows up indirectly: code paths written against a prefetched
-  // batch declare cheaper per-op ConsumeCycles. Charged only when a sweep is
-  // actually issued, so paths that never prefetch are byte-identical.
-  Cycles prefetch_sweep_cycles = 60;
   std::size_t fiber_stack_bytes = 256 * 1024;
   // Happens-before race detection (analysis::RaceDetector): modeled atomic
   // accesses become vector-clock sync edges and hal::RaceCheck'd plain
@@ -102,8 +94,6 @@ struct SimStats {
   std::uint64_t storage_syncs = 0;
   std::uint64_t storage_sync_bytes = 0;
   std::uint64_t storage_stall_cycles = 0;  // queueing behind a busy device
-  std::uint64_t prefetch_sweeps = 0;       // hal::PrefetchSweep batches
-  std::uint64_t prefetch_lines = 0;        // lines covered by those sweeps
 };
 
 class SimPlatform final : public Platform {
@@ -124,7 +114,6 @@ class SimPlatform final : public Platform {
   void OnStorageSync(StorageMeta* device, std::uint64_t bytes) override;
   void OnPlainAccess(const void* addr, std::size_t bytes, bool is_write,
                      const char* label) override;
-  void OnPrefetchSweep(std::size_t lines) override;
 
   // Virtual time of the most recently dispatched event.
   Cycles GlobalClock() const { return clock_; }

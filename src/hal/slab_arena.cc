@@ -44,6 +44,24 @@ void BindToNode(void* addr, std::size_t len, int node) {
 
 }  // namespace
 
+std::size_t AdviseHugePages(void* p, std::size_t n) {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  const auto begin = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t first = RoundUp(begin, kHugePageBytes);
+  const std::uintptr_t last = (begin + n) & ~(kHugePageBytes - 1);
+  if (last <= first) return 0;
+  const std::size_t bytes = last - first;
+  if (madvise(reinterpret_cast<void*>(first), bytes, MADV_HUGEPAGE) != 0) {
+    return 0;
+  }
+  return bytes;
+#else
+  (void)p;
+  (void)n;
+  return 0;
+#endif
+}
+
 SlabArena::SlabArena(SlabArenaOptions opts) : opts_(opts) {
   if (opts_.slab_bytes < (1u << 16)) opts_.slab_bytes = 1u << 16;
   opts_.slab_bytes = RoundUp(opts_.slab_bytes, 4096);

@@ -73,6 +73,14 @@ class SlabArena {
   bool huge_pages_active_ = false;
 };
 
+// Advises the kernel to back the whole 2 MiB pages inside [p, p + n) with
+// transparent huge pages (madvise MADV_HUGEPAGE), for large heap arrays
+// that do not come from a SlabArena. Call before the first touch, so the
+// first faults already map huge pages. Touches no byte and advises nothing
+// outside that range. Returns the bytes advised: 0 when no whole page fits,
+// off Linux, or when the call fails.
+std::size_t AdviseHugePages(void* p, std::size_t n);
+
 // Lazily materialized per-node arenas, so placement code can say "give me
 // the arena for socket s" without pre-deciding how many sockets exist.
 class NodeArenaSet {

@@ -209,88 +209,6 @@ LockTable::AcquireResult LockTable::Acquire(WorkerLockCtx* ctx,
   return AcquireResult::kWaiting;
 }
 
-void LockTable::AcquireBatch(BatchRequest* reqs, std::size_t n,
-                             DeadlockPolicy* policy, bool prefetch,
-                             bool combine) {
-  // Pass 1: sweep prefetches over every request's bucket, then declare the
-  // sweep so the simulator charges one overlapped fill window instead of a
-  // serial miss per bucket walk.
-  if (prefetch) {
-    for (std::size_t i = 0; i < n; ++i) {
-      hal::Prefetch(BucketFor(reqs[i].table, reqs[i].key));
-    }
-    hal::PrefetchSweep(n);
-  }
-  // Pass 2: in arrival order; adjacent same-key requests form a run served
-  // under one latch hold with one hash-chain walk. Each member's grant
-  // decision reads the queue counters its predecessors just updated, so
-  // the outcome per request is identical to n sequential Acquire calls.
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t run_end = i + 1;
-    if (combine) {
-      while (run_end < n && reqs[run_end].table == reqs[i].table &&
-             reqs[run_end].key == reqs[i].key) {
-        run_end++;
-      }
-    }
-    const std::size_t run_start = i;
-    Bucket* bucket = BucketFor(reqs[i].table, reqs[i].key);
-    bucket->latch.Lock();
-    hal::ConsumeCycles(config_.lock_op_cycles);
-    LockHead* head =
-        FindOrCreateHead(reqs[i].ctx, bucket, reqs[i].table, reqs[i].key);
-    for (; i < run_end; ++i) {
-      BatchRequest& br = reqs[i];
-      // Run followers ride the leader's bucket walk: one node touch, not a
-      // full lock op.
-      if (i != run_start) hal::ConsumeCycles(config_.node_touch_cycles);
-      Request* req = AllocRequest(br.ctx);
-      req->owner = br.ctx;
-      req->mode = br.mode;
-      req->owner_ts = br.ctx->txn_timestamp;
-      req->head = head;
-      const bool grantable = br.mode == LockMode::kExclusive
-                                 ? head->queued_total == 0
-                                 : head->queued_x == 0;
-      req->prev = head->queue_tail;
-      if (head->queue_tail != nullptr) {
-        head->queue_tail->next = req;
-      } else {
-        head->queue_head = req;
-      }
-      head->queue_tail = req;
-      head->queued_total++;
-      if (br.mode == LockMode::kExclusive) head->queued_x++;
-
-      if (grantable) {
-        ORTHRUS_DCHECK(NoConflictAhead(req));
-        req->granted.RawStore(1);
-        br.ctx->acquired.push_back(req);
-        br.result = AcquireResult::kGranted;
-        continue;
-      }
-      br.ctx->stats->lock_waits++;
-      br.ctx->waiting_request = req;
-      Request* blocker = NearestBlockerOf(req);
-      br.ctx->blocker = blocker != nullptr ? blocker->owner : nullptr;
-      const bool may_wait = policy == nullptr || policy->OnBlock(br.ctx, req);
-      if (!may_wait) {
-        Unlink(head, req);
-        GrantFollowers(head);
-        FreeRequest(br.ctx, req);
-        br.ctx->waiting_request = nullptr;
-        br.ctx->blocker = nullptr;
-        br.result = AcquireResult::kDie;
-        continue;
-      }
-      br.ctx->acquired.push_back(req);
-      br.result = AcquireResult::kWaiting;
-    }
-    bucket->latch.Unlock();
-  }
-}
-
 bool LockTable::Wait(WorkerLockCtx* ctx, DeadlockPolicy* policy) {
   Request* req = ctx->waiting_request;
   ORTHRUS_CHECK(req != nullptr);

@@ -162,32 +162,6 @@ class LockTable {
                         std::uint64_t key, LockMode mode,
                         DeadlockPolicy* policy);
 
-  // One entry of a vectorized acquire batch. `result` is written by
-  // AcquireBatch; everything else is caller input. Entries whose result is
-  // kWaiting have their request queued exactly as Acquire would — the
-  // caller decides when (and in what order) to Wait on them.
-  struct BatchRequest {
-    WorkerLockCtx* ctx = nullptr;
-    std::uint32_t table = 0;
-    std::uint64_t key = 0;
-    LockMode mode = LockMode::kShared;
-    AcquireResult result = AcquireResult::kDie;
-  };
-
-  // Vectorized acquire: processes `reqs[0..n)` in order with the same
-  // grant/wait/die semantics as calling Acquire n times, but batch-shaped —
-  // pass one prefetches every request's bucket (one hal::PrefetchSweep);
-  // pass two processes in order, and adjacent requests for the same
-  // (table, key) are served as a *run*: one latch hold, one hash-chain
-  // walk, one grant decision per member against the queue state its
-  // predecessors left (followers charge node-touch instead of full
-  // lock-op cost). Holding the latch across a run is a legal interleaving
-  // of the sequential calls — no other worker could have intervened in a
-  // way the sequential semantics forbid. `prefetch` / `combine` gate the
-  // two passes independently (ablation knobs). Allocates nothing.
-  void AcquireBatch(BatchRequest* reqs, std::size_t n, DeadlockPolicy* policy,
-                    bool prefetch = true, bool combine = true);
-
   // Blocks (spins) until the pending request is granted. Returns false if
   // the policy detected a deadlock; the request has then been removed and
   // the caller must release all held locks and restart the transaction.

@@ -1,5 +1,6 @@
 #include "storage/table.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace orthrus::storage {
@@ -27,10 +28,12 @@ Table::Table(std::uint32_t id, std::string name, std::uint64_t capacity,
     rows_ = static_cast<std::uint8_t*>(
         arena->Allocate(capacity * row_stride_, kCacheLineSize));
   } else {
+    // Default-initialised, so the huge-page advice precedes the first touch.
     // lint:allow-alloc schema setup, before any worker runs
-    owned_rows_ = std::make_unique<std::uint8_t[]>(capacity * row_stride_);
-    std::memset(owned_rows_.get(), 0, capacity * row_stride_);
+    owned_rows_.reset(new std::uint8_t[capacity * row_stride_]);
     rows_ = owned_rows_.get();
+    hal::AdviseHugePages(rows_, capacity * row_stride_);
+    std::memset(rows_, 0, capacity * row_stride_);
   }
 
   // Size each partition's index for the worst case (all rows in one
@@ -39,8 +42,12 @@ Table::Table(std::uint32_t id, std::string name, std::uint64_t capacity,
       NextPowerOfTwo(2 * (capacity / num_partitions + 1));
   indexes_.resize(num_partitions);
   for (Index& idx : indexes_) {
-    idx.keys.assign(per_part, kEmptyKey);
-    idx.slots.assign(per_part, kNoSlot);
+    idx.keys.reset(new std::uint64_t[per_part]);   // lint:allow-alloc setup
+    idx.slots.reset(new std::uint64_t[per_part]);  // lint:allow-alloc setup
+    hal::AdviseHugePages(idx.keys.get(), per_part * sizeof(std::uint64_t));
+    hal::AdviseHugePages(idx.slots.get(), per_part * sizeof(std::uint64_t));
+    std::fill_n(idx.keys.get(), per_part, kEmptyKey);
+    std::fill_n(idx.slots.get(), per_part, kNoSlot);
     idx.mask = per_part - 1;
   }
   RecomputeCosts();
@@ -55,8 +62,9 @@ void Table::RecomputeCosts() {
   // Bytes of index metadata a probe walks over: keys + slots arrays of one
   // partition's index (the unit that competes for a core's cache).
   const std::uint64_t per_part_bytes =
-      (indexes_.empty() ? 0
-                        : indexes_[0].keys.size() * 2 * sizeof(std::uint64_t));
+      (indexes_.empty()
+           ? 0
+           : (indexes_[0].mask + 1) * 2 * sizeof(std::uint64_t));
   probe_cost_ = cost_model_.ProbeCost(per_part_bytes);
   row_cost_ = cost_model_.RowCost(row_bytes_);
   if (versions_enabled()) {
@@ -153,13 +161,6 @@ bool Table::SnapshotRead(std::uint64_t slot, std::uint64_t read_epoch,
                  "storage.version.read");
   std::memcpy(dst, src, row_stride_);
   return true;
-}
-
-std::uint64_t Table::HashKey(std::uint64_t key) {
-  // Fibonacci hashing with an extra xor-fold; cheap and well-spread for the
-  // structured keys TPC-C uses.
-  std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
-  return h ^ (h >> 29);
 }
 
 void* Table::Insert(std::uint64_t key, int partition) {

@@ -1,7 +1,7 @@
 // Focused tests for ORTHRUS-engine behaviours beyond the generic engine
 // integration suite: message economics of the forwarding optimization, the
 // shared-CC-table mode (Section 3.4), in-flight window effects, CC/exec
-// stats attribution, and Zipfian-skew handling.
+// stats attribution, Zipfian-skew handling, and planned row resolution.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,11 +9,14 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/race_detector.h"
 #include "engine/orthrus/cc_lock_table.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
 #include "workload/micro.h"
+#include "workload/tpcc/tpcc_schema.h"
+#include "workload/tpcc/tpcc_workload.h"
 
 namespace orthrus {
 namespace {
@@ -1115,6 +1118,200 @@ TEST(OrthrusStatic, LiveLocksStayWithinBound) {
     }
     EXPECT_EQ(r.total.cc_live_locks_max, per_worker_max);
   }
+}
+
+
+// ------------------------------------------------- planned row resolution
+
+// Counters shared by every RowCheckLogic of one run. Plain fields: the
+// simulator runs all cores on one host thread.
+struct RowCheckTally {
+  std::uint64_t accesses = 0;    // accesses checked inside Run
+  std::uint64_t mismatches = 0;  // a.row != the row a fresh probe finds
+  std::uint64_t staled = 0;      // by-name Payment estimates turned stale
+};
+
+// Wraps a logic so that Run first checks every access's row against a
+// fresh index probe, before the wrapped logic touches any row. ORTHRUS
+// resolves rows in Dispatch, ahead of the first lock request; this pins
+// that the rows the logic runs on, including those of a re-planned access
+// set, are the rows their keys name. A mismatch is counted and repaired so
+// the run can finish and report it. With `customers_per_district` > 0 the
+// first plan of every by-name Payment (3 exclusive accesses ending in the
+// customer) is made stale: its estimate moves to the next customer of the
+// same district, so Run refuses it and the engine re-plans a different
+// access set.
+class RowCheckLogic final : public txn::TxnLogic {
+ public:
+  RowCheckLogic(txn::TxnLogic* base, RowCheckTally* tally,
+                int customers_per_district)
+      : base_(base), tally_(tally), cpd_(customers_per_district) {}
+
+  void BuildAccessSet(txn::Txn* t, storage::Database* db) override {
+    base_->BuildAccessSet(t, db);
+    if (cpd_ == 0 || t->restarts != 0 || !IsByNamePayment(*t)) return;
+    namespace tpcc = workload::tpcc;
+    auto* p = t->Params<tpcc::PaymentParams>();
+    const int c = static_cast<int>(p->resolved_c_key & 0xFFFFF);
+    p->resolved_c_key = tpcc::CustomerKey(p->c_w, p->c_d, (c + 1) % cpd_);
+    t->accesses[2].key = p->resolved_c_key;
+    tally_->staled++;
+  }
+  bool NeedsReconnaissance() const override {
+    return base_->NeedsReconnaissance();
+  }
+  bool Run(txn::Txn* t, const txn::ExecContext& ctx) override {
+    for (txn::Access& a : t->accesses) {
+      const storage::Table* tbl = ctx.db->GetTable(a.table);
+      void* const want =
+          tbl->LookupRaw(a.key, engine::IndexPartition(ctx.db, tbl, a.key));
+      tally_->accesses++;
+      if (a.row != want) {
+        tally_->mismatches++;
+        a.row = want;
+      }
+    }
+    return base_->Run(t, ctx);
+  }
+  hal::Cycles OpCost(const txn::Txn* t, std::size_t i,
+                     storage::Database* db) const override {
+    return base_->OpCost(t, i, db);
+  }
+
+ private:
+  static bool IsByNamePayment(const txn::Txn& t) {
+    namespace tpcc = workload::tpcc;
+    if (t.accesses.size() != 3 || t.accesses[2].table != tpcc::kCustomer ||
+        t.accesses[2].mode != txn::LockMode::kExclusive) {
+      return false;
+    }
+    return t.Params<tpcc::PaymentParams>()->by_last_name != 0;
+  }
+
+  txn::TxnLogic* base_;
+  RowCheckTally* tally_;
+  int cpd_;
+};
+
+// Workload shim that hands every transaction a RowCheckLogic around the
+// logic the inner source chose.
+class RowCheckWorkload final : public workload::Workload {
+ public:
+  explicit RowCheckWorkload(workload::Workload* inner,
+                            int stale_customers_per_district = 0)
+      : inner_(inner), cpd_(stale_customers_per_district) {}
+
+  void Load(storage::Database* db, int num_table_partitions) override {
+    inner_->Load(db, num_table_partitions);
+  }
+  std::unique_ptr<workload::TxnSource> MakeSource(int worker_id) const
+      override {
+    return std::make_unique<Source>(
+        const_cast<RowCheckWorkload*>(this), inner_->MakeSource(worker_id));
+  }
+  std::string name() const override { return inner_->name(); }
+
+  const RowCheckTally& tally() const { return tally_; }
+
+ private:
+  class Source final : public workload::TxnSource {
+   public:
+    Source(RowCheckWorkload* wl, std::unique_ptr<workload::TxnSource> inner)
+        : wl_(wl), inner_(std::move(inner)) {}
+    void Next(txn::Txn* t) override {
+      inner_->Next(t);
+      t->logic = wl_->Wrap(t->logic);
+    }
+
+   private:
+    RowCheckWorkload* wl_;
+    std::unique_ptr<workload::TxnSource> inner_;
+  };
+
+  txn::TxnLogic* Wrap(txn::TxnLogic* base) {
+    std::unique_ptr<RowCheckLogic>& w = wrappers_[base];
+    if (w == nullptr) w = std::make_unique<RowCheckLogic>(base, &tally_, cpd_);
+    return w.get();
+  }
+
+  workload::Workload* inner_;
+  int cpd_;
+  RowCheckTally tally_;
+  std::map<txn::TxnLogic*, std::unique_ptr<RowCheckLogic>> wrappers_;
+};
+
+hal::SimConfig RaceArmed() {
+  hal::SimConfig cfg;
+  cfg.race_detect = true;
+  cfg.race_report_fatal = true;
+  return cfg;
+}
+
+TEST(OrthrusPlannedAccess, LogicRunsOnTheRowsItsKeysName) {
+  struct Arm {
+    const char* name;
+    OrthrusOptions oo;
+    EngineOptions eo;
+    int cores;
+  };
+  std::vector<Arm> arms;
+  {
+    OrthrusOptions oo;
+    oo.num_cc = 2;
+    arms.push_back({"default", oo, SmallRun(5), 5});
+    oo.forwarding = false;
+    arms.push_back({"no-forwarding", oo, SmallRun(5), 5});
+    oo.forwarding = true;
+    oo.shared_cc_table = true;
+    arms.push_back({"shared-cc", oo, SmallRun(5), 5});
+  }
+  {
+    OrthrusOptions oo;
+    oo.num_cc = 2;
+    oo.elastic = true;
+    oo.elastic_cc = true;
+    oo.elastic_epoch_seconds = 0.0002;
+    arms.push_back({"elastic-cc", oo, ElasticRun(8), 8});
+  }
+  for (const Arm& arm : arms) {
+    KvWorkload kv(MultiPartKv(arm.oo.elastic_cc ? 4 : 2, 2));
+    RowCheckWorkload wl(&kv);
+    storage::Database db;
+    wl.Load(&db, 1);
+    OrthrusEngine eng(arm.eo, arm.oo);
+    hal::SimPlatform sim(arm.cores, RaceArmed());
+    const RunResult r = eng.Run(&sim, &db, wl);
+    ASSERT_GT(r.total.committed, 0u) << arm.name;
+    EXPECT_EQ(kv.SumCounters(db), r.total.committed * 10) << arm.name;
+    EXPECT_GE(wl.tally().accesses, r.total.committed * 10) << arm.name;
+    EXPECT_EQ(wl.tally().mismatches, 0u) << arm.name;
+    EXPECT_EQ(sim.race_detector()->races_observed(), 0u) << arm.name;
+  }
+}
+
+TEST(OrthrusPlannedAccess, OllpReplanResolvesTheNewAccessSet) {
+  // Every by-name Payment's first estimate is stale, so its re-plan names
+  // a different customer row than the one its first dispatch resolved.
+  workload::tpcc::TpccScale scale;
+  scale.warehouses = 4;
+  scale.customers_per_district = 60;
+  scale.items = 200;
+  scale.order_ring_capacity = 1024;
+  workload::tpcc::TpccWorkload tpcc(scale);
+  RowCheckWorkload wl(&tpcc, scale.customers_per_district);
+  storage::Database db;
+  wl.Load(&db, 1);
+  OrthrusOptions oo;
+  oo.num_cc = 2;
+  db.partitioner().n = oo.num_cc;
+  OrthrusEngine eng(SmallRun(5), oo);
+  hal::SimPlatform sim(5, RaceArmed());
+  const RunResult r = eng.Run(&sim, &db, wl);
+  ASSERT_GT(r.total.committed, 0u);
+  EXPECT_GT(wl.tally().staled, 0u);
+  EXPECT_GE(r.total.ollp_aborts, wl.tally().staled);
+  EXPECT_EQ(wl.tally().mismatches, 0u);
+  EXPECT_EQ(sim.race_detector()->races_observed(), 0u);
 }
 
 }  // namespace

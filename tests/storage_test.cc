@@ -1,7 +1,13 @@
 // Tests for the storage layer: tables, hash index, split indexes, reserved
-// slots, secondary index, database catalog, cost model.
+// slots, huge-page advice, secondary index, database catalog, cost model.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <memory>
+#include <vector>
+
+#include "hal/slab_arena.h"
 #include "storage/database.h"
 #include "storage/secondary_index.h"
 #include "storage/table.h"
@@ -89,6 +95,153 @@ TEST(Table, ReserveOverflowDies) {
   Table t(0, "t", 10, 16);
   t.ReserveSlots(10);
   EXPECT_DEATH(t.ReserveSlots(1), "exceeds");
+}
+
+// Keys whose probes start at `cell` of a `cells`-entry index.
+std::vector<std::uint64_t> KeysStartingAt(std::uint64_t cell,
+                                          std::uint64_t cells, int n,
+                                          std::uint64_t from = 1) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = from; static_cast<int>(keys.size()) < n; ++k) {
+    if ((Table::HashKey(k) & (cells - 1)) == cell) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(Table, ProbeWrapsPastTheLastEntry) {
+  // Capacity 3 gives an 8-entry index. Three keys homed at the last entry
+  // fill it and wrap to entries 0 and 1; a fourth, absent key homed there
+  // probes 7, 0, 1 and stops at the empty entry 2.
+  Table t(0, "t", 3, 16);
+  const std::vector<std::uint64_t> keys = KeysStartingAt(7, 8, 4);
+  for (int i = 0; i < 3; ++i) {
+    *static_cast<std::uint64_t*>(t.Insert(keys[i])) = 100 + i;
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_NE(t.LookupRaw(keys[i]), nullptr) << i;
+    EXPECT_EQ(*static_cast<std::uint64_t*>(t.LookupRaw(keys[i])),
+              100u + static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(t.LookupRaw(keys[3]), nullptr);
+  // Absent keys homed on the wrapped-into entries must not match the
+  // entries that wrapped there.
+  for (std::uint64_t k : KeysStartingAt(0, 8, 3)) {
+    EXPECT_EQ(t.LookupRaw(k), nullptr) << k;
+  }
+  // The all-ones key marks an empty entry; it is never found.
+  EXPECT_EQ(t.LookupRaw(~0ull), nullptr);
+}
+
+TEST(Table, CollidingKeysKeepTheirOwnRows) {
+  Table t(0, "t", 64, 16);
+  const std::vector<std::uint64_t> keys = KeysStartingAt(5, 128, 6);
+  std::vector<void*> rows;
+  for (std::uint64_t k : keys) rows.push_back(t.Insert(k));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(t.LookupRaw(keys[i]), rows[i]) << i;
+    EXPECT_EQ(t.SlotOfRow(rows[i]), i);
+  }
+  const std::vector<std::uint64_t> absent =
+      KeysStartingAt(5, 128, 1, keys.back() + 1);
+  EXPECT_EQ(t.LookupRaw(absent[0]), nullptr);
+}
+
+TEST(Table, SplitIndexPartitionsAreDisjoint) {
+  // Every key goes into each partition's own index; the same key may live
+  // in two partitions with different rows.
+  Table t(0, "t", 64, 16, /*num_partitions=*/4);
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    for (int p = 0; p < 2; ++p) {
+      *static_cast<std::uint64_t*>(t.Insert(k, p)) = k * 10 + p;
+    }
+  }
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    for (int p = 0; p < 4; ++p) {
+      t.PrefetchIndex(k, p);
+      void* row = t.LookupRaw(k, p);
+      if (p >= 2) {
+        EXPECT_EQ(row, nullptr) << k << " " << p;
+        continue;
+      }
+      ASSERT_NE(row, nullptr) << k << " " << p;
+      EXPECT_EQ(*static_cast<std::uint64_t*>(row),
+                k * 10 + static_cast<std::uint64_t>(p));
+    }
+  }
+}
+
+TEST(Table, PrefetchIndexOnAbsentKeysChangesNothing) {
+  Table t(0, "t", 100, 16, /*num_partitions=*/2);
+  for (std::uint64_t k = 0; k < 50; ++k) t.Insert(k, static_cast<int>(k % 2));
+  for (std::uint64_t k : {50ull, 1000ull, 1ull << 40, ~0ull - 1, ~0ull}) {
+    t.PrefetchIndex(k, 0);
+    t.PrefetchIndex(k, 1);
+    EXPECT_EQ(t.LookupRaw(k, 0), nullptr);
+    EXPECT_EQ(t.LookupRaw(k, 1), nullptr);
+  }
+  for (std::uint64_t k = 0; k < 50; ++k) {
+    EXPECT_NE(t.LookupRaw(k, static_cast<int>(k % 2)), nullptr) << k;
+  }
+}
+
+TEST(Table, RowsReadZeroAfterConstruction) {
+  // 6.4 MB: the slab spans whole huge pages, so the advised path runs.
+  Table t(0, "t", 100000, 60);
+  const auto* bytes = static_cast<const std::uint8_t*>(t.RowBySlot(0));
+  const std::uint64_t n = t.capacity() * t.row_stride();
+  std::uint64_t nonzero = 0;
+  for (std::uint64_t i = 0; i < n; ++i) nonzero += bytes[i] != 0;
+  EXPECT_EQ(nonzero, 0u);
+}
+
+// --------------------------------------------------------- huge pages
+
+constexpr std::size_t kHuge = 2u << 20;
+
+struct FreeDeleter {
+  void operator()(std::uint8_t* p) const { std::free(p); }
+};
+
+TEST(AdviseHugePages, AdvisesOnlyWholePagesInsideTheRange) {
+  std::unique_ptr<std::uint8_t[], FreeDeleter> buf(
+      static_cast<std::uint8_t*>(std::aligned_alloc(kHuge, 4 * kHuge)));
+  ASSERT_NE(buf, nullptr);
+  std::uint8_t* const p = buf.get();
+  for (std::size_t i = 0; i < 4 * kHuge; ++i) {
+    p[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  // The kernel may lack THP; then every call advises nothing.
+  const bool thp = hal::AdviseHugePages(p, kHuge) != 0;
+#if defined(__linux__)
+  if (std::ifstream("/sys/kernel/mm/transparent_hugepage/enabled").good()) {
+    EXPECT_TRUE(thp);
+  }
+#endif
+  const auto advised = [&](std::size_t expect) { return thp ? expect : 0; };
+  EXPECT_EQ(hal::AdviseHugePages(p, 4 * kHuge), advised(4 * kHuge));
+  // Unaligned ends: only the whole pages strictly inside count.
+  EXPECT_EQ(hal::AdviseHugePages(p + 1, 4 * kHuge - 1), advised(3 * kHuge));
+  EXPECT_EQ(hal::AdviseHugePages(p + 4096, 3 * kHuge), advised(2 * kHuge));
+  // Almost two pages, but straddling a boundary: no whole page inside.
+  EXPECT_EQ(hal::AdviseHugePages(p + 1, 2 * kHuge - 2), 0u);
+  // Smaller than one page, aligned or not.
+  EXPECT_EQ(hal::AdviseHugePages(p, kHuge - 1), 0u);
+  EXPECT_EQ(hal::AdviseHugePages(p + kHuge / 2, kHuge), 0u);
+  EXPECT_EQ(hal::AdviseHugePages(p, 0), 0u);
+  for (std::size_t i = 0; i < 4 * kHuge; ++i) {
+    ASSERT_EQ(p[i], static_cast<std::uint8_t>(i * 31 + 7)) << i;
+  }
+}
+
+TEST(AdviseHugePages, SmallHeapBuffersAreLeftAlone) {
+  std::vector<std::uint8_t> small(kHuge / 2);
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    small[i] = static_cast<std::uint8_t>(i ^ 0x5A);
+  }
+  EXPECT_EQ(hal::AdviseHugePages(small.data(), small.size()), 0u);
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    ASSERT_EQ(small[i], static_cast<std::uint8_t>(i ^ 0x5A)) << i;
+  }
 }
 
 TEST(StorageCost, ProbeCostGrowsWithIndexSize) {
