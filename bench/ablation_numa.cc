@@ -1,33 +1,19 @@
 // Ablation: NUMA-aware placement (hal::Topology + hal::SlabArena) on a
-// modeled two-socket machine, plus backpressure-driven admission against
-// a deliberately under-provisioned mesh.
+// modeled two-socket machine.
 //
-// Part 1 — placement. The sim models two sockets (SimConfig::sockets = 2):
-// a line transfer whose holder sits on the requester's socket costs
-// local_transfer_cycles and bypasses the shared interconnect; a remote one
-// pays the full transfer cost plus fabric occupancy. Row reads and writes
-// are compute-charged, not coherence-modeled, so what the socket boundary
-// actually taxes is the messaging fabric: the atomic words of the MPSC
-// rings. The engine runs the elastic single-shard mesh, where every exec
-// thread funnels into one reservation-CAS / tail-publication chain per CC
-// ring — the most contended atomic lines in the system, and their owner
-// chains hop between whichever cores last touched them. The placement arm
+// The sim models two sockets (SimConfig::sockets = 2): a line transfer
+// whose holder sits on the requester's socket costs local_transfer_cycles
+// and bypasses the shared interconnect; a remote one pays the full
+// transfer cost plus fabric occupancy. Row reads and writes are
+// compute-charged, not coherence-modeled, so what the socket boundary
+// actually taxes is the messaging fabric: the index and payload lines of
+// the per-pair SPSC rings between exec and CC threads. The placement arm
 // hands the engine a matching hal::Topology: CC threads (plus their lock
 // partitions, log streams, and arena-homed ring slabs) pack onto socket 0
 // and the exec group onto the remainder — with num_cc = cores/2 the whole
-// exec group lands on socket 1, so the exec-side CAS and tail chains stay
-// socket-local and the fabric relief feeds back into every remaining
-// remote transfer. Without a topology the OS-order identity map scatters
-// both roles across sockets and every owner hop is a coin flip.
-//
-// Part 2 — backpressure. The elastic exec->CC mesh is sized far below its
-// provable bound (mesh_capacity_factor = 0.05) and CC consume cost is
-// raised so the CC side is the bottleneck, creating a real send-stall
-// regime at saturation. The spin arm lets blocking sends busy-wait on the
-// full ring; the backpressure arm converts the per-epoch stall rate into
-// an AIMD reduction of the in-flight window (runtime::TxnAdmission), so
-// transactions queue at admission instead of mid-pipeline — same ring,
-// lower p50 and p99 commit latency for a modest throughput cost.
+// exec group lands on socket 1, so each exec thread's grant rings and TCBs
+// live on its own node. Without a topology the OS-order identity map
+// scatters both roles across sockets.
 #include <string>
 #include <vector>
 
@@ -61,10 +47,8 @@ int main() {
 
   JsonFigure("ablation_numa");
 
-  // --- Part 1: placement on/off across contention levels ---------------
-  // 32 cores, 16 CC: the exec group exactly fills socket 1 under
-  // placement, and 16 senders per single-shard ring maximizes fan-in
-  // contention on the reservation lines.
+  // Placement on/off across contention levels. 32 cores, 16 CC: the exec
+  // group exactly fills socket 1 under placement.
   const int kCores = 32;
   const int kCc = kCores / 2;
   const hal::Topology topo = hal::Topology::Modeled(kCores, kSockets);
@@ -100,11 +84,6 @@ int main() {
       if (placed) eo.topology = &topo;
       engine::OrthrusOptions oo;
       oo.num_cc = kCc;
-      oo.elastic = true;
-      oo.elastic_shards = 1;
-      // Freeze the controller: floor == population, so the A/B measures
-      // placement, not reallocation dynamics.
-      oo.elastic_min_exec = kCores - kCc;
       engine::OrthrusEngine eng(eo, oo);
       RunResult r = RunNumaPoint(&eng, &wl, kCores, kCc, cfg,
                                  placed ? &arena : nullptr);
@@ -114,43 +93,5 @@ int main() {
     PrintRow(placed ? "placement (topology)" : "no placement", tputs);
   }
 
-  // --- Part 2: backpressure admission vs spin-on-full at saturation ----
-  // 16 cores so each of the 8 scaled-down rings (16 entries at factor
-  // 0.05) sees enough pressure to stall; cc_op_cycles = 60 makes the CC
-  // side the bottleneck so the rings actually back up.
-  const int kBpCores = 16;
-  const int kBpCc = kBpCores / 2;
-  const hal::Topology bp_topo = hal::Topology::Modeled(kBpCores, kSockets);
-  PrintHeader("Backpressure vs spin-on-full (under-provisioned mesh)",
-              "", {"tput (M/s)", "p99 (us)"});
-  for (const bool bp : {false, true}) {
-    workload::KvConfig kv;
-    kv.num_records = KvRecords();
-    kv.row_bytes = KvRowBytes();
-    kv.num_partitions = kBpCc;
-    kv.seed = 91;
-    workload::KvWorkload wl(kv);
-    engine::EngineOptions eo = BenchOptions(kBpCores);
-    eo.topology = &bp_topo;
-    engine::OrthrusOptions oo;
-    oo.num_cc = kBpCc;
-    oo.max_inflight = 16;   // deep window: saturates the scaled-down rings
-    oo.cc_op_cycles = 60;   // CC-bound: consume slower than produce
-    oo.elastic = true;      // mesh_capacity_factor shapes the elastic mesh
-    oo.elastic_shards = 1;
-    oo.elastic_min_exec = kBpCores - kBpCc;
-    oo.mesh_capacity_factor = 0.05;
-    oo.backpressure_admission = bp;
-    engine::OrthrusEngine eng(eo, oo);
-    RunResult r = RunNumaPoint(&eng, &wl, kBpCores, kBpCc, cfg, nullptr);
-    const double p99_us =
-        static_cast<double>(r.total.txn_latency.Percentile(0.99)) /
-        (cfg.ghz * 1e3);
-    std::printf("%-22s%12.3f%12.3f\n",
-                bp ? "backpressure (AIMD)" : "spin-on-full",
-                r.Throughput() / 1e6, p99_us);
-    PrintNote("  send stalls: " + std::to_string(r.total.send_stalls));
-    JsonPoint(bp ? "backpressure" : "spin-on-full", "saturated", r);
-  }
   return 0;
 }

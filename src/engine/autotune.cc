@@ -1,7 +1,5 @@
 #include "engine/autotune.h"
 
-#include <algorithm>
-
 #include "hal/sim_platform.h"
 
 namespace orthrus::engine {
@@ -41,209 +39,6 @@ AutotuneResult AutotuneThreadSplit(int total_cores,
   }
   ORTHRUS_CHECK_MSG(!result.probes.empty(), "no valid autotune candidates");
   return result;
-}
-
-ElasticController::ElasticController(const Config& config) : cfg_(config) {
-  ORTHRUS_CHECK(cfg_.min_active >= 1);
-  ORTHRUS_CHECK(cfg_.max_active >= cfg_.min_active);
-  ORTHRUS_CHECK(cfg_.step >= 1);
-  ORTHRUS_CHECK(cfg_.drift_epochs >= 1);
-  target_ = Clamp(cfg_.initial);
-  samples_.reserve(static_cast<std::size_t>(
-      (cfg_.max_active - cfg_.min_active) / cfg_.step + 2));
-}
-
-int ElasticController::Clamp(int t) const {
-  if (t < cfg_.min_active) return cfg_.min_active;
-  if (t > cfg_.max_active) return cfg_.max_active;
-  return t;
-}
-
-void ElasticController::BeginSweep() {
-  phase_ = Phase::kSweep;
-  samples_.clear();
-  hold_ewma_ = 0.0;
-  has_hold_baseline_ = false;
-  degraded_epochs_ = 0;
-  target_ = cfg_.max_active;
-}
-
-int ElasticController::Step(double epoch_throughput) {
-  // Controller state is single-owner by contract: exactly one core (the
-  // controller CC thread) calls Step, between scheduling quanta; the
-  // cross-core inputs all arrive through the published_* atomics read by
-  // MaybeReallocate. The tag turns a second caller core into a race
-  // report instead of silent state corruption.
-  hal::RaceCheck(&decisions_, sizeof(decisions_), /*is_write=*/true,
-                 "elastic.controller.state");
-  decisions_++;
-  const int before = target_;
-  if (phase_ == Phase::kSweep) {
-    // The finished epoch ran with target_; that is this candidate's sample.
-    samples_.push_back({target_, epoch_throughput});
-    if (target_ - cfg_.step >= cfg_.min_active) {
-      target_ -= cfg_.step;
-    } else if (target_ > cfg_.min_active) {
-      target_ = cfg_.min_active;  // last candidate: the floor itself
-    } else {
-      // Sweep complete: settle on the smallest candidate within half a
-      // tolerance of the best sample — equivalent throughput with fewer
-      // threads wins, but "equivalent" is kept tight because each sample
-      // is a single noisy epoch and every bit of slack compounds with
-      // that noise toward under-allocation.
-      double best = 0.0;
-      for (const Sample& s : samples_) best = std::max(best, s.throughput);
-      int chosen = cfg_.max_active;
-      for (const Sample& s : samples_) {  // descending targets
-        if (s.throughput >= best * (1.0 - 0.5 * cfg_.tolerance)) {
-          chosen = s.target;
-        }
-      }
-      target_ = chosen;
-      // The baseline is seeded from the first *held* epoch, not from the
-      // winning sweep sample: a sample that won partly on upward noise
-      // would otherwise sit above anything the held target can sustain
-      // and trigger a spurious re-sweep loop.
-      hold_ewma_ = 0.0;
-      has_hold_baseline_ = false;
-      degraded_epochs_ = 0;
-      phase_ = Phase::kHold;
-      sweeps_completed_++;
-    }
-  } else if (!has_hold_baseline_) {
-    // First held epoch: the baseline (an explicit flag — a zero-commit
-    // transition epoch must not be mistaken for "no baseline yet" forever,
-    // nor a near-zero one be allowed to disable drift detection: the EWMA
-    // below recovers from a small seed within a few epochs).
-    hold_ewma_ = epoch_throughput;
-    has_hold_baseline_ = true;
-  } else {
-    // Holding. Persistent degradation below the held baseline means the
-    // workload moved; re-probe the whole range. Single bad epochs are
-    // noise and only nudge the EWMA.
-    if (hold_ewma_ > 0.0 &&
-        epoch_throughput < hold_ewma_ * (1.0 - 4.0 * cfg_.tolerance)) {
-      if (++degraded_epochs_ >= cfg_.drift_epochs) {
-        BeginSweep();
-        if (target_ != before) moves_++;
-        return target_;
-      }
-    } else {
-      degraded_epochs_ = 0;
-    }
-    hold_ewma_ = (7.0 * hold_ewma_ + epoch_throughput) / 8.0;
-  }
-  if (target_ != before) moves_++;
-  return target_;
-}
-
-ElasticController2D::ElasticController2D(const Config& config)
-    : cfg_(config) {
-  ORTHRUS_CHECK(cfg_.min_cc >= 1 && cfg_.max_cc >= cfg_.min_cc);
-  ORTHRUS_CHECK(cfg_.min_exec >= 1 && cfg_.max_exec >= cfg_.min_exec);
-  ORTHRUS_CHECK(cfg_.cc_step >= 1 && cfg_.exec_step >= 1);
-  ORTHRUS_CHECK(cfg_.drift_epochs >= 1);
-  const auto clamp = [](int v, int lo, int hi) {
-    return v < lo ? lo : (v > hi ? hi : v);
-  };
-  target_.cc = clamp(cfg_.initial_cc > 0 ? cfg_.initial_cc : cfg_.max_cc,
-                     cfg_.min_cc, cfg_.max_cc);
-  target_.exec =
-      clamp(cfg_.initial_exec > 0 ? cfg_.initial_exec : cfg_.max_exec,
-            cfg_.min_exec, cfg_.max_exec);
-  samples_.reserve(static_cast<std::size_t>(
-      ((cfg_.max_cc - cfg_.min_cc) / cfg_.cc_step + 2) *
-      ((cfg_.max_exec - cfg_.min_exec) / cfg_.exec_step + 2)));
-}
-
-void ElasticController2D::BeginSweep() {
-  phase_ = Phase::kSweep;
-  samples_.clear();
-  hold_ewma_ = 0.0;
-  has_hold_baseline_ = false;
-  degraded_epochs_ = 0;
-  target_ = {cfg_.max_cc, cfg_.max_exec};
-}
-
-bool ElasticController2D::NextCandidate() {
-  // Inner axis: exec down to its floor; then reset exec and step cc.
-  if (target_.exec - cfg_.exec_step >= cfg_.min_exec) {
-    target_.exec -= cfg_.exec_step;
-    return true;
-  }
-  if (target_.exec > cfg_.min_exec) {
-    target_.exec = cfg_.min_exec;
-    return true;
-  }
-  target_.exec = cfg_.max_exec;
-  if (target_.cc - cfg_.cc_step >= cfg_.min_cc) {
-    target_.cc -= cfg_.cc_step;
-    return true;
-  }
-  if (target_.cc > cfg_.min_cc) {
-    target_.cc = cfg_.min_cc;
-    return true;
-  }
-  return false;  // both axes at their floors: grid exhausted
-}
-
-ElasticController2D::Target ElasticController2D::Step(
-    double epoch_throughput) {
-  // Same single-owner contract (and tag) as the 1-D controller.
-  hal::RaceCheck(&decisions_, sizeof(decisions_), /*is_write=*/true,
-                 "elastic.controller.state");
-  decisions_++;
-  const Target before = target_;
-  if (phase_ == Phase::kSweep) {
-    samples_.push_back({target_, epoch_throughput});
-    if (!NextCandidate()) {
-      // Grid exhausted: hold the candidate within half a tolerance of the
-      // best sample that frees the most threads. The band is half-width
-      // for the same reason as the 1-D controller: single-epoch samples
-      // are noisy and slack compounds toward under-allocation.
-      double best = 0.0;
-      for (const Sample& s : samples_) best = std::max(best, s.throughput);
-      Target chosen = {cfg_.max_cc, cfg_.max_exec};
-      int chosen_total = cfg_.max_cc + cfg_.max_exec + 1;
-      for (const Sample& s : samples_) {
-        if (s.throughput < best * (1.0 - 0.5 * cfg_.tolerance)) continue;
-        // Fewest threads wins; equal totals prefer fewer CC threads (an
-        // idle CC thread is pure overhead). Equal total and equal cc
-        // imply equal exec, so no further tie-break exists.
-        const int total = s.target.cc + s.target.exec;
-        const bool better =
-            total < chosen_total ||
-            (total == chosen_total && s.target.cc < chosen.cc);
-        if (better) {
-          chosen = s.target;
-          chosen_total = total;
-        }
-      }
-      target_ = chosen;
-      hold_ewma_ = 0.0;
-      has_hold_baseline_ = false;
-      degraded_epochs_ = 0;
-      phase_ = Phase::kHold;
-      sweeps_completed_++;
-    }
-  } else if (!has_hold_baseline_) {
-    hold_ewma_ = epoch_throughput;
-    has_hold_baseline_ = true;
-  } else {
-    if (hold_ewma_ > 0.0 &&
-        epoch_throughput < hold_ewma_ * (1.0 - 4.0 * cfg_.tolerance)) {
-      if (++degraded_epochs_ >= cfg_.drift_epochs) {
-        BeginSweep();
-        if (target_.cc != before.cc || target_.exec != before.exec) moves_++;
-        return target_;
-      }
-    } else {
-      degraded_epochs_ = 0;
-    }
-    hold_ewma_ = (7.0 * hold_ewma_ + epoch_throughput) / 8.0;
-  }
-  if (target_.cc != before.cc || target_.exec != before.exec) moves_++;
-  return target_;
 }
 
 }  // namespace orthrus::engine

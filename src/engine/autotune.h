@@ -3,18 +3,9 @@
 // ORTHRUS must split a fixed core budget between concurrency-control and
 // execution threads; Figure 5 shows the throughput consequences of getting
 // it wrong (too few exec threads under-use the CC threads, and vice versa).
-// The paper points out that ORTHRUS's staged (SEDA) structure makes the
-// split a tunable resource-allocation knob. Two policies live here:
-//
-//  * AutotuneThreadSplit — offline: probe candidate splits with short
-//    deterministic simulator runs of the actual workload, pick the best.
-//  * ElasticController — online: the same hill climb run closed-loop
-//    against *live* per-epoch throughput. OrthrusOptions::elastic feeds it
-//    one epoch's committed-transaction count at a time and it answers with
-//    the active exec-thread target for the next epoch; the engine parks or
-//    resumes exec threads to match (runtime::ParkGate). This is what turns
-//    the offline probe into runtime CC↔exec reallocation as contention
-//    shifts.
+// The split is fixed for a run, so it is tuned before the run:
+// AutotuneThreadSplit probes candidate splits with short deterministic
+// simulator runs of the actual workload and picks the best.
 #ifndef ORTHRUS_ENGINE_AUTOTUNE_H_
 #define ORTHRUS_ENGINE_AUTOTUNE_H_
 
@@ -53,169 +44,6 @@ struct AutotuneOptions {
 AutotuneResult AutotuneThreadSplit(int total_cores,
                                    workload::Workload* workload,
                                    AutotuneOptions options = {});
-
-// ---------------------------------------------------------------------
-// Closed-loop thread-allocation controller.
-//
-// The online counterpart of AutotuneThreadSplit, with the same shape:
-// probe candidates, pick the best — but against *live* epoch throughput
-// (any monotone utility; the engine feeds the measured commit rate,
-// commits per cycle, so samples stay comparable even when a long
-// scheduling quantum stretches an epoch), so it keeps working when the
-// workload shifts mid-run. Naive
-// per-epoch hill climbing does not survive contact with real epoch
-// measurements: the gradient per one-thread move (a few percent) is
-// smaller than per-epoch noise, so a climber either random-walks or
-// freezes on a false plateau. Instead:
-//
-//   * SWEEP: walk the target from max_active down to min_active in `step`
-//     decrements, one epoch per candidate, recording each epoch's
-//     throughput sample.
-//   * HOLD: jump to the smallest candidate whose sample was within half
-//     of `tolerance` of the best sample (ties favor freeing threads; the
-//     band is half-width because each sample is one noisy epoch and
-//     equivalence slack compounds with that noise toward
-//     under-allocation) and stay there, tracking an EWMA of held
-//     throughput.
-//   * RE-SWEEP: if measured throughput stays below (1 - 4*tolerance) of
-//     the hold EWMA for `drift_epochs` consecutive epochs — a workload
-//     shift, not noise — restart the sweep from max_active.
-//
-// Pure integer/double state fed only by the measurements, so a
-// deterministic simulator run produces a deterministic reallocation
-// trace.
-class ElasticController {
- public:
-  enum class Phase { kSweep, kHold };
-
-  struct Config {
-    int min_active = 1;   // never park below this many exec threads
-    int max_active = 1;   // the spawned exec-thread population
-    int initial = 1;      // starting target (clamped to [min, max])
-    int step = 1;         // exec threads stepped between sweep candidates
-    // Noise scale. Candidates within half this relative distance of the
-    // best sweep sample count as equivalent (the smallest wins); falling
-    // 4x this below the hold baseline counts as drift.
-    double tolerance = 0.05;
-    // Consecutive degraded epochs before a re-sweep.
-    int drift_epochs = 2;
-  };
-
-  explicit ElasticController(const Config& config);
-
-  int target() const { return target_; }
-  Phase phase() const { return phase_; }
-  int decisions() const { return decisions_; }
-  int moves() const { return moves_; }
-  int sweeps_completed() const { return sweeps_completed_; }
-  // EWMA of the per-epoch throughput samples while holding (0 until the
-  // first hold epoch ends), in whatever unit Step() was fed — the
-  // converged steady-state estimate.
-  double hold_throughput() const { return hold_ewma_; }
-
-  // Feed the finished epoch's throughput measurement (taken while the
-  // current target was in force); returns the target for the next epoch.
-  int Step(double epoch_throughput);
-
- private:
-  int Clamp(int t) const;
-  void BeginSweep();
-
-  Config cfg_;
-  int target_;
-  Phase phase_ = Phase::kSweep;
-  // One sample per sweep candidate, in probe order (descending targets).
-  struct Sample {
-    int target;
-    double throughput;
-  };
-  std::vector<Sample> samples_;
-  double hold_ewma_ = 0.0;
-  bool has_hold_baseline_ = false;
-  int degraded_epochs_ = 0;
-  int decisions_ = 0;
-  int moves_ = 0;
-  int sweeps_completed_ = 0;
-};
-
-// ---------------------------------------------------------------------
-// Two-dimensional (cc_count x exec_count) allocation controller.
-//
-// With lock-space ownership remappable at run time (lock::SpaceMap), the
-// CC population is as elastic as the exec population, and the controller
-// can search the full Figure-5 allocation plane instead of one axis of it.
-// The policy is the same sweep-and-hold that survived epoch noise in the
-// 1-D controller, lifted to a grid walk:
-//
-//   * SWEEP: walk (cc, exec) candidates — cc from max_cc down to min_cc in
-//     cc_step decrements, and for each cc the exec axis from max_exec down
-//     to min_exec in exec_step decrements — one epoch per grid point.
-//   * HOLD: jump to the candidate within half of `tolerance` of the best
-//     sample that frees the most threads (smallest cc+exec; ties prefer
-//     fewer CC threads — an idle CC thread is pure overhead, an idle exec
-//     thread at least polls its own queues), track the hold EWMA.
-//   * RE-SWEEP: on `drift_epochs` consecutive epochs below
-//     (1 - 4*tolerance) of the hold EWMA, restart from the grid corner.
-//
-// Deliberately a separate class from ElasticController: the 1-D policy is
-// the pinned behaviour of the elastic_cc=false path, and sharing state
-// machines would couple the byte-identical path to 2-D changes.
-class ElasticController2D {
- public:
-  enum class Phase { kSweep, kHold };
-
-  struct Target {
-    int cc = 1;
-    int exec = 1;
-  };
-
-  struct Config {
-    int min_cc = 1;
-    int max_cc = 1;
-    int min_exec = 1;
-    int max_exec = 1;
-    int cc_step = 1;
-    int exec_step = 1;
-    // Starting targets (0 = the respective max).
-    int initial_cc = 0;
-    int initial_exec = 0;
-    double tolerance = 0.05;
-    int drift_epochs = 2;
-  };
-
-  explicit ElasticController2D(const Config& config);
-
-  Target target() const { return target_; }
-  Phase phase() const { return phase_; }
-  int decisions() const { return decisions_; }
-  int moves() const { return moves_; }
-  int sweeps_completed() const { return sweeps_completed_; }
-  double hold_throughput() const { return hold_ewma_; }
-
-  // Feed the finished epoch's throughput (measured under the current
-  // target); returns the target for the next epoch.
-  Target Step(double epoch_throughput);
-
- private:
-  void BeginSweep();
-  // Advances target_ to the next grid point; false when the sweep is done.
-  bool NextCandidate();
-
-  Config cfg_;
-  Target target_;
-  Phase phase_ = Phase::kSweep;
-  struct Sample {
-    Target target;
-    double throughput;
-  };
-  std::vector<Sample> samples_;
-  double hold_ewma_ = 0.0;
-  bool has_hold_baseline_ = false;
-  int degraded_epochs_ = 0;
-  int decisions_ = 0;
-  int moves_ = 0;
-  int sweeps_completed_ = 0;
-};
 
 }  // namespace orthrus::engine
 

@@ -1,5 +1,4 @@
-// The lock table a CC thread (or, under elastic_cc, a lock-space shard)
-// keeps for its partition of the lock space.
+// The lock table a CC thread keeps for its partition of the lock space.
 //
 // It holds only *live* locks: a lock enters the table with its first queued
 // request and leaves it when a release empties its FIFO queue. An in-flight

@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
-#include "engine/autotune.h"
 #include "engine/orthrus/cc_lock_table.h"
 #include "engine/orthrus/stages.h"
 #include "hal/hal.h"
 #include "hal/slab_arena.h"
 #include "hal/topology.h"
-#include "lock/space_map.h"
-#include "mp/multi_mesh.h"
 #include "mp/queue_mesh.h"
 #include "txn/ollp.h"
 #include "wal/wal.h"
@@ -34,9 +29,8 @@ static_assert(kMaxStages <= 64, "stage indexes ride in 6 message bits");
 // the low (alignment) bits.
 //
 // kRelease additionally carries the index of the stage being released in
-// bits [3, 9): with a remappable lock space one CC thread can own several
-// of a transaction's stages, so "release my stage" is no longer
-// self-describing. TCBs are 512-byte aligned to free those bits.
+// bits [3, 9), so the receiving CC thread goes straight to its stage.
+// TCBs are 512-byte aligned to free those bits.
 enum MsgTag : std::uint64_t {
   kAcquire = 0,    // exec->CC or CC->CC: acquire locks for cur_stage
   kRelease = 1,    // exec->CC: release one stage's locks of tcb
@@ -59,8 +53,7 @@ std::uint64_t Encode(Tcb* tcb, MsgTag tag) {
   return p | tag;
 }
 
-// Release message: the stage index travels in the low alignment bits so
-// any CC thread holding the message knows which stage's shard it targets.
+// Release message: the stage index travels in the low alignment bits.
 std::uint64_t EncodeRelease(Tcb* tcb, int stage_idx) {
   ORTHRUS_DCHECK(stage_idx >= 0 &&
                  stage_idx <= static_cast<int>(kStageFieldMask));
@@ -300,21 +293,6 @@ class SharedCcTable {
 // --------------------------------------------------------- shared state
 
 using Mesh = mp::QueueMesh<std::uint64_t>;
-using MultiMesh = mp::MultiMesh<std::uint64_t>;
-
-// One lock partition's owner-private state (elastic_cc mode). The shard —
-// not the CC thread — owns the lock table and the held-request count, so a
-// partition handoff moves all of its lock state with one pointer-ownership
-// transfer and the teardown accounting stays exact across any number of
-// handoffs.
-struct CcShard {
-  explicit CcShard(std::size_t max_live) : locks(max_live) {}
-  CcLockTable locks;
-  std::uint64_t held = 0;  // requests enqueued and not yet released
-};
-
-using SpaceMap = lock::SpaceMap<CcShard>;
-using Router = lock::LockSpaceRouter<CcShard>;
 
 // State every thread of one run shares. Fields without an initializer are
 // copied from the options by OrthrusEngine::Run before any thread starts;
@@ -324,7 +302,6 @@ struct Shared {
   int n_cc;
   int n_exec;
   bool forwarding;
-  bool elastic;
   hal::Cycles cc_op_cycles;
 
   // Snapshot read path (OrthrusOptions::snapshot_reads): classified
@@ -335,34 +312,9 @@ struct Shared {
   bool snapshot_reads;
 
   // Queue meshes, indexed (sender, receiver).
-  Mesh exec_to_cc;  // (exec, cc)  acquire + release (static roles)
+  Mesh exec_to_cc;  // (exec, cc)  acquire + release
   Mesh cc_to_cc;    // (cc, cc)    forward
   Mesh cc_to_exec;  // (cc, exec)  grant / stage-done / ack
-
-  // Elastic mode replaces exec_to_cc with the dynamic-sender MPSC mesh:
-  // exec threads come and go (park/resume) without a mesh rebuild. The
-  // CC-side meshes stay static — the CC population is fixed, and every
-  // cc_to_exec receiver exists for the whole run (a parked exec simply has
-  // an empty queue: it drains to empty before retiring).
-  MultiMesh exec_to_cc_multi;
-
-  // Elastic-mode doorbell: how many exec threads should be active. Exec
-  // thread e runs while e < target; CC thread 0's controller moves it.
-  runtime::ParkGate exec_gate;
-  hal::Atomic<std::uint64_t> reallocations{0};
-  // Exec-thread worker contexts, for the controller's epoch snapshot reads.
-  std::vector<runtime::WorkerContext*> exec_ctxs;
-
-  // Elastic CC population (elastic_cc mode): the lock space is n_parts
-  // consistent-hash partitions owned through the SpaceMap; CC threads
-  // above cc_gate's target hand their partitions off and park. Router
-  // slots are worker ids (CC threads first, like everything else).
-  bool elastic_cc;
-  int n_parts;
-  SpaceMap* space = nullptr;
-  const lock::HashRing* ring = nullptr;
-  runtime::ParkGate cc_gate;
-  hal::Atomic<std::uint64_t> cc_reallocations{0};
 
   hal::Atomic<std::uint64_t> execs_done{0};
   hal::Atomic<std::uint64_t> inflight_global{0};
@@ -379,31 +331,14 @@ struct Shared {
 
 class CcThread {
  public:
-  // `controller` (1-D) or `controller2d` (elastic_cc) is non-null only on
-  // the CC thread that runs the elastic reallocation epochs (CC 0);
-  // `epoch_cycles` is that controller's decision period in cycles.
   CcThread(int cc_id, Shared* shared, WorkerStats* stats,
-           std::size_t max_live_locks,
-           ElasticController* controller = nullptr,
-           ElasticController2D* controller2d = nullptr,
-           hal::Cycles epoch_cycles = 0)
+           std::size_t max_live_locks)
       : cc_id_(cc_id),
         shared_(shared),
         stats_(stats),
-        // Lock tables live in the SpaceMap's shards under elastic_cc and
-        // in SharedCcTable in shared-CC mode; the thread-local table then
-        // stays unused (minimal footprint).
-        locks_(shared->elastic_cc || shared->shared_cc != nullptr
-                   ? 1
-                   : max_live_locks),
-        controller_(controller),
-        controller2d_(controller2d),
-        epoch_cycles_(epoch_cycles) {
-    if (shared->elastic_cc) {
-      // lint:allow-alloc setup
-      router_ = std::make_unique<Router>(shared->space, cc_id);
-    }
-  }
+        // Shared-CC mode keeps its locks in SharedCcTable; the thread-local
+        // table then stays unused (minimal footprint).
+        locks_(shared->shared_cc != nullptr ? 1 : max_live_locks) {}
 
   void Main() {
     // Polling cached-empty queues costs L1 hits; a small cap keeps grant
@@ -411,7 +346,7 @@ class CcThread {
     hal::IdleBackoff idle(128);
     // One clock read per loop iteration: the span since the previous read
     // is locking time when that iteration's drain delivered messages, and
-    // waiting time otherwise (empty polls, idle backoff, parking).
+    // waiting time otherwise (empty polls, idle backoff).
     hal::Cycles last = hal::Now();
     const auto account = [&](bool busy) {
       const hal::Cycles now = hal::Now();
@@ -423,20 +358,7 @@ class CcThread {
       // Read the termination predicate *before* draining: if it was true
       // before a drain that found nothing, no message can arrive later.
       const bool maybe_done = RunDrained();
-      // elastic_cc quantum preamble: refresh the map view and hand off
-      // shards the new epoch moved away; read the park barrier before the
-      // drain, so an empty drain after a true barrier proves quiescence
-      // (the same read-predicate-then-drain shape as maybe_done).
-      bool may_park = false;
-      if (shared_->elastic_cc) {
-        MaybeRemap();
-        may_park = ParkBarrierHolds();
-      }
-      const bool progress = DrainOnce();
-      if (controller_ != nullptr || controller2d_ != nullptr) {
-        MaybeReallocate();
-      }
-      if (progress) {
+      if (DrainOnce()) {
         account(/*busy=*/true);
         idle.Reset();
         continue;
@@ -449,12 +371,7 @@ class CcThread {
         stats_->cc_live_locks_max = locks_.high_water();
         break;
       }
-      if (may_park) {
-        ParkCc();
-        idle.Reset();
-      } else {
-        idle.Idle();
-      }
+      idle.Idle();
       account(/*busy=*/false);
     }
   }
@@ -468,213 +385,18 @@ class CcThread {
 
   bool DrainOnce() {
     const auto handle = [this](std::uint64_t w) { Handle(w); };
-    // Elastic mode: exec senders live on the dynamic MPSC mesh (fan-in is
-    // a set of shared shard queues per CC thread, drained in fixed shard
-    // order); static mode keeps the per-pair SPSC matrix.
-    std::size_t n = shared_->elastic
-                        ? shared_->exec_to_cc_multi.Drain(cc_id_, handle)
-                        : shared_->exec_to_cc.Drain(cc_id_, handle);
-    // The CC->CC mesh carries forwarding chains — and, under elastic_cc,
-    // misrouted messages chasing a shard's current owner, which exist
-    // whether or not forwarding is on.
-    if (shared_->forwarding || shared_->elastic_cc) {
-      n += shared_->cc_to_cc.Drain(cc_id_, handle);
-    }
+    std::size_t n = shared_->exec_to_cc.Drain(cc_id_, handle);
+    // The CC->CC mesh carries forwarding chains only.
+    if (shared_->forwarding) n += shared_->cc_to_cc.Drain(cc_id_, handle);
     if (n == 0) return false;
     stats_->cc_batches++;
     stats_->cc_batch_msgs += n;
     return true;
   }
 
-  // --- elastic_cc: epoch handoff, retire, resume -----------------------
-
-  // Quantum-boundary epoch work: refresh the routing view and hand off
-  // every shard we own whose owner under the current map is another CC
-  // slot. The sweep runs every quantum, NOT just when the epoch moved: a
-  // shard can be relinquished *to us* under an older map after we already
-  // observed the newest one (the relinquisher lagged), and no further
-  // version change would ever re-trigger a change-gated sweep — the shard
-  // would strand on us while every message for it self-requeues at the
-  // map's owner. The guard scan uses raw loads (eventual visibility is
-  // enough, it re-runs every quantum, and the steady-state scan must not
-  // bill modeled traffic); a hit is confirmed with an acquire load so the
-  // previous owner's shard writes happen-before our release-store to the
-  // next owner — without that acquire a plain-read-then-store would break
-  // the transfer chain's ordering. We are the only thread that may touch
-  // an owned shard, and we hold no reference into it between messages, so
-  // the release-store inside Relinquish is the entire transfer.
-  void MaybeRemap() {
-    router_->Refresh();
-    for (int p = 0; p < shared_->n_parts; ++p) {
-      const int owner = router_->OwnerOf(p);
-      if (owner == cc_id_) continue;
-      if (shared_->space->ShardOwnerRaw(p) !=
-          static_cast<std::uint64_t>(cc_id_)) {
-        continue;
-      }
-      if (shared_->space->ShardOwner(p) ==
-          static_cast<std::uint64_t>(cc_id_)) {
-        shared_->space->Relinquish(p, static_cast<std::uint64_t>(owner));
-      }
-    }
-  }
-
-  // The drain-to-empty retire barrier (see lock::SpaceMap): this slot may
-  // park only when the controller retired it, every router has observed an
-  // epoch at or past our view (so nothing routes here anymore), our own
-  // view maps no partition here, and no shard handoff still names us.
-  // The own-view check closes the claim window: the gate can drop between
-  // our Refresh and this read (a reactivate-then-retire pair of epochs),
-  // in which case our table — and every router's table at that same stale
-  // version, which the observation barrier would accept — can still route
-  // partitions to us even though no shard word names us yet. Refusing to
-  // park until a refresh adopts a map that excludes us forces the barrier
-  // to be evaluated at (at least) the retirement epoch. Ordering matters:
-  // the observation barrier is read before the ownership scan, so a
-  // transfer initiated under an older view is either visible to the scan
-  // or impossible.
-  bool ParkBarrierHolds() {
-    if (cc_id_ == 0) return false;  // the controller thread never parks
-    if (shared_->cc_gate.Active(cc_id_)) return false;
-    if (!shared_->space->AllObservedAtLeast(router_->version())) {
-      return false;
-    }
-    for (int p = 0; p < shared_->n_parts; ++p) {
-      if (router_->OwnerOf(p) == cc_id_) return false;
-      if (shared_->space->ShardOwner(p) ==
-          static_cast<std::uint64_t>(cc_id_)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void ParkCc() {
-    router_->Deactivate();
-    // The park predicate also watches the shard owner words: if the
-    // target briefly rose and fell again while this thread never got a
-    // quantum (possible only under native scheduling), a peer may have
-    // relinquished a shard *to* us during the active window. Only the
-    // owner may relinquish, so we must wake, hand the shard onward under
-    // the current map (MaybeRemap at the next quantum top), and only
-    // then re-park — otherwise every message for that shard would chase
-    // an owner that never runs. Raw loads: eventual visibility is all
-    // the wake-up needs, and the spin must not bill modeled traffic.
-    shared_->cc_gate.Park(
-        cc_id_, [this] { return RunDrained() || OwnsAnyShardRaw(); });
-    // No refresh here: the next quantum's MaybeRemap rebuilds the view
-    // (Deactivate zeroed the cached version) and runs the relinquish
-    // sweep, which is how a shard handed to us mid-park is passed onward.
-  }
-
-  bool OwnsAnyShardRaw() const {
-    for (int p = 0; p < shared_->n_parts; ++p) {
-      if (shared_->space->ShardOwnerRaw(p) ==
-          static_cast<std::uint64_t>(cc_id_)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // --- elastic reallocation epochs (controller CC thread only) ---------
-
-  // Once per epoch: read the exec threads' published commit counters,
-  // feed the measured commit *rate* to the controller, and ring the park
-  // gate when the target moves. Runs between quanta, so a decision never
-  // interleaves with message handling. The sample is normalized by the
-  // interval actually elapsed — epochs only end at quantum boundaries, so
-  // a long quantum stretches one; an unnormalized count would inflate
-  // that epoch's sample in proportion and skew the sweep's comparison.
-  void MaybeReallocate() {
-    const hal::Cycles now = hal::Now();
-    if (next_epoch_ == 0) {  // first quantum: anchor the epoch clock
-      next_epoch_ = now + epoch_cycles_;
-      last_epoch_now_ = now;
-      return;
-    }
-    if (now < next_epoch_) return;
-    next_epoch_ = now + epoch_cycles_;
-    std::uint64_t committed = 0;
-    for (runtime::WorkerContext* w : shared_->exec_ctxs) {
-      committed += w->ReadEpochSnapshot().committed;
-    }
-    const double elapsed = static_cast<double>(now - last_epoch_now_);
-    const double rate =
-        static_cast<double>(committed - last_epoch_committed_) / elapsed;
-    last_epoch_committed_ = committed;
-    last_epoch_now_ = now;
-    // Controller debugging/bench observability (host-side, unmodeled).
-    static const bool trace = std::getenv("ORTHRUS_ELASTIC_TRACE") != nullptr;
-    if (controller2d_ != nullptr) {
-      // 2-D reallocation: exec moves ring the exec gate exactly as the 1-D
-      // controller's; CC moves publish a new lock-space epoch first, so a
-      // resumed CC thread's first Refresh sees a map that includes it and
-      // a retiring one sees the map that excludes it.
-      const ElasticController2D::Target before = controller2d_->target();
-      const ElasticController2D::Target t = controller2d_->Step(rate);
-      if (t.exec != before.exec) {
-        shared_->exec_gate.SetTarget(t.exec);
-        shared_->reallocations.fetch_add(1);
-      }
-      if (t.cc != before.cc) {
-        shared_->space->Publish(
-            shared_->ring->OwnersFor(shared_->n_parts, t.cc));
-        shared_->cc_gate.SetTarget(t.cc);
-        shared_->cc_reallocations.fetch_add(1);
-        shared_->reallocations.fetch_add(1);
-      }
-      if (trace) {
-        std::fprintf(
-            stderr,
-            "[elastic2d] epoch@%llu rate=%.3g/cycle cc %d->%d exec %d->%d\n",
-            static_cast<unsigned long long>(now), rate, before.cc, t.cc,
-            before.exec, t.exec);
-      }
-      return;
-    }
-    const int before = controller_->target();
-    const int target = controller_->Step(rate);  // commits per cycle
-    if (target != before) {
-      shared_->exec_gate.SetTarget(target);
-      shared_->reallocations.fetch_add(1);
-    }
-    if (trace) {
-      std::fprintf(stderr,
-                   "[elastic] epoch@%llu rate=%.3g/cycle target %d->%d\n",
-                   static_cast<unsigned long long>(now), rate, before,
-                   target);
-    }
-  }
-
   void Handle(std::uint64_t word) {
     Tcb* tcb = DecodeTcb(word);
-    const MsgTag tag = DecodeTag(word);
-    if (shared_->elastic_cc) {
-      // Receipt authority check: only the shard's current owner may touch
-      // its lock state. A message that lands elsewhere (stale sender view,
-      // or a handoff store not yet observed) is re-routed under *this
-      // thread's current map view* — never the raw shard-owner word: the
-      // retire barrier only covers router views (all observed >= the
-      // retirement epoch), so an owner-word target could name a CC slot
-      // that relinquishes and parks before the forward lands. Under the
-      // router view the forward may reach the new owner before the shard
-      // does; it then self-requeues there (ShardOwner still the source)
-      // until the relinquish lands — bounded by the source's next quantum
-      // refresh, and never addressed to a parked slot.
-      const int part = tag == kAcquire
-                           ? tcb->stages[tcb->cur_stage].part
-                           : tag == kRelease
-                                 ? tcb->stages[DecodeStage(word)].part
-                                 : -1;
-      if (part >= 0 && shared_->space->ShardOwner(part) !=
-                           static_cast<std::uint64_t>(cc_id_)) {
-        shared_->cc_to_cc.Send(cc_id_, router_->OwnerOf(part), word);
-        stats_->messages_sent++;
-        return;
-      }
-    }
-    switch (tag) {
+    switch (DecodeTag(word)) {
       case kAcquire:
         ProcessAcquire(tcb);
         break;
@@ -686,8 +408,8 @@ class CcThread {
     }
   }
 
-  // Enqueues the current stage's lock requests into the stage partition's
-  // table. Returns true when every lock was granted immediately; otherwise
+  // Enqueues the current stage's lock requests into this thread's table.
+  // Returns true when every lock was granted immediately; otherwise
   // records tcb->pending (a later release's grant sweep advances it).
   bool AcquireStage(Tcb* tcb) {
     // Race-detector tags (free when race_detect is off): the CC thread
@@ -702,15 +424,12 @@ class CcThread {
     hal::RaceCheck(&stage, sizeof(stage), /*is_write=*/false,
                    "orthrus.tcb.stages");
     RaceCheckRequests(tcb, stage);
-    ORTHRUS_DCHECK(shared_->elastic_cc || stage.part == cc_id_);
-    CcShard* shard =
-        shared_->elastic_cc ? shared_->space->shard(stage.part) : nullptr;
-    CcLockTable& locks = shard != nullptr ? shard->locks : locks_;
+    ORTHRUS_DCHECK(stage.part == cc_id_);
     std::uint32_t pending = 0;
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       const Access& a = tcb->txn.accesses[i];
       hal::ConsumeCycles(shared_->cc_op_cycles);
-      CcLock* lock = locks.FindOrInsert(a.table, a.key);
+      CcLock* lock = locks_.FindOrInsert(a.table, a.key);
       CcRequest* r = &tcb->inline_reqs[i];
       r->tcb = tcb;
       r->key = a.key;
@@ -735,11 +454,7 @@ class CcThread {
         pending++;
         stats_->lock_waits++;
       }
-      if (shard != nullptr) {
-        shard->held++;
-      } else {
-        held_++;
-      }
+      held_++;
     }
     if (pending != 0) {
       hal::RaceCheck(&tcb->pending, sizeof(tcb->pending), /*is_write=*/true,
@@ -778,35 +493,18 @@ class CcThread {
       }
       return;
     }
-    if (shared_->elastic_cc) {
-      // Stage-addressed release: the message names the stage, so a thread
-      // that owns several of the transaction's partitions releases exactly
-      // the one this message is for — one ack per release message.
-      const Stage& stage = tcb->stages[DecodeStage(word)];
-      CcShard* shard = shared_->space->shard(stage.part);
-      ReleaseStage(tcb, stage, shard->locks, shard->held);
-    } else {
-      // Find our stage (stage lists are tiny; partition id == CC id).
-      for (int s = 0; s < tcb->n_stages; ++s) {
-        const Stage& stage = tcb->stages[s];
-        if (stage.part != cc_id_) continue;
-        ReleaseStage(tcb, stage, locks_, held_);
-        break;
-      }
-    }
+    ReleaseStage(tcb, tcb->stages[DecodeStage(word)]);
     // Release requests are satisfied and acknowledged immediately
     // (Section 3.1).
     shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kAck));
     stats_->messages_sent++;
   }
 
-  // Releases one stage's requests from `locks` (the stage partition's
-  // table under elastic_cc, the thread-local table otherwise), granting
-  // unblocked followers, erasing locks left with no queued request, and
-  // updating the matching held-lock counter. Each lock is found again by
+  // Releases one stage's requests, granting unblocked followers and
+  // erasing locks left with no queued request. Each lock is found again by
   // its (table, key): an earlier Erase may have moved it.
-  void ReleaseStage(Tcb* tcb, const Stage& stage, CcLockTable& locks,
-                    std::uint64_t& held) {
+  void ReleaseStage(Tcb* tcb, const Stage& stage) {
+    ORTHRUS_DCHECK(stage.part == cc_id_);
     // Concurrent releases of *other* stages are legal; these tags cover
     // only this stage's entry and request slice.
     hal::RaceCheck(&stage, sizeof(stage), /*is_write=*/false,
@@ -815,16 +513,16 @@ class CcThread {
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       CcRequest* r = &tcb->inline_reqs[i];
       hal::ConsumeCycles(shared_->cc_op_cycles);
-      CcLock* lock = locks.Find(r->table, r->key);
+      CcLock* lock = locks_.Find(r->table, r->key);
       ORTHRUS_DCHECK(lock != nullptr);
       Unlink(lock, r);
       if (lock->head == nullptr) {
-        locks.Erase(lock);
+        locks_.Erase(lock);
       } else {
         GrantFollowers(lock);
       }
-      ORTHRUS_DCHECK(held > 0);
-      held--;
+      ORTHRUS_DCHECK(held_ > 0);
+      held_--;
     }
   }
 
@@ -844,10 +542,9 @@ class CcThread {
     r->prev = r->next = nullptr;
   }
 
-  // Grants the queue's newly compatible prefix. A granted transaction may
-  // advance into AcquireStage on this thread (elastic_cc local continue),
-  // which can insert into the same table but never erases, so `lock` stays
-  // valid for the whole sweep.
+  // Grants the queue's newly compatible prefix. A granted transaction's
+  // Advance only sends a message, so the table, and `lock` with it, stays
+  // unchanged for the whole sweep.
   void GrantFollowers(CcLock* lock) {
     bool x_seen = false;
     for (CcRequest* r = lock->head; r != nullptr; r = r->next) {
@@ -873,57 +570,33 @@ class CcThread {
   }
 
   // All locks of tcb's current stage are granted: forward along the chain
-  // (Section 3.3), continue locally when this thread also owns the next
-  // stage's shard (elastic_cc — a self-addressed message would be pure
-  // overhead), or hand back to the execution thread.
+  // (Section 3.3) or hand back to the execution thread.
   void Advance(Tcb* tcb) {
-    for (;;) {
-      const int next = tcb->cur_stage + 1;
-      if (next >= tcb->n_stages) {
-        SendGrant(tcb);
-        return;
-      }
-      if (!shared_->forwarding) {
-        // Ablation mode: the execution thread mediates every hop, paying
-        // two message delays per CC thread (2*Ncc total).
-        shared_->cc_to_exec.Send(cc_id_, tcb->exec_id,
-                                 Encode(tcb, kStageDone));
-        stats_->messages_sent++;
-        return;
-      }
-      hal::RaceCheck(&tcb->cur_stage, sizeof(tcb->cur_stage),
-                     /*is_write=*/true, "orthrus.tcb.stage");
-      tcb->cur_stage = next;
-      const int part = tcb->stages[next].part;
-      if (shared_->elastic_cc) {
-        if (shared_->space->ShardOwner(part) ==
-            static_cast<std::uint64_t>(cc_id_)) {
-          if (AcquireStage(tcb)) continue;  // granted: keep advancing
-          return;  // queued behind a conflict in our own shard
-        }
-        shared_->cc_to_cc.Send(cc_id_, router_->OwnerOf(part),
-                               Encode(tcb, kAcquire));
-      } else {
-        shared_->cc_to_cc.Send(cc_id_, part, Encode(tcb, kAcquire));
-      }
+    const int next = tcb->cur_stage + 1;
+    if (next >= tcb->n_stages) {
+      SendGrant(tcb);
+      return;
+    }
+    if (!shared_->forwarding) {
+      // Ablation mode: the execution thread mediates every hop, paying
+      // two message delays per CC thread (2*Ncc total).
+      shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kStageDone));
       stats_->messages_sent++;
       return;
     }
+    hal::RaceCheck(&tcb->cur_stage, sizeof(tcb->cur_stage), /*is_write=*/true,
+                   "orthrus.tcb.stage");
+    tcb->cur_stage = next;
+    shared_->cc_to_cc.Send(cc_id_, tcb->stages[next].part,
+                           Encode(tcb, kAcquire));
+    stats_->messages_sent++;
   }
 
   int cc_id_;
   Shared* shared_;
   WorkerStats* stats_;
   CcLockTable locks_;
-  // Elastic-epoch controller state (CC 0 only; null elsewhere).
-  ElasticController* controller_;
-  ElasticController2D* controller2d_;
-  hal::Cycles epoch_cycles_;
-  // elastic_cc: this thread's cached lock-space view (null otherwise).
-  std::unique_ptr<Router> router_;
-  hal::Cycles next_epoch_ = 0;
-  hal::Cycles last_epoch_now_ = 0;
-  std::uint64_t last_epoch_committed_ = 0;
+  // Requests enqueued and not yet released.
   std::uint64_t held_ = 0;
   std::vector<Tcb*> runnable_;  // scratch for shared-mode release grants
 };
@@ -958,14 +631,8 @@ class ExecThread {
         db_(db),
         worker_(worker),
         stats_(&worker->stats),
-        max_inflight_(max_inflight),
         source_(workload.MakeSource(shared->n_cc + exec_id)),
         admission_(driver_options, db, source_.get(), worker) {
-    if (shared_->elastic_cc) {
-      // Router slots are worker ids: CC threads first, then exec threads.
-      router_ = std::make_unique<Router>(  // lint:allow-alloc setup
-          shared->space, shared->n_cc + exec_id);
-    }
     if (shared_->snapshot_reads) {
       // Snapshot eligibility per table (fixed population + versions on)
       // and the per-access staging buffer readers copy versions into.
@@ -1000,16 +667,7 @@ class ExecThread {
   // end (gate, pull, plan, stamp) and replanning are the shared runtime's;
   // only the in-flight window and the grant/ack event loop are ORTHRUS's
   // own. Runs with the worker's clock already begun (WorkerPool::Spawn).
-  //
-  // Elastic lifecycle: the thread registers as a mesh sender up front and
-  // stays registered while active. When the controller's target drops
-  // below this thread's index it stops admitting, drains its in-flight
-  // window to empty, retires from the mesh, and parks on the gate; resume
-  // re-registers and re-opens admission. The drain-to-empty ordering is
-  // what guarantees no message is ever lost or stranded across a
-  // reallocation epoch.
   void Main() {
-    if (shared_->elastic) RegisterCcSender();
     // The wal producer registers with the log's mesh and publishes its
     // epoch heartbeat from its constructor, so it must be built on-core
     // (ExecThread itself is constructed before the workers start).
@@ -1021,9 +679,6 @@ class ExecThread {
     }
     hal::IdleBackoff idle(256);
     while (true) {
-      // elastic_cc: adopt the latest lock-space epoch before issuing or
-      // releasing anything this quantum (one modeled load when unchanged).
-      if (shared_->elastic_cc) router_->Refresh();
       // Snapshot epoch heartbeats: the quantum top is a transaction
       // boundary for this thread — no install or snapshot read is in
       // flight (both complete synchronously inside Execute /
@@ -1041,10 +696,7 @@ class ExecThread {
       // the epoch heartbeat, acknowledge matured group commits.
       if (wal_ != nullptr) wal_->Poll();
       bool progress = PollGrants();
-      if (!shared_->elastic || shared_->exec_gate.Active(exec_id_)) {
-        progress |= IssueNew();
-      }
-      if (shared_->elastic) PublishStatsIfChanged();
+      progress |= IssueNew();
       if (progress) {
         idle.Reset();
         continue;
@@ -1052,12 +704,6 @@ class ExecThread {
       // One reading gates the exit and starts the waiting span.
       const hal::Cycles t0 = hal::Now();
       if (Stopping(t0) && inflight_ == 0 && WalDrained()) break;
-      if (shared_->elastic && inflight_ == 0 && WalDrained() &&
-          !shared_->exec_gate.Active(exec_id_)) {
-        ParkUntilResumedOrStopping();
-        idle.Reset();
-        continue;
-      }
       idle.Idle();
       stats_->Add(TimeCategory::kWaiting, hal::Now() - t0);
     }
@@ -1065,15 +711,6 @@ class ExecThread {
     // must not pin the read epoch or the reader floor for stragglers.
     if (shared_->snapshot_reads) db_->epoch_clock()->Retire(exec_id_);
     if (wal_ != nullptr) wal_->Retire();
-    if (shared_->elastic_cc) {
-      // Drop out of the epoch barriers: a retiring CC thread must not
-      // wait on the observed version of a finished exec thread.
-      router_->Deactivate();
-    }
-    if (shared_->elastic) {
-      worker_->PublishEpochStats();
-      shared_->exec_to_cc_multi.RetireSender();
-    }
     shared_->execs_done.fetch_add(1);
   }
 
@@ -1093,69 +730,6 @@ class ExecThread {
 
   bool WalDrained() const { return wal_ == nullptr || wal_->Drained(); }
 
-  // --- exec->CC send path (static SPSC or elastic MPSC) ----------------
-
-  void SendCc(int cc, std::uint64_t w) {
-    if (shared_->elastic) {
-      shared_->exec_to_cc_multi.SendOnRing(cc, cc_ring_, w);
-    } else {
-      shared_->exec_to_cc.Send(exec_id_, cc, w);
-    }
-  }
-
-  // Joins the elastic exec->CC sender population and resolves this
-  // thread's ring under the current routing modulus. The ring stays fixed
-  // until the next registration, so this thread's stream stays FIFO.
-  // Shard hint = exec id: stable for the thread's lifetime, spreads senders
-  // evenly across the mesh's shards.
-  void RegisterCcSender() {
-    shared_->exec_to_cc_multi.RegisterSender();
-    cc_ring_ = shared_->exec_to_cc_multi.RingForHint(exec_id_);
-  }
-
-  // --- elastic park / resume -------------------------------------------
-
-  // Mirror the commit counter for the controller when it moved (two
-  // modeled stores per change, nothing when idle).
-  void PublishStatsIfChanged() {
-    if (stats_->committed != last_published_committed_) {
-      last_published_committed_ = stats_->committed;
-      worker_->PublishEpochStats();
-    }
-  }
-
-  void ParkUntilResumedOrStopping() {
-    // Drain-to-empty before retiring: inflight_ == 0 means no grant, ack,
-    // or release involving this thread is outstanding anywhere in the mesh.
-    worker_->PublishEpochStats();
-    // Park the wal producer first: it flushes its staged fragments,
-    // publishes the done sentinel (so loggers stop waiting on this
-    // thread's epoch heartbeat), and retires from the log mesh. The park
-    // gate only opens with the pending queue drained (see Main).
-    if (wal_ != nullptr) wal_->Park();
-    if (shared_->elastic_cc) router_->Deactivate();
-    // A parked thread must not freeze the epoch mins (its heartbeats would
-    // pin the read epoch and the reader floor for the whole park, stalling
-    // every installing writer); retire the slot and rejoin on resume.
-    if (shared_->snapshot_reads) db_->epoch_clock()->Retire(exec_id_);
-    shared_->exec_to_cc_multi.RetireSender();
-    const hal::Cycles parked =
-        shared_->exec_gate.Park(exec_id_,
-                                [this] { return Stopping(hal::Now()); });
-    stats_->Add(TimeCategory::kWaiting, parked);
-    if (shared_->snapshot_reads) {
-      // Rejoin the mins at current values. The publish cache still holds
-      // pre-park values, so reset it to the retired sentinels first —
-      // otherwise PublishIdle could skip the store that un-retires us.
-      epoch_cache_.wh = storage::EpochClock::kRetired;
-      epoch_cache_.rh = storage::EpochClock::kRetired;
-      db_->epoch_clock()->PublishIdle(exec_id_, &epoch_cache_);
-    }
-    RegisterCcSender();
-    if (wal_ != nullptr) wal_->Resume();
-    if (shared_->elastic_cc) router_->Refresh();
-  }
-
   bool PollGrants() {
     const std::size_t n = shared_->cc_to_exec.Drain(
         exec_id_,
@@ -1171,7 +745,7 @@ class ExecThread {
                              /*is_write=*/true, "orthrus.tcb.stage");
               tcb->cur_stage++;
               ORTHRUS_DCHECK(tcb->cur_stage < tcb->n_stages);
-              SendAcquire(tcb, RouteTo(tcb->stages[tcb->cur_stage].part));
+              SendAcquire(tcb, tcb->stages[tcb->cur_stage].part);
               break;
             }
             case kAck:
@@ -1184,24 +758,14 @@ class ExecThread {
     return n != 0;
   }
 
-  // Resolves a lock partition to the CC thread that owns it: identity for
-  // the static lock space, the cached SpaceMap view under elastic_cc.
-  int RouteTo(int part) const {
-    return shared_->elastic_cc ? router_->OwnerOf(part) : part;
-  }
-
   // Clock readings chain through the stage boundaries: the first is taken
   // only once a slot is free, and each later one is the end of the
   // previous stage — Admit's post-plan stamp starts Dispatch, whose end
   // gates the next admission.
   bool IssueNew() {
     bool issued = false;
-    // Backpressure admission: the cap tracks the AIMD window when the mode
-    // is on and equals max_inflight_ (making the check redundant with the
-    // free-slot test) when off — no clock read, byte-identical.
-    const int cap = admission_.InflightCap(max_inflight_);
     hal::Cycles now = 0;  // 0: not read yet
-    while (!free_slots_.empty() && inflight_ < cap) {
+    while (!free_slots_.empty()) {
       if (now == 0) now = hal::Now();
       if (Stopping(now)) break;
       // Durability admission gate: every admitted transaction will Capture
@@ -1281,14 +845,14 @@ class ExecThread {
     tcb->cur_stage = 0;
     inflight_++;
     shared_->inflight_global.fetch_add(1);
-    SendAcquire(tcb, RouteTo(tcb->stages[0].part));
+    SendAcquire(tcb, tcb->stages[0].part);
     const hal::Cycles t1 = hal::Now();
     stats_->Add(TimeCategory::kLocking, t1 - tr);
     return t1;
   }
 
   void SendAcquire(Tcb* tcb, int cc) {
-    SendCc(cc, Encode(tcb, kAcquire));
+    shared_->exec_to_cc.Send(exec_id_, cc, Encode(tcb, kAcquire));
     stats_->messages_sent++;
   }
 
@@ -1343,15 +907,14 @@ class ExecThread {
                    /*is_write=*/true, "orthrus.tcb.acks");
     if (shared_->shared_cc != nullptr) {
       tcb->pending_acks = 1;
-      SendCc(tcb->home_cc, Encode(tcb, kRelease));
+      shared_->exec_to_cc.Send(exec_id_, tcb->home_cc, Encode(tcb, kRelease));
       stats_->messages_sent++;
     } else {
-      // One stage-addressed release per stage. Under elastic_cc several
-      // stages may route to the same CC thread; the stage index in the
-      // message keeps every release-ack pair 1:1.
+      // One release per stage, to the stage's CC thread, naming the stage.
       tcb->pending_acks = tcb->n_stages;
       for (int s = 0; s < tcb->n_stages; ++s) {
-        SendCc(RouteTo(tcb->stages[s].part), EncodeRelease(tcb, s));
+        shared_->exec_to_cc.Send(exec_id_, tcb->stages[s].part,
+                                 EncodeRelease(tcb, s));
         stats_->messages_sent++;
       }
     }
@@ -1448,11 +1011,8 @@ class ExecThread {
   storage::Database* db_;
   runtime::WorkerContext* worker_;
   WorkerStats* stats_;
-  int max_inflight_;
   std::unique_ptr<workload::TxnSource> source_;
   runtime::TxnAdmission admission_;
-  // Elastic mode: this thread's exec->CC ring (see RegisterCcSender).
-  int cc_ring_ = 0;
   std::vector<std::unique_ptr<Tcb, TcbDeleter>> tcbs_;
   std::vector<int> free_slots_;
   int inflight_ = 0;
@@ -1463,10 +1023,7 @@ class ExecThread {
   // transactions that have not reached Capture yet (see IssueNew).
   wal::Producer* wal_ = nullptr;
   std::uint64_t wal_uncaptured_ = 0;
-  std::uint64_t last_published_committed_ = 0;
   std::uint64_t rr_counter_ = 0;  // shared-CC home assignment
-  // elastic_cc: this thread's cached lock-space view (null otherwise).
-  std::unique_ptr<Router> router_;
   // Snapshot read path (empty / default unless shared_->snapshot_reads):
   // per-table eligibility, the version staging buffer, and the heartbeat
   // publish cache for epoch clock slot exec_id_.
@@ -1480,50 +1037,19 @@ class ExecThread {
 
 OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
     : options_(options), orthrus_(orthrus) {
-  ORTHRUS_CHECK(orthrus_.num_cc >= 1);
-  ORTHRUS_CHECK(options_.num_cores > orthrus_.num_cc);
-  ORTHRUS_CHECK(orthrus_.max_inflight >= 1);
-  if (orthrus_.elastic) {
-    ORTHRUS_CHECK(orthrus_.elastic_min_exec >= 1);
-    ORTHRUS_CHECK(orthrus_.elastic_min_exec <=
-                  options_.num_cores - orthrus_.num_cc);
-    ORTHRUS_CHECK(orthrus_.elastic_epoch_seconds > 0);
-    ORTHRUS_CHECK(orthrus_.elastic_step >= 1);
-  }
-  if (orthrus_.elastic_cc) {
-    // Elastic CC counts ride on the elastic infrastructure (MPSC mesh,
-    // park gates, epoch controller) and a partitioned lock space.
-    ORTHRUS_CHECK_MSG(orthrus_.elastic, "elastic_cc requires elastic");
-    ORTHRUS_CHECK_MSG(!orthrus_.shared_cc_table,
-                      "elastic_cc partitions the lock space; the shared "
-                      "CC table has no partitions to hand off");
-    ORTHRUS_CHECK_MSG(!orthrus_.split_index,
-                      "split indexes pin storage to a fixed CC count");
-    ORTHRUS_CHECK(orthrus_.elastic_min_cc >= 1);
-    ORTHRUS_CHECK(orthrus_.elastic_min_cc <= orthrus_.num_cc);
-    ORTHRUS_CHECK(orthrus_.cc_partitions == 0 ||
-                  orthrus_.cc_partitions >= orthrus_.num_cc);
-  }
-  ORTHRUS_CHECK(orthrus_.mesh_capacity_factor > 0.0 &&
-                orthrus_.mesh_capacity_factor <= 1.0);
-  if (orthrus_.mesh_capacity_factor < 1.0) {
-    // Deadlock-safety argument for under-provisioning (see the header)
-    // only covers the elastic exec->CC mesh.
-    ORTHRUS_CHECK_MSG(orthrus_.elastic,
-                      "mesh_capacity_factor shapes the elastic mesh");
-  }
-  if (orthrus_.backpressure_admission) {
-    ORTHRUS_CHECK(orthrus_.backpressure_epoch_seconds > 0);
-  }
+  ORTHRUS_CHECK_MSG(orthrus_.num_cc >= 1,
+                    "ORTHRUS needs at least one CC thread");
+  ORTHRUS_CHECK_MSG(options_.num_cores > orthrus_.num_cc,
+                    "ORTHRUS needs at least one exec thread: num_cores must "
+                    "exceed num_cc");
+  ORTHRUS_CHECK_MSG(orthrus_.max_inflight >= 1,
+                    "max_inflight must be at least 1");
 }
 
 std::string OrthrusEngine::name() const {
   std::string n = orthrus_.split_index ? "split-orthrus" : "orthrus";
   if (!orthrus_.forwarding) n += "-nofwd";
   if (orthrus_.shared_cc_table) n += "-sharedcc";
-  if (orthrus_.elastic) n += "-elastic";
-  if (orthrus_.elastic_cc) n += "cc";
-  if (orthrus_.backpressure_admission) n += "-bp";
   if (orthrus_.snapshot_reads) n += "-snap";
   return n;
 }
@@ -1532,18 +1058,10 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
                              const workload::Workload& workload) {
   const int n_cc = orthrus_.num_cc;
   const int n_exec = options_.num_cores - n_cc;
-  // Lock partitions: with elastic_cc the lock space is split finer than
-  // the CC population so ownership can rebalance in sub-thread steps; the
-  // static path keeps the historical partition == CC identity.
-  const int n_parts =
-      orthrus_.elastic_cc
-          ? (orthrus_.cc_partitions > 0 ? orthrus_.cc_partitions : 2 * n_cc)
-          : n_cc;
   if (!orthrus_.shared_cc_table) {
-    ORTHRUS_CHECK_MSG(db->partitioner().n == n_parts,
+    ORTHRUS_CHECK_MSG(db->partitioner().n == n_cc,
                       "ORTHRUS needs the database partitioner configured "
-                      "with one partition per lock partition (== CC thread "
-                      "on the static path)");
+                      "with one partition per CC thread");
   }
 
   // Durability: one wal producer per exec thread (CC threads never commit),
@@ -1600,9 +1118,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.n_exec = n_exec;
   shared.wal = options_.wal;
   shared.forwarding = orthrus_.forwarding;
-  shared.elastic = orthrus_.elastic;
-  shared.elastic_cc = orthrus_.elastic_cc;
-  shared.n_parts = n_parts;
   shared.cc_op_cycles = orthrus_.cc_op_cycles;
   shared.snapshot_reads = orthrus_.snapshot_reads;
   if (orthrus_.snapshot_reads) {
@@ -1624,16 +1139,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
 
   // Queue capacities: provable upper bounds on outstanding messages per
   // pair, doubled for slack (Mesh::Send CHECK-fails if these are wrong).
-  //
-  // elastic_cc loosens two of the static bounds. A transaction's stages
-  // are per *partition*, and one CC thread can own many partitions, so a
-  // single (sender, cc) pair may carry up to kMaxStages concurrent
-  // releases per in-flight transaction instead of one; and misrouted
-  // messages transiting the cc->cc mesh during a handoff window add up to
-  // the total outstanding lock-path message count to any one pair.
+  // A transaction has at most two messages outstanding on any one pair.
   const std::size_t inflight = static_cast<std::size_t>(orthrus_.max_inflight);
-  const std::size_t per_txn_msgs =
-      orthrus_.elastic_cc ? static_cast<std::size_t>(kMaxStages) + 1 : 2;
+  constexpr std::size_t per_txn_msgs = 2;
   const std::size_t aq_cap = NextPowerOfTwo(2 * inflight + 4);
   const std::size_t fq_cap = NextPowerOfTwo(
       per_txn_msgs * inflight * static_cast<std::size_t>(n_exec) + 4);
@@ -1644,12 +1152,10 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   // vectors stay empty (and the meshes get null) when placement is off.
   std::vector<Mesh::ReceiverPlacement> cc_recv;
   std::vector<Mesh::ReceiverPlacement> exec_recv;
-  std::vector<MultiMesh::ReceiverPlacement> cc_recv_multi;
   if (placement) {
     for (int c = 0; c < n_cc; ++c) {
       const int s = socket_of_worker[static_cast<std::size_t>(c)];
       cc_recv.push_back({arenas.ForNode(s), s});
-      cc_recv_multi.push_back({arenas.ForNode(s), s});
     }
     for (int e = 0; e < n_exec; ++e) {
       const int s = socket_of_worker[static_cast<std::size_t>(n_cc + e)];
@@ -1657,36 +1163,8 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
     }
   }
 
-  if (orthrus_.elastic) {
-    // Shard the dynamic mesh so exec senders do not all serialize on one
-    // reservation index per CC thread. 0 = adaptive: the mesh derives the
-    // ring count from the registered-sender population (capped at 8 — the
-    // same knee the static auto policy used: measured on the hot64 sweep,
-    // contention falls off fastest up to 8 shards and extra shards past
-    // that only add drain polls).
-    const int shards = orthrus_.elastic_shards;
-    // A shard's ring is shared by the senders hashing onto it; with
-    // adaptive sharding the population of one ring is bounded only by the
-    // full sender count, so the bound is the per-sender bound times that.
-    const std::size_t senders_per_shard =
-        shards > 0
-            ? static_cast<std::size_t>((n_exec + shards - 1) / shards)
-            : static_cast<std::size_t>(n_exec);
-    std::size_t mcap = per_txn_msgs * inflight * senders_per_shard + 4;
-    if (orthrus_.mesh_capacity_factor < 1.0) {
-      // Deliberate under-provisioning (backpressure benches): sends that
-      // exceed the scaled ring spin until the CC drains — never deadlock,
-      // since CC threads drain this mesh unconditionally every quantum.
-      mcap = static_cast<std::size_t>(static_cast<double>(mcap) *
-                                      orthrus_.mesh_capacity_factor);
-    }
-    if (mcap < 1) mcap = 1;
-    shared.exec_to_cc_multi.Reset(n_cc, NextPowerOfTwo(mcap), shards,
-                                  placement ? &cc_recv_multi : nullptr);
-  } else {
-    shared.exec_to_cc.Reset(n_exec, n_cc, aq_cap,
-                            placement ? &cc_recv : nullptr);
-  }
+  shared.exec_to_cc.Reset(n_exec, n_cc, aq_cap,
+                          placement ? &cc_recv : nullptr);
   shared.cc_to_cc.Reset(n_cc, n_cc, fq_cap, placement ? &cc_recv : nullptr);
   shared.cc_to_exec.Reset(n_cc, n_exec, gq_cap,
                           placement ? &exec_recv : nullptr);
@@ -1703,80 +1181,21 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
     pool.AssignRole(options_.num_cores + l, runtime::WorkerRole::kLogger);
   }
   if (placement) pool.SetPlacement(core_of_worker);
-  runtime::DriverOptions dopts =
+  const runtime::DriverOptions dopts =
       MakeDriverOptions(options_, /*charge_admission=*/true);
-  dopts.backpressure = orthrus_.backpressure_admission;
-  dopts.backpressure_epoch_seconds = orthrus_.backpressure_epoch_seconds;
 
-  // Elastic controller: CC thread 0 runs the reallocation epochs against
-  // the exec threads' published commit counters. Constructed only in
-  // elastic mode — its config CHECKs must not judge elastic_* knobs that
-  // a non-elastic run never uses. elastic_cc swaps in the 2-D grid
-  // controller and stands up the remappable lock space.
-  std::unique_ptr<ElasticController> controller;
-  std::unique_ptr<ElasticController2D> controller2d;
   // Live-lock bound for every CC lock table: each in-flight transaction
   // queues at most kMaxAccesses requests, all of which may land in one
   // table.
   const std::size_t max_live_locks = static_cast<std::size_t>(n_exec) *
                                      inflight *
                                      static_cast<std::size_t>(kMaxAccesses);
-  lock::HashRing ring(std::max(n_cc, 1));
-  SpaceMap space;
-  hal::Cycles epoch_cycles = 0;
-  if (orthrus_.elastic) {
-    shared.exec_ctxs.reserve(static_cast<std::size_t>(n_exec));
-    for (int e = 0; e < n_exec; ++e) {
-      shared.exec_ctxs.push_back(&pool.worker(n_cc + e));
-    }
-    epoch_cycles = static_cast<hal::Cycles>(orthrus_.elastic_epoch_seconds *
-                                            platform->CyclesPerSecond());
-    ORTHRUS_CHECK(epoch_cycles > 0);
-  }
-  if (orthrus_.elastic_cc) {
-    ElasticController2D::Config ec;
-    ec.min_cc = orthrus_.elastic_min_cc;
-    ec.max_cc = n_cc;
-    ec.min_exec = orthrus_.elastic_min_exec;
-    ec.max_exec = n_exec;
-    ec.exec_step = orthrus_.elastic_step;
-    ec.initial_exec = orthrus_.elastic_initial_exec;
-    ec.tolerance = orthrus_.elastic_tolerance;
-    // lint:allow-alloc setup
-    controller2d = std::make_unique<ElasticController2D>(ec);
-    const ElasticController2D::Target t0 = controller2d->target();
-    shared.exec_gate.SetTarget(t0.exec);
-    shared.cc_gate.SetTarget(t0.cc);
-    // One router slot per worker (CC threads then exec threads); shards
-    // start under the initial map so the first quantum claims nothing.
-    space.Reset(n_parts, ring.OwnersFor(n_parts, t0.cc), n_cc + n_exec,
-                [max_live_locks](int) {
-                  // lint:allow-alloc setup: shards built before the run
-                  return std::make_unique<CcShard>(max_live_locks);
-                });
-    shared.space = &space;
-    shared.ring = &ring;
-  } else if (orthrus_.elastic) {
-    ElasticController::Config ec;
-    ec.min_active = orthrus_.elastic_min_exec;
-    ec.max_active = n_exec;
-    ec.initial = orthrus_.elastic_initial_exec > 0
-                     ? orthrus_.elastic_initial_exec
-                     : n_exec;
-    ec.step = orthrus_.elastic_step;
-    ec.tolerance = orthrus_.elastic_tolerance;
-    // lint:allow-alloc setup
-    controller = std::make_unique<ElasticController>(ec);
-    shared.exec_gate.SetTarget(controller->target());
-  }
 
   std::vector<std::unique_ptr<CcThread>> cc_threads;
   std::vector<std::unique_ptr<ExecThread>> exec_threads;
   for (int c = 0; c < n_cc; ++c) {
     cc_threads.push_back(std::make_unique<CcThread>(  // lint:allow-alloc setup
-        c, &shared, &pool.worker(c).stats, max_live_locks,
-        c == 0 ? controller.get() : nullptr,
-        c == 0 ? controller2d.get() : nullptr, epoch_cycles));
+        c, &shared, &pool.worker(c).stats, max_live_locks));
   }
   for (int e = 0; e < n_exec; ++e) {
     hal::SlabArena* tcb_arena =
@@ -1810,49 +1229,11 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
                       "wal fragments stranded in the mesh after shutdown");
   }
 
-  // Consistency: every queue fully drained, every elastic sender retired,
-  // and — across any number of partition handoffs — every lock released
-  // and erased (the shard-resident held counts and tables survive
-  // ownership moves exactly). The thread-local tables are checked by their
-  // CC threads on exit.
+  // Consistency: every queue fully drained. Every lock was released and
+  // erased: each CC thread checks its own table on exit.
   ORTHRUS_CHECK(shared.exec_to_cc.SizeRawTotal() == 0);
-  ORTHRUS_CHECK(shared.exec_to_cc_multi.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.cc_to_cc.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.cc_to_exec.SizeRawTotal() == 0);
-  ORTHRUS_CHECK(shared.exec_to_cc_multi.ActiveSendersRaw() == 0);
-  if (orthrus_.elastic_cc) {
-    for (int p = 0; p < n_parts; ++p) {
-      ORTHRUS_CHECK_MSG(space.shard(p)->held == 0,
-                        "lock-space shard torn down with locks held");
-      ORTHRUS_CHECK_MSG(space.shard(p)->locks.used() == 0,
-                        "lock-space shard torn down with live locks");
-      WorkerStats& cc0 = pool.worker(0).stats;
-      cc0.cc_live_locks_max = std::max<std::uint64_t>(
-          cc0.cc_live_locks_max, space.shard(p)->locks.high_water());
-      ORTHRUS_CHECK_MSG(space.ShardOwnerRaw(p) <
-                            static_cast<std::uint64_t>(n_cc),
-                        "lock-space shard owned by an invalid CC slot");
-    }
-  }
-
-  reallocations_ = shared.reallocations.RawLoad();
-  cc_reallocations_ = shared.cc_reallocations.RawLoad();
-  if (controller2d != nullptr) {
-    final_exec_target_ = controller2d->target().exec;
-    final_cc_target_ = controller2d->target().cc;
-    steady_state_throughput_ =
-        controller2d->hold_throughput() * platform->CyclesPerSecond();
-  } else {
-    final_exec_target_ =
-        controller != nullptr ? controller->target() : n_exec;
-    final_cc_target_ = n_cc;
-    // The controller's hold EWMA is in commits per cycle (rate-normalized
-    // epoch samples); scale to commits per second for reporting.
-    steady_state_throughput_ = controller != nullptr
-                                   ? controller->hold_throughput() *
-                                         platform->CyclesPerSecond()
-                                   : 0.0;
-  }
 
   return pool.Finalize();
 }

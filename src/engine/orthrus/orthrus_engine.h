@@ -37,7 +37,9 @@ namespace orthrus::engine {
 
 struct OrthrusOptions {
   // Cores devoted to concurrency control; the remaining
-  // (EngineOptions::num_cores - num_cc) cores execute transactions.
+  // (EngineOptions::num_cores - num_cc) cores execute transactions. The
+  // split is fixed for the run (tune it beforehand: AutotuneThreadSplit).
+  // Unless shared_cc_table is set, CC thread c owns lock partition c.
   int num_cc = 4;
 
   // Maximum transactions an execution thread keeps in flight.
@@ -45,67 +47,6 @@ struct OrthrusOptions {
 
   // Section 3.3 optimization: CC->CC forwarding of lock-acquisition chains.
   bool forwarding = true;
-
-  // Elastic thread roles: make the CC/exec split a *runtime* property.
-  // All (num_cores - num_cc) exec threads are spawned, but only a
-  // controller-chosen prefix is active; the rest park (runtime::ParkGate)
-  // between scheduling quanta. A closed-loop hill climber
-  // (engine::ElasticController, run by CC thread 0) reads live per-epoch
-  // commit counts and grows or shrinks the active set each epoch. The CC
-  // thread count stays fixed — CC threads own lock-space partitions, which
-  // cannot be re-sharded in flight. exec->CC traffic moves from the static
-  // per-pair QueueMesh onto the dynamic-sender mp::MultiMesh, with the
-  // sender register/retire drain-to-empty protocol at every park/resume.
-  // Off by default: with elastic=false the engine runs the exact static
-  // mesh path (byte-identical digests and sim clocks).
-  bool elastic = false;
-
-  // Floor for the active exec-thread count (elastic mode).
-  int elastic_min_exec = 1;
-
-  // Controller epoch length in (virtual or wall) seconds: how often the
-  // reallocation decision runs.
-  double elastic_epoch_seconds = 0.0002;
-
-  // Active exec threads at start; 0 = all spawned exec threads.
-  int elastic_initial_exec = 0;
-
-  // Exec threads moved per controller decision.
-  int elastic_step = 1;
-
-  // Shards per CC receiver in the dynamic exec->CC mesh; 0 = adaptive
-  // (mp::MultiMesh derives the ring count from the registered-sender
-  // population, re-sharding future registrations as exec threads park and
-  // resume). More shards cut the reservation-CAS and tail-publication
-  // contention among exec senders at the cost of more queues for each CC
-  // thread to drain.
-  int elastic_shards = 0;
-
-  // Elastic CC population (requires elastic=true): lock-space ownership
-  // becomes a runtime-remappable layer (lock::SpaceMap). The lock space is
-  // split into `cc_partitions` consistent-hash partitions, each owned by
-  // one CC slot; the controller becomes the 2-D sweep-and-hold
-  // (engine::ElasticController2D) over (cc_count x exec_count), and CC
-  // threads above the target park on a runtime::ParkGate after handing
-  // their partitions off under the epoch protocol (drain to empty, shard
-  // pointer transfer, map version publication). Off by default; with
-  // elastic_cc=false the engine routes partition == CC id exactly as the
-  // static path always has (byte-identical digests and sim clocks).
-  bool elastic_cc = false;
-
-  // Floor for the active CC-thread count (elastic_cc mode). CC 0 runs the
-  // controller and never parks, so the floor is at least 1.
-  int elastic_min_cc = 1;
-
-  // Lock partitions for elastic_cc mode; 0 = auto (2 * num_cc). More
-  // partitions rebalance in finer steps but split transactions into more
-  // acquisition stages (more messages per commit). The database
-  // partitioner must be configured with this many partitions. Ignored
-  // (and forced to num_cc) when elastic_cc is off.
-  int cc_partitions = 0;
-
-  // Relative per-epoch throughput change treated as a plateau.
-  double elastic_tolerance = 0.05;
 
   // Use physically partitioned indexes (SPLIT ORTHRUS, Section 4.3). The
   // database must then be loaded with num_table_partitions == num_cc.
@@ -126,25 +67,6 @@ struct OrthrusOptions {
   // the thread does nothing else — the cache-locality benefit of
   // partitioned functionality (Section 2.1 / 3.1).
   hal::Cycles cc_op_cycles = 12;
-
-  // Scales the elastic exec->CC mesh capacity relative to its provable
-  // bound (1.0 = fully provisioned, never blocks). Values < 1 deliberately
-  // under-provision that mesh — and only that mesh; the CC-side meshes CC
-  // threads block on stay fully provisioned, so deadlock freedom is
-  // unaffected (CC drains exec->CC unconditionally) — to create a real
-  // send-stall regime at saturation for backpressure_admission to convert
-  // into admission throttling. Bench/ablation use; 1.0 in production.
-  double mesh_capacity_factor = 1.0;
-
-  // Backpressure-driven admission (runtime::TxnAdmission::InflightCap):
-  // exec threads convert their per-epoch blocking-send stall rate into an
-  // AIMD reduction of the in-flight window instead of letting blocking
-  // sends spin against full rings. Off by default (fixed window,
-  // byte-identical).
-  bool backpressure_admission = false;
-
-  // Cap-adjustment window for backpressure_admission, in (virtual) seconds.
-  double backpressure_epoch_seconds = 0.0002;
 
   // Snapshot read path: epoch-versioned storage + CC bypass for read-only
   // transactions. Writers additionally install their committed post-images
@@ -185,30 +107,9 @@ class OrthrusEngine final : public Engine {
   // Worker-id layout inside RunResult::per_worker: CC threads first.
   bool IsCcWorker(int worker_id) const { return worker_id < orthrus_.num_cc; }
 
-  // Elastic-mode observability for the run that Run() last completed:
-  // epochs whose controller decision changed the active exec target, the
-  // target in force when the run ended, and the controller's steady-state
-  // (hold-phase EWMA) throughput in commits/second — the converged rate
-  // with the probing epochs excluded. Zero / num_exec() / 0.0 when the
-  // engine ran with elastic=false.
-  std::uint64_t reallocations() const { return reallocations_; }
-  int final_exec_target() const { return final_exec_target_; }
-  double steady_state_throughput() const { return steady_state_throughput_; }
-
-  // elastic_cc observability: CC-population moves (map epochs published)
-  // and the CC target in force when the run ended. Zero / num_cc() when
-  // the engine ran with elastic_cc=false.
-  std::uint64_t cc_reallocations() const { return cc_reallocations_; }
-  int final_cc_target() const { return final_cc_target_; }
-
  private:
   EngineOptions options_;
   OrthrusOptions orthrus_;
-  std::uint64_t reallocations_ = 0;
-  std::uint64_t cc_reallocations_ = 0;
-  int final_exec_target_ = 0;
-  int final_cc_target_ = 0;
-  double steady_state_throughput_ = 0.0;
 };
 
 }  // namespace orthrus::engine

@@ -27,9 +27,8 @@ constexpr int kMaxAccesses = 40;  // TPC-C NewOrder peaks at ~18
 constexpr int kMaxStages = kMaxAccesses;
 
 // One lock-acquisition stage: the contiguous range of the (sorted) access
-// array living in one lock partition. With the static lock space a
-// partition IS a CC thread (partition id == CC id); under elastic_cc the
-// owning CC thread is resolved through the lock::SpaceMap at send time.
+// array living in one lock partition. A partition IS a CC thread
+// (partition id == CC id).
 struct Stage {
   std::int32_t part = -1;
   std::uint16_t begin = 0;

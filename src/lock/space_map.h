@@ -1,25 +1,23 @@
-// Lock-space ownership as a first-class, runtime-remappable layer.
+// Partition ownership as a runtime-remappable layer.
 //
-// ORTHRUS partitions the lock space across CC threads (Section 3.1). The
-// original engine hard-wired that mapping — partition id == CC id, fixed at
-// startup — which makes the CC population a compile-time property of a run:
-// the elastic controller could only move *execution* threads. This header
-// turns partition ownership into a subsystem of its own:
+// A partitioned space (the WAL's per-partition log streams, owned by
+// logger threads) is split into P partitions, each owned by one slot of a
+// worker population. This header lets ownership move between slots while
+// the run is live:
 //
-//  * HashRing — a consistent-hash assignment of P lock partitions onto the
-//    active prefix [0, k) of a CC-slot population. Stable under resizing:
+//  * HashRing — a consistent-hash assignment of P partitions onto the
+//    active prefix [0, k) of a slot population. Stable under resizing:
 //    activating or retiring one slot moves only the partitions that slot
-//    gains or loses; every other partition keeps its owner. That stability
-//    is what makes runtime CC scaling affordable — a k -> k-1 step hands
-//    off ~P/k partitions instead of reshuffling all of them.
+//    gains or loses; every other partition keeps its owner, so a
+//    k -> k-1 step hands off ~P/k partitions instead of reshuffling all
+//    of them.
 //
 //  * SpaceMap<Shard> — the authoritative ownership state: one Shard (the
-//    owner-private lock table plus bookkeeping) per partition, an atomic
-//    per-shard owner word, a published routing table, and a monotonically
-//    increasing map *version* (the handoff epoch). Two views coexist by
-//    design: the routing table is a hint senders may read stale; the
-//    per-shard owner word is the authority receivers must check before
-//    touching a shard.
+//    owner-private state) per partition, an atomic per-shard owner word, a
+//    published routing table, and a monotonically increasing map
+//    *version* (the handoff epoch). Two views coexist by design: the
+//    routing table is a hint senders may read stale; the per-shard owner
+//    word is the authority receivers must check before touching a shard.
 //
 //  * LockSpaceRouter — a thread's cached view of the routing table.
 //    Refresh() costs one modeled atomic load per scheduling quantum and
@@ -27,25 +25,23 @@
 //    array read on the hot send path. Each router publishes the version it
 //    has observed, which gives retiring owners their drain barrier (below).
 //
-// The handoff protocol (one partition moving from CC a to CC b):
+// The handoff protocol (one partition moving from slot a to slot b):
 //
 //   1. The controller publishes a new owner table and bumps the version.
 //   2. a notices the epoch moved at its next quantum boundary (Refresh),
 //      and — as the shard's sole owner, at a point where it is touching no
 //      shard state — release-stores the shard's owner word to b. This is
 //      the entire transfer: the shard *pointer* changes hands, never the
-//      lock state behind it, so no request is lost or duplicated.
-//   3. Senders route by their cached table. A message that reaches a CC
+//      state behind it, so nothing is lost or duplicated.
+//   3. Senders route by their cached table. A message that reaches a slot
 //      which does not own the target shard (stale sender view, or the
 //      owner store not yet observed) is forwarded to the shard's current
 //      owner — it chases the ownership chain, which settles one epoch
 //      after the last relinquish.
-//   4. A CC slot leaving the active set parks only after (a) it owns no
+//   4. A slot leaving the active set stops only after (a) it owns no
 //      shard, (b) every registered router has observed a version at or
 //      past its retirement epoch — so no sender can still be routing new
-//      messages to it — and (c) a final drain found its queues empty: the
-//      same drain-to-empty retire contract the elastic exec threads use
-//      against mp::MultiMesh.
+//      messages to it — and (c) a final drain found its queues empty.
 //
 // The release/acquire pair on the owner word is the only synchronization a
 // handoff needs: everything the source wrote into the shard happens-before
@@ -63,7 +59,7 @@
 namespace orthrus::lock {
 
 // Consistent-hash ring: P partitions -> the active prefix [0, k) of
-// `max_slots` CC slots. Pure deterministic arithmetic (no state beyond the
+// `max_slots` slots. Pure deterministic arithmetic (no state beyond the
 // precomputed ring), so every thread computes identical tables.
 class HashRing {
  public:
@@ -96,10 +92,10 @@ class HashRing {
   std::vector<Point> points_;  // sorted
 };
 
-// Authoritative lock-space ownership. `Shard` is whatever the owner keeps
-// per partition (ORTHRUS: the partition's CC lock table plus held-lock
-// accounting); SpaceMap owns the shards so their addresses are stable for
-// the whole run while ownership moves across threads.
+// Authoritative partition ownership. `Shard` is whatever the owner keeps
+// per partition (the WAL: the partition's log buffer); SpaceMap owns the
+// shards so their addresses are stable for the whole run while ownership
+// moves across threads.
 template <typename Shard>
 class SpaceMap {
  public:

@@ -137,7 +137,7 @@ class LineRing {
 // outstanding messages per pair, so a full queue that stays full is a
 // protocol bug, not backpressure: the spin CHECK-fails once the wait has
 // outlived any legal protocol state. Shared by QueueMesh::Send,
-// MultiMesh::SendOnRing, and MultiSendBuffer flushes so the diagnostic and
+// MultiMesh::Send, and MultiSendBuffer flushes so the diagnostic and
 // its bound live in one place.
 //
 // The tight bound is sound only under the simulator, where fibers are

@@ -4,7 +4,7 @@
 // (sender, receiver) pair owns a queue, so adding an execution thread means
 // rebuilding every matrix. MpscQueue relaxes exactly the producer side —
 // any number of anonymous producers share one ring per receiver — which is
-// what a mesh needs to support dynamic core counts (MultiMesh).
+// what a mesh with a changing sender population needs (MultiMesh).
 //
 // Protocol: producers CAS-reserve a range of slots on a shared reservation
 // index, write their payload words into the reserved range, then publish
@@ -34,19 +34,8 @@ class MpscQueue {
   static constexpr std::size_t kMsgsPerLine = detail::LineRing<T>::kMsgsPerLine;
 
   // Capacity must be a power of two (index masking).
-  // The optional (arena, home_socket) pair NUMA-places the payload blocks
-  // and tags them for the sim's distance model — see detail::LineRing. The
-  // queue's own index lines stay wherever the queue object lives; receivers
-  // construct their meshes, so first-touch already puts those right.
-  explicit MpscQueue(std::size_t capacity, hal::SlabArena* arena = nullptr,
-                     int home_socket = -1)
-      : capacity_(capacity), ring_(capacity, arena, home_socket) {
-    if (home_socket >= 0) {
-      reserve_.SetHomeRaw(home_socket);
-      tail_.SetHomeRaw(home_socket);
-      head_.SetHomeRaw(home_socket);
-    }
-  }
+  explicit MpscQueue(std::size_t capacity)
+      : capacity_(capacity), ring_(capacity) {}
 
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;

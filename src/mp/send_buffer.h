@@ -43,18 +43,9 @@ class MultiSendBuffer final {
  public:
   static constexpr std::size_t kDefaultStage = MpscQueue<T>::kMsgsPerLine;
 
-  // `shard_hint` picks which of the mesh's per-receiver shards this sender
-  // flushes into (reduced modulo the routing shard count); it must stay
-  // fixed for the buffer's lifetime so the sender's own messages stay FIFO.
-  explicit MultiSendBuffer(MultiMesh<T>* mesh, int shard_hint = 0,
+  explicit MultiSendBuffer(MultiMesh<T>* mesh,
                            std::size_t stage_capacity = kDefaultStage)
       : mesh_(mesh),
-        hint_(shard_hint),
-        // Resolve through the routing modulus even at construction: on an
-        // adaptive mesh the raw allocated-ring count (kMaxAutoShards) can
-        // exceed the drain high-water, and a ring above it would strand
-        // anything sent before the first Rebind().
-        shard_(mesh->RingForHint(shard_hint)),
         receivers_(mesh->receivers()),
         stage_(stage_capacity < 1 ? 1 : stage_capacity),
         slots_(static_cast<std::size_t>(receivers_) * stage_),
@@ -64,12 +55,6 @@ class MultiSendBuffer final {
   MultiSendBuffer& operator=(const MultiSendBuffer&) = delete;
 
   std::size_t stage_capacity() const { return stage_; }
-
-  // Re-resolves the ring for this buffer's hint under the mesh's current
-  // routing modulus. Call right after each RegisterSender on an adaptive
-  // mesh: the modulus tracks the sender population, and the drain-to-empty
-  // retire contract guarantees nothing of ours is left on the old ring.
-  void Rebind() { shard_ = mesh_->RingForHint(hint_); }
 
   // Stages `value` for `receiver`; flushes the receiver's stage once full.
   void Send(int receiver, T value) {
@@ -87,7 +72,7 @@ class MultiSendBuffer final {
     std::size_t& n = counts_[static_cast<std::size_t>(receiver)];
     if (n == 0) return;
     const T* buf = &slots_[static_cast<std::size_t>(receiver) * stage_];
-    MpscQueue<T>& q = mesh_->at(receiver, shard_);
+    MpscQueue<T>& q = mesh_->at(receiver);
     std::size_t pushed = 0;
     detail::WedgeSpin spin;
     while (pushed < n) {
@@ -126,8 +111,6 @@ class MultiSendBuffer final {
 
  private:
   MultiMesh<T>* mesh_;
-  const int hint_;
-  int shard_;
   const int receivers_;
   const std::size_t stage_;
   // Flat [receiver][stage_] staging matrix + per-receiver fill counts.

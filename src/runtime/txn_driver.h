@@ -103,14 +103,6 @@ struct DriverOptions {
   // transactions durable counts them against its commit cap, so a resumed
   // capped run finishes the remainder instead of re-running the cap.
   const std::vector<std::uint64_t>* resume_committed = nullptr;
-
-  // Backpressure admission: when on, TxnAdmission::InflightCap converts the
-  // per-epoch blocking-send stall rate into a reduced inflight cap (AIMD),
-  // so a worker whose sends are hitting full rings admits fewer concurrent
-  // transactions instead of spinning on the ring. Off by default: the cap
-  // is then a constant and no clock is read.
-  bool backpressure = false;
-  double backpressure_epoch_seconds = 0.001;  // cap-adjustment window
 };
 
 // Admission front end: the deadline/cap gate plus pull-plan-stamp of the
@@ -137,49 +129,6 @@ class TxnAdmission {
     return now < ctx_->clock.deadline &&
            (options_.max_txns_per_worker == 0 ||
             done < options_.max_txns_per_worker);
-  }
-
-  // Live backpressure signal: blocking-send stalls this worker has hit
-  // since the previous call — a windowed delta, not the cumulative count,
-  // so an admission controller sees the current stall *rate* rather than a
-  // signal that saturates forever after one bad epoch. Reads the folded
-  // stats plus the core's live sink (see hal::SpinStallSink).
-  std::uint64_t StallsDelta() {
-    std::uint64_t n = ctx_->stats.send_stalls;
-    const hal::CoreContext* cc = hal::CurrentCore();
-    if (cc != nullptr && cc->send_stall_sink != nullptr) {
-      n += cc->send_stall_sink->stalls;
-    }
-    const std::uint64_t delta = n - stalls_seen_;
-    stalls_seen_ = n;
-    return delta;
-  }
-
-  // Backpressure-adjusted concurrent-transaction cap. With backpressure off
-  // this returns `base_cap` unconditionally (no clock read, no state). With
-  // it on, the cap follows the stall signal with AIMD dynamics, evaluated
-  // once per backpressure epoch: any stalls in the window cut the cap by a
-  // quarter (a full pipeline into a full ring converts send spinning into
-  // queueing delay for every transaction behind it); a clean window adds
-  // one slot back, probing toward `base_cap`.
-  int InflightCap(int base_cap) {
-    if (!options_.backpressure) return base_cap;
-    if (cap_ == 0 || cap_ > base_cap) cap_ = base_cap;
-    const hal::Cycles now = hal::Now();
-    if (epoch_end_ == 0) {
-      epoch_end_ = now + EpochCycles();
-      (void)StallsDelta();  // baseline the window
-      return cap_;
-    }
-    if (now < epoch_end_) return cap_;
-    epoch_end_ = now + EpochCycles();
-    if (StallsDelta() > 0) {
-      const int cut = cap_ / 4 > 0 ? cap_ / 4 : 1;
-      cap_ = cap_ - cut > 0 ? cap_ - cut : 1;
-    } else if (cap_ < base_cap) {
-      cap_++;
-    }
-    return cap_;
   }
 
   // Fills `t` with the next transaction: source pull, OLLP plan, wait-die
@@ -219,22 +168,11 @@ class TxnAdmission {
   WorkerContext* context() { return ctx_; }
 
  private:
-  hal::Cycles EpochCycles() const {
-    hal::CoreContext* cc = hal::CurrentCore();
-    const double cps =
-        cc != nullptr ? cc->platform->CyclesPerSecond() : 2e9;
-    return static_cast<hal::Cycles>(options_.backpressure_epoch_seconds *
-                                    cps);
-  }
-
   DriverOptions options_;
   txn::OllpPlanner planner_;
   workload::TxnSource* source_;
   WorkerContext* ctx_;
   std::uint64_t ts_counter_ = 0;
-  std::uint64_t stalls_seen_ = 0;  // StallsDelta window base
-  int cap_ = 0;                    // backpressure cap (0 = uninitialized)
-  hal::Cycles epoch_end_ = 0;      // current backpressure window end
 };
 
 // The sequential per-worker loop: admit, attempt until committed (with

@@ -8,15 +8,6 @@
 // callback receiving its WorkerContext); everything else lives here, so a
 // fairness fix or a new scenario is a one-place edit instead of a four-way
 // engine patch.
-//
-// Elastic role support: platforms cannot add cores after Run begins, so a
-// worker's *role* — not its existence — is what changes at runtime. The
-// pool records each worker's assigned role (AssignRole), a ParkGate gives
-// a controller a doorbell for activating/deactivating a contiguous prefix
-// of a role group between scheduling quanta, and per-epoch stat snapshots
-// (WorkerContext::PublishEpochStats / ReadEpochSnapshot) let that
-// controller read live commit counters without racing the plain,
-// worker-owned accounting that Finalize aggregates after join.
 #ifndef ORTHRUS_RUNTIME_WORKER_POOL_H_
 #define ORTHRUS_RUNTIME_WORKER_POOL_H_
 
@@ -59,8 +50,8 @@ struct WorkerClock {
 // What a worker core does for an engine. kFlex is the default: the worker
 // both runs transactions and manipulates shared CC state (the
 // shared-everything engines). Engines with partitioned functionality
-// assign kCc / kExec so tools and elastic controllers can tell the groups
-// apart without engine-specific id arithmetic.
+// assign kCc / kExec so tools can tell the groups apart without
+// engine-specific id arithmetic.
 enum class WorkerRole : std::uint8_t {
   kFlex = 0,
   kCc,
@@ -68,20 +59,12 @@ enum class WorkerRole : std::uint8_t {
   kLogger,  // durability: drains redo-log fragments, seals group commits
 };
 
-// Commit/abort counters published at a quantum boundary, for cross-core
-// controller reads (see WorkerContext::PublishEpochStats).
-struct EpochSnapshot {
-  std::uint64_t committed = 0;
-  std::uint64_t aborted = 0;
-};
-
 // Everything a worker owns for the duration of a run. Plain (non-atomic)
 // fields: exactly one logical core touches a context while the platform is
-// running; the pool aggregates after join. The published_* atomics are the
-// one exception — epoch-boundary mirrors of the plain counters that a
-// controller core may read while the worker keeps running, so elastic
-// reallocation decisions never race (or corrupt) the worker-owned stats.
-struct WorkerContext {
+// running; the pool aggregates after join. Line-aligned because the pool
+// keeps the contexts in one array: packed, a worker's hot counters would
+// share a cache line with its neighbour's clock and RNG.
+struct alignas(kCacheLineSize) WorkerContext {
   int worker_id = -1;
   WorkerRole role = WorkerRole::kFlex;
   WorkerStats stats;
@@ -90,73 +73,6 @@ struct WorkerContext {
   // Available to strategies and backoff policies that want randomness
   // without sharing generator state across cores.
   Rng rng;
-
-  // Worker-side: mirror the commit/abort counters for cross-core readers.
-  // Call at scheduling-quantum boundaries (two modeled stores).
-  void PublishEpochStats() {
-    // The plain counters are worker-owned by contract; the tags let the
-    // race detector prove it — any other core writing them (a controller
-    // shortcutting past the published_* mirrors, a stats-fold touching a
-    // live worker) shows up as a report instead of silent corruption.
-    hal::RaceCheck(&stats.committed, sizeof(stats.committed), false,
-                   "runtime.worker_stats.committed");
-    hal::RaceCheck(&stats.aborted, sizeof(stats.aborted), false,
-                   "runtime.worker_stats.aborted");
-    published_committed_.store(stats.committed);
-    published_aborted_.store(stats.aborted);
-  }
-
-  // Controller-side: last published snapshot (modeled loads, any core).
-  EpochSnapshot ReadEpochSnapshot() {
-    return {published_committed_.load(), published_aborted_.load()};
-  }
-
- private:
-  hal::Atomic<std::uint64_t> published_committed_{0};
-  hal::Atomic<std::uint64_t> published_aborted_{0};
-};
-
-// Park/resume doorbell for an elastic role group. The controller sets how
-// many of the group's workers should be active; worker `i` runs while
-// i < target and parks otherwise. Parking is cooperative — a worker polls
-// the gate at quantum boundaries, finishes its in-flight work, and then
-// spins (politely, with exponential backoff) in Park() until resumed or
-// told to exit — because platforms cannot deschedule a spawned core, only
-// the worker itself can.
-class ParkGate {
- public:
-  explicit ParkGate(int initial_target = 0)
-      : target_(static_cast<std::uint64_t>(initial_target)) {}
-
-  ParkGate(const ParkGate&) = delete;
-  ParkGate& operator=(const ParkGate&) = delete;
-
-  // Controller side: workers [0, target) of the group should be active.
-  void SetTarget(int target) {
-    ORTHRUS_DCHECK(target >= 0);
-    target_.store(static_cast<std::uint64_t>(target));
-  }
-
-  // Worker side (modeled load).
-  int target() { return static_cast<int>(target_.load()); }
-  bool Active(int index) { return index < target(); }
-
-  // Unmodeled view for tests / teardown assertions.
-  int TargetRaw() const { return static_cast<int>(target_.RawLoad()); }
-
-  // Blocks (polite spin) until this worker is active again or
-  // `should_exit()` turns true (e.g. the run deadline passed). Returns the
-  // cycles spent parked so the caller can charge them to kWaiting.
-  template <typename ExitFn>
-  hal::Cycles Park(int index, ExitFn&& should_exit) {
-    const hal::Cycles t0 = hal::Now();
-    hal::IdleBackoff idle(4096);
-    while (!Active(index) && !should_exit()) idle.Idle();
-    return hal::Now() - t0;
-  }
-
- private:
-  hal::Atomic<std::uint64_t> target_;
 };
 
 // Owns the worker contexts for one engine run and the spawn/join/aggregate
@@ -186,9 +102,9 @@ class WorkerPool {
   WorkerContext& worker(int w) { return workers_[w]; }
 
   // Role bookkeeping: call before Spawn. Roles do not change what the pool
-  // does — they let engines, controllers, and reports tell worker groups
-  // apart (e.g. "sum committed over kExec workers") without engine-specific
-  // id arithmetic.
+  // does — they let engines and reports tell worker groups apart (e.g.
+  // "sum committed over kExec workers") without engine-specific id
+  // arithmetic.
   void AssignRole(int w, WorkerRole role) { workers_[w].role = role; }
   WorkerRole role(int w) const { return workers_[w].role; }
   int CountRole(WorkerRole role) const;

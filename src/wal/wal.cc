@@ -118,7 +118,7 @@ GroupCommitLog::GroupCommitLog(const DurabilityOptions& opts,
   const std::size_t capacity = NextPow2(std::max<std::size_t>(
       64, static_cast<std::size_t>(n_producers_) *
               static_cast<std::size_t>(opts_.arena_records)));
-  mesh_.Reset(opts_.loggers, capacity, /*shards=*/1);
+  mesh_.Reset(opts_.loggers, capacity);
   row_versions_.reserve(db->num_tables());
   for (std::size_t t = 0; t < db->num_tables(); ++t) {
     row_versions_.emplace_back(db->GetTable(static_cast<std::uint32_t>(t))
@@ -252,11 +252,11 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
     // 3. Seal candidate, read BEFORE draining: every producer flushes its
     // staged fragments before publishing an epoch, so once we have read
     // published epochs, a drain is guaranteed to surface every fragment
-    // with epoch <= candidate that is routed to us. Producers that parked
-    // or retired publish the done sentinel and bound nothing; the current
-    // epoch minus one bounds everyone (a resuming producer publishes
-    // before it captures, and the publish-then-capture order makes the
-    // bound sound — see Producer::Resume).
+    // with epoch <= candidate that is routed to us. Producers that retired
+    // publish the done sentinel and bound nothing; the current epoch minus
+    // one bounds everyone (a producer publishes from its constructor,
+    // before it can capture, and the publish-then-capture order makes the
+    // bound sound).
     const std::uint64_t e_now = epoch_.load();
     std::uint64_t candidate = e_now - 1;
     for (int i = 0; i < n_producers_; ++i) {
@@ -386,11 +386,16 @@ Producer::Producer(GroupCommitLog* log, int producer_id,
       ctx_(ctx),
       arena_records_(log->opts_.arena_records),
       router_(&log->map_, producer_id),
-      out_(&log->mesh_, /*shard_hint=*/producer_id),
+      out_(&log->mesh_),
       arena_(std::make_unique<FragmentMsg[]>(
           static_cast<std::size_t>(log->opts_.arena_records))) {
   ORTHRUS_CHECK(producer_id >= 0 && producer_id < log->n_producers_);
-  Resume();
+  log_->mesh_.RegisterSender();
+  router_.Refresh();
+  // Publish before any capture: the seal candidate is bounded by the
+  // current epoch minus one only because a producer that can emit a
+  // fragment at epoch e has published a value <= e beforehand.
+  log_->published_[id_].store(log_->epoch_.load());
 }
 
 Producer::~Producer() {
@@ -417,7 +422,7 @@ FragmentMsg* Producer::AllocSlot() {
 }
 
 void Producer::Capture(txn::Txn* t, storage::Database* db) {
-  ORTHRUS_CHECK(active_);
+  ORTHRUS_CHECK(!retired_);
   // The commit epoch, read while the transaction still holds its exclusive
   // locks: any dependent transaction acquires later and reads a later (or
   // equal) epoch, so epoch order respects dependency order.
@@ -529,7 +534,7 @@ void Producer::Mature() {
 }
 
 void Producer::Poll() {
-  ORTHRUS_CHECK(active_);
+  ORTHRUS_CHECK(!retired_);
   router_.Refresh();
   // Flush BEFORE publishing: the published epoch is the logger's proof
   // that every fragment of earlier epochs is already visible in its ring.
@@ -538,33 +543,14 @@ void Producer::Poll() {
   Mature();
 }
 
-void Producer::Park() {
-  ORTHRUS_CHECK(active_);
-  ORTHRUS_CHECK_MSG(pending_.empty(), "wal Park with commits in flight");
+void Producer::Retire() {
+  ORTHRUS_CHECK_MSG(pending_.empty(), "wal Retire with commits in flight");
+  ORTHRUS_CHECK(!retired_);
   out_.FlushAll();
   ORTHRUS_CHECK(out_.Pending() == 0);
   log_->published_[id_].store(GroupCommitLog::kDonePublished);
   log_->mesh_.RetireSender();
   router_.Deactivate();
-  active_ = false;
-}
-
-void Producer::Resume() {
-  ORTHRUS_CHECK(!active_ && !retired_);
-  log_->mesh_.RegisterSender();
-  out_.Rebind();
-  router_.Refresh();
-  // Publish before any capture: the seal candidate is bounded by the
-  // current epoch minus one only because a producer that can emit a
-  // fragment at epoch e has published a value <= e beforehand.
-  log_->published_[id_].store(log_->epoch_.load());
-  active_ = true;
-}
-
-void Producer::Retire() {
-  ORTHRUS_CHECK_MSG(pending_.empty(), "wal Retire with commits in flight");
-  ORTHRUS_CHECK(!retired_);
-  if (active_) Park();
   retired_ = true;
   log_->retired_.fetch_add(1);
 }

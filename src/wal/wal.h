@@ -34,10 +34,9 @@
 //    the fragment arena (backpressure instead of unbounded buffering).
 //
 //  * Log-stream ownership lives in a lock::SpaceMap<PartitionLogBuffer>:
-//    the same publish / observe-barrier / relinquish protocol that moves
-//    lock partitions across CC threads moves log partitions across loggers
-//    (DurabilityOptions::rebalance_epochs exercises it), so elastic scaling
-//    and durability compose.
+//    its publish / observe-barrier / relinquish protocol moves log
+//    partitions across loggers (DurabilityOptions::rebalance_epochs
+//    exercises it).
 //
 // Frame format (per partition log, byte stream):
 //   [u32 payload_len][u32 kind][u64 fnv_check][payload]
@@ -182,9 +181,8 @@ class Producer;
 // before Run (off-core); producers and loggers attach from their cores.
 class GroupCommitLog {
  public:
-  // Sentinel published by a producer that has parked or retired: it will
-  // emit nothing until it publishes a real epoch again, so it never holds
-  // the seal candidate back.
+  // Sentinel published by a producer that has retired: it emits nothing
+  // more, so it never holds the seal candidate back.
   static constexpr std::uint64_t kDonePublished = ~0ull;
 
   // Partitions = db->partitioner().n (the lock-space partitioning every
@@ -298,11 +296,6 @@ class Producer {
   // toward logger shutdown.
   void Retire();
 
-  // Elastic park/resume (ORTHRUS exec threads): Park is Retire without the
-  // shutdown count; Resume re-registers and resumes heartbeats.
-  void Park();
-  void Resume();
-
  private:
   FragmentMsg* AllocSlot();
   void Mature();
@@ -325,7 +318,6 @@ class Producer {
   std::uint64_t next_seq_ = 0;
   std::uint64_t durable_cache_ = 0;
   std::deque<PendingCommit> pending_;
-  bool active_ = false;
   bool retired_ = false;
 };
 

@@ -167,12 +167,8 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
   }
   // ORTHRUS variants: every message-passing configuration (forwarding
   // on/off, shared CC table, snapshot reads) must agree with the
-  // shared-everything engines. Every case runs with elastic=false and
-  // elastic_cc=false (the OrthrusOptions defaults), so this whole list is
-  // the pin that the elastic-roles and lock-space-routing refactors left
-  // the static-mesh path producing the exact static-mesh digest; the
-  // separate clock-level pins are OrthrusRunsAreDeterministic plus the
-  // exact message-count tests and the StaticKnobsAreInert clock probe in
+  // shared-everything engines. The clock-level pins are
+  // OrthrusRunsAreDeterministic plus the exact message-count tests in
   // orthrus_engine_test.
   struct OrthrusCase {
     bool forwarding;
@@ -194,35 +190,11 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     oo.forwarding = c.forwarding;
     oo.shared_cc_table = c.shared_cc;
     oo.snapshot_reads = c.snapshot_reads;
-    ORTHRUS_CHECK(!oo.elastic);     // the static-mesh digest pin
-    ORTHRUS_CHECK(!oo.elastic_cc);  // the static lock-space pin
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &orthrus_aligned,
                                  kOrthrusCc + kExecWorkers, kOrthrusCc));
   }
-  {
-    // elastic_cc with a pinned CC population (min == max == num_cc, one
-    // partition per CC slot would still remap; a consistent-hash map over
-    // 2x partitions churns ownership only when the cc target moves, which
-    // a pinned range never does): the epoch-routing layer itself must not
-    // change what commits. Digest-comparable, though not clock-pinned —
-    // router refreshes are modeled work the static path does not do.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.elastic = true;
-    oo.elastic_cc = true;
-    oo.elastic_min_cc = kOrthrusCc;
-    oo.elastic_min_exec = kExecWorkers;  // pinned exec population too
-    oo.elastic_epoch_seconds = 1000.0;   // no controller epoch ever ends
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunOne(&eng, &orthrus_aligned,
-                                 kOrthrusCc + kExecWorkers,
-                                 2 * kOrthrusCc));
-  }
-
   const std::uint64_t want_committed = kExecWorkers * kTxnsPerWorker;
   const std::uint64_t want_counters = want_committed * 10;  // 10 RMW ops/txn
   for (const auto& [name, out] : outcomes) {

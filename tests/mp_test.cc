@@ -386,7 +386,7 @@ TEST(QueueMesh, UnbatchedDrainDeliversTheSameMessages) {
 }
 
 // The fairness bound: a sender that keeps publishing while the receiver
-// drains (here sender 0 / shard 0, refilled from inside the callback up to
+// drains (here sender 0, refilled from inside the callback up to
 // 1000 times) must not hold the receiver on its queue. One Drain call
 // takes at most one line from it and still delivers the other sender.
 template <typename Mesh, typename SendFn>
@@ -421,11 +421,22 @@ TEST(QueueMesh, DrainTakesAtMostOneLinePerSender) {
   });
 }
 
-TEST(MultiMesh, DrainTakesAtMostOneLinePerShard) {
-  MultiMesh<std::uint64_t> mesh(1, 64, /*shards=*/2);
-  ExpectDrainBoundedPerSender(mesh, [&](int s, std::uint64_t v) {
-    mesh.Send(0, v, /*shard_hint=*/s);
+// All senders share one ring per receiver, so a drain takes at most one
+// line in total, in arrival order; messages sent during the drain wait for
+// the next call.
+TEST(MultiMesh, DrainTakesAtMostOneLinePerCall) {
+  constexpr std::size_t kLine = MultiMesh<std::uint64_t>::kDefaultBatch;
+  MultiMesh<std::uint64_t> mesh(1, 64);
+  for (std::uint64_t i = 0; i < 2 * kLine; ++i) mesh.Send(0, i);
+  std::vector<std::uint64_t> got;
+  const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
+    got.push_back(v);
+    mesh.Send(0, 1000 + v);
   });
+  EXPECT_EQ(n, kLine);
+  ASSERT_EQ(got.size(), kLine);
+  for (std::size_t i = 0; i < kLine; ++i) EXPECT_EQ(got[i], i);
+  EXPECT_EQ(mesh.SizeRawTotal(), 2 * kLine);
 }
 
 TEST(QueueMesh, NativeManyToOneStress) {
@@ -713,14 +724,13 @@ TEST(MultiMesh, SimChurnRegisterRetireDeliversExactly) {
   constexpr int kWaves = 4;
   constexpr std::uint64_t kPer = 300;
   const auto run = [] {
-    // Two shards for three producers: exercises the sharded fan-in path.
-    MultiMesh<std::uint64_t> mesh(1, 256, /*shards=*/2);
+    MultiMesh<std::uint64_t> mesh(1, 256);
     hal::SimPlatform sim(kProducers + 1);
     for (int p = 0; p < kProducers; ++p) {
       sim.Spawn(p, [&mesh, p] {
         for (int w = 0; w < kWaves; ++w) {
           mesh.RegisterSender();
-          MultiSendBuffer<std::uint64_t> sb(&mesh, /*shard_hint=*/p);
+          MultiSendBuffer<std::uint64_t> sb(&mesh);
           const std::uint64_t logical =
               static_cast<std::uint64_t>(p) * kWaves + w;
           for (std::uint64_t i = 0; i < kPer; ++i) {
@@ -775,13 +785,13 @@ TEST(MultiMesh, NativeChurnRegisterRetireStress) {
   constexpr int kThreads = 3;
   constexpr int kWaves = 5;
   constexpr std::uint64_t kPer = 8000;
-  MultiMesh<std::uint64_t> mesh(1, 256, /*shards=*/2);
+  MultiMesh<std::uint64_t> mesh(1, 256);
   hal::NativePlatform platform(kThreads + 1);
   for (int t = 0; t < kThreads; ++t) {
     platform.Spawn(t, [&mesh, t] {
       for (int w = 0; w < kWaves; ++w) {
         mesh.RegisterSender();
-        MultiSendBuffer<std::uint64_t> sb(&mesh, /*shard_hint=*/t);
+        MultiSendBuffer<std::uint64_t> sb(&mesh);
         const std::uint64_t logical =
             static_cast<std::uint64_t>(t) * kWaves + w;
         for (std::uint64_t i = 0; i < kPer; ++i) {
@@ -899,162 +909,13 @@ TEST(MultiSendBuffer, AutoFlushesWhenStageFills) {
   EXPECT_EQ(sb.publications(), 1u);
 }
 
-// ------------------------------------------ adaptive MultiMesh sharding
-
-TEST(MultiMeshAdaptive, RouteModulusTracksThePopulation) {
-  MultiMesh<std::uint64_t> mesh(2, 64, /*shards=*/0);
-  EXPECT_TRUE(mesh.adaptive());
-  EXPECT_EQ(mesh.shards(), MultiMesh<std::uint64_t>::kMaxAutoShards);
-  EXPECT_EQ(mesh.RouteShardsRaw(), 1);
-  hal::SimPlatform sim(1);
-  sim.Spawn(0, [&] {
-    for (int s = 0; s < 5; ++s) mesh.RegisterSender();
-    EXPECT_EQ(mesh.RouteShardsRaw(), 5);
-    EXPECT_EQ(mesh.DrainShardsRaw(), 5);
-    for (int s = 0; s < 12; ++s) mesh.RegisterSender();  // cap at 8
-    EXPECT_EQ(mesh.RouteShardsRaw(), 8);
-    EXPECT_EQ(mesh.DrainShardsRaw(), 8);
-    for (int s = 0; s < 15; ++s) mesh.RetireSender();
-    // Routing shrinks with the population; the drain high-water never
-    // does (a ring that carried a sender may still hold messages).
-    EXPECT_EQ(mesh.RouteShardsRaw(), 2);
-    EXPECT_EQ(mesh.DrainShardsRaw(), 8);
-    for (int s = 0; s < 2; ++s) mesh.RetireSender();
-    EXPECT_EQ(mesh.ActiveSendersRaw(), 0);
-  });
-  sim.Run();
-}
-
-TEST(MultiMeshAdaptive, DrainCoversEveryRingEverRouted) {
-  // A sender that registered while the modulus was high lands on a high
-  // ring; after the population shrinks the receiver must still drain it.
-  MultiMesh<std::uint64_t> mesh(1, 64, /*shards=*/0);
-  hal::SimPlatform sim(1);
-  sim.Spawn(0, [&] {
-    for (int s = 0; s < 6; ++s) mesh.RegisterSender();
-    const int high_ring = mesh.RingForHint(5);
-    EXPECT_GT(high_ring, 0);
-    mesh.Send(0, 111, /*shard_hint=*/5);
-    for (int s = 0; s < 5; ++s) mesh.RetireSender();
-    EXPECT_EQ(mesh.RouteShardsRaw(), 1);
-    std::vector<std::uint64_t> got;
-    mesh.Drain(0, [&](std::uint64_t v) { got.push_back(v); });
-    EXPECT_EQ(got, (std::vector<std::uint64_t>{111}));
-    mesh.RetireSender();
-  });
-  sim.Run();
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-}
-
-TEST(MultiMeshAdaptive, NativeChurnDeliversExactlyAcrossReshards) {
-  // Senders register, send a burst through a MultiSendBuffer (rebinding
-  // after every registration), retire, and repeat — while the receiver
-  // drains continuously. Nothing lost, nothing duplicated (exact multiset
-  // delivery), and FIFO holds *within* a registration. Across
-  // registrations order is not promised: a re-registration may land on a
-  // different ring whose backlog drains later.
-  constexpr int kSenders = 6;
-  constexpr int kRounds = 200;
-  constexpr std::uint64_t kPerRound = 64;
-  MultiMesh<std::uint64_t> mesh(1, 4096, /*shards=*/0);
-  hal::NativePlatform platform(kSenders + 1);
-  for (int s = 0; s < kSenders; ++s) {
-    platform.Spawn(s, [&mesh, s] {
-      MultiSendBuffer<std::uint64_t> out(&mesh, /*shard_hint=*/s);
-      for (int r = 0; r < kRounds; ++r) {
-        mesh.RegisterSender();
-        out.Rebind();
-        for (std::uint64_t i = 0; i < kPerRound; ++i) {
-          out.Send(0, (static_cast<std::uint64_t>(s) << 40) |
-                          (static_cast<std::uint64_t>(r) * kPerRound + i));
-        }
-        out.FlushAll();  // drain-to-empty before retiring
-        mesh.RetireSender();
-      }
-    });
-  }
-  const std::uint64_t total = kSenders * kRounds * kPerRound;
-  std::uint64_t received = 0;
-  std::vector<std::vector<std::uint8_t>> seen(
-      kSenders, std::vector<std::uint8_t>(kRounds * kPerRound, 0));
-  std::vector<std::uint64_t> last_in_round(
-      static_cast<std::size_t>(kSenders) * kRounds, 0);
-  bool exact_ok = true;
-  bool fifo_ok = true;
-  platform.Spawn(kSenders, [&] {
-    while (received < total) {
-      const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
-        const int s = static_cast<int>(v >> 40);
-        const std::uint64_t seq = v & ((1ull << 40) - 1);
-        if (s >= kSenders || seq >= kRounds * kPerRound || seen[s][seq]) {
-          exact_ok = false;
-          return;
-        }
-        seen[s][seq] = 1;
-        // Within one registration (round) a sender's stream is FIFO.
-        const std::size_t round = seq / kPerRound;
-        std::uint64_t& last =
-            last_in_round[static_cast<std::size_t>(s) * kRounds + round];
-        const std::uint64_t pos = seq % kPerRound + 1;
-        if (pos <= last) fifo_ok = false;
-        last = pos;
-      });
-      received += n;
-      if (n == 0) hal::CpuRelax();
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(exact_ok);
-  EXPECT_TRUE(fifo_ok);
-  EXPECT_EQ(received, total);
-  EXPECT_EQ(mesh.ActiveSendersRaw(), 0);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-}
-
-TEST(MultiMeshAdaptive, SimChurnIsDeterministic) {
-  const auto run = [] {
-    hal::SimPlatform sim(3);
-    MultiMesh<std::uint64_t> mesh(1, 1024, /*shards=*/0);
-    std::uint64_t sum = 0, received = 0;
-    constexpr std::uint64_t kTotal = 2 * 40 * 16;
-    for (int s = 0; s < 2; ++s) {
-      sim.Spawn(s, [&mesh, s] {
-        MultiSendBuffer<std::uint64_t> out(&mesh, s);
-        for (int r = 0; r < 40; ++r) {
-          mesh.RegisterSender();
-          out.Rebind();
-          for (std::uint64_t i = 0; i < 16; ++i) {
-            out.Send(0, static_cast<std::uint64_t>(s * 10000 + r * 16) + i);
-          }
-          out.FlushAll();
-          mesh.RetireSender();
-          hal::ConsumeCycles(11 + 5 * static_cast<hal::Cycles>(s));
-        }
-      });
-    }
-    sim.Spawn(2, [&] {
-      while (received < kTotal) {
-        const std::size_t n =
-            mesh.Drain(0, [&](std::uint64_t v) { sum += v; });
-        received += n;
-        if (n == 0) hal::CpuRelax();
-      }
-    });
-    sim.Run();
-    return std::make_pair(sum, sim.GlobalClock());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a, b);
-}
-
 // ------------------------------------------------------- stall accounting
 
 // Blocking sends that hit a full ring charge the core's registered
 // hal::SpinStallSink: one stall per blocked Send call, plus the cycles the
 // wedge-spin waited. Sends that never block charge nothing — the sink is
 // pure observability (WorkerPool installs one per worker and folds it into
-// WorkerStats::send_stalls; TxnAdmission::StallsDelta reads it live).
+// WorkerStats::send_stalls).
 TEST(QueueMesh, BlockingSendChargesTheStallSink) {
   constexpr std::size_t kCap = 16;
   constexpr hal::Cycles kConsumerDelay = 20000;

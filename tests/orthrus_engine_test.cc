@@ -1,7 +1,8 @@
 // Focused tests for ORTHRUS-engine behaviours beyond the generic engine
 // integration suite: message economics of the forwarding optimization, the
 // shared-CC-table mode (Section 3.4), in-flight window effects, CC/exec
-// stats attribution, Zipfian-skew handling, and planned row resolution.
+// stats attribution, Zipfian-skew handling, planned row resolution, and
+// the option CHECKs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -341,475 +342,50 @@ TEST(Autotune, DefaultCandidatesArePowersOfTwo) {
   EXPECT_EQ(r.probes.size(), 3u);
 }
 
-// ------------------------------------------------- ElasticController
+// --------------------------------------------------------- option checks
 
-TEST(ElasticController, SweepsThenHoldsAtTheKnee) {
-  // Synthetic epoch throughput: rises to a knee at 6 active exec threads,
-  // then degrades (over-subscription). The sweep probes 12..1, the hold
-  // settles on the knee — the smallest target within tolerance of the
-  // best sample — and stays.
-  const auto tput = [](int active) {
-    const double capacity = 6.0;
-    const double a = static_cast<double>(active);
-    return a <= capacity ? a : capacity - 0.4 * (a - capacity);
-  };
-  engine::ElasticController::Config cfg;
-  cfg.min_active = 1;
-  cfg.max_active = 12;
-  cfg.initial = 12;
-  cfg.tolerance = 0.03;
-  engine::ElasticController c(cfg);
-  EXPECT_EQ(c.target(), 12);
-  EXPECT_EQ(c.phase(), engine::ElasticController::Phase::kSweep);
-  int target = c.target();
-  for (int epoch = 0; epoch < 40; ++epoch) {
-    target = c.Step(tput(target));
-  }
-  EXPECT_EQ(c.phase(), engine::ElasticController::Phase::kHold);
-  EXPECT_EQ(c.sweeps_completed(), 1);
-  EXPECT_EQ(target, 6);  // exactly the knee: deterministic sweep + argmax
-  EXPECT_NEAR(c.hold_throughput(), tput(6), 0.5);
-  EXPECT_EQ(c.decisions(), 40);
+// One death test per option CHECK: each aborts with its own message, so a
+// misconfiguration names the option it trips.
+void BuildEngine(const OrthrusOptions& oo, int cores) {
+  OrthrusEngine eng(SmallRun(cores), oo);
 }
 
-TEST(ElasticController, MonotoneUtilityHoldsTheCeiling) {
-  const auto tput = [](int active) { return static_cast<double>(active); };
-  engine::ElasticController::Config cfg;
-  cfg.min_active = 2;
-  cfg.max_active = 8;
-  cfg.initial = 1;  // below the floor: clamped up (sweep covers [2, 2])
-  engine::ElasticController c(cfg);
-  EXPECT_EQ(c.target(), 2);
-  int target = c.target();
-  for (int epoch = 0; epoch < 20; ++epoch) {
-    target = c.Step(tput(target));
-    EXPECT_GE(target, 2);
-    EXPECT_LE(target, 8);
-  }
-  // The first sweep only saw [2]; after a (deterministically triggered)
-  // hold it stays there — throughput never degrades, so no re-sweep. The
-  // engine's default initial (max_active) is what makes the sweep cover
-  // the full range.
-  EXPECT_EQ(c.phase(), engine::ElasticController::Phase::kHold);
-  EXPECT_EQ(target, 2);
-
-  engine::ElasticController::Config full = cfg;
-  full.initial = 8;
-  engine::ElasticController c2(full);
-  target = c2.target();
-  for (int epoch = 0; epoch < 20; ++epoch) {
-    target = c2.Step(tput(target));
-  }
-  EXPECT_EQ(target, 8);  // monotone utility: the ceiling wins the sweep
+void RunOnSim(OrthrusEngine* eng, storage::Database* db,
+              const workload::Workload& wl, int cores) {
+  hal::SimPlatform sim(cores);
+  eng->Run(&sim, db, wl);
 }
 
-TEST(ElasticController, FlatCurvePicksTheSmallestAllocation) {
-  // All targets equivalent: the tie-break frees threads (smallest target
-  // within tolerance of the best sample).
-  engine::ElasticController::Config cfg;
-  cfg.min_active = 1;
-  cfg.max_active = 10;
-  cfg.initial = 10;
-  engine::ElasticController c(cfg);
-  int target = c.target();
-  for (int i = 0; i < 15; ++i) {
-    target = c.Step(100.0);  // perfectly flat response
-  }
-  EXPECT_EQ(c.phase(), engine::ElasticController::Phase::kHold);
-  EXPECT_EQ(target, 1);
+TEST(OrthrusOptionsDeathTest, NeedsACcThread) {
+  OrthrusOptions oo;
+  oo.num_cc = 0;
+  EXPECT_DEATH(BuildEngine(oo, 4), "at least one CC thread");
 }
 
-TEST(ElasticController, PersistentDegradationTriggersResweep) {
-  // Concave curve with knee 6 as above; after convergence the workload
-  // shifts (throughput halves at every allocation). One bad epoch is
-  // noise; two consecutive restart the sweep from the ceiling.
-  const auto tput = [](int active) {
-    const double a = static_cast<double>(active);
-    return a <= 6.0 ? a : 6.0 - 0.4 * (a - 6.0);
-  };
-  engine::ElasticController::Config cfg;
-  cfg.min_active = 1;
-  cfg.max_active = 12;
-  cfg.initial = 12;
-  cfg.tolerance = 0.03;
-  engine::ElasticController c(cfg);
-  int target = c.target();
-  for (int epoch = 0; epoch < 20; ++epoch) target = c.Step(tput(target));
-  ASSERT_EQ(c.phase(), engine::ElasticController::Phase::kHold);
-  ASSERT_EQ(target, 6);
-
-  target = c.Step(0.5 * tput(target));  // one bad epoch: noise, still held
-  EXPECT_EQ(c.phase(), engine::ElasticController::Phase::kHold);
-  EXPECT_EQ(target, 6);
-  target = c.Step(0.5 * tput(target));  // second in a row: workload moved
-  EXPECT_EQ(c.phase(), engine::ElasticController::Phase::kSweep);
-  EXPECT_EQ(target, 12);  // re-probing from the ceiling
-  for (int epoch = 0; epoch < 20; ++epoch) {
-    target = c.Step(0.5 * tput(target));
-  }
-  EXPECT_EQ(c.sweeps_completed(), 2);
-  EXPECT_EQ(target, 6);  // re-converged on the shifted curve
+TEST(OrthrusOptionsDeathTest, NeedsAnExecThread) {
+  OrthrusOptions oo;
+  oo.num_cc = 4;
+  EXPECT_DEATH(BuildEngine(oo, 4), "at least one exec thread");
 }
 
-// ------------------------------------------------- elastic engine mode
-
-engine::EngineOptions ElasticRun(int cores) {
-  engine::EngineOptions o;
-  o.num_cores = cores;
-  // Time-bound (no commit cap): elastic mode parks threads for whole
-  // epochs, so per-worker caps are not a meaningful stop condition.
-  o.duration_seconds = 0.004;
-  o.lock_buckets = 1 << 12;
-  return o;
-}
-
-TEST(OrthrusElastic, ConservesAcrossReallocationEpochs) {
+TEST(OrthrusOptionsDeathTest, NeedsAnInflightSlot) {
   OrthrusOptions oo;
   oo.num_cc = 2;
-  oo.elastic = true;
-  oo.elastic_epoch_seconds = 0.0002;
+  oo.max_inflight = 0;
+  EXPECT_DEATH(BuildEngine(oo, 4), "max_inflight must be at least 1");
+}
+
+TEST(OrthrusOptionsDeathTest, PartitionerMustMatchTheCcCount) {
   KvConfig kv;
-  kv.num_records = 8000;
-  kv.num_partitions = 2;
+  kv.num_records = 1000;
+  kv.num_partitions = 3;
   KvWorkload wl(kv);
   storage::Database db;
   wl.Load(&db, 1);
-  OrthrusEngine eng(ElasticRun(8), oo);
-  hal::SimPlatform sim(8);
-  RunResult r = eng.Run(&sim, &db, wl);
-  ASSERT_GT(r.total.committed, 0u);
-  // No message lost or duplicated across park/resume epochs: every commit
-  // applied exactly once (the engine additionally CHECKs every queue
-  // drained and every sender retired at teardown).
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-  // The controller actually moved the allocation at least once.
-  EXPECT_GT(eng.reallocations(), 0u);
-  EXPECT_GE(eng.final_exec_target(), 1);
-  EXPECT_LE(eng.final_exec_target(), eng.num_exec());
-}
-
-TEST(OrthrusElastic, RunsAreDeterministic) {
-  const auto run = [] {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.elastic = true;
-    oo.elastic_epoch_seconds = 0.0002;
-    KvConfig kv;
-    kv.num_records = 8000;
-    kv.num_partitions = 2;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(ElasticRun(8), oo);
-    hal::SimPlatform sim(8);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_pair(r.total.committed, eng.reallocations());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.first, b.first);  // same commits, same reallocation trace
-  EXPECT_EQ(a.second, b.second);
-}
-
-TEST(OrthrusElastic, MinExecFloorIsRespected) {
   OrthrusOptions oo;
   oo.num_cc = 2;
-  oo.elastic = true;
-  oo.elastic_min_exec = 3;
-  oo.elastic_epoch_seconds = 0.0002;
-  KvConfig kv;
-  kv.num_records = 8000;
-  kv.num_partitions = 2;
-  KvWorkload wl(kv);
-  storage::Database db;
-  wl.Load(&db, 1);
-  OrthrusEngine eng(ElasticRun(8), oo);
-  hal::SimPlatform sim(8);
-  RunResult r = eng.Run(&sim, &db, wl);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_GE(eng.final_exec_target(), 3);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusElastic, WorksOnNativeThreads) {
-  // The park/resume protocol must be thread-safe under true concurrency,
-  // not just under the cooperative simulator.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.elastic = true;
-  oo.elastic_epoch_seconds = 0.0005;
-  KvConfig kv;
-  kv.num_records = 4000;
-  kv.num_partitions = 2;
-  KvWorkload wl(kv);
-  storage::Database db;
-  wl.Load(&db, 1);
-  engine::EngineOptions o = ElasticRun(6);
-  o.duration_seconds = 0.05;  // wall seconds on the native platform
-  OrthrusEngine eng(o, oo);
-  hal::NativePlatform p(6);
-  RunResult r = eng.Run(&p, &db, wl);
-  EXPECT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
-// --------------------------------------- ElasticController2D (grid)
-
-TEST(ElasticController2D, SweepsTheGridThenHoldsAtTheKnee) {
-  // Synthetic response surface: throughput saturates at cc=2 (more CC
-  // threads buy nothing) and rises with exec up to 4 (over-subscription
-  // degrades past it). The grid sweep probes every point; the hold settles
-  // on the cheapest in-band point — (2, 4).
-  const auto tput = [](int cc, int exec) {
-    const double cc_eff = cc >= 2 ? 1.0 : 0.55;
-    const double e = static_cast<double>(exec);
-    const double exec_curve = e <= 4.0 ? e : 4.0 - 0.4 * (e - 4.0);
-    return cc_eff * exec_curve;
-  };
-  engine::ElasticController2D::Config cfg;
-  cfg.min_cc = 1;
-  cfg.max_cc = 4;
-  cfg.min_exec = 1;
-  cfg.max_exec = 6;
-  cfg.tolerance = 0.03;
-  engine::ElasticController2D c(cfg);
-  EXPECT_EQ(c.target().cc, 4);
-  EXPECT_EQ(c.target().exec, 6);
-  auto target = c.target();
-  for (int epoch = 0; epoch < 40; ++epoch) {
-    target = c.Step(tput(target.cc, target.exec));
-  }
-  EXPECT_EQ(c.phase(), engine::ElasticController2D::Phase::kHold);
-  EXPECT_EQ(c.sweeps_completed(), 1);
-  EXPECT_EQ(target.cc, 2);
-  EXPECT_EQ(target.exec, 4);
-}
-
-TEST(ElasticController2D, FlatSurfaceFreesTheMostThreads) {
-  engine::ElasticController2D::Config cfg;
-  cfg.min_cc = 1;
-  cfg.max_cc = 3;
-  cfg.min_exec = 1;
-  cfg.max_exec = 4;
-  engine::ElasticController2D c(cfg);
-  auto target = c.target();
-  for (int i = 0; i < 20; ++i) target = c.Step(100.0);
-  EXPECT_EQ(c.phase(), engine::ElasticController2D::Phase::kHold);
-  EXPECT_EQ(target.cc, 1);
-  EXPECT_EQ(target.exec, 1);
-}
-
-TEST(ElasticController2D, PersistentDegradationResweepsFromTheCorner) {
-  const auto tput = [](int cc, int exec) {
-    return (cc >= 2 ? 1.0 : 0.5) * static_cast<double>(exec <= 3 ? exec : 3);
-  };
-  engine::ElasticController2D::Config cfg;
-  cfg.min_cc = 1;
-  cfg.max_cc = 3;
-  cfg.min_exec = 1;
-  cfg.max_exec = 4;
-  cfg.tolerance = 0.03;
-  engine::ElasticController2D c(cfg);
-  auto target = c.target();
-  for (int i = 0; i < 20; ++i) target = c.Step(tput(target.cc, target.exec));
-  ASSERT_EQ(c.phase(), engine::ElasticController2D::Phase::kHold);
-  target = c.Step(0.4 * tput(target.cc, target.exec));  // one bad epoch
-  EXPECT_EQ(c.phase(), engine::ElasticController2D::Phase::kHold);
-  target = c.Step(0.4 * tput(target.cc, target.exec));  // two: drift
-  EXPECT_EQ(c.phase(), engine::ElasticController2D::Phase::kSweep);
-  EXPECT_EQ(target.cc, 3);
-  EXPECT_EQ(target.exec, 4);
-}
-
-// --------------------------------------- elastic CC (lock::SpaceMap)
-
-// 2 * num_cc lock partitions: the engine's elastic_cc default, which the
-// database partitioner must agree with.
-KvConfig ElasticCcKv(int num_cc) {
-  KvConfig kv;
-  kv.num_records = 8000;
-  kv.num_partitions = 2 * num_cc;
-  return kv;
-}
-
-TEST(OrthrusElasticCc, ConservesAcrossCcHandoffEpochs) {
-  OrthrusOptions oo;
-  oo.num_cc = 3;
-  oo.elastic = true;
-  oo.elastic_cc = true;
-  oo.elastic_epoch_seconds = 0.0002;
-  KvWorkload wl(ElasticCcKv(3));
-  storage::Database db;
-  wl.Load(&db, 1);
-  OrthrusEngine eng(ElasticRun(8), oo);
-  hal::SimPlatform sim(8);
-  RunResult r = eng.Run(&sim, &db, wl);
-  ASSERT_GT(r.total.committed, 0u);
-  // No lock request lost or duplicated across any partition handoff:
-  // every committed transaction's effects applied exactly once (the
-  // engine additionally CHECKs at teardown that every shard's held-lock
-  // count is zero and every queue drained empty).
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-  // The 2-D controller actually moved the CC population.
-  EXPECT_GT(eng.cc_reallocations(), 0u);
-  EXPECT_GE(eng.final_cc_target(), 1);
-  EXPECT_LE(eng.final_cc_target(), eng.num_cc());
-  EXPECT_GE(eng.final_exec_target(), 1);
-  EXPECT_LE(eng.final_exec_target(), eng.num_exec());
-}
-
-TEST(OrthrusElasticCc, RunsAreDeterministic) {
-  const auto run = [] {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.elastic = true;
-    oo.elastic_cc = true;
-    oo.elastic_epoch_seconds = 0.0002;
-    KvWorkload wl(ElasticCcKv(2));
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(ElasticRun(8), oo);
-    hal::SimPlatform sim(8);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_tuple(r.total.committed, eng.reallocations(),
-                           eng.cc_reallocations(), sim.GlobalClock());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a, b);  // same commits, same reallocation trace, same clock
-}
-
-TEST(OrthrusElasticCc, MinCcFloorIsRespected) {
-  OrthrusOptions oo;
-  oo.num_cc = 3;
-  oo.elastic = true;
-  oo.elastic_cc = true;
-  oo.elastic_min_cc = 2;
-  oo.elastic_epoch_seconds = 0.0002;
-  KvWorkload wl(ElasticCcKv(3));
-  storage::Database db;
-  wl.Load(&db, 1);
-  OrthrusEngine eng(ElasticRun(8), oo);
-  hal::SimPlatform sim(8);
-  RunResult r = eng.Run(&sim, &db, wl);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_GE(eng.final_cc_target(), 2);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusElasticCc, ExplicitPartitionCountAndContention) {
-  // Finer partitioning (4x CC) under a hot-key conflict mix: handoffs
-  // interleave with deep grant queues, the worst case for the
-  // drain-to-empty transfer contract.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.elastic = true;
-  oo.elastic_cc = true;
-  oo.cc_partitions = 8;
-  oo.elastic_epoch_seconds = 0.0002;
-  KvConfig kv;
-  kv.num_records = 8000;
-  kv.hot_records = 16;
-  kv.num_partitions = 8;
-  KvWorkload wl(kv);
-  storage::Database db;
-  wl.Load(&db, 1);
-  OrthrusEngine eng(ElasticRun(8), oo);
-  hal::SimPlatform sim(8);
-  RunResult r = eng.Run(&sim, &db, wl);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusElasticCc, ComposesWithNoForwarding) {
-  // Exec-mediated (non-forwarded) acquisition hops interact with stage
-  // routing: each hop is routed by the exec thread's cached map view, so
-  // effects must be conserved across CC handoffs.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.elastic = true;
-  oo.elastic_cc = true;
-  oo.elastic_epoch_seconds = 0.0002;
-  oo.forwarding = false;
-  KvWorkload wl(ElasticCcKv(2));
-  storage::Database db;
-  wl.Load(&db, 1);
-  OrthrusEngine eng(ElasticRun(8), oo);
-  hal::SimPlatform sim(8);
-  RunResult r = eng.Run(&sim, &db, wl);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusElasticCc, WorksOnNativeThreads) {
-  // The handoff protocol's release/acquire owner-word chain must hold
-  // under true concurrency, not just the cooperative simulator.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.elastic = true;
-  oo.elastic_cc = true;
-  oo.elastic_epoch_seconds = 0.0005;
-  KvWorkload wl(ElasticCcKv(2));
-  storage::Database db;
-  wl.Load(&db, 1);
-  engine::EngineOptions o = ElasticRun(6);
-  o.duration_seconds = 0.05;  // wall seconds on the native platform
-  OrthrusEngine eng(o, oo);
-  hal::NativePlatform p(6);
-  RunResult r = eng.Run(&p, &db, wl);
-  EXPECT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusElasticCc, StaticKnobsAreInert) {
-  // The sim-clock probe for the refactor: a run with every elastic_cc
-  // knob at its default must be bit-identical — committed count, digest
-  // inputs, and the global sim clock — to a run constructed with the
-  // knobs spelled out as off. The routing layer must cost the static
-  // path nothing.
-  const auto run = [](bool spell_out) {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.max_inflight = 4;
-    if (spell_out) {
-      oo.elastic_cc = false;
-      oo.cc_partitions = 0;
-      oo.elastic_min_cc = 1;
-    }
-    KvConfig kv;
-    kv.num_records = 4000;
-    kv.hot_records = 16;
-    kv.num_partitions = 2;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(SmallRun(6), oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_pair(r.total.committed, sim.GlobalClock());
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(OrthrusElastic, SharedCcTableComposes) {
-  // Elastic exec threads over the Section 3.4 shared CC table: the home-CC
-  // routing is unaffected by which exec threads are active.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.shared_cc_table = true;
-  oo.elastic = true;
-  oo.elastic_epoch_seconds = 0.0002;
-  KvConfig kv;
-  kv.num_records = 8000;
-  kv.num_partitions = 2;
-  KvWorkload wl(kv);
-  storage::Database db;
-  wl.Load(&db, 1);
-  OrthrusEngine eng(ElasticRun(8), oo);
-  hal::SimPlatform sim(8);
-  RunResult r = eng.Run(&sim, &db, wl);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+  OrthrusEngine eng(SmallRun(4), oo);
+  EXPECT_DEATH(RunOnSim(&eng, &db, wl, 4), "one partition per CC thread");
 }
 
 TEST(OrthrusSnapshotReads, OffIsByteIdentical) {
@@ -912,39 +488,6 @@ TEST(OrthrusSnapshotReads, SnapshotRunsAreDeterministic) {
                            sim.GlobalClock());
   };
   EXPECT_EQ(run(), run());
-}
-
-TEST(OrthrusSnapshotReads, ComposesWithElasticRoles) {
-  // Snapshot reads under elastic exec parking: parked threads retire
-  // their heartbeat slots (a frozen heartbeat would pin the read epoch
-  // and stall every installing writer) and rejoin on resume. The run must
-  // conserve effects and stay deterministic.
-  const auto run = [] {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.max_inflight = 4;
-    oo.snapshot_reads = true;
-    oo.elastic = true;
-    oo.elastic_min_exec = 1;
-    oo.elastic_initial_exec = 2;
-    oo.elastic_epoch_seconds = 0.002;
-    KvConfig kv;
-    kv.num_records = 4000;
-    kv.hot_records = 16;
-    kv.num_partitions = 2;
-    kv.pct_read_only = 50;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(SmallRun(6), oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_tuple(r.total.committed, wl.SumCounters(db),
-                           sim.GlobalClock());
-  };
-  const auto a = run();
-  EXPECT_GT(std::get<0>(a), 0u);
-  EXPECT_EQ(a, run());
 }
 
 // --------------------------------------------------------- CC lock table
@@ -1081,45 +624,40 @@ TEST(CcLockTable, CapacityCheckFiresPastTheBound) {
 }
 
 // Boundedness: uniform KV touching many times more distinct keys than the
-// live-lock bound. Every CC lock table (thread-local, or lock-space shard
-// under elastic_cc) stays within n_exec * max_inflight * kMaxAccesses;
-// the engine's teardown CHECKs that each ends empty.
+// live-lock bound. Every CC lock table stays within
+// n_exec * max_inflight * kMaxAccesses; the engine's teardown CHECKs that
+// each ends empty.
 TEST(OrthrusStatic, LiveLocksStayWithinBound) {
   constexpr std::uint64_t kMaxAccesses = 40;
-  for (const bool elastic_cc : {false, true}) {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.elastic = elastic_cc;
-    oo.elastic_cc = elastic_cc;
-    KvConfig kv;
-    kv.num_records = 200000;
-    kv.num_partitions = elastic_cc ? 4 : 2;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    EngineOptions eo = SmallRun(6);
-    eo.max_txns_per_worker = 0;
-    eo.duration_seconds = 0.004;
-    OrthrusEngine eng(eo, oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    const std::uint64_t bound =
-        static_cast<std::uint64_t>(eng.num_exec()) *
-        static_cast<std::uint64_t>(oo.max_inflight) * kMaxAccesses;
-    EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-    // Ten keys per transaction out of 200k: nearly all distinct.
-    EXPECT_GE(r.total.committed * 10, 10 * bound) << elastic_cc;
-    EXPECT_GT(r.total.cc_live_locks_max, 0u) << elastic_cc;
-    EXPECT_LE(r.total.cc_live_locks_max, bound) << elastic_cc;
-    // Merged by max, not summed.
-    std::uint64_t per_worker_max = 0;
-    for (const WorkerStats& w : r.per_worker) {
-      per_worker_max = std::max(per_worker_max, w.cc_live_locks_max);
-    }
-    EXPECT_EQ(r.total.cc_live_locks_max, per_worker_max);
+  OrthrusOptions oo;
+  oo.num_cc = 2;
+  KvConfig kv;
+  kv.num_records = 200000;
+  kv.num_partitions = 2;
+  KvWorkload wl(kv);
+  storage::Database db;
+  wl.Load(&db, 1);
+  EngineOptions eo = SmallRun(6);
+  eo.max_txns_per_worker = 0;
+  eo.duration_seconds = 0.004;
+  OrthrusEngine eng(eo, oo);
+  hal::SimPlatform sim(6);
+  RunResult r = eng.Run(&sim, &db, wl);
+  const std::uint64_t bound = static_cast<std::uint64_t>(eng.num_exec()) *
+                              static_cast<std::uint64_t>(oo.max_inflight) *
+                              kMaxAccesses;
+  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+  // Ten keys per transaction out of 200k: nearly all distinct.
+  EXPECT_GE(r.total.committed * 10, 10 * bound);
+  EXPECT_GT(r.total.cc_live_locks_max, 0u);
+  EXPECT_LE(r.total.cc_live_locks_max, bound);
+  // Merged by max, not summed.
+  std::uint64_t per_worker_max = 0;
+  for (const WorkerStats& w : r.per_worker) {
+    per_worker_max = std::max(per_worker_max, w.cc_live_locks_max);
   }
+  EXPECT_EQ(r.total.cc_live_locks_max, per_worker_max);
 }
-
 
 // ------------------------------------------------- planned row resolution
 
@@ -1251,35 +789,23 @@ TEST(OrthrusPlannedAccess, LogicRunsOnTheRowsItsKeysName) {
   struct Arm {
     const char* name;
     OrthrusOptions oo;
-    EngineOptions eo;
-    int cores;
   };
   std::vector<Arm> arms;
-  {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    arms.push_back({"default", oo, SmallRun(5), 5});
-    oo.forwarding = false;
-    arms.push_back({"no-forwarding", oo, SmallRun(5), 5});
-    oo.forwarding = true;
-    oo.shared_cc_table = true;
-    arms.push_back({"shared-cc", oo, SmallRun(5), 5});
-  }
-  {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.elastic = true;
-    oo.elastic_cc = true;
-    oo.elastic_epoch_seconds = 0.0002;
-    arms.push_back({"elastic-cc", oo, ElasticRun(8), 8});
-  }
+  OrthrusOptions oo;
+  oo.num_cc = 2;
+  arms.push_back({"default", oo});
+  oo.forwarding = false;
+  arms.push_back({"no-forwarding", oo});
+  oo.forwarding = true;
+  oo.shared_cc_table = true;
+  arms.push_back({"shared-cc", oo});
   for (const Arm& arm : arms) {
-    KvWorkload kv(MultiPartKv(arm.oo.elastic_cc ? 4 : 2, 2));
+    KvWorkload kv(MultiPartKv(2, 2));
     RowCheckWorkload wl(&kv);
     storage::Database db;
     wl.Load(&db, 1);
-    OrthrusEngine eng(arm.eo, arm.oo);
-    hal::SimPlatform sim(arm.cores, RaceArmed());
+    OrthrusEngine eng(SmallRun(5), arm.oo);
+    hal::SimPlatform sim(5, RaceArmed());
     const RunResult r = eng.Run(&sim, &db, wl);
     ASSERT_GT(r.total.committed, 0u) << arm.name;
     EXPECT_EQ(kv.SumCounters(db), r.total.committed * 10) << arm.name;

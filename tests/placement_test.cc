@@ -2,9 +2,8 @@
 // discovered socket maps, socket-major group packing), hal::SlabArena
 // (line-aligned zeroed carving, node-keyed arena sets), the simulator's
 // two-socket cost model (local transfers cheaper than remote, determinism
-// with placement on), the byte-identity guarantee when placement is off,
-// and the backpressure admission controller's AIMD cap. The *Native*
-// cases stress arena-backed runs with thread pinning on real threads and
+// with placement on), and the byte-identity guarantee when placement is
+// off. The *Native* cases stress placed, pinned runs on real threads and
 // are part of the TSan CI lane.
 #include <cstdint>
 #include <tuple>
@@ -16,7 +15,6 @@
 #include "hal/sim_platform.h"
 #include "hal/slab_arena.h"
 #include "hal/topology.h"
-#include "runtime/txn_driver.h"
 #include "workload/micro.h"
 
 namespace orthrus {
@@ -195,54 +193,6 @@ TEST(SimNuma, PlacementIsDeterministic) {
   EXPECT_EQ(a, b);
 }
 
-class NeverSource final : public workload::TxnSource {
- public:
-  void Next(txn::Txn*) override {}
-};
-
-TEST(Backpressure, InflightCapFollowsStallsAimd) {
-  hal::SimPlatform sim(1);
-  sim.Spawn(0, [&] {
-    storage::Database db;
-    NeverSource src;
-    runtime::WorkerContext ctx;
-    runtime::DriverOptions opts;
-    opts.backpressure = true;
-    opts.backpressure_epoch_seconds = 1e-6;  // 2000 sim cycles at 2 GHz
-    runtime::TxnAdmission adm(opts, &db, &src, &ctx);
-    EXPECT_EQ(adm.InflightCap(8), 8);  // first call baselines the window
-    // A stall inside the window cuts the cap by a quarter per epoch.
-    ctx.stats.send_stalls += 3;
-    hal::ConsumeCycles(2500);
-    EXPECT_EQ(adm.InflightCap(8), 6);
-    ctx.stats.send_stalls += 1;
-    hal::ConsumeCycles(2500);
-    EXPECT_EQ(adm.InflightCap(8), 5);
-    // Clean windows probe back up one slot at a time, capped at base.
-    for (int expect : {6, 7, 8, 8}) {
-      hal::ConsumeCycles(2500);
-      EXPECT_EQ(adm.InflightCap(8), expect);
-    }
-    // Mid-epoch calls return the current cap without re-evaluating.
-    ctx.stats.send_stalls += 10;
-    EXPECT_EQ(adm.InflightCap(8), 8);
-  });
-  sim.Run();
-}
-
-TEST(Backpressure, OffReturnsBaseUnconditionally) {
-  // The off path must not read the clock (byte-identity when disabled), so
-  // it works outside any core context too.
-  storage::Database db;
-  NeverSource src;
-  runtime::WorkerContext ctx;
-  runtime::DriverOptions opts;
-  runtime::TxnAdmission adm(opts, &db, &src, &ctx);
-  ctx.stats.send_stalls = 1 << 20;
-  EXPECT_EQ(adm.InflightCap(4), 4);
-  EXPECT_EQ(adm.InflightCap(4), 4);
-}
-
 TEST(SlabArena, NativeNodeBindingAndHugePagesDegrade) {
   // mbind and MAP_HUGETLB are best-effort: on hosts without multiple NUMA
   // nodes or reserved huge pages, allocation must still succeed.
@@ -259,8 +209,8 @@ TEST(SlabArena, NativeNodeBindingAndHugePagesDegrade) {
 
 TEST(Placement, NativePinnedArenaBackedRun) {
   // Full stack on real threads: modeled topology placement, pinned
-  // workers, arena-backed tables and rings, backpressure admission. TSan
-  // covers the cross-thread handoffs.
+  // workers, arena-backed tables and rings. TSan covers the cross-thread
+  // handoffs.
   const hal::Topology topo = hal::Topology::Modeled(6, 2);
   KvConfig kv;
   kv.num_records = 8000;
@@ -276,8 +226,6 @@ TEST(Placement, NativePinnedArenaBackedRun) {
   eo.topology = &topo;
   OrthrusOptions oo;
   oo.num_cc = 2;
-  oo.backpressure_admission = true;
-  oo.backpressure_epoch_seconds = 0.0005;
   OrthrusEngine eng(eo, oo);
   hal::NativePlatform p(6);
   p.SetPinThreads(true);
@@ -286,9 +234,11 @@ TEST(Placement, NativePinnedArenaBackedRun) {
   EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
 }
 
-TEST(Placement, NativeElasticPlacedMeshStress) {
-  // The elastic single-shard MPSC mesh with placement-homed rings under
-  // true concurrency — the configuration the NUMA ablation leans on.
+TEST(Placement, NativePlacedMeshStress) {
+  // Placement-homed per-pair rings under true concurrency: four CC
+  // threads packed on socket 0 forward acquisition chains among
+  // themselves while every exec thread sends across to them from
+  // socket 1 — the configuration the NUMA ablation leans on.
   const hal::Topology topo = hal::Topology::Modeled(8, 2);
   KvConfig kv;
   kv.num_records = 8000;
@@ -302,9 +252,6 @@ TEST(Placement, NativeElasticPlacedMeshStress) {
   eo.topology = &topo;
   OrthrusOptions oo;
   oo.num_cc = 4;
-  oo.elastic = true;
-  oo.elastic_shards = 1;
-  oo.elastic_min_exec = 4;
   OrthrusEngine eng(eo, oo);
   hal::NativePlatform p(8);
   p.SetPinThreads(true);

@@ -10,11 +10,11 @@
 //     all — and assert the detector flags them with the exact core pair,
 //     site labels, and reproducible virtual timestamps. The negative arm
 //     runs the corrected protocol and must stay silent.
-//  3. Race-clean sweeps run every engine (including elastic ORTHRUS and a
-//     WAL-durable run) at a small sim point with race_detect=on and assert
-//     zero reports, plus the zero-perturbation pin: a race_detect=on run
-//     is byte-identical (committed count and global virtual clock) to the
-//     same run with the detector off.
+//  3. Race-clean sweeps run every engine (including multi-partition
+//     ORTHRUS chains and a WAL-durable run) at a small sim point with
+//     race_detect=on and assert zero reports, plus the zero-perturbation
+//     pin: a race_detect=on run is byte-identical (committed count and
+//     global virtual clock) to the same run with the detector off.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -341,21 +341,6 @@ TEST(RaceClean, OrthrusSharedCcTable) {
   OrthrusOptions oo;
   oo.num_cc = 2;
   oo.shared_cc_table = true;
-  engine::OrthrusEngine eng(SmallRun(6), oo);
-  RunKv(&eng, &wl, 6, 1, /*race_detect=*/true);
-}
-
-TEST(RaceClean, ElasticOrthrusWithCcHandoff) {
-  KvConfig c = SmallKv(4);
-  c.hot_records = 0;
-  c.placement = KvConfig::Placement::kFixedCount;
-  c.partitions_per_txn = 2;
-  KvWorkload wl(c);
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.elastic = true;
-  oo.elastic_cc = true;
-  oo.elastic_epoch_seconds = 0.0002;  // several epochs inside the run
   engine::OrthrusEngine eng(SmallRun(6), oo);
   RunKv(&eng, &wl, 6, 1, /*race_detect=*/true);
 }

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "hal/native_platform.h"
 #include "hal/sim_platform.h"
 #include "runtime/txn_driver.h"
 #include "runtime/worker_pool.h"
@@ -440,7 +439,7 @@ TEST(WorkerPool, SplitRunAllowsMidpointAssertions) {
   EXPECT_EQ(r.total.committed, 2u);
 }
 
-// ----------------------------------------------------- elastic role support
+// ----------------------------------------------------------- worker roles
 
 TEST(WorkerPool, RoleAssignmentAndCounting) {
   hal::SimPlatform sim(5);
@@ -455,128 +454,6 @@ TEST(WorkerPool, RoleAssignmentAndCounting) {
   EXPECT_EQ(pool.CountRole(WorkerRole::kCc), 2);
   EXPECT_EQ(pool.CountRole(WorkerRole::kExec), 3);
   EXPECT_EQ(pool.CountRole(WorkerRole::kFlex), 0);
-}
-
-TEST(ParkGate, ActivePrefixFollowsTarget) {
-  ParkGate gate(2);
-  EXPECT_EQ(gate.TargetRaw(), 2);
-  EXPECT_TRUE(gate.Active(0));
-  EXPECT_TRUE(gate.Active(1));
-  EXPECT_FALSE(gate.Active(2));
-  gate.SetTarget(0);
-  EXPECT_FALSE(gate.Active(0));
-  gate.SetTarget(3);
-  EXPECT_TRUE(gate.Active(2));
-}
-
-// Park/resume on the simulator: a controller core lowers the target, the
-// worker parks (making no progress), the controller raises it again and
-// the worker resumes. Deterministic: parked time is virtual cycles.
-TEST(ParkGate, SimParkAndResumeRoundTrip) {
-  hal::SimPlatform sim(2);
-  ParkGate gate(1);
-  hal::Atomic<std::uint64_t> phase{0};  // 0 run, 1 parked-seen, 2 done
-  std::uint64_t work_before = 0, work_after = 0;
-  hal::Cycles parked_cycles = 0;
-  sim.Spawn(0, [&] {  // worker 0 of the elastic group
-    while (phase.load() == 0) {
-      work_before++;
-      hal::ConsumeCycles(50);
-    }
-    parked_cycles = gate.Park(0, [&] { return phase.load() == 2; });
-    while (phase.load() != 2) {
-      work_after++;
-      hal::ConsumeCycles(50);
-    }
-  });
-  sim.Spawn(1, [&] {  // controller
-    hal::ConsumeCycles(5000);
-    gate.SetTarget(0);  // park the worker...
-    phase.store(1);
-    hal::ConsumeCycles(20000);
-    gate.SetTarget(1);  // ...resume it...
-    hal::ConsumeCycles(20000);
-    phase.store(2);  // ...and end the run
-  });
-  sim.Run();
-  EXPECT_GT(work_before, 0u);
-  EXPECT_GT(work_after, 0u);  // resumed and made progress again
-  // The park spanned (most of) the controller's 20000-cycle pause.
-  EXPECT_GT(parked_cycles, 10000u);
-}
-
-// Exit path: a parked worker whose group is never resumed must still leave
-// when the run ends (the should_exit predicate).
-TEST(ParkGate, ParkExitsOnStopWithoutResume) {
-  hal::SimPlatform sim(2);
-  ParkGate gate(0);  // worker 0 starts parked
-  hal::Atomic<std::uint64_t> stop{0};
-  bool exited = false;
-  sim.Spawn(0, [&] {
-    gate.Park(0, [&] { return stop.load() != 0; });
-    exited = true;
-  });
-  sim.Spawn(1, [&] {
-    hal::ConsumeCycles(30000);
-    stop.store(1);
-  });
-  sim.Run();
-  EXPECT_TRUE(exited);
-  EXPECT_EQ(gate.TargetRaw(), 0);
-}
-
-// Epoch snapshots under true concurrency: workers publish their commit
-// counters at quantum boundaries while a controller thread reads them
-// live. TSan-clean by construction (atomics only); totals must match the
-// plain stats aggregated after join.
-TEST(WorkerPool, NativeEpochSnapshotsAndParkGateStress) {
-  constexpr int kWorkers = 3;
-  constexpr std::uint64_t kCommits = 20000;
-  hal::NativePlatform platform(kWorkers + 1);
-  WorkerPool pool(&platform, kWorkers + 1, /*duration_seconds=*/30.0);
-  ParkGate gate(kWorkers);
-  hal::Atomic<std::uint64_t> stop{0};
-  for (int w = 0; w < kWorkers; ++w) {
-    pool.AssignRole(w, WorkerRole::kExec);
-    pool.Spawn(w, [&gate, &stop, w](WorkerContext& ctx) {
-      while (ctx.stats.committed < kCommits) {
-        if (!gate.Active(w)) {
-          gate.Park(w, [&stop] { return stop.RawLoad() != 0; });
-          continue;
-        }
-        ctx.stats.committed++;
-        if (ctx.stats.committed % 64 == 0) ctx.PublishEpochStats();
-      }
-      ctx.PublishEpochStats();
-    });
-  }
-  pool.AssignRole(kWorkers, WorkerRole::kCc);
-  pool.Spawn(kWorkers, [&](WorkerContext&) {  // controller
-    std::uint64_t last_seen = 0;
-    int flips = 0;
-    while (true) {
-      std::uint64_t sum = 0;
-      for (int w = 0; w < kWorkers; ++w) {
-        sum += pool.worker(w).ReadEpochSnapshot().committed;
-      }
-      // Published counters are monotone across reads.
-      ORTHRUS_CHECK(sum >= last_seen);
-      last_seen = sum;
-      if (sum >= kWorkers * kCommits) break;
-      // Exercise park/resume churn while traffic is live.
-      gate.SetTarget(flips % 2 == 0 ? 1 : kWorkers);
-      flips++;
-      hal::CpuRelax();
-    }
-    gate.SetTarget(kWorkers);  // resume everyone so stragglers finish
-  });
-  pool.RunWorkers();
-  stop.RawStore(1);
-  const RunResult r = pool.Finalize();
-  EXPECT_EQ(r.total.committed, kWorkers * kCommits);
-  for (int w = 0; w < kWorkers; ++w) {
-    EXPECT_EQ(pool.worker(w).ReadEpochSnapshot().committed, kCommits);
-  }
 }
 
 }  // namespace

@@ -13,12 +13,12 @@
 //    nor a *mixed-epoch* pair (the two rows disagree: its reads spanned
 //    two different snapshots).
 //
-// Scenarios cover the three adversarial interleavings the protocol must
-// survive: plain snapshot runs across seeds (writer mid-install), elastic
-// exec/CC role churn (handoff mid-scan), and WAL-attached runs whose epoch
-// clock is driven by the logger plus recovery at arbitrary crash points
-// (recovery boundary). Run under ORTHRUS_RACE_DETECT=1 the same assertions
-// double as a happens-before proof obligation on the version words.
+// Scenarios cover the two adversarial interleavings the protocol must
+// survive: plain snapshot runs across seeds (writer mid-install), and
+// WAL-attached runs whose epoch clock is driven by the logger plus
+// recovery at arbitrary crash points (recovery boundary). Run under
+// ORTHRUS_RACE_DETECT=1 the same assertions double as a happens-before
+// proof obligation on the version words.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -142,8 +142,7 @@ class PairWorkload final : public workload::Workload {
 
   void Load(storage::Database* db, int /*num_table_partitions*/) override {
     // key % 2 partitioning puts the two rows of every pair on different
-    // lock partitions: writers are always cross-partition, so elastic
-    // lock-space handoffs land mid-pair.
+    // lock partitions: writers are always cross-partition.
     db->partitioner().n = 2;
     db->partitioner().mode = storage::Partitioner::Mode::kModulo;
     storage::Table* t =
@@ -244,43 +243,6 @@ TEST(SnapshotProperty, ReadersNeverObserveTornOrMixedPairs) {
     // Every committed txn ran exactly once, and main-slab state reflects
     // exactly the committed writers.
     EXPECT_EQ(s.writes.load() + s.reads.load(), r.total.committed);
-    EXPECT_EQ(CheckSlabPairs(db), s.writes.load());
-  }
-}
-
-// ---------------------------------------------- elastic handoff mid-scan
-
-TEST(SnapshotProperty, ElasticHandoffMidScan) {
-  for (const std::uint64_t seed : {3ull, 11ull}) {
-    PairWorkload wl(seed);
-    storage::Database db;
-    wl.Load(&db, 1);
-
-    engine::OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.snapshot_reads = true;
-    oo.elastic = true;
-    oo.elastic_min_exec = 1;
-    oo.elastic_initial_exec = 2;
-    oo.elastic_epoch_seconds = 0.002;
-    oo.elastic_cc = true;
-    // Lock space = the workload's 2-partition universe (pairs straddle it).
-    oo.cc_partitions = 2;
-    engine::EngineOptions o = BaseOptions(6);
-    // Elastic mode parks workers for whole epochs; bound by time, not
-    // per-worker caps.
-    o.max_txns_per_worker = 0;
-    o.duration_seconds = 0.02;
-    engine::OrthrusEngine eng(o, oo);
-    hal::SimPlatform sim(6);
-    const RunResult r = eng.Run(&sim, &db, wl);
-
-    const PairStats& s = wl.stats();
-    ASSERT_GT(r.total.committed, 0u) << "seed " << seed;
-    EXPECT_GT(s.writes.load(), 0u) << "seed " << seed;
-    EXPECT_GT(s.reads.load(), 0u) << "seed " << seed;
-    EXPECT_EQ(s.torn.load(), 0u) << "seed " << seed;
-    EXPECT_EQ(s.mixed.load(), 0u) << "seed " << seed;
     EXPECT_EQ(CheckSlabPairs(db), s.writes.load());
   }
 }
