@@ -15,7 +15,6 @@
 #include "hal/fiber.h"
 #include "hal/sim_platform.h"
 #include "lock/lock_table.h"
-#include "mp/multi_mesh.h"
 #include "mp/queue_mesh.h"
 #include "mp/spsc_queue.h"
 
@@ -95,33 +94,6 @@ void BM_QueueMeshDrain(benchmark::State& state) {
 BENCHMARK(BM_QueueMeshDrain)
     ->ArgsProduct({{4, 16}, {1, 8}})
     ->ArgNames({"senders", "batch"});
-
-// MPSC mesh fan-in: `senders` producers share one CAS-reserved ring per
-// receiver instead of owning per-pair SPSC queues. Compare items/s against
-// BM_QueueMeshDrain at the same sender count to price the reservation CAS
-// the dynamic-sender design buys its flexibility with.
-void BM_MultiMeshDrain(benchmark::State& state) {
-  const int senders = static_cast<int>(state.range(0));
-  constexpr std::size_t kBurst = 32;  // messages per sender per iteration
-  mp::MultiMesh<std::uint64_t> mesh(1, 2048);
-  std::uint64_t buf[kBurst];
-  for (std::size_t i = 0; i < kBurst; ++i) buf[i] = i;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    for (int s = 0; s < senders; ++s) {
-      std::size_t pushed = 0;
-      while (pushed < kBurst) {
-        pushed += mesh.at(0).PushBatch(buf + pushed, kBurst - pushed);
-      }
-    }
-    while (mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; }) != 0) {
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          senders * static_cast<std::int64_t>(kBurst));
-}
-BENCHMARK(BM_MultiMeshDrain)->Arg(4)->Arg(16)->ArgNames({"senders"});
 
 void BM_LockTableAcquireRelease(benchmark::State& state) {
   lock::LockTable::Config cfg;

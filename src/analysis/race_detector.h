@@ -1,8 +1,8 @@
 // Deterministic happens-before race detection for the simulator.
 //
 // The simulator runs every fiber on one host thread, so ThreadSanitizer sees
-// nothing: a sim-only protocol (equivalence digests, WAL log-stream
-// handoffs and epoch sealing) can ship a missing release/acquire edge and
+// nothing: a sim-only protocol (equivalence digests, WAL fragment passing
+// and epoch sealing) can ship a missing release/acquire edge and
 // never crash until the same code runs natively. This detector closes that
 // gap with a FastTrack-style vector-clock analysis driven from the
 // simulator's own event stream:

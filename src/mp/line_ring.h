@@ -1,4 +1,4 @@
-// Line-packed ring storage shared by the queue implementations in mp/.
+// Line-packed ring storage for mp::SpscQueue.
 //
 // Messages are word-sized, so a cache line carries kMsgsPerLine of them.
 // Instead of dedicating one modeled coherence line per slot, payload words
@@ -11,9 +11,7 @@
 // one line per message.
 //
 // LineRing is storage only: it owns no indices and enforces no protocol.
-// SpscQueue (one writer) and MpscQueue (CAS-reserved writers) both layer
-// their index discipline over the same blocks, so the payload cost model
-// stays identical across queue flavours.
+// SpscQueue layers its single-writer index discipline over the blocks.
 #ifndef ORTHRUS_MP_LINE_RING_H_
 #define ORTHRUS_MP_LINE_RING_H_
 
@@ -136,19 +134,14 @@ class LineRing {
 // Polite spin for blocking sends. Queue capacities are provable bounds on
 // outstanding messages per pair, so a full queue that stays full is a
 // protocol bug, not backpressure: the spin CHECK-fails once the wait has
-// outlived any legal protocol state. Shared by QueueMesh::Send,
-// MultiMesh::Send, and MultiSendBuffer flushes so the diagnostic and
-// its bound live in one place.
+// outlived any legal protocol state. QueueMesh::Send spins on it.
 //
 // The tight bound is sound only under the simulator, where fibers are
-// never preempted. On native hardware the OS can park a consumer (or an
-// MPSC producer that reserved slots but has not yet published the tail,
-// keeping the ring apparently full) across many scheduling quanta — the
-// same reasoning behind MpscQueue::PushBatch's unbounded native
-// tail-publication wait — so the native bound is ~2^6 times looser:
-// seconds of continuous spinning, beyond any plausible preemption stall,
-// while still turning a genuine protocol wedge into a crisp CHECK
-// failure instead of a silent CI-timeout hang.
+// never preempted. On native hardware the OS can park the consumer across
+// many scheduling quanta, keeping the queue full, so the native bound is
+// ~2^6 times looser: seconds of continuous spinning, beyond any plausible
+// preemption stall, while still turning a genuine protocol wedge into a
+// crisp CHECK failure instead of a silent CI-timeout hang.
 class WedgeSpin {
  public:
   WedgeSpin() {

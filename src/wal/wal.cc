@@ -17,12 +17,6 @@ constexpr hal::Cycles kFragmentOverheadCycles = 30;
 
 constexpr std::uint32_t kFrameHeaderBytes = 16;  // [len][kind][check]
 
-std::size_t NextPow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
 std::uint64_t FrameCheck(std::uint32_t kind, const std::uint8_t* payload,
@@ -43,9 +37,9 @@ std::uint64_t FrameCheck(std::uint32_t kind, const std::uint8_t* payload,
 void PartitionLogBuffer::AppendFrame(std::uint32_t kind,
                                      const std::uint8_t* payload,
                                      std::uint32_t len) {
-  // Stream-ownership proxy for the race detector: exactly one logger may
-  // append at a time (handoffs carry the SpaceMap owner-word release/
-  // acquire pair). `this` stands in for the heap bytes the vector moves.
+  // Stream-ownership proxy for the race detector: only the stream's static
+  // owner (GroupCommitLog::OwnerOf) ever appends. `this` stands in for the
+  // heap bytes the vector moves.
   hal::RaceCheck(this, sizeof(void*), /*is_write=*/true, "wal.stream");
   const std::uint64_t check = FrameCheck(kind, payload, len);
   const std::size_t at = bytes_.size();
@@ -99,26 +93,30 @@ GroupCommitLog::GroupCommitLog(const DurabilityOptions& opts,
       db_(db),
       n_producers_(n_producers),
       partitions_(db->partitioner().n) {
-  ORTHRUS_CHECK(opts_.loggers >= 1);
-  ORTHRUS_CHECK(n_producers_ >= 1);
-  ORTHRUS_CHECK(partitions_ >= 1);
+  ORTHRUS_CHECK_MSG(opts_.loggers >= 1, "wal needs loggers >= 1");
+  ORTHRUS_CHECK_MSG(n_producers_ >= 1, "wal needs n_producers >= 1");
+  ORTHRUS_CHECK_MSG(partitions_ >= 1,
+                    "wal needs partitions >= 1 (database partitioner().n)");
   // The admission gate reserves kMaxTxnFragments slots per in-flight txn;
   // the arena must leave room for at least one pipelined transaction.
   ORTHRUS_CHECK_MSG(opts_.arena_records >= 2 * kMaxTxnFragments,
-                    "wal arena too small for one pipelined transaction");
+                    "wal arena too small for one pipelined transaction: "
+                    "need arena_records >= 2 * kMaxTxnFragments");
   epoch_.RawStore(1);
   published_ = std::make_unique<hal::Atomic<std::uint64_t>[]>(
       static_cast<std::size_t>(n_producers_));
   sealed_ = std::make_unique<hal::Atomic<std::uint64_t>[]>(
       static_cast<std::size_t>(partitions_));
-  lock::HashRing ring(opts_.loggers);
-  base_owners_ = ring.OwnersFor(partitions_, opts_.loggers);
-  map_.Reset(partitions_, base_owners_, n_producers_ + opts_.loggers,
-             [](int) { return std::make_unique<PartitionLogBuffer>(); });
-  const std::size_t capacity = NextPow2(std::max<std::size_t>(
-      64, static_cast<std::size_t>(n_producers_) *
-              static_cast<std::size_t>(opts_.arena_records)));
-  mesh_.Reset(opts_.loggers, capacity);
+  streams_.reserve(static_cast<std::size_t>(partitions_));
+  for (int p = 0; p < partitions_; ++p) {
+    streams_.push_back(std::make_unique<PartitionLogBuffer>());
+  }
+  // A fragment still queued is not yet sealed, so its arena slot is not yet
+  // reusable: one producer never has more than arena_records fragments in
+  // its queues, which bounds every (producer, logger) pair.
+  mesh_.Reset(n_producers_, opts_.loggers,
+              NextPowerOfTwo(std::max<std::uint64_t>(
+                  64, static_cast<std::uint64_t>(opts_.arena_records))));
   row_versions_.reserve(db->num_tables());
   for (std::size_t t = 0; t < db->num_tables(); ++t) {
     row_versions_.emplace_back(db->GetTable(static_cast<std::uint32_t>(t))
@@ -129,18 +127,16 @@ GroupCommitLog::GroupCommitLog(const DurabilityOptions& opts,
 
 std::vector<std::vector<std::uint8_t>> GroupCommitLog::FinalImages() {
   std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(static_cast<std::size_t>(partitions_));
-  for (int p = 0; p < partitions_; ++p) out.push_back(map_.shard(p)->bytes());
+  out.reserve(streams_.size());
+  for (const auto& stream : streams_) out.push_back(stream->bytes());
   return out;
 }
 
 std::vector<std::vector<std::uint8_t>> GroupCommitLog::CrashImagesAt(
     hal::Cycles t) {
   std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(static_cast<std::size_t>(partitions_));
-  for (int p = 0; p < partitions_; ++p) {
-    out.push_back(map_.shard(p)->CrashImageAt(t));
-  }
+  out.reserve(streams_.size());
+  for (const auto& stream : streams_) out.push_back(stream->CrashImageAt(t));
   return out;
 }
 
@@ -150,30 +146,6 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
   const hal::Cycles interval = std::max<hal::Cycles>(
       1, static_cast<hal::Cycles>(opts_.group_commit_seconds *
                                   pf->CyclesPerSecond()));
-  const std::uint64_t me = static_cast<std::uint64_t>(logger_index);
-  lock::LockSpaceRouter<PartitionLogBuffer> router(
-      &map_, n_producers_ + logger_index);
-  router.Refresh();
-
-  // Fragments that arrived for partitions this logger does not (yet) own:
-  // routed under a newer table than the shard-owner handoff has caught up
-  // with. Held until acquisition; the seal protocol guarantees their
-  // epochs stay above every seal the old owner can still issue, so the
-  // arena slots behind these pointers cannot be recycled underneath us.
-  std::vector<std::vector<const FragmentMsg*>> stash(
-      static_cast<std::size_t>(partitions_));
-  std::size_t stashed_total = 0;
-
-  // Partitions we own but the published table routes elsewhere: sealing is
-  // frozen (a seal now could miss fragments already routed to the new
-  // owner); relinquished once every router observed the new table and one
-  // further drain has emptied anything still routed here.
-  std::vector<char> leaving(static_cast<std::size_t>(partitions_), 0);
-  int leaving_count = 0;
-  std::uint64_t barrier_version = 0;
-
-  std::uint64_t rebalance_shift = 0;
-  std::uint64_t last_rebalance_epoch = 0;
   std::uint64_t last_durable = 0;
   hal::Cycles next_epoch_at = hal::Now() + interval;
   hal::IdleBackoff idle(4096);
@@ -182,81 +154,33 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
     bool progress = false;
     const std::uint64_t retired = retired_.load();
 
-    // 1. Epoch clock (logger 0 only). Rebalances ride epoch boundaries.
-    // The clock freezes once every producer has permanently retired: a
-    // producer only retires with its pending queue drained, so everything
-    // it ever captured is already sealed and durable — further epochs
-    // would only keep the shutdown condition below from ever holding.
+    // 1. Epoch clock (logger 0 only). The clock freezes once every producer
+    // has permanently retired: a producer only retires with its pending
+    // queue drained, so everything it ever captured is already sealed and
+    // durable — further epochs would only keep the shutdown condition below
+    // from ever holding.
     if (logger_index == 0 &&
         retired != static_cast<std::uint64_t>(n_producers_)) {
       const hal::Cycles now = hal::Now();
       if (now >= next_epoch_at) {
-        const std::uint64_t e = epoch_.fetch_add(1) + 1;
+        epoch_.fetch_add(1);
         next_epoch_at = now + interval;
         progress = true;
         // Snapshot clock rides the same cadence: each WAL epoch advance
         // also advances the commit epoch and folds the heartbeat minima
         // into the read epoch / reader floor (storage/epoch_clock.h).
         if (epoch_clock_ != nullptr) epoch_clock_->Tick();
-        // Rotate only once the previous handoff chain has fully settled:
-        // every shard-owner word equals the routed table. A rotation
-        // published mid-handoff can route a partition away from an
-        // incoming owner that never acquired it, stranding its stashed
-        // fragments at a logger the old table will never hand the shard
-        // to — the seal then misses those fragments and their arena slots
-        // recycle underneath the stash. Not yet settled = retry at the
-        // next epoch tick.
-        bool due = opts_.rebalance_epochs != 0 &&
-                   e - last_rebalance_epoch >= opts_.rebalance_epochs;
-        for (int p = 0; due && p < partitions_; ++p) {
-          due = map_.ShardOwner(p) == map_.RouteOf(p);
-        }
-        if (due) {
-          last_rebalance_epoch = e;
-          ++rebalance_shift;
-          std::vector<std::uint32_t> owners(base_owners_);
-          for (std::uint32_t& o : owners) {
-            o = static_cast<std::uint32_t>(
-                (o + rebalance_shift) %
-                static_cast<std::uint64_t>(opts_.loggers));
-          }
-          map_.Publish(owners);
-        }
       }
     }
 
-    // 2. Routing refresh + owner/route reconciliation. The scan runs every
-    // iteration, not just when Refresh reports a version change: a logger
-    // whose thread starts after a publish imports the new table with its
-    // first Refresh and never sees a transition, and a barrier can complete
-    // around a not-yet-started logger (its router slot is still inactive).
-    // Either way this logger can find itself owning a partition the current
-    // table routes elsewhere without ever witnessing the version move —
-    // sealing such a partition would miss fragments already routed to its
-    // new home, and never relinquishing it wedges that home's stash forever.
-    router.Refresh();
-    for (int p = 0; p < partitions_; ++p) {
-      const bool mine = map_.ShardOwner(p) == me;
-      const bool still_mine =
-          static_cast<std::uint64_t>(router.OwnerOf(p)) == me;
-      if (mine && !still_mine && !leaving[p]) {
-        leaving[p] = 1;
-        ++leaving_count;
-        barrier_version = router.version();
-      } else if (mine && still_mine && leaving[p]) {
-        leaving[p] = 0;  // routed back before the handoff completed
-        --leaving_count;
-      }
-    }
-
-    // 3. Seal candidate, read BEFORE draining: every producer flushes its
-    // staged fragments before publishing an epoch, so once we have read
-    // published epochs, a drain is guaranteed to surface every fragment
-    // with epoch <= candidate that is routed to us. Producers that retired
-    // publish the done sentinel and bound nothing; the current epoch minus
-    // one bounds everyone (a producer publishes from its constructor,
-    // before it can capture, and the publish-then-capture order makes the
-    // bound sound).
+    // 2. Seal candidate, read BEFORE draining: a producer enqueues every
+    // fragment inside Capture, before its next Poll publishes an epoch, so
+    // once we have read published epochs, a drain to empty surfaces every
+    // fragment with epoch <= candidate addressed to us. Producers that
+    // retired publish the done sentinel and bound nothing; the current
+    // epoch minus one bounds everyone (a producer publishes from its
+    // constructor, before it can capture, and the publish-then-capture
+    // order makes the bound sound).
     const std::uint64_t e_now = epoch_.load();
     std::uint64_t candidate = e_now - 1;
     for (int i = 0; i < n_producers_; ++i) {
@@ -266,15 +190,9 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
       candidate = std::min(candidate, lim);
     }
 
-    // 3b. Handoff barrier, checked before the drain so the subsequent
-    // relinquish provably follows a drain that ran with no stale-routed
-    // sender left: anything routed here under the old table is already in
-    // our ring and this quantum's drain appends it.
-    const bool barrier_ok =
-        leaving_count != 0 && map_.AllObservedAtLeast(barrier_version);
-
-    // 4. Drain fragments to empty (the barrier above relies on it): append
-    // to owned streams, stash the rest.
+    // 3. Drain fragments to empty and append each to its stream. Producers
+    // address a fragment to its partition's static owner, so every stream
+    // reached here is ours.
     const auto on_fragment = [&](std::uint64_t v) {
       const auto* f = reinterpret_cast<const FragmentMsg*>(v);
       // The producer's whole-slot write must happen-before this read (the
@@ -282,63 +200,24 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
       // durable_epoch_ (see Producer::AllocSlot).
       hal::RaceCheck(f, sizeof(FragmentMsg), /*is_write=*/false, "wal.frag");
       const int p = static_cast<int>(f->hdr.partition);
-      ORTHRUS_DCHECK(p >= 0 && p < partitions_);
-      if (map_.ShardOwner(p) == me) {
-        map_.shard(p)->AppendFragment(*f);
-      } else {
-        stash[static_cast<std::size_t>(p)].push_back(f);
-        ++stashed_total;
-      }
+      ORTHRUS_DCHECK(p >= 0 && p < partitions_ && OwnerOf(p) == logger_index);
+      streams_[static_cast<std::size_t>(p)]->AppendFragment(*f);
     };
     while (mesh_.Drain(logger_index, on_fragment) != 0) progress = true;
 
-    // 5. Apply stashes for partitions we have (since) acquired.
-    if (stashed_total != 0) {
-      for (int p = 0; p < partitions_; ++p) {
-        auto& s = stash[static_cast<std::size_t>(p)];
-        if (s.empty() || map_.ShardOwner(p) != me) continue;
-        for (const FragmentMsg* f : s) map_.shard(p)->AppendFragment(*f);
-        stashed_total -= s.size();
-        s.clear();
+    // 4. Seal owned streams at the candidate.
+    for (int p = logger_index; p < partitions_; p += opts_.loggers) {
+      PartitionLogBuffer* stream = streams_[static_cast<std::size_t>(p)].get();
+      if (candidate > stream->last_sealed) {
+        stream->AppendSeal(candidate);
+        stream->Sync();
+        stream->last_sealed = candidate;
+        sealed_[p].store(candidate);
         progress = true;
       }
     }
 
-    // 6. Complete handoffs: everything routed here under the old table has
-    // been appended (barrier + this drain), so the streams can change
-    // hands. The release-store publishes every appended byte to the new
-    // owner.
-    if (barrier_ok) {
-      for (int p = 0; p < partitions_; ++p) {
-        if (!leaving[p]) continue;
-        map_.Relinquish(p, static_cast<std::uint64_t>(router.OwnerOf(p)));
-        leaving[p] = 0;
-        --leaving_count;
-        progress = true;
-      }
-    }
-
-    // 7. Seal owned streams at the candidate. The version re-check closes
-    // the window between a table publish and our next Refresh: if the map
-    // moved since we cached our view, a fragment with epoch <= candidate
-    // could already be routed to the new owner, so we skip sealing this
-    // quantum (the refresh above picks it up next time). Candidate was
-    // computed before this check — see the handoff proof in wal.h.
-    if (map_.version() == router.version()) {
-      for (int p = 0; p < partitions_; ++p) {
-        if (leaving[p] || map_.ShardOwner(p) != me) continue;
-        PartitionLogBuffer* shard = map_.shard(p);
-        if (candidate > shard->last_sealed) {
-          shard->AppendSeal(candidate);
-          shard->Sync();
-          shard->last_sealed = candidate;
-          sealed_[p].store(candidate);
-          progress = true;
-        }
-      }
-    }
-
-    // 8. Global durable epoch (logger 0): the minimum sealed epoch across
+    // 5. Global durable epoch (logger 0): the minimum sealed epoch across
     // all partition streams — an epoch is durable only when every stream
     // that could hold one of its fragments has sealed past it.
     if (logger_index == 0) {
@@ -353,11 +232,10 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
       }
     }
 
-    // 9. Shutdown: all producers permanently retired (their pending
-    // commits matured, which implies every fragment is sealed), nothing
-    // drained, no stash, no handoff in flight.
-    if (!progress && stashed_total == 0 && leaving_count == 0 &&
-        retired == static_cast<std::uint64_t>(n_producers_)) {
+    // 6. Shutdown: all producers permanently retired (their pending
+    // commits matured, which implies every fragment is sealed) and nothing
+    // drained.
+    if (!progress && retired == static_cast<std::uint64_t>(n_producers_)) {
       break;
     }
 
@@ -368,13 +246,6 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
       idle.Idle();
     }
   }
-
-  // Drop out of handoff barriers before exiting: a rotation published just
-  // before the last producer retired can reach a peer logger *after* this
-  // one's final Refresh, and that peer's relinquish barrier waits on every
-  // router — an exited logger that still pins its last observed version
-  // would wedge the peer forever.
-  router.Deactivate();
 }
 
 // --- Producer ----------------------------------------------------------
@@ -385,13 +256,9 @@ Producer::Producer(GroupCommitLog* log, int producer_id,
       id_(producer_id),
       ctx_(ctx),
       arena_records_(log->opts_.arena_records),
-      router_(&log->map_, producer_id),
-      out_(&log->mesh_),
       arena_(std::make_unique<FragmentMsg[]>(
           static_cast<std::size_t>(log->opts_.arena_records))) {
   ORTHRUS_CHECK(producer_id >= 0 && producer_id < log->n_producers_);
-  log_->mesh_.RegisterSender();
-  router_.Refresh();
   // Publish before any capture: the seal candidate is bounded by the
   // current epoch minus one only because a producer that can emit a
   // fragment at epoch e has published a value <= e beforehand.
@@ -508,8 +375,8 @@ void Producer::Capture(txn::Txn* t, storage::Database* db) {
   }
 
   for (int i = 0; i < nparts; ++i) {
-    out_.Send(router_.OwnerOf(static_cast<int>(plist[i])),
-              reinterpret_cast<std::uint64_t>(frags[i]));
+    log_->mesh_.Send(id_, log_->OwnerOf(static_cast<int>(plist[i])),
+                     reinterpret_cast<std::uint64_t>(frags[i]));
     ctx_->stats.wal_fragments++;
   }
   outstanding_ += static_cast<std::uint64_t>(nparts);
@@ -535,10 +402,9 @@ void Producer::Mature() {
 
 void Producer::Poll() {
   ORTHRUS_CHECK(!retired_);
-  router_.Refresh();
-  // Flush BEFORE publishing: the published epoch is the logger's proof
-  // that every fragment of earlier epochs is already visible in its ring.
-  out_.FlushAll();
+  // Capture enqueued every fragment before this publish, so the published
+  // epoch is the logger's proof that every fragment of earlier epochs is
+  // already visible in its queue.
   log_->published_[id_].store(log_->epoch_.load());
   Mature();
 }
@@ -546,11 +412,7 @@ void Producer::Poll() {
 void Producer::Retire() {
   ORTHRUS_CHECK_MSG(pending_.empty(), "wal Retire with commits in flight");
   ORTHRUS_CHECK(!retired_);
-  out_.FlushAll();
-  ORTHRUS_CHECK(out_.Pending() == 0);
   log_->published_[id_].store(GroupCommitLog::kDonePublished);
-  log_->mesh_.RetireSender();
-  router_.Deactivate();
   retired_ = true;
   log_->retired_.fetch_add(1);
 }

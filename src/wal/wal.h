@@ -2,14 +2,13 @@
 //
 // The paper's separation of concurrency control from execution maps onto
 // logging the same way it maps onto locking: partition the log by lock-space
-// partition, give each partition's stream exactly one owner at a time, and
-// move everything across cores by message passing. Concretely:
+// partition, give each partition's stream one fixed owner for the whole
+// run, and move everything across cores by message passing. Concretely:
 //
 //  * Commit paths emit *fragments* — the transaction's after-images grouped
-//    by lock-space partition — as pointer messages over an mp::MultiMesh to
-//    a dedicated logger role (runtime::WorkerRole::kLogger). Sender-side
-//    staging (mp::MultiSendBuffer) is the group-commit batching we already
-//    have for lock traffic, reused verbatim.
+//    by lock-space partition — as pointer messages over the per-pair
+//    mp::QueueMesh (producer x logger) to a dedicated logger role
+//    (runtime::WorkerRole::kLogger), each sent as it is produced.
 //
 //  * Commit ordering uses Silo-style epochs (Tu et al., SOSP'13): a global
 //    epoch counter advances on a virtual-time interval; every committing
@@ -33,10 +32,10 @@
 //    executing while earlier commits await their group commit, bounded by
 //    the fragment arena (backpressure instead of unbounded buffering).
 //
-//  * Log-stream ownership lives in a lock::SpaceMap<PartitionLogBuffer>:
-//    its publish / observe-barrier / relinquish protocol moves log
-//    partitions across loggers (DurabilityOptions::rebalance_epochs
-//    exercises it).
+//  * Log-stream ownership is static: partition p's stream belongs to
+//    logger p % loggers for the whole run (as Silo binds each logger to a
+//    fixed slice of the log), so a stream never changes hands and every
+//    fragment arrives at the one logger that appends it.
 //
 // Frame format (per partition log, byte stream):
 //   [u32 payload_len][u32 kind][u64 fnv_check][payload]
@@ -57,9 +56,7 @@
 
 #include "common/macros.h"
 #include "hal/hal.h"
-#include "lock/space_map.h"
-#include "mp/multi_mesh.h"
-#include "mp/send_buffer.h"
+#include "mp/queue_mesh.h"
 #include "runtime/worker_pool.h"
 #include "storage/database.h"
 #include "txn/txn.h"
@@ -79,10 +76,6 @@ struct DurabilityOptions {
   // transactions; admission stalls when fewer than kMaxTxnFragments slots
   // are free — backpressure, not unbounded buffering.
   int arena_records = 192;
-
-  // Test knob: every N epochs, rotate partition-log ownership across the
-  // loggers through the lock::SpaceMap handoff protocol (0 = never).
-  std::uint64_t rebalance_epochs = 0;
 };
 
 // Upper bound on fragments one transaction can emit (one per touched
@@ -139,10 +132,9 @@ struct SyncPoint {
   hal::Cycles completed_at = 0;
 };
 
-// One partition's redo-log stream. Owner-private plain memory: exactly one
-// logger appends at a time, and ownership transfers carry a release/acquire
-// pair (lock::SpaceMap::Relinquish / ShardOwner), so the successor sees
-// every byte its predecessor wrote.
+// One partition's redo-log stream. Owner-private plain memory: its one
+// logger (GroupCommitLog::OwnerOf) is the only appender for the whole run;
+// other threads read it only after the run has joined.
 class PartitionLogBuffer {
  public:
   PartitionLogBuffer() { bytes_.reserve(1 << 16); }
@@ -176,7 +168,7 @@ class PartitionLogBuffer {
 class Producer;
 
 // The shared durability state for one engine run: the epoch clock, the
-// fragment mesh, partition-log ownership, per-producer published epochs,
+// fragment mesh, the partition logs, per-producer published epochs,
 // per-partition sealed epochs, and the global durable epoch. Construct
 // before Run (off-core); producers and loggers attach from their cores.
 class GroupCommitLog {
@@ -199,10 +191,13 @@ class GroupCommitLog {
   int partitions() const { return partitions_; }
   const DurabilityOptions& options() const { return opts_; }
 
+  // The logger that owns partition p's stream for the whole run.
+  int OwnerOf(int p) const { return p % opts_.loggers; }
+
   // Logger worker body: drains fragments into owned partition logs, seals
   // epochs, syncs, publishes durability. Logger 0 additionally advances the
-  // epoch clock and the global durable epoch, and drives rebalances. Runs
-  // until every producer has retired and all streams are settled.
+  // epoch clock and the global durable epoch. Runs until every producer has
+  // retired and nothing is left to drain.
   void RunLogger(int logger_index, runtime::WorkerContext* ctx);
 
   // Snapshot tie-in: when set, logger 0 ticks this commit-epoch clock
@@ -219,7 +214,6 @@ class GroupCommitLog {
 
   std::uint64_t DurableEpochRaw() const { return durable_epoch_.RawLoad(); }
   std::uint64_t EpochRaw() const { return epoch_.RawLoad(); }
-  PartitionLogBuffer* log(int p) { return map_.shard(p); }
 
   // Per-partition log images: as-is (clean shutdown) or as-if killed at
   // virtual time `t` (truncated to each stream's last durable sync).
@@ -245,18 +239,17 @@ class GroupCommitLog {
   std::unique_ptr<hal::Atomic<std::uint64_t>[]> published_;  // per producer
   std::unique_ptr<hal::Atomic<std::uint64_t>[]> sealed_;     // per partition
 
-  lock::SpaceMap<PartitionLogBuffer> map_;
-  mp::MultiMesh<std::uint64_t> mesh_;  // FragmentMsg* as u64, to loggers
-  std::vector<std::uint32_t> base_owners_;
+  std::vector<std::unique_ptr<PartitionLogBuffer>> streams_;  // per partition
+  mp::QueueMesh<std::uint64_t> mesh_;  // FragmentMsg* as u64, producer x logger
 
   // Per-(table, slot) version counters, bumped under the row's X lock at
   // capture. Plain memory: the X lock serializes writers of a row.
   std::vector<std::vector<std::uint64_t>> row_versions_;
 };
 
-// A committing worker's attachment to the GroupCommitLog: fragment arena,
-// send staging, routing view, pending (committed-not-yet-durable) queue.
-// One per producer, constructed on the producer's own core.
+// A committing worker's attachment to the GroupCommitLog: fragment arena
+// and pending (committed-not-yet-durable) queue. One per producer,
+// constructed on the producer's own core.
 class Producer {
  public:
   Producer(GroupCommitLog* log, int producer_id, runtime::WorkerContext* ctx);
@@ -278,22 +271,21 @@ class Producer {
 
   // Called with the transaction's exclusive locks still held, after its
   // logic succeeded: reads the commit epoch, copies the after-images into
-  // per-partition fragments, stages them toward their partition's logger,
-  // and queues the commit as pending. The driver acknowledges it (counts
+  // per-partition fragments, sends each to its partition's logger, and
+  // queues the commit as pending. The driver acknowledges it (counts
   // committed, records latency) when the epoch turns durable.
   void Capture(txn::Txn* t, storage::Database* db);
 
-  // Quantum maintenance: refresh routing, flush staged fragments, publish
-  // the epoch heartbeat, acknowledge matured commits into ctx->stats. Call
-  // once per driver iteration / scheduling quantum.
+  // Quantum maintenance: publish the epoch heartbeat and acknowledge
+  // matured commits into ctx->stats. Call once per driver iteration /
+  // scheduling quantum.
   void Poll();
 
   std::uint64_t PendingCount() const { return pending_.size(); }
   bool Drained() const { return pending_.empty(); }
 
-  // Permanent exit: requires Drained(). Flushes, publishes the done
-  // sentinel, retires from the mesh, deactivates the router, and counts
-  // toward logger shutdown.
+  // Permanent exit: requires Drained(). Publishes the done sentinel and
+  // counts toward logger shutdown.
   void Retire();
 
  private:
@@ -310,8 +302,6 @@ class Producer {
   int id_;
   runtime::WorkerContext* ctx_;
   int arena_records_;
-  lock::LockSpaceRouter<PartitionLogBuffer> router_;
-  mp::MultiSendBuffer<std::uint64_t> out_;
   std::unique_ptr<FragmentMsg[]> arena_;
   int alloc_cursor_ = 0;
   std::uint64_t outstanding_ = 0;  // arena slots not yet durable

@@ -8,7 +8,6 @@
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
 #include "lock/lock_table.h"
-#include "lock/space_map.h"
 
 namespace orthrus::lock {
 namespace {
@@ -431,129 +430,6 @@ TEST(LockTableEdge, QueueCountersBalanceAfterChurn) {
   });
   sim2.Run();
   EXPECT_EQ(post.lock_waits, 0u);
-}
-
-// ------------------------------------------------- lock-space ownership
-
-TEST(HashRing, OwnersAreDeterministicAndInRange) {
-  HashRing a(8), b(8);
-  for (int active = 1; active <= 8; ++active) {
-    for (int p = 0; p < 64; ++p) {
-      const int owner = a.OwnerOf(p, active);
-      EXPECT_GE(owner, 0);
-      EXPECT_LT(owner, active);
-      EXPECT_EQ(owner, b.OwnerOf(p, active));  // pure arithmetic: no state
-    }
-  }
-}
-
-TEST(HashRing, ResizingMovesOnlyTheAffectedSlotsPartitions) {
-  // The consistent-hash property the handoff cost depends on: stepping the
-  // active count from k to k-1 moves only partitions owned by slot k-1;
-  // every other partition keeps its owner. (Growing is the same statement
-  // read backwards.)
-  HashRing ring(8);
-  const int kParts = 256;
-  for (int k = 8; k >= 2; --k) {
-    int moved_from_other_slots = 0;
-    int retired_owned = 0;
-    for (int p = 0; p < kParts; ++p) {
-      const int before = ring.OwnerOf(p, k);
-      const int after = ring.OwnerOf(p, k - 1);
-      if (before == k - 1) {
-        retired_owned++;
-        EXPECT_LT(after, k - 1);  // must move somewhere active
-      } else if (before != after) {
-        moved_from_other_slots++;
-      }
-    }
-    EXPECT_EQ(moved_from_other_slots, 0) << "k=" << k;
-    EXPECT_GT(retired_owned, 0) << "k=" << k;  // slots do own partitions
-  }
-}
-
-TEST(HashRing, OwnersForMatchesOwnerOf) {
-  HashRing ring(4);
-  const std::vector<std::uint32_t> owners = ring.OwnersFor(32, 3);
-  ASSERT_EQ(owners.size(), 32u);
-  for (int p = 0; p < 32; ++p) {
-    EXPECT_EQ(static_cast<int>(owners[p]), ring.OwnerOf(p, 3));
-  }
-}
-
-struct ProbeShard {
-  int id = 0;
-  std::uint64_t writes = 0;
-};
-
-TEST(SpaceMap, PublishBumpsVersionAndRetables) {
-  HashRing ring(4);
-  SpaceMap<ProbeShard> map;
-  map.Reset(8, ring.OwnersFor(8, 4), /*routers=*/2, [](int p) {
-    auto s = std::make_unique<ProbeShard>();
-    s->id = p;
-    return s;
-  });
-  EXPECT_EQ(map.partitions(), 8);
-  EXPECT_EQ(map.VersionRaw(), 1u);
-  for (int p = 0; p < 8; ++p) {
-    EXPECT_EQ(map.shard(p)->id, p);
-    EXPECT_EQ(map.ShardOwnerRaw(p),
-              static_cast<std::uint64_t>(ring.OwnerOf(p, 4)));
-  }
-  const std::uint64_t v2 = map.Publish(ring.OwnersFor(8, 2));
-  EXPECT_EQ(v2, 2u);
-  for (int p = 0; p < 8; ++p) {
-    EXPECT_EQ(map.RouteOf(p),
-              static_cast<std::uint64_t>(ring.OwnerOf(p, 2)));
-    // Publication moves the routing hints only; shard ownership moves when
-    // the owner relinquishes.
-    EXPECT_EQ(map.ShardOwnerRaw(p),
-              static_cast<std::uint64_t>(ring.OwnerOf(p, 4)));
-  }
-}
-
-TEST(SpaceMap, RouterRefreshObservesEpochsAndBarriers) {
-  HashRing ring(4);
-  SpaceMap<ProbeShard> map;
-  map.Reset(8, ring.OwnersFor(8, 4), /*routers=*/2,
-            [](int) { return std::make_unique<ProbeShard>(); });
-  LockSpaceRouter<ProbeShard> r0(&map, 0);
-  LockSpaceRouter<ProbeShard> r1(&map, 1);
-  // Unrefreshed routers count as past every barrier (they cache nothing).
-  EXPECT_TRUE(map.AllObservedAtLeast(1));
-  EXPECT_TRUE(r0.Refresh());   // first refresh adopts version 1
-  EXPECT_FALSE(r0.Refresh());  // unchanged epoch: no copy, no publication
-  for (int p = 0; p < 8; ++p) {
-    EXPECT_EQ(r0.OwnerOf(p), ring.OwnerOf(p, 4));
-  }
-  map.Publish(ring.OwnersFor(8, 1));
-  EXPECT_TRUE(r1.Refresh());                // jumps straight to version 2
-  EXPECT_FALSE(map.AllObservedAtLeast(2));  // r0 still caches version 1
-  EXPECT_TRUE(r0.Refresh());
-  EXPECT_TRUE(map.AllObservedAtLeast(2));
-  for (int p = 0; p < 8; ++p) {
-    EXPECT_EQ(r0.OwnerOf(p), 0);  // one active slot owns everything
-  }
-  // A deactivated router leaves every barrier satisfied until it resumes.
-  map.Publish(ring.OwnersFor(8, 3));
-  r0.Deactivate();
-  EXPECT_TRUE(r1.Refresh());
-  EXPECT_TRUE(map.AllObservedAtLeast(3));
-  EXPECT_TRUE(r0.Refresh());  // resume: forced refresh rebuilds the view
-}
-
-TEST(SpaceMap, RelinquishTransfersShardAuthority) {
-  HashRing ring(2);
-  SpaceMap<ProbeShard> map;
-  std::vector<std::uint32_t> owners(4, 0);  // slot 0 owns everything
-  map.Reset(4, owners, /*routers=*/1,
-            [](int) { return std::make_unique<ProbeShard>(); });
-  map.shard(2)->writes = 7;  // state written by the current owner
-  map.Relinquish(2, 1);
-  EXPECT_EQ(map.ShardOwnerRaw(2), 1u);
-  EXPECT_EQ(map.shard(2)->writes, 7u);  // the pointer moved, not the state
-  EXPECT_EQ(map.ShardOwnerRaw(0), 0u);  // untouched shards keep their owner
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
 // Tests for the message-passing layer: the latch-free SPSC queue (FIFO
 // order, capacity behaviour, wraparound, batched push/pop, and
-// true-concurrency stress on the native platform), the CAS-reserved MPSC
-// queue and its MultiMesh (dynamic sender populations), the QueueMesh that
-// wires full sender x receiver matrices of queues, and the sender-side
-// MultiSendBuffer staging layer.
+// true-concurrency stress on the native platform) and the QueueMesh that
+// wires full sender x receiver matrices of queues.
 #include <cstdint>
 #include <vector>
 
@@ -11,10 +9,7 @@
 
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
-#include "mp/mpsc_queue.h"
-#include "mp/multi_mesh.h"
 #include "mp/queue_mesh.h"
-#include "mp/send_buffer.h"
 #include "mp/spsc_queue.h"
 
 namespace orthrus::mp {
@@ -421,24 +416,6 @@ TEST(QueueMesh, DrainTakesAtMostOneLinePerSender) {
   });
 }
 
-// All senders share one ring per receiver, so a drain takes at most one
-// line in total, in arrival order; messages sent during the drain wait for
-// the next call.
-TEST(MultiMesh, DrainTakesAtMostOneLinePerCall) {
-  constexpr std::size_t kLine = MultiMesh<std::uint64_t>::kDefaultBatch;
-  MultiMesh<std::uint64_t> mesh(1, 64);
-  for (std::uint64_t i = 0; i < 2 * kLine; ++i) mesh.Send(0, i);
-  std::vector<std::uint64_t> got;
-  const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
-    got.push_back(v);
-    mesh.Send(0, 1000 + v);
-  });
-  EXPECT_EQ(n, kLine);
-  ASSERT_EQ(got.size(), kLine);
-  for (std::size_t i = 0; i < kLine; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_EQ(mesh.SizeRawTotal(), 2 * kLine);
-}
-
 TEST(QueueMesh, NativeManyToOneStress) {
   // Three producers, one consumer draining through the mesh: per-sender
   // FIFO with nothing lost or duplicated.
@@ -493,420 +470,6 @@ TEST(QueueMesh, DrainZeroMaxBatchStillDelivers) {
 #else
   EXPECT_DEATH(mesh.Drain(0, [](std::uint64_t) {}, /*max_batch=*/0), "CHECK");
 #endif
-}
-
-// --------------------------------------------------------------- MpscQueue
-
-TEST(MpscQueue, FifoOrderSingleProducer) {
-  MpscQueue<std::uint64_t> q(8);
-  for (std::uint64_t i = 1; i <= 5; ++i) EXPECT_TRUE(q.TryEnqueue(i));
-  std::uint64_t v;
-  for (std::uint64_t i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(q.TryDequeue(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.TryDequeue(&v));
-}
-
-TEST(MpscQueue, FullRejectsEnqueue) {
-  MpscQueue<std::uint64_t> q(4);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(q.TryEnqueue(i));
-  EXPECT_FALSE(q.TryEnqueue(99));
-  std::uint64_t v;
-  EXPECT_TRUE(q.TryDequeue(&v));
-  EXPECT_TRUE(q.TryEnqueue(99));  // space freed
-}
-
-TEST(MpscQueue, PartialPushWhenNearlyFull) {
-  MpscQueue<std::uint64_t> q(8);
-  std::uint64_t in[8];
-  for (int i = 0; i < 8; ++i) in[i] = i;
-  EXPECT_EQ(q.PushBatch(in, 6), 6u);
-  EXPECT_EQ(q.PushBatch(in, 8), 2u);  // only 2 slots remain
-  EXPECT_EQ(q.PushBatch(in, 4), 0u);  // ring full
-  std::uint64_t out[8];
-  EXPECT_EQ(q.PopBatch(out, 8), 8u);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(out[i], in[i]);
-  EXPECT_EQ(out[6], in[0]);
-  EXPECT_EQ(out[7], in[1]);
-}
-
-TEST(MpscQueue, WraparoundManyTimes) {
-  MpscQueue<std::uint64_t> q(4);
-  std::uint64_t v;
-  for (std::uint64_t round = 0; round < 1000; ++round) {
-    EXPECT_TRUE(q.TryEnqueue(round));
-    EXPECT_TRUE(q.TryEnqueue(round + 1000000));
-    ASSERT_TRUE(q.TryDequeue(&v));
-    EXPECT_EQ(v, round);
-    ASSERT_TRUE(q.TryDequeue(&v));
-    EXPECT_EQ(v, round + 1000000);
-  }
-  EXPECT_EQ(q.SizeRaw(), 0u);
-}
-
-TEST(MpscQueue, NativeMultiProducerStress) {
-  // Four real producer threads sharing one ring: nothing lost, nothing
-  // duplicated, and each producer's own stream arrives in its send order.
-  constexpr int kProducers = 4;
-  constexpr std::uint64_t kPer = 50000;
-  MpscQueue<std::uint64_t> q(1024);
-  hal::NativePlatform platform(kProducers + 1);
-  for (int p = 0; p < kProducers; ++p) {
-    platform.Spawn(p, [&q, p] {
-      for (std::uint64_t i = 0; i < kPer; ++i) {
-        while (!q.TryEnqueue(static_cast<std::uint64_t>(p) * kPer + i)) {
-          hal::CpuRelax();
-        }
-      }
-    });
-  }
-  std::uint64_t received = 0;
-  std::uint64_t next_from[kProducers] = {0, 0, 0, 0};
-  bool ok = true;
-  platform.Spawn(kProducers, [&] {
-    std::uint64_t buf[8];
-    while (received < kProducers * kPer) {
-      const std::size_t n = q.PopBatch(buf, 8);
-      if (n == 0) {
-        hal::CpuRelax();
-        continue;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const int p = static_cast<int>(buf[i] / kPer);
-        if (p >= kProducers || buf[i] % kPer != next_from[p]) ok = false;
-        next_from[p]++;
-      }
-      received += n;
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(received, kProducers * kPer);
-  EXPECT_EQ(q.SizeRaw(), 0u);
-}
-
-TEST(MpscQueue, NativeBatchedProducersPublishInReservationOrder) {
-  // Batched pushes from competing producers: each batch is contiguous in
-  // the ring (the consumer never observes a torn or interleaved batch).
-  constexpr int kProducers = 3;
-  constexpr std::uint64_t kBatches = 20000;
-  constexpr std::size_t kBatch = 5;
-  MpscQueue<std::uint64_t> q(512);
-  hal::NativePlatform platform(kProducers + 1);
-  for (int p = 0; p < kProducers; ++p) {
-    platform.Spawn(p, [&q, p] {
-      std::uint64_t buf[kBatch];
-      for (std::uint64_t b = 0; b < kBatches; ++b) {
-        for (std::size_t i = 0; i < kBatch; ++i) {
-          buf[i] = (static_cast<std::uint64_t>(p) << 32) | (b * kBatch + i);
-        }
-        std::size_t pushed = 0;
-        while (pushed < kBatch) {
-          const std::size_t k = q.PushBatch(buf + pushed, kBatch - pushed);
-          if (k == 0) hal::CpuRelax();
-          pushed += k;
-        }
-      }
-    });
-  }
-  const std::uint64_t total = kProducers * kBatches * kBatch;
-  std::uint64_t received = 0;
-  std::uint64_t next_from[kProducers] = {0, 0, 0};
-  bool ok = true;
-  platform.Spawn(kProducers, [&] {
-    std::uint64_t buf[8];
-    while (received < total) {
-      const std::size_t n = q.PopBatch(buf, 8);
-      if (n == 0) {
-        hal::CpuRelax();
-        continue;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const int p = static_cast<int>(buf[i] >> 32);
-        const std::uint64_t seq = buf[i] & 0xFFFFFFFFull;
-        if (p >= kProducers || seq != next_from[p]) ok = false;
-        next_from[p]++;
-      }
-      received += n;
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(received, total);
-}
-
-TEST(MpscQueue, SimulatedProducersAreDeterministic) {
-  const auto run = [] {
-    hal::SimPlatform sim(3);
-    MpscQueue<std::uint64_t> q(64);
-    std::uint64_t sum = 0, received = 0;
-    for (int p = 0; p < 2; ++p) {
-      sim.Spawn(p, [&q, p] {
-        for (std::uint64_t i = 1; i <= 500; ++i) {
-          while (!q.TryEnqueue(static_cast<std::uint64_t>(p) * 1000 + i)) {
-            hal::CpuRelax();
-          }
-          hal::ConsumeCycles(7 + 3 * static_cast<hal::Cycles>(p));
-        }
-      });
-    }
-    sim.Spawn(2, [&] {
-      while (received < 1000) {
-        std::uint64_t v;
-        if (q.TryDequeue(&v)) {
-          received++;
-          sum += v;
-        } else {
-          hal::CpuRelax();
-        }
-      }
-    });
-    sim.Run();
-    return sum;
-  };
-  const std::uint64_t a = run();
-  const std::uint64_t b = run();
-  EXPECT_EQ(a, b);
-  // 500 values per producer: p=0 contributes sum 1..500, p=1 the same plus
-  // 500 * 1000.
-  const std::uint64_t per = 500ull * 501ull / 2;
-  EXPECT_EQ(a, 2 * per + 500ull * 1000ull);
-}
-
-// --------------------------------------------------------------- MultiMesh
-
-TEST(MultiMesh, RoutesReceiversIndependently) {
-  MultiMesh<std::uint64_t> mesh(3, 16);
-  EXPECT_EQ(mesh.receivers(), 3);
-  for (int r = 0; r < 3; ++r) {
-    mesh.Send(r, static_cast<std::uint64_t>(100 + r));
-    mesh.Send(r, static_cast<std::uint64_t>(200 + r));
-  }
-  EXPECT_EQ(mesh.SizeRawTotal(), 6u);
-  for (int r = 0; r < 3; ++r) {
-    std::vector<std::uint64_t> got;
-    const std::size_t n =
-        mesh.Drain(r, [&](std::uint64_t v) { got.push_back(v); });
-    EXPECT_EQ(n, 2u);
-    const std::vector<std::uint64_t> want = {
-        static_cast<std::uint64_t>(100 + r),
-        static_cast<std::uint64_t>(200 + r)};
-    EXPECT_EQ(got, want);
-  }
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-}
-
-TEST(MultiMesh, SenderRegisterRetireAccounting) {
-  MultiMesh<std::uint64_t> mesh(2, 16);
-  EXPECT_EQ(mesh.ActiveSendersRaw(), 0);
-  EXPECT_EQ(mesh.RegisterSender(), 1);
-  EXPECT_EQ(mesh.RegisterSender(), 2);
-  EXPECT_EQ(mesh.ActiveSendersRaw(), 2);
-  mesh.RetireSender();
-  EXPECT_EQ(mesh.ActiveSendersRaw(), 1);
-  // Re-registration after retire is the park/resume cycle.
-  EXPECT_EQ(mesh.RegisterSender(), 2);
-  mesh.RetireSender();
-  mesh.RetireSender();
-  EXPECT_EQ(mesh.ActiveSendersRaw(), 0);
-  EXPECT_EQ(mesh.RegistrationsTotalRaw(), 3u);
-  EXPECT_DEATH(mesh.RetireSender(), "CHECK");
-}
-
-// Register/retire churn mid-traffic on the deterministic simulator: three
-// producer cores cycle through register -> send (staged through a
-// MultiSendBuffer) -> flush-to-empty -> retire epochs while a consumer
-// drains. Nothing may be lost or duplicated, per-logical-sender FIFO must
-// hold, and the run must be bit-reproducible.
-TEST(MultiMesh, SimChurnRegisterRetireDeliversExactly) {
-  constexpr int kProducers = 3;
-  constexpr int kWaves = 4;
-  constexpr std::uint64_t kPer = 300;
-  const auto run = [] {
-    MultiMesh<std::uint64_t> mesh(1, 256);
-    hal::SimPlatform sim(kProducers + 1);
-    for (int p = 0; p < kProducers; ++p) {
-      sim.Spawn(p, [&mesh, p] {
-        for (int w = 0; w < kWaves; ++w) {
-          mesh.RegisterSender();
-          MultiSendBuffer<std::uint64_t> sb(&mesh);
-          const std::uint64_t logical =
-              static_cast<std::uint64_t>(p) * kWaves + w;
-          for (std::uint64_t i = 0; i < kPer; ++i) {
-            sb.Send(0, (logical << 32) | i);
-            hal::ConsumeCycles(5 + 2 * static_cast<hal::Cycles>(p));
-          }
-          // Drain-to-empty before retiring: a retiring sender must never
-          // strand staged lines.
-          sb.FlushAll();
-          ORTHRUS_CHECK(sb.Pending() == 0);
-          mesh.RetireSender();
-        }
-      });
-    }
-    const std::uint64_t total = kProducers * kWaves * kPer;
-    std::uint64_t received = 0;
-    std::uint64_t order_digest = 14695981039346656037ull;
-    std::uint64_t next_from[kProducers * kWaves] = {};
-    bool ok = true;
-    sim.Spawn(kProducers, [&] {
-      while (received < total) {
-        const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
-          const std::uint64_t logical = v >> 32;
-          if (logical >= kProducers * kWaves ||
-              (v & 0xFFFFFFFFull) != next_from[logical]) {
-            ok = false;
-          }
-          next_from[logical]++;
-          order_digest = (order_digest ^ v) * 1099511628211ull;
-        });
-        received += n;
-        if (n == 0) hal::CpuRelax();
-      }
-    });
-    sim.Run();
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(received, total);
-    EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-    EXPECT_EQ(mesh.ActiveSendersRaw(), 0);
-    EXPECT_EQ(mesh.RegistrationsTotalRaw(),
-              static_cast<std::uint64_t>(kProducers) * kWaves);
-    return order_digest;
-  };
-  const std::uint64_t a = run();
-  const std::uint64_t b = run();
-  EXPECT_EQ(a, b);  // deterministic arrival order under the simulator
-}
-
-// Same churn protocol under true concurrency: native threads register,
-// stage through MultiSendBuffer, flush to empty, retire, re-register.
-TEST(MultiMesh, NativeChurnRegisterRetireStress) {
-  constexpr int kThreads = 3;
-  constexpr int kWaves = 5;
-  constexpr std::uint64_t kPer = 8000;
-  MultiMesh<std::uint64_t> mesh(1, 256);
-  hal::NativePlatform platform(kThreads + 1);
-  for (int t = 0; t < kThreads; ++t) {
-    platform.Spawn(t, [&mesh, t] {
-      for (int w = 0; w < kWaves; ++w) {
-        mesh.RegisterSender();
-        MultiSendBuffer<std::uint64_t> sb(&mesh);
-        const std::uint64_t logical =
-            static_cast<std::uint64_t>(t) * kWaves + w;
-        for (std::uint64_t i = 0; i < kPer; ++i) {
-          sb.Send(0, (logical << 32) | i);
-        }
-        sb.FlushAll();
-        ORTHRUS_CHECK(sb.Pending() == 0);
-        mesh.RetireSender();
-      }
-    });
-  }
-  const std::uint64_t total = kThreads * kWaves * kPer;
-  std::uint64_t received = 0;
-  std::uint64_t next_from[kThreads * kWaves] = {};
-  bool ok = true;
-  platform.Spawn(kThreads, [&] {
-    while (received < total) {
-      const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
-        const std::uint64_t logical = v >> 32;
-        if (logical >= kThreads * kWaves ||
-            (v & 0xFFFFFFFFull) != next_from[logical]) {
-          ok = false;
-        }
-        next_from[logical]++;
-      });
-      received += n;
-      if (n == 0) hal::CpuRelax();
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(received, total);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-  EXPECT_EQ(mesh.ActiveSendersRaw(), 0);
-}
-
-TEST(MultiMesh, NativeProducerChurnStress) {
-  // The point of the MPSC mesh: logical senders come and go without any
-  // mesh rebuild. Three threads each impersonate five successive logical
-  // senders (15 distinct sender identities through a mesh that never knew
-  // a sender count), and the consumer checks per-logical-sender FIFO.
-  constexpr int kThreads = 3;
-  constexpr int kWaves = 5;
-  constexpr std::uint64_t kPer = 8000;
-  MultiMesh<std::uint64_t> mesh(1, 256);
-  hal::NativePlatform platform(kThreads + 1);
-  for (int t = 0; t < kThreads; ++t) {
-    platform.Spawn(t, [&mesh, t] {
-      for (int w = 0; w < kWaves; ++w) {
-        const std::uint64_t logical =
-            static_cast<std::uint64_t>(t) * kWaves + w;
-        for (std::uint64_t i = 0; i < kPer; ++i) {
-          mesh.Send(0, (logical << 32) | i);
-        }
-      }
-    });
-  }
-  const std::uint64_t total = kThreads * kWaves * kPer;
-  std::uint64_t received = 0;
-  std::uint64_t next_from[kThreads * kWaves] = {};
-  bool ok = true;
-  platform.Spawn(kThreads, [&] {
-    while (received < total) {
-      const std::size_t n = mesh.Drain(0, [&](std::uint64_t v) {
-        const std::uint64_t logical = v >> 32;
-        if (logical >= kThreads * kWaves ||
-            (v & 0xFFFFFFFFull) != next_from[logical]) {
-          ok = false;
-        }
-        next_from[logical]++;
-      });
-      received += n;
-      if (n == 0) hal::CpuRelax();
-    }
-  });
-  platform.Run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(received, total);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-}
-
-// -------------------------------------------------------- MultiSendBuffer
-
-TEST(MultiSendBuffer, StagesAndCoalesces) {
-  MultiMesh<std::uint64_t> mesh(2, 64);
-  MultiSendBuffer<std::uint64_t> sb(&mesh);
-  sb.Send(0, 1);
-  sb.Send(1, 2);
-  sb.Send(0, 3);
-  EXPECT_EQ(mesh.SizeRawTotal(), 0u);  // nothing visible until a flush
-  EXPECT_EQ(sb.Pending(), 3u);
-  sb.FlushAll();
-  EXPECT_EQ(sb.Pending(), 0u);
-  EXPECT_EQ(mesh.SizeRawTotal(), 3u);
-  std::vector<std::uint64_t> got0, got1;
-  mesh.Drain(0, [&](std::uint64_t v) { got0.push_back(v); });
-  mesh.Drain(1, [&](std::uint64_t v) { got1.push_back(v); });
-  EXPECT_EQ(got0, (std::vector<std::uint64_t>{1, 3}));
-  EXPECT_EQ(got1, (std::vector<std::uint64_t>{2}));
-  EXPECT_EQ(sb.messages(), 3u);
-  EXPECT_EQ(sb.publications(), 2u);  // one per flushed receiver
-}
-
-TEST(MultiSendBuffer, AutoFlushesWhenStageFills) {
-  MultiMesh<std::uint64_t> mesh(1, 64);
-  MultiSendBuffer<std::uint64_t> sb(&mesh);
-  const std::size_t stage = sb.stage_capacity();
-  for (std::size_t i = 0; i < stage - 1; ++i) {
-    sb.Send(0, i);
-    EXPECT_EQ(mesh.SizeRawTotal(), 0u);
-  }
-  sb.Send(0, stage - 1);
-  EXPECT_EQ(mesh.SizeRawTotal(), stage);
-  EXPECT_EQ(sb.Pending(), 0u);
-  EXPECT_EQ(sb.publications(), 1u);
 }
 
 // ------------------------------------------------------- stall accounting

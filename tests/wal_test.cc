@@ -370,13 +370,15 @@ TEST(WalRecovery, MidFrameTruncationShrinksTheDurablePrefixAndResumes) {
   EXPECT_EQ(wl.CanonicalDigest(db), fx.clean_digest);
 }
 
-// -------------------------------------------------------------- rebalance
+// ---------------------------------------------------------- multi-logger
 
-// Log-stream ownership moves across loggers through the lock::SpaceMap
-// handoff protocol while producers keep committing: with two loggers and a
-// rotation every three epochs, the run exercises many handoffs, and the
-// log must still recover to the exact clean state.
-TEST(WalRebalance, TwoLoggerHandoffPreservesTheLog) {
+// Two loggers split the partition streams statically (partition p belongs
+// to logger p % 2) while producers keep committing through short epochs.
+// The race detector runs armed and fatal, so the `wal.stream`
+// single-appender tag checks that only each stream's owner ever appends.
+// The log must recover to the exact clean state, and every stream must
+// have been sealed by its owner.
+TEST(WalMultiLogger, TwoLoggersPreserveTheLog) {
   workload::tpcc::TpccScale scale;
   scale.warehouses = 2;
   scale.customers_per_district = 60;
@@ -389,23 +391,26 @@ TEST(WalRebalance, TwoLoggerHandoffPreservesTheLog) {
   db.partitioner().n = kWorkers;
   wal::DurabilityOptions dopts;
   dopts.loggers = 2;
-  dopts.rebalance_epochs = 3;
-  dopts.group_commit_seconds = 5e-6;  // short epochs: many rotations
+  dopts.group_commit_seconds = 5e-6;  // short epochs: many seals
   wal::GroupCommitLog log(dopts, &db, kWorkers);
   engine::EngineOptions o = CappedOptions(kWorkers);
   o.wal = &log;
   engine::TwoPlEngine eng(o, engine::DeadlockPolicyKind::kWaitDie);
-  hal::SimPlatform sim(kWorkers + log.loggers());
+  hal::SimConfig cfg;
+  cfg.race_detect = true;
+  cfg.race_report_fatal = true;
+  hal::SimPlatform sim(kWorkers + log.loggers(), cfg);
   const RunResult r = eng.Run(&sim, &db, wl);
   ASSERT_EQ(r.total.committed, kWorkers * kTxnsPerWorker);
-  // Enough epochs elapsed that ownership rotated at least once.
-  ASSERT_GT(log.EpochRaw(), dopts.rebalance_epochs);
 
   workload::tpcc::TpccWorkload rwl(scale);
   storage::Database rdb;
   rwl.Load(&rdb, 1);
   const wal::RecoveryResult rec =
       wal::Recover(log.FinalImages(), kWorkers, &rdb);
+  // The durable epoch is the minimum over partitions of the largest sealed
+  // epoch: nonzero means every partition's log holds a seal frame.
+  EXPECT_GE(rec.durable_epoch, 1u);
   EXPECT_EQ(rec.frames_dropped, 0u);
   EXPECT_EQ(rec.txns_replayed, kWorkers * kTxnsPerWorker);
   EXPECT_EQ(rwl.CanonicalDigest(rdb), wl.CanonicalDigest(db));
@@ -468,12 +473,82 @@ TEST(WalOrthrus, TimeBoundRunReplaysToTheLiveState) {
   EXPECT_EQ(durable_total, r.total.committed);
 }
 
+// --------------------------------------------------------- option checks
+
+// One death test per option CHECK on the durability path: each aborts with
+// its own message, so a misconfiguration names the option it trips.
+void BuildLog(const wal::DurabilityOptions& dopts, int partitions,
+              int n_producers) {
+  workload::KvConfig kv;
+  kv.num_records = 1000;
+  workload::KvWorkload wl(kv);
+  storage::Database db;
+  wl.Load(&db, 1);
+  db.partitioner().n = partitions;
+  wal::GroupCommitLog log(dopts, &db, n_producers);
+}
+
+TEST(WalOptionsDeathTest, NeedsALogger) {
+  wal::DurabilityOptions dopts;
+  dopts.loggers = 0;
+  EXPECT_DEATH(BuildLog(dopts, 2, 2), "wal needs loggers >= 1");
+}
+
+TEST(WalOptionsDeathTest, NeedsAProducer) {
+  EXPECT_DEATH(BuildLog(wal::DurabilityOptions(), 2, 0),
+               "wal needs n_producers >= 1");
+}
+
+TEST(WalOptionsDeathTest, NeedsAPartition) {
+  EXPECT_DEATH(BuildLog(wal::DurabilityOptions(), 0, 2),
+               "wal needs partitions >= 1");
+}
+
+TEST(WalOptionsDeathTest, ArenaFitsOnePipelinedTransaction) {
+  wal::DurabilityOptions dopts;
+  dopts.arena_records = 2 * wal::kMaxTxnFragments - 1;
+  EXPECT_DEATH(BuildLog(dopts, 2, 2),
+               "wal arena too small for one pipelined transaction");
+}
+
+// The two WAL checks in OrthrusEngine::Run, on an otherwise valid
+// 2 CC + 2 exec configuration.
+void RunDurableOrthrus(const wal::DurabilityOptions& dopts, int n_producers) {
+  engine::OrthrusOptions oo;
+  oo.num_cc = 2;
+  workload::KvConfig kv;
+  kv.num_records = 1000;
+  kv.num_partitions = oo.num_cc;
+  workload::KvWorkload wl(kv);
+  storage::Database db;
+  wl.Load(&db, 1);
+  wal::GroupCommitLog log(dopts, &db, n_producers);
+  engine::EngineOptions o = CappedOptions(4);
+  o.wal = &log;
+  engine::OrthrusEngine eng(o, oo);
+  hal::SimPlatform sim(4 + log.loggers());
+  eng.Run(&sim, &db, wl);
+}
+
+TEST(WalOptionsDeathTest, OrthrusNeedsOneProducerPerExecThread) {
+  wal::DurabilityOptions dopts;
+  dopts.arena_records = 512;
+  EXPECT_DEATH(RunDurableOrthrus(dopts, 3),
+               "one wal producer slot per exec thread");
+}
+
+TEST(WalOptionsDeathTest, OrthrusArenaFitsTheInflightWindow) {
+  // Default max_inflight (8) needs (8 + 1) * kMaxTxnFragments = 432 slots.
+  EXPECT_DEATH(RunDurableOrthrus(wal::DurabilityOptions(), 2),
+               "wal fragment arena too small for the in-flight window");
+}
+
 // ----------------------------------------------------------------- native
 
 // The logger role and the producer protocol must be thread-safe under true
 // concurrency, not just under the cooperative simulator: fragments cross
-// real cores, log-stream handoffs carry release/acquire pairs, and the
-// epoch/durable counters are genuinely shared. A capped native run still
+// real cores to two loggers, and the epoch/durable counters are genuinely
+// shared. A capped native run still
 // commits exactly the first K of each worker's stream (workers retry until
 // commit), so the recovered database must digest identically to the live
 // one even though the interleaving is nondeterministic.
@@ -490,7 +565,6 @@ TEST(WalNative, DurableRunRecoversOnNativeThreads) {
   db.partitioner().n = kWorkers;
   wal::DurabilityOptions dopts;
   dopts.loggers = 2;
-  dopts.rebalance_epochs = 2;  // exercise native-thread stream handoffs
   wal::GroupCommitLog log(dopts, &db, kWorkers);
   engine::EngineOptions o = CappedOptions(kWorkers);
   o.duration_seconds = 30.0;  // wall seconds; the cap ends the run first

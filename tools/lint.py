@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-contract lint for ORTHRUS. Run from the repo root: python3 tools/lint.py
 
-Enforces three contracts that neither the compiler nor clang-tidy checks:
+Enforces two contracts that neither the compiler nor clang-tidy checks:
 
 1. raw-sync: no raw std::atomic / std::mutex / std::shared_mutex /
    std::condition_variable in src/ outside src/hal/. All cross-core shared
@@ -22,12 +22,6 @@ Enforces three contracts that neither the compiler nor clang-tidy checks:
    setup/cold-path site.
    Escape: `// lint:allow-alloc <why>` on the offending line or the line
    above it.
-
-3. sender-pairing: a test file that calls MultiMesh::RegisterSender() must
-   also call RetireSender() (and vice versa). Static analysis cannot prove
-   runtime counts balance, but a file that registers senders and never
-   retires any leaks mesh slots across tests and trips the shutdown CHECK
-   only under unrelated orderings.
 
 Exit status 0 when clean, 1 with one `path:line: [rule] message` per
 violation otherwise.
@@ -109,19 +103,6 @@ def lint_file(path, rules):
     return violations
 
 
-def check_sender_pairing(path):
-    text = strip_comments(path.read_text())
-    registers = text.count("RegisterSender(")
-    retires = text.count("RetireSender(")
-    if (registers > 0) != (retires > 0):
-        missing = "RetireSender" if registers else "RegisterSender"
-        return [(path, 1, "sender-pairing",
-                 f"file calls {'RegisterSender' if registers else 'RetireSender'} "
-                 f"but never {missing} — mesh sender slots must be retired "
-                 "in the same test file that registers them")]
-    return []
-
-
 def main():
     violations = []
     for path in sorted((REPO / "src").rglob("*")):
@@ -137,8 +118,6 @@ def main():
             rules.add("hot-alloc")
         if rules:
             violations.extend(lint_file(path, rules))
-    for path in sorted((REPO / "tests").glob("*.cc")):
-        violations.extend(check_sender_pairing(path))
 
     for path, lineno, rule, msg in violations:
         rel = path.relative_to(REPO).as_posix()
