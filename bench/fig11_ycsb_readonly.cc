@@ -30,7 +30,7 @@ int main() {
                                  : workload::YcsbContention::kLow;
 
     auto orthrus_row = [&](workload::YcsbPlacement placement,
-                           const std::string& label, bool snapshot_reads) {
+                           const std::string& label) {
       std::vector<double> tputs;
       for (int cores : core_counts) {
         workload::YcsbSpec spec;
@@ -44,7 +44,6 @@ int main() {
         auto wl = MakeYcsbWorkload(spec);
         engine::OrthrusOptions oo;
         oo.num_cc = n_cc;
-        oo.snapshot_reads = snapshot_reads;
         engine::OrthrusEngine eng(BenchOptions(cores), oo);
         RunResult r = RunPoint(&eng, wl.get(), cores, 1);
         JsonPoint(label + tag, std::to_string(cores), r);
@@ -53,34 +52,9 @@ int main() {
       PrintRow(label, tputs);
     };
 
-    orthrus_row(workload::YcsbPlacement::kSingle, "orthrus(single)", false);
-    orthrus_row(workload::YcsbPlacement::kDual, "orthrus(dual)", false);
-    orthrus_row(workload::YcsbPlacement::kRandom, "orthrus(random)", false);
-    // Snapshot arm: the same read-only stream is classified at admission
-    // and served lock-free from the version slabs — no CC messages at all,
-    // so placement stops mattering; single stands in for all three.
-    orthrus_row(workload::YcsbPlacement::kSingle, "orthrus-snap", true);
-
-    {
-      // Sixth architecture: shared-everything shard CC whose read-only
-      // transactions take the same epoch-snapshot path.
-      std::vector<double> tputs;
-      for (int cores : core_counts) {
-        workload::YcsbSpec spec;
-        spec.contention = contention;
-        spec.op = workload::YcsbOp::kReadOnly;
-        spec.placement = workload::YcsbPlacement::kRandom;
-        spec.num_partitions = 1;
-        spec.num_records = KvRecords();
-        spec.row_bytes = KvRowBytes();
-        auto wl = MakeYcsbWorkload(spec);
-        engine::MvccEngine eng(BenchOptions(cores));
-        RunResult r = RunPoint(&eng, wl.get(), cores, 1);
-        JsonPoint("mvcc-snapshot" + tag, std::to_string(cores), r);
-        tputs.push_back(r.Throughput());
-      }
-      PrintRow("mvcc-snapshot", tputs);
-    }
+    orthrus_row(workload::YcsbPlacement::kSingle, "orthrus(single)");
+    orthrus_row(workload::YcsbPlacement::kDual, "orthrus(dual)");
+    orthrus_row(workload::YcsbPlacement::kRandom, "orthrus(random)");
 
     {
       std::vector<double> tputs;

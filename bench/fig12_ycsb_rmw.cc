@@ -41,14 +41,13 @@ int main() {
     };
 
     auto orthrus_row = [&](workload::YcsbPlacement placement,
-                           const std::string& label, bool snapshot_reads) {
+                           const std::string& label) {
       std::vector<double> tputs;
       for (int cores : core_counts) {
         const int n_cc = std::max(2, cores / 5);
         auto wl = MakeYcsbWorkload(ycsb(placement, n_cc));
         engine::OrthrusOptions oo;
         oo.num_cc = n_cc;
-        oo.snapshot_reads = snapshot_reads;
         engine::OrthrusEngine eng(BenchOptions(cores), oo);
         RunResult r = RunPoint(&eng, wl.get(), cores, 1);
         JsonPoint(label + tag, std::to_string(cores), r);
@@ -57,27 +56,9 @@ int main() {
       PrintRow(label, tputs);
     };
 
-    orthrus_row(workload::YcsbPlacement::kSingle, "orthrus(single)", false);
-    orthrus_row(workload::YcsbPlacement::kDual, "orthrus(dual)", false);
-    orthrus_row(workload::YcsbPlacement::kRandom, "orthrus(random)", false);
-    // Snapshot arm on a pure-RMW stream: no transaction qualifies for the
-    // bypass, so this prices the write-path overhead the feature adds —
-    // version installs plus epoch-clock heartbeats.
-    orthrus_row(workload::YcsbPlacement::kSingle, "orthrus-snap", true);
-
-    {
-      // Sixth architecture: shared-everything shard CC with epoch-versioned
-      // storage; pure RMW again prices installs, not the bypass.
-      std::vector<double> tputs;
-      for (int cores : core_counts) {
-        auto wl = MakeYcsbWorkload(ycsb(workload::YcsbPlacement::kRandom, 1));
-        engine::MvccEngine eng(BenchOptions(cores));
-        RunResult r = RunPoint(&eng, wl.get(), cores, 1);
-        JsonPoint("mvcc-snapshot" + tag, std::to_string(cores), r);
-        tputs.push_back(r.Throughput());
-      }
-      PrintRow("mvcc-snapshot", tputs);
-    }
+    orthrus_row(workload::YcsbPlacement::kSingle, "orthrus(single)");
+    orthrus_row(workload::YcsbPlacement::kDual, "orthrus(dual)");
+    orthrus_row(workload::YcsbPlacement::kRandom, "orthrus(random)");
 
     {
       std::vector<double> tputs;

@@ -61,6 +61,9 @@ struct RunResult {
   WorkerStats total;                // sum over all workers
   std::vector<WorkerStats> per_worker;
   double elapsed_seconds = 0;       // virtual (sim) or wall (native) seconds
+  // The platform's clock rate: converts the cycle counts above (latency
+  // histograms, time categories) to seconds.
+  double cycles_per_second = 0;
   double Throughput() const {
     return elapsed_seconds > 0 ? static_cast<double>(total.committed) /
                                      elapsed_seconds

@@ -24,6 +24,14 @@
 
 namespace orthrus::engine {
 
+// Modeled CPU work per partition-local lock insert or release, in cycles.
+// Lower than the shared lock table's per-op cost (lock::LockTable::Config):
+// a CC thread's instructions and lock meta-data stay cache-resident because
+// the thread does nothing else, the cache-locality benefit of partitioned
+// functionality (Sections 2.1 and 3.1). SharedCcEngine prices its
+// partition-local shards the same way.
+inline constexpr std::uint64_t kCcOpCycles = 12;
+
 // One live lock: its key and the FIFO queue of `Request` nodes on it (the
 // engine keeps those in the requesting transactions' TCBs). A lock with a
 // non-empty queue is live; the empty-queue state exists only between

@@ -145,11 +145,9 @@ struct ScLock {
 
 class SharedCcTable {
  public:
-  SharedCcTable(int n_cc, hal::Cycles op_cycles,
-                std::size_t n_buckets = 1 << 14,
-                std::size_t heads_per_cc = 1 << 18)
-      : op_cycles_(op_cycles),
-        mask_(NextPowerOfTwo(n_buckets) - 1),
+  explicit SharedCcTable(int n_cc, std::size_t n_buckets = 1 << 14,
+                         std::size_t heads_per_cc = 1 << 18)
+      : mask_(NextPowerOfTwo(n_buckets) - 1),
         // lint:allow-alloc setup: built once per run
         buckets_(std::make_unique<Bucket[]>(mask_ + 1)),
         head_pool_(static_cast<std::size_t>(n_cc) * heads_per_cc),
@@ -173,7 +171,7 @@ class SharedCcTable {
       const Access& a = t.accesses[tcb->next_acq];
       Bucket* b = &buckets_[Hash(a.table, a.key) & mask_];
       b->latch.Lock();
-      hal::ConsumeCycles(op_cycles_);
+      hal::ConsumeCycles(kCcOpCycles);
       ScLock* lock = FindOrCreate(b, a.table, a.key);
       CcRequest* r = &tcb->inline_reqs[tcb->next_acq];
       r->tcb = tcb;
@@ -213,7 +211,7 @@ class SharedCcTable {
       ScLock* lock = r->sc_lock;
       Bucket* b = &buckets_[Hash(lock->table, lock->key) & mask_];
       b->latch.Lock();
-      hal::ConsumeCycles(op_cycles_);
+      hal::ConsumeCycles(kCcOpCycles);
       Unlink(lock, r);
       bool x_seen = false;
       for (CcRequest* f = lock->head; f != nullptr; f = f->next) {
@@ -282,7 +280,6 @@ class SharedCcTable {
     r->prev = r->next = nullptr;
   }
 
-  hal::Cycles op_cycles_;
   std::size_t mask_;
   std::unique_ptr<Bucket[]> buckets_;
   std::vector<ScLock> head_pool_;
@@ -302,14 +299,6 @@ struct Shared {
   int n_cc;
   int n_exec;
   bool forwarding;
-  hal::Cycles cc_op_cycles;
-
-  // Snapshot read path (OrthrusOptions::snapshot_reads): classified
-  // read-only transactions execute lock-free against the epoch-versioned
-  // slabs, inline on their exec thread — zero CC messages. Writers install
-  // post-images under their held locks in Execute. The epoch clock lives
-  // on the database (set up by Run); heartbeat slot = exec id.
-  bool snapshot_reads;
 
   // Queue meshes, indexed (sender, receiver).
   Mesh exec_to_cc;  // (exec, cc)  acquire + release
@@ -428,7 +417,7 @@ class CcThread {
     std::uint32_t pending = 0;
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       const Access& a = tcb->txn.accesses[i];
-      hal::ConsumeCycles(shared_->cc_op_cycles);
+      hal::ConsumeCycles(kCcOpCycles);
       CcLock* lock = locks_.FindOrInsert(a.table, a.key);
       CcRequest* r = &tcb->inline_reqs[i];
       r->tcb = tcb;
@@ -512,7 +501,7 @@ class CcThread {
     RaceCheckRequests(tcb, stage);
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       CcRequest* r = &tcb->inline_reqs[i];
-      hal::ConsumeCycles(shared_->cc_op_cycles);
+      hal::ConsumeCycles(kCcOpCycles);
       CcLock* lock = locks_.Find(r->table, r->key);
       ORTHRUS_DCHECK(lock != nullptr);
       Unlink(lock, r);
@@ -633,23 +622,6 @@ class ExecThread {
         stats_(&worker->stats),
         source_(workload.MakeSource(shared->n_cc + exec_id)),
         admission_(driver_options, db, source_.get(), worker) {
-    if (shared_->snapshot_reads) {
-      // Snapshot eligibility per table (fixed population + versions on)
-      // and the per-access staging buffer readers copy versions into.
-      // Run() enabled the version slabs before constructing exec threads.
-      std::uint32_t max_stride = 8;
-      table_snapshot_ok_.resize(db->num_tables());  // lint:allow-alloc setup
-      for (std::size_t i = 0; i < db->num_tables(); ++i) {
-        const storage::Table* tbl =
-            db->GetTable(static_cast<std::uint32_t>(i));
-        max_stride = std::max(max_stride, tbl->row_stride());
-        table_snapshot_ok_[i] =
-            tbl->versions_enabled() && !tbl->has_append_region();
-      }
-      snap_stride_ = max_stride;
-      snap_scratch_.resize(  // lint:allow-alloc setup
-          static_cast<std::size_t>(kMaxAccesses) * max_stride);
-    }
     tcbs_.reserve(static_cast<std::size_t>(max_inflight));
     for (int i = 0; i < max_inflight; ++i) {
       // lint:allow-alloc setup: in-flight window built before the run
@@ -679,19 +651,6 @@ class ExecThread {
     }
     hal::IdleBackoff idle(256);
     while (true) {
-      // Snapshot epoch heartbeats: the quantum top is a transaction
-      // boundary for this thread — no install or snapshot read is in
-      // flight (both complete synchronously inside Execute /
-      // ExecuteSnapshot), so both heartbeats may advance. Pipelined
-      // transactions still holding locks are fine: their installs load
-      // the commit epoch later, inside Execute, so it is >= the writer
-      // heartbeat published here. Without a WAL logger driving the clock,
-      // also offer an interval-gated tick.
-      if (shared_->snapshot_reads) {
-        storage::EpochClock* clock = db_->epoch_clock();
-        clock->PublishIdle(exec_id_, &epoch_cache_);
-        if (shared_->wal == nullptr) clock->MaybeTick(hal::Now());
-      }
       // Durability quantum maintenance: flush staged fragments, publish
       // the epoch heartbeat, acknowledge matured group commits.
       if (wal_ != nullptr) wal_->Poll();
@@ -707,9 +666,6 @@ class ExecThread {
       idle.Idle();
       stats_->Add(TimeCategory::kWaiting, hal::Now() - t0);
     }
-    // Drop out of the epoch mins: a finished thread's frozen heartbeats
-    // must not pin the read epoch or the reader floor for stragglers.
-    if (shared_->snapshot_reads) db_->epoch_clock()->Retire(exec_id_);
     if (wal_ != nullptr) wal_->Retire();
     shared_->execs_done.fetch_add(1);
   }
@@ -779,18 +735,6 @@ class ExecThread {
       Tcb* tcb = tcbs_[slot].get();
       // Pull + plan (reconnaissance) + stamp.
       now = admission_.Admit(&tcb->txn, now);
-      // Snapshot bypass: a classified read-only transaction never enters
-      // the CC mesh — it executes lock-free against the versioned slabs
-      // right here and its slot recycles immediately. It also never
-      // touches the WAL pipeline (nothing to capture), so the uncaptured
-      // counter stays untouched.
-      if (shared_->snapshot_reads && tcb->txn.read_only &&
-          SnapshotEligible(tcb->txn)) {
-        now = ExecuteSnapshot(tcb);
-        free_slots_.push_back(slot);
-        issued = true;
-        continue;
-      }
       if (wal_ != nullptr) wal_uncaptured_++;
       tcb->replan_pending = false;
       tcb->counted_commit = false;
@@ -881,24 +825,6 @@ class ExecThread {
         stats_->txn_latency.Record(t1 - t.start_cycles);
       }
       tcb->counted_commit = true;
-      // Version install, still under every lock (the releases below are
-      // messages; CC threads only drop the locks when they process them):
-      // the post-images the logic just wrote become the newest committed
-      // versions, stamped with the current commit epoch. The writer
-      // heartbeat is published before the stamp is used, pinning the read
-      // epoch below it until this thread's next quantum boundary.
-      if (shared_->snapshot_reads) {
-        storage::EpochClock* clock = db_->epoch_clock();
-        const std::uint64_t e = clock->CommitEpoch();
-        clock->PublishWriter(exec_id_, e, &epoch_cache_);
-        for (Access& a : t.accesses) {
-          if (a.mode != txn::LockMode::kExclusive) continue;
-          storage::Table* tbl = db_->GetTable(a.table);
-          if (!tbl->versions_enabled()) continue;
-          tbl->InstallVersion(tbl->SlotOfRow(a.row), e, clock, exec_id_,
-                              &epoch_cache_);
-        }
-      }
     } else {
       tcb->replan_pending = true;  // stale OLLP estimate: re-plan after acks
     }
@@ -919,69 +845,6 @@ class ExecThread {
       }
     }
     stats_->Add(TimeCategory::kLocking, hal::Now() - t1);
-  }
-
-  // --- snapshot read path ----------------------------------------------
-
-  // Reconnaissance-planned transactions validate estimates against live
-  // rows (their Run may demand a re-plan, which the lock-free path cannot
-  // service), and appended rows materialize outside the version protocol;
-  // both fall back to ordinary CC.
-  bool SnapshotEligible(const Txn& t) const {
-    if (t.logic->NeedsReconnaissance()) return false;
-    for (const Access& a : t.accesses) {
-      if (!table_snapshot_ok_[a.table]) return false;
-    }
-    return true;
-  }
-
-  // Lock-free snapshot execution: load the read epoch once, copy each
-  // row's newest version stamped at or below it into the staging buffer,
-  // run the logic against the copies. Zero locks, zero messages. Returns
-  // the reading that ends the span.
-  hal::Cycles ExecuteSnapshot(Tcb* tcb) {
-    const hal::Cycles t0 = hal::Now();
-    Txn& t = tcb->txn;
-    storage::EpochClock* clock = db_->epoch_clock();
-    std::uint64_t r = clock->ReadEpoch();
-    for (;;) {
-      bool fresh = true;
-      for (std::size_t i = 0; i < t.accesses.size(); ++i) {
-        Access& a = t.accesses[i];
-        ResolveRow(db_, &a);
-        storage::Table* tbl = db_->GetTable(a.table);
-        std::uint8_t* dst = snap_scratch_.data() + i * snap_stride_;
-        if (!tbl->SnapshotRead(tbl->SlotOfRow(a.row), r, dst)) {
-          fresh = false;
-          break;
-        }
-        a.row = dst;
-      }
-      if (fresh) break;
-      // A row advanced twice past `r`: abandon the attempt, publish the
-      // reader heartbeat (licensing the floor past the abandoned reads),
-      // and restart the whole read set at a fresher epoch — refreshing a
-      // single row would observe mixed epochs.
-      clock->PublishIdle(exec_id_, &epoch_cache_);
-      // Fold the read epoch forward ourselves — a stale row means writers
-      // have moved past r, and waiting for the next tick to notice would
-      // stall this reader for the whole tick interval.
-      clock->FoldMins();
-      if (shared_->wal == nullptr) clock->MaybeTick(hal::Now());
-      hal::CpuRelax();
-      r = clock->ReadEpoch();
-    }
-    txn::ExecContext ec{db_, stats_, /*charge_cycles=*/true};
-    const bool ok = t.logic->Run(&t, ec);
-    // Gated on !NeedsReconnaissance, so the plan cannot be stale.
-    ORTHRUS_CHECK_MSG(ok, "snapshot read-only txn demanded a re-plan");
-    // Read-only commits are trivially durable (no redo): they bypass the
-    // WAL pipeline, so they are counted here even with durability on.
-    const hal::Cycles t1 = hal::Now();
-    stats_->committed++;
-    stats_->txn_latency.Record(t1 - t.start_cycles);
-    stats_->Add(TimeCategory::kExecution, t1 - t0);
-    return t1;
   }
 
   void OnAck(Tcb* tcb) {
@@ -1024,13 +887,6 @@ class ExecThread {
   wal::Producer* wal_ = nullptr;
   std::uint64_t wal_uncaptured_ = 0;
   std::uint64_t rr_counter_ = 0;  // shared-CC home assignment
-  // Snapshot read path (empty / default unless shared_->snapshot_reads):
-  // per-table eligibility, the version staging buffer, and the heartbeat
-  // publish cache for epoch clock slot exec_id_.
-  std::vector<bool> table_snapshot_ok_;
-  std::vector<std::uint8_t> snap_scratch_;
-  std::uint32_t snap_stride_ = 0;
-  storage::EpochClock::PublishCache epoch_cache_;
 };
 
 }  // namespace
@@ -1050,7 +906,6 @@ std::string OrthrusEngine::name() const {
   std::string n = orthrus_.split_index ? "split-orthrus" : "orthrus";
   if (!orthrus_.forwarding) n += "-nofwd";
   if (orthrus_.shared_cc_table) n += "-sharedcc";
-  if (orthrus_.snapshot_reads) n += "-snap";
   return n;
 }
 
@@ -1118,23 +973,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.n_exec = n_exec;
   shared.wal = options_.wal;
   shared.forwarding = orthrus_.forwarding;
-  shared.cc_op_cycles = orthrus_.cc_op_cycles;
-  shared.snapshot_reads = orthrus_.snapshot_reads;
-  if (orthrus_.snapshot_reads) {
-    // Version pairs + epoch clock, (re)seeded from the current main slabs
-    // (after a WAL recovery this folds the replayed images into the
-    // snapshot baseline). One heartbeat slot per exec thread; CC threads
-    // and loggers never install or read versions. With durability on, the
-    // group-commit logger ticks the clock on its epoch cadence; otherwise
-    // exec threads offer interval-gated ticks.
-    db->EnableSnapshotVersions(n_exec, orthrus_.snapshot_epoch_cycles);
-    if (options_.wal != nullptr) {
-      options_.wal->set_epoch_clock(db->epoch_clock());
-    }
-  }
   if (orthrus_.shared_cc_table) {
     shared.shared_cc =  // lint:allow-alloc setup
-        std::make_unique<SharedCcTable>(n_cc, orthrus_.cc_op_cycles);
+        std::make_unique<SharedCcTable>(n_cc);
   }
 
   // Queue capacities: provable upper bounds on outstanding messages per

@@ -60,37 +60,6 @@ struct OrthrusOptions {
   // again — but only among the CC threads, a much smaller set than all
   // cores, which is exactly the trade the paper describes.
   bool shared_cc_table = false;
-
-  // Modeled CPU work a CC thread spends per lock insert/release. Lower
-  // than the shared lock table's per-op cost (lock::LockTable::Config):
-  // a CC thread's instructions and meta-data stay cache-resident because
-  // the thread does nothing else — the cache-locality benefit of
-  // partitioned functionality (Section 2.1 / 3.1).
-  hal::Cycles cc_op_cycles = 12;
-
-  // Snapshot read path: epoch-versioned storage + CC bypass for read-only
-  // transactions. Writers additionally install their committed post-images
-  // into two-slot version pairs (storage/table.h) stamped with the global
-  // commit epoch; a transaction classified read-only at admission
-  // (runtime::TxnAdmission::Classify) then takes zero locks and sends zero
-  // CC messages — it copies each row's newest version stamped at or below
-  // the stable read epoch straight out of the versioned slabs, inline on
-  // its exec thread. Transactions needing OLLP reconnaissance or touching
-  // tables with runtime append regions (TPC-C inserts) fall back to the
-  // ordinary CC path. Off by default: no version slab is allocated, no
-  // epoch is ticked, no cost is charged — sim clocks and equivalence
-  // digests stay byte-identical to builds without the feature.
-  bool snapshot_reads = false;
-
-  // Commit-epoch advance interval in cycles when snapshot_reads is on and
-  // no WAL logger drives the clock; with durability on, the group-commit
-  // logger ticks the same clock instead (wal set_epoch_clock) and this
-  // knob is unused. Spinner liveness never depends on it (stalled writers
-  // and stale readers fold the heartbeat mins directly — EpochClock::
-  // FoldMins), so it only trades snapshot staleness against write-path
-  // cost: a slower tick keeps repeat installs of a hot row in the
-  // same-epoch in-place fast path instead of the copy-and-wait slow path.
-  hal::Cycles snapshot_epoch_cycles = 400000;
 };
 
 class OrthrusEngine final : public Engine {

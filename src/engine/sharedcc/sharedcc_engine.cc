@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/orthrus/cc_lock_table.h"
 #include "runtime/txn_driver.h"
 #include "wal/wal.h"
 
@@ -75,12 +76,8 @@ class SharedCcStrategy final : public runtime::ExecutionStrategy {
  public:
   SharedCcStrategy(std::vector<Shard>* shards,
                    const storage::Partitioner* part, storage::Database* db,
-                   hal::Cycles op_cycles, WorkerStats* stats)
-      : shards_(shards),
-        part_(part),
-        db_(db),
-        op_cycles_(op_cycles),
-        stats_(stats) {}
+                   WorkerStats* stats)
+      : shards_(shards), part_(part), db_(db), stats_(stats) {}
 
   runtime::TxnOutcome TryExecute(txn::Txn* t) override {
     ORTHRUS_CHECK(t->accesses.size() <= kMaxAccesses);
@@ -124,7 +121,7 @@ class SharedCcStrategy final : public runtime::ExecutionStrategy {
     r->shard = p;
     r->mode = a.mode;
     s.latch.Lock();
-    hal::ConsumeCycles(op_cycles_);
+    hal::ConsumeCycles(kCcOpCycles);
     ShardLock& lock = s.locks[LockKey{a.table, a.key}];
     r->lock = &lock;
     const bool grantable = a.mode == LockMode::kExclusive
@@ -156,7 +153,7 @@ class SharedCcStrategy final : public runtime::ExecutionStrategy {
       ShardReq* r = &reqs_[i];
       Shard& s = (*shards_)[static_cast<std::size_t>(r->shard)];
       s.latch.Lock();
-      hal::ConsumeCycles(op_cycles_);
+      hal::ConsumeCycles(kCcOpCycles);
       ShardLock* lock = r->lock;
       ORTHRUS_DCHECK(lock->queued_total > 0);
       lock->queued_total--;
@@ -191,7 +188,6 @@ class SharedCcStrategy final : public runtime::ExecutionStrategy {
   std::vector<Shard>* shards_;
   const storage::Partitioner* part_;
   storage::Database* db_;
-  hal::Cycles op_cycles_;
   WorkerStats* stats_;
   ShardReq reqs_[kMaxAccesses];
   int n_held_ = 0;
@@ -216,7 +212,7 @@ RunResult SharedCcEngine::Run(hal::Platform* platform, storage::Database* db,
       std::unique_ptr<workload::TxnSource> source =
           workload.MakeSource(ctx.worker_id);
       SharedCcStrategy strategy(&shards, &db->partitioner(), db,
-                                cc_op_cycles_, &ctx.stats);
+                                &ctx.stats);
       runtime::TxnDriver driver(dopts, db, source.get(), &strategy, &ctx);
       std::unique_ptr<wal::Producer> producer;
       if (options_.wal != nullptr) {

@@ -25,11 +25,7 @@ namespace orthrus::engine {
 
 class SharedCcEngine final : public Engine {
  public:
-  // `cc_op_cycles` mirrors OrthrusOptions::cc_op_cycles: partition-local
-  // lock metadata stays cache-resident, so per-op work is cheaper than the
-  // big shared lock table's.
-  explicit SharedCcEngine(EngineOptions options, hal::Cycles cc_op_cycles = 12)
-      : options_(options), cc_op_cycles_(cc_op_cycles) {}
+  explicit SharedCcEngine(EngineOptions options) : options_(options) {}
 
   RunResult Run(hal::Platform* platform, storage::Database* db,
                 const workload::Workload& workload) override;
@@ -37,7 +33,6 @@ class SharedCcEngine final : public Engine {
 
  private:
   EngineOptions options_;
-  hal::Cycles cc_op_cycles_;
 };
 
 }  // namespace orthrus::engine

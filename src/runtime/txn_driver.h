@@ -149,19 +149,7 @@ class TxnAdmission {
                    static_cast<std::uint64_t>(ctx_->worker_id);
     t->start_cycles = end;
     t->restarts = 0;
-    t->read_only = Classify(t);
     return end;
-  }
-
-  // Read-only classification: every planned access is kShared. Costs no
-  // modeled cycles (plain core-local walk), so engines that ignore the
-  // flag are byte-identical to builds without it.
-  static bool Classify(const txn::Txn* t) {
-    if (t->accesses.empty()) return false;
-    for (const txn::Access& a : t->accesses) {
-      if (a.mode != txn::LockMode::kShared) return false;
-    }
-    return true;
   }
 
   txn::OllpPlanner* planner() { return &planner_; }

@@ -87,6 +87,7 @@ void WorkerPool::RunWorkers() { platform_->Run(); }
 
 RunResult WorkerPool::Finalize() const {
   RunResult result;
+  result.cycles_per_second = cps_;
   result.per_worker.reserve(workers_.size());
   hal::Cycles min_start = ~0ull;
   hal::Cycles max_end = 0;

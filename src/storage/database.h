@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "storage/epoch_clock.h"
 #include "storage/table.h"
 
 namespace orthrus::storage {
@@ -66,25 +65,10 @@ class Database {
   void set_arena(hal::SlabArena* arena) { arena_ = arena; }
   hal::SlabArena* arena() const { return arena_; }
 
-  // Setup-time (engine Run start): (re)seeds version pairs on every table
-  // and resets the shared epoch clock. Safe to call again on the same
-  // database — a rerun (or a post-recovery run) starts from a fresh
-  // snapshot baseline built from the current main slabs. Leaves the
-  // database untouched when never called: the snapshot machinery is pure
-  // opt-in.
-  void EnableSnapshotVersions(int n_hb_slots,
-                              hal::Cycles tick_interval_cycles) {
-    for (auto& t : tables_) t->EnableVersions();
-    epoch_clock_.Reset(n_hb_slots, tick_interval_cycles);
-  }
-  bool snapshots_enabled() const { return epoch_clock_.enabled(); }
-  EpochClock* epoch_clock() { return &epoch_clock_; }
-
  private:
   std::vector<std::unique_ptr<Table>> tables_;
   Partitioner partitioner_;
   hal::SlabArena* arena_ = nullptr;
-  EpochClock epoch_clock_;
 };
 
 }  // namespace orthrus::storage

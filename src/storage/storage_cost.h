@@ -31,14 +31,6 @@ struct StorageCostModel {
   // Fixed computation per logical operation inside a stored procedure.
   hal::Cycles op_compute_cycles = 60;
 
-  // Snapshot version pairs (Table::EnableVersions). An install copies the
-  // committed row image into a version slot (per-line cost below, plus this
-  // fixed stamp/publish overhead); a snapshot read copies the chosen
-  // version out. Charged only on the versioned paths, so runs that never
-  // enable versions are byte-identical.
-  hal::Cycles version_install_cycles = 30;
-  hal::Cycles snapshot_read_cycles = 10;
-
   hal::Cycles ProbeCost(std::uint64_t index_bytes) const {
     if (index_bytes <= cached_index_bytes) return probe_base_cycles;
     const double doublings = std::log2(static_cast<double>(index_bytes) /

@@ -67,100 +67,6 @@ void Table::RecomputeCosts() {
            : (indexes_[0].mask + 1) * 2 * sizeof(std::uint64_t));
   probe_cost_ = cost_model_.ProbeCost(per_part_bytes);
   row_cost_ = cost_model_.RowCost(row_bytes_);
-  if (versions_enabled()) {
-    version_install_cost_ = cost_model_.version_install_cycles + row_cost_;
-    snapshot_read_cost_ = cost_model_.snapshot_read_cycles + row_cost_;
-  }
-}
-
-void Table::EnableVersions() {
-  if (version_meta_ == nullptr) {
-    // Setup-time slabs: single-threaded enable, before any worker runs.
-    version_rows_ =  // lint:allow-alloc setup
-        std::make_unique<std::uint8_t[]>(capacity_ * 2 * row_stride_);
-    version_meta_ =  // lint:allow-alloc setup
-        std::make_unique<hal::Atomic<std::uint64_t>[]>(capacity_);
-  }
-  // (Re)seed slot 0 of every row from the main slab at the pre-first
-  // epoch: after WAL recovery this folds the replayed images into the
-  // snapshot baseline, exactly like a fresh load.
-  for (std::uint64_t s = 0; s < capacity_; s++) {
-    std::memcpy(VersionSlot(s, 0), RowBySlot(s), row_stride_);
-    version_meta_[s].RawStore(PackMeta(0, EpochClock::kSeedEpoch - 1,
-                                       EpochClock::kSeedEpoch - 1));
-  }
-  RecomputeCosts();
-}
-
-void Table::InstallVersion(std::uint64_t slot, std::uint64_t epoch,
-                           EpochClock* clock, int hb_slot,
-                           EpochClock::PublishCache* cache) {
-  ORTHRUS_DCHECK(versions_enabled());
-  ORTHRUS_DCHECK(slot < capacity_);
-  ORTHRUS_CHECK_MSG(epoch <= kStampMask, "epoch overflows the stamp field");
-  hal::ConsumeCycles(version_install_cost_);
-  const std::uint64_t meta = version_meta_[slot].load();
-  const std::uint64_t active = meta >> 63;
-  const std::uint64_t s = (meta >> 31) & kStampMask;
-  std::uint8_t* dst = nullptr;
-  std::uint64_t next_meta = 0;
-  if (s == epoch) {
-    // Same-epoch re-install: overwrite the active slot in place. No live
-    // snapshot can be reading it — the read epoch stays below `epoch`
-    // until every epoch-`epoch` writer (including us, via the writer
-    // heartbeat published before this install) publishes a newer one.
-    dst = VersionSlot(slot, active);
-    next_meta = meta;  // same stamps; the store is a pure release republish
-  } else {
-    // Install into the older slot. Reuse is gated on the reader floor:
-    // once every worker's reader heartbeat is >= S, no live reader's
-    // snapshot predates S, so nothing can still need the version being
-    // dropped. The spin publishes our own reader heartbeat (we have no
-    // snapshot read in flight) and offers ticks; epoch_clock.h proves this
-    // makes the wait finite.
-    while (clock->ReaderFloor() < s) {
-      clock->PublishReader(hb_slot, clock->ReadEpoch(), cache);
-      // Fold the mins ourselves instead of waiting out the tick interval:
-      // the stall ends as soon as every worker has published, and the
-      // commit epoch stays put (ticking here would shrink the same-epoch
-      // fast path above and manufacture the next slow install).
-      clock->FoldMins();
-      clock->MaybeTick(hal::Now());
-      hal::CpuRelax();
-    }
-    dst = VersionSlot(slot, 1 - active);
-    next_meta = PackMeta(1 - active, epoch, s);
-  }
-  hal::RaceCheck(dst, row_stride_, /*is_write=*/true,
-                 "storage.version.install");
-  std::memcpy(dst, RowBySlot(slot), row_stride_);
-  // Epoch-stamp publication: the release that orders the copy above before
-  // every future snapshot read of this row.
-  version_meta_[slot].store(next_meta);
-}
-
-bool Table::SnapshotRead(std::uint64_t slot, std::uint64_t read_epoch,
-                         void* dst) {
-  ORTHRUS_DCHECK(versions_enabled());
-  ORTHRUS_DCHECK(slot < capacity_);
-  hal::ConsumeCycles(snapshot_read_cost_);
-  const std::uint64_t meta = version_meta_[slot].load();
-  const std::uint64_t active = meta >> 63;
-  const std::uint64_t s = (meta >> 31) & kStampMask;
-  const std::uint64_t p = meta & kStampMask;
-  std::uint64_t which = 0;
-  if (s <= read_epoch) {
-    which = active;
-  } else if (p <= read_epoch) {
-    which = 1 - active;
-  } else {
-    return false;  // written twice since read_epoch: snapshot too old
-  }
-  const std::uint8_t* src = VersionSlot(slot, which);
-  hal::RaceCheck(src, row_stride_, /*is_write=*/false,
-                 "storage.version.read");
-  std::memcpy(dst, src, row_stride_);
-  return true;
 }
 
 void* Table::Insert(std::uint64_t key, int partition) {

@@ -25,7 +25,6 @@
 #include "common/macros.h"
 #include "hal/hal.h"
 #include "hal/slab_arena.h"
-#include "storage/epoch_clock.h"
 #include "storage/storage_cost.h"
 
 namespace orthrus::storage {
@@ -110,12 +109,6 @@ class Table {
   // hash index. Setup-time only; used to reserve append regions.
   std::uint64_t ReserveSlots(std::uint64_t n);
 
-  // True when ReserveSlots has carved out an append region: rows appended
-  // there at run time materialize outside the version protocol, so
-  // snapshot-capable engines route transactions touching this table to
-  // their locking path instead.
-  bool has_append_region() const { return reserved_ > 0; }
-
   // Modeled cost of touching one row of this table.
   hal::Cycles RowAccessCost() const { return row_cost_; }
 
@@ -124,49 +117,6 @@ class Table {
 
   const StorageCostModel& cost_model() const { return cost_model_; }
   void set_cost_model(const StorageCostModel& m);
-
-  // --- Snapshot version pairs (epoch-stamped) --------------------------
-  //
-  // Opt-in two-slot versioned storage for lock-free snapshot reads. The
-  // main slab stays authoritative and is never read by snapshot readers;
-  // each row additionally owns two version slots (newest committed image
-  // and its predecessor) plus one atomic meta word packing
-  // (active slot, newest stamp S, previous stamp P). Writers install the
-  // post-image under their X lock; readers at read epoch R copy whichever
-  // slot's stamp is the newest <= R. Slot reuse is gated on
-  // EpochClock::ReaderFloor() (see epoch_clock.h for the protocol and its
-  // race-freedom/liveness argument). When versions are disabled nothing is
-  // allocated and no path charges anything: byte-identical to a build
-  // without this feature.
-
-  // Setup-time (single-threaded): allocates the version slabs and meta and
-  // seeds every row's slot 0 with the current main image at stamp
-  // EpochClock::kSeedEpoch - 1. Idempotent: calling it again reseeds from
-  // the main slab (used after WAL recovery replays into the main rows).
-  void EnableVersions();
-  bool versions_enabled() const { return version_meta_ != nullptr; }
-
-  // Writer-side install, under the caller's X lock on the row, after the
-  // transaction logic has written the main image. `epoch` is the commit
-  // epoch loaded via `clock` after publishing the caller's writer
-  // heartbeat (EpochClock::PublishWriter) — that publication order is what
-  // keeps the read epoch below `epoch` until the caller's next idle
-  // publish. May spin on the reader floor; the spin publishes the caller's
-  // reader heartbeat and offers ticks, so it cannot deadlock.
-  void InstallVersion(std::uint64_t slot, std::uint64_t epoch,
-                      EpochClock* clock, int hb_slot,
-                      EpochClock::PublishCache* cache);
-
-  // Reader-side snapshot copy at read epoch `read_epoch`: copies the
-  // newest version stamped <= read_epoch into `dst` (row_stride() bytes).
-  // Returns false when both slots are newer — the row was written twice
-  // since `read_epoch`; the caller must refresh its read epoch and restart
-  // the whole transaction's read set (a partial refresh would mix epochs).
-  bool SnapshotRead(std::uint64_t slot, std::uint64_t read_epoch, void* dst);
-
-  // Modeled costs of the two versioned paths (0 until EnableVersions).
-  hal::Cycles VersionInstallCost() const { return version_install_cost_; }
-  hal::Cycles SnapshotReadCost() const { return snapshot_read_cost_; }
 
  private:
   struct Index {
@@ -178,19 +128,6 @@ class Table {
   };
 
   void RecomputeCosts();
-
-  // Version meta packing: bit 63 = active slot, bits [31,62) = newest
-  // stamp S, bits [0,31) = previous stamp P. 31 bits per epoch stamp is
-  // ~2e9 group-commit intervals — unreachable in any modeled run (checked
-  // at install).
-  static constexpr std::uint64_t kStampMask = (1ull << 31) - 1;
-  static std::uint64_t PackMeta(std::uint64_t active, std::uint64_t s,
-                                std::uint64_t p) {
-    return (active << 63) | (s << 31) | p;
-  }
-  std::uint8_t* VersionSlot(std::uint64_t slot, std::uint64_t which) {
-    return version_rows_.get() + (slot * 2 + which) * row_stride_;
-  }
 
   std::uint32_t id_;
   std::string name_;
@@ -206,11 +143,6 @@ class Table {
   StorageCostModel cost_model_;
   hal::Cycles probe_cost_ = 0;
   hal::Cycles row_cost_ = 0;
-  // Snapshot version pairs (null/0 unless EnableVersions was called).
-  std::unique_ptr<std::uint8_t[]> version_rows_;  // 2 slots per row
-  std::unique_ptr<hal::Atomic<std::uint64_t>[]> version_meta_;
-  hal::Cycles version_install_cost_ = 0;
-  hal::Cycles snapshot_read_cost_ = 0;
 };
 
 }  // namespace orthrus::storage

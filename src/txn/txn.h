@@ -64,12 +64,6 @@ class Txn {
   // Number of restarts due to deadlock handling or OLLP mismatch.
   std::uint32_t restarts = 0;
 
-  // Every declared access is kShared. Classified by TxnAdmission at admit
-  // time; snapshot-capable engines route such transactions to the
-  // lock-free versioned read path (storage/epoch_clock.h) instead of
-  // concurrency control.
-  bool read_only = false;
-
   // Inline parameter storage, interpreted by the TxnLogic that owns this
   // transaction type.
   template <typename P>
@@ -99,7 +93,6 @@ class Txn {
     timestamp = 0;
     start_cycles = 0;
     restarts = 0;
-    read_only = false;
   }
 
  private:

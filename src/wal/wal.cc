@@ -166,10 +166,6 @@ void GroupCommitLog::RunLogger(int logger_index, runtime::WorkerContext* ctx) {
         epoch_.fetch_add(1);
         next_epoch_at = now + interval;
         progress = true;
-        // Snapshot clock rides the same cadence: each WAL epoch advance
-        // also advances the commit epoch and folds the heartbeat minima
-        // into the read epoch / reader floor (storage/epoch_clock.h).
-        if (epoch_clock_ != nullptr) epoch_clock_->Tick();
       }
     }
 

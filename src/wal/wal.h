@@ -200,16 +200,6 @@ class GroupCommitLog {
   // retired and nothing is left to drain.
   void RunLogger(int logger_index, runtime::WorkerContext* ctx);
 
-  // Snapshot tie-in: when set, logger 0 ticks this commit-epoch clock
-  // (storage/epoch_clock.h) on the same cadence as — and immediately after
-  // — each WAL epoch advance, so the snapshot read epoch rides the group
-  // commit interval instead of needing worker-driven ticks. The WAL epoch
-  // counter and the snapshot commit epoch remain separate counters (the
-  // redo log's max-version-wins replay never consults version slabs, which
-  // are runtime-only state reseeded from the recovered main slab by
-  // Database::EnableSnapshotVersions). Call before Run, off-core.
-  void set_epoch_clock(storage::EpochClock* clock) { epoch_clock_ = clock; }
-
   // --- post-run / test inspection (off-core) ---------------------------
 
   std::uint64_t DurableEpochRaw() const { return durable_epoch_.RawLoad(); }
@@ -230,8 +220,6 @@ class GroupCommitLog {
   storage::Database* db_;
   int n_producers_;
   int partitions_;
-
-  storage::EpochClock* epoch_clock_ = nullptr;   // optional snapshot clock
 
   hal::Atomic<std::uint64_t> epoch_{0};          // seeded to 1 in ctor
   hal::Atomic<std::uint64_t> durable_epoch_{0};

@@ -27,8 +27,7 @@ struct KvConfig {
   bool read_only = false;
 
   // Mixed read/write stream: this percentage of transactions are
-  // read-only (all-kShared access sets, classified at admission so
-  // snapshot-capable engines serve them lock-free); the rest are RMW.
+  // read-only (all-kShared access sets); the rest are RMW.
   // 0 keeps the single-logic streams bit-identical to before the knob
   // existed (no extra rng draw); requires read_only == false.
   int pct_read_only = 0;

@@ -19,7 +19,6 @@
 
 #include "common/fnv.h"
 #include "engine/deadlockfree/deadlockfree_engine.h"
-#include "engine/mvcc/mvcc_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
 #include "engine/sharedcc/sharedcc_engine.h"
@@ -157,31 +156,18 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
-  {
-    // The sixth architecture: epoch-snapshot MVCC. A pure-RMW stream has
-    // no read-only transactions, so this pins the write path — shared-CC
-    // locking plus version installs — to the same committed multiset.
-    engine::MvccEngine eng(Options(kExecWorkers));
-    outcomes.emplace_back(eng.name(),
-                          RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
-  }
   // ORTHRUS variants: every message-passing configuration (forwarding
-  // on/off, shared CC table, snapshot reads) must agree with the
+  // on/off, shared CC table) must agree with the
   // shared-everything engines. The clock-level pins are
   // OrthrusRunsAreDeterministic plus the exact message-count tests in
   // orthrus_engine_test.
   struct OrthrusCase {
     bool forwarding;
     bool shared_cc;
-    bool snapshot_reads = false;
   };
   for (const OrthrusCase& c :
        {OrthrusCase{true, false}, OrthrusCase{false, false},
-        OrthrusCase{true, true},
-        // snapshot_reads over pure RMW: every transaction still runs the
-        // lock path, but versions install and the epoch clock ticks —
-        // neither may change what commits.
-        OrthrusCase{true, false, /*snapshot_reads=*/true}}) {
+        OrthrusCase{true, true}}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     // One transaction in flight per exec thread: the commit cap is checked
@@ -189,7 +175,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     oo.max_inflight = 1;
     oo.forwarding = c.forwarding;
     oo.shared_cc_table = c.shared_cc;
-    oo.snapshot_reads = c.snapshot_reads;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &orthrus_aligned,
@@ -205,19 +190,14 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
   }
 }
 
-// Mixed read/write stream: half the transactions are read-only, and the
-// snapshot-capable engines (MvccEngine always; ORTHRUS with
-// snapshot_reads) serve them lock-free from the epoch-versioned slabs
-// while the locking engines serialize them through shared locks. Every
-// engine still commits exactly the first K transactions of each worker's
-// stream, and read-only transactions write nothing — so the commit
-// counts, the RMW counter sums, and the final table digests must all
-// match the locking reference. This is the cross-engine pin that the
-// snapshot protocol serves committed state: a reader observing a torn or
-// uncommitted image would still pass here only if it also left the tables
-// untouched, which the property test (snapshot_property_test) rules out
-// by construction.
-TEST(EngineEquivalence, SnapshotReadersMatchLockingEngines) {
+// Mixed read/write stream, the mix `kv_hot_read90` runs natively: half the
+// transactions are read-only and take shared locks, in a queued lock
+// table (2PL wait-die), in partition-latched shards (sharedcc-everywhere)
+// and on ORTHRUS's CC threads. Every engine still commits exactly the
+// first K transactions of each worker's stream, and read-only
+// transactions write nothing, so the commit counts, the RMW counter sums
+// and the final table digests must all match.
+TEST(EngineEquivalence, ReadMixMatchesAcrossLockingEngines) {
   workload::YcsbSpec spec = Spec();
   workload::KvConfig cfg = workload::MakeYcsbConfig(spec);
   cfg.pct_read_only = 50;
@@ -247,14 +227,9 @@ TEST(EngineEquivalence, SnapshotReadersMatchLockingEngines) {
     outcomes.emplace_back(eng.name(), run_plain(&eng));
   }
   {
-    engine::MvccEngine eng(Options(kExecWorkers));
-    outcomes.emplace_back(eng.name(), run_plain(&eng));
-  }
-  for (const bool snap : {false, true}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    oo.snapshot_reads = snap;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     workload::KvWorkload fresh(cfg);
     storage::Database db;
@@ -396,21 +371,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
                           RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
                                   kOrthrusCc));
   }
-  {
-    // Snapshot reads over TPC-C: NewOrder needs reconnaissance and the
-    // ring tables carry append regions, so the eligibility gate routes
-    // every transaction through ordinary CC — but versions still install
-    // on the fixed-population tables and the epoch clock still ticks,
-    // neither of which may change what commits.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.snapshot_reads = true;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
-                                  kOrthrusCc));
-  }
 
   const std::uint64_t want_committed = kExecWorkers * kTxnsPerWorker;
   for (const auto& [name, out] : outcomes) {
@@ -462,21 +422,6 @@ TEST(EngineEquivalence, FullMixSeededDeliveriesMatchAcrossEngines) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpccAt(&eng, kOrthrusCc + kExecWorkers,
-                                    kOrthrusCc, kOrthrusCc, scale));
-  }
-  {
-    // Snapshot reads over the full mix: OrderStatus and StockLevel are
-    // classified read-only at admission, but both need reconnaissance
-    // (ring scans guarded by district locks), so the eligibility gate
-    // must route them through CC — a gate miss would run them lock-free
-    // against live rings and diverge every digest below.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.snapshot_reads = true;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpccAt(&eng, kOrthrusCc + kExecWorkers,

@@ -388,108 +388,6 @@ TEST(OrthrusOptionsDeathTest, PartitionerMustMatchTheCcCount) {
   EXPECT_DEATH(RunOnSim(&eng, &db, wl, 4), "one partition per CC thread");
 }
 
-TEST(OrthrusSnapshotReads, OffIsByteIdentical) {
-  // The sim-clock probe for the snapshot read path: with the knob off, no
-  // version slab exists, no epoch ever ticks, no heartbeat is published,
-  // and read-only classification is a plain core-local walk — so a run
-  // with every snapshot knob spelled out as off must be bit-identical
-  // (committed count, effects, and the global sim clock) to a run built
-  // from the defaults, even over a stream that contains read-only
-  // transactions for the path to miss.
-  const auto run = [](bool spell_out) {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.max_inflight = 4;
-    if (spell_out) {
-      oo.snapshot_reads = false;
-      oo.snapshot_epoch_cycles = 12345;  // unused when the knob is off
-    }
-    KvConfig kv;
-    kv.num_records = 4000;
-    kv.hot_records = 16;
-    kv.num_partitions = 2;
-    kv.pct_read_only = 50;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(SmallRun(6), oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_tuple(r.total.committed, wl.SumCounters(db),
-                           sim.GlobalClock());
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(OrthrusSnapshotReads, ReadersBypassTheCcMesh) {
-  // Functional pin for the bypass: over a mixed stream with a fixed commit
-  // cap, turning snapshot_reads on must (a) commit the same transaction
-  // set — the same count and the same RMW effects, since readers write
-  // nothing and writers are untouched — and (b) send strictly fewer CC
-  // messages, because every classified reader that used to buy locks by
-  // mail now takes none at all.
-  const auto run = [](bool snap) {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    // One in flight: the commit cap binds exactly, so both runs commit
-    // exactly the first 120 transactions of each worker's stream and the
-    // committed multisets are comparable.
-    oo.max_inflight = 1;
-    oo.snapshot_reads = snap;
-    KvConfig kv;
-    kv.num_records = 4000;
-    kv.hot_records = 16;
-    kv.num_partitions = 2;
-    kv.pct_read_only = 50;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    // Budget far beyond what the cap needs: the cap, not the clock, ends
-    // both runs, so they commit identical transaction sets.
-    EngineOptions opts = SmallRun(6);
-    opts.duration_seconds = 1000.0;
-    opts.max_txns_per_worker = 60;
-    OrthrusEngine eng(opts, oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    std::uint64_t msgs = 0;
-    for (const auto& w : r.per_worker) msgs += w.messages_sent;
-    return std::make_tuple(r.total.committed, wl.SumCounters(db), msgs);
-  };
-  const auto off = run(false);
-  const auto on = run(true);
-  EXPECT_GT(std::get<0>(on), 0u);
-  EXPECT_EQ(std::get<0>(on), std::get<0>(off));
-  EXPECT_EQ(std::get<1>(on), std::get<1>(off));
-  EXPECT_LT(std::get<2>(on), std::get<2>(off));
-}
-
-TEST(OrthrusSnapshotReads, SnapshotRunsAreDeterministic) {
-  // Same engine, same seed, twice: the snapshot path (epoch ticks, floor
-  // spins, refresh-restarts included) must be exactly repeatable on the
-  // simulator.
-  const auto run = [] {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.max_inflight = 4;
-    oo.snapshot_reads = true;
-    KvConfig kv;
-    kv.num_records = 4000;
-    kv.hot_records = 16;
-    kv.num_partitions = 2;
-    kv.pct_read_only = 50;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(SmallRun(6), oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_tuple(r.total.committed, wl.SumCounters(db),
-                           sim.GlobalClock());
-  };
-  EXPECT_EQ(run(), run());
-}
-
 // --------------------------------------------------------- CC lock table
 
 struct TestNode {};

@@ -407,6 +407,8 @@ TEST(WorkerPool, AggregatesStatsAndSpansClocks) {
   EXPECT_EQ(r.per_worker[2].committed, 3u);
   // Elapsed spans the slowest worker's 3000 cycles of work.
   EXPECT_GE(r.elapsed_seconds, 3000.0 / SimCps());
+  // The result carries the platform's rate for converting its cycles.
+  EXPECT_EQ(r.cycles_per_second, sim.CyclesPerSecond());
 }
 
 TEST(WorkerPool, PerWorkerRngStreamsAreSeededAndDistinct) {

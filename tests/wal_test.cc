@@ -28,6 +28,7 @@
 // (DeliveryLogic::DeliverableEnd) makes delivered order contents
 // load-deterministic, and the remaining canonical-column effects are
 // commutative sums and counters.
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fnv.h"
+#include "common/rng.h"
 #include "engine/deadlockfree/deadlockfree_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
@@ -471,6 +473,177 @@ TEST(WalOrthrus, TimeBoundRunReplaysToTheLiveState) {
   std::uint64_t durable_total = 0;
   for (const std::uint64_t d : rec.durable_per_producer) durable_total += d;
   EXPECT_EQ(durable_total, r.total.committed);
+}
+
+// Crash points land on durable-epoch boundaries, where group commit has
+// applied whole transactions. The pair workload makes a partial apply
+// visible: rows come in pairs (2p, 2p+1) on different lock partitions,
+// every writer X-locks a pair and stamps one value over every word of both
+// rows, and every reader S-locks a pair and counts a torn row (its words
+// disagree) or a mixed pair (the two rows disagree).
+constexpr std::uint32_t kPairTable = 0;
+constexpr std::uint64_t kPairs = 8;  // few pairs: hot, writers overlap
+constexpr int kPairWords = 8;
+
+struct PairStats {
+  std::atomic<std::uint64_t> writes{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> mixed{0};
+};
+
+class PairLogic final : public txn::TxnLogic {
+ public:
+  PairLogic(PairStats* stats, bool writer) : stats_(stats), writer_(writer) {}
+
+  void BuildAccessSet(txn::Txn* t, storage::Database* /*db*/) override {
+    const std::uint64_t p = *t->Params<std::uint64_t>();
+    const txn::LockMode m =
+        writer_ ? txn::LockMode::kExclusive : txn::LockMode::kShared;
+    t->accesses.push_back({kPairTable, m, 2 * p, nullptr});
+    t->accesses.push_back({kPairTable, m, 2 * p + 1, nullptr});
+  }
+
+  bool Run(txn::Txn* t, const txn::ExecContext& ctx) override {
+    const storage::Table* tbl = ctx.db->GetTable(kPairTable);
+    const hal::Cycles op = tbl->RowAccessCost() +
+                           tbl->cost_model().op_compute_cycles;
+    ctx.ChargeOp(op);
+    ctx.ChargeOp(op);
+    auto* a = static_cast<std::uint64_t*>(t->accesses[0].row);
+    auto* b = static_cast<std::uint64_t*>(t->accesses[1].row);
+    if (writer_) {
+      const std::uint64_t v = a[0] + 1;
+      for (int w = 0; w < kPairWords; ++w) a[w] = b[w] = v;
+      stats_->writes.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+    bool torn = false;
+    for (int w = 1; w < kPairWords; ++w) {
+      torn |= a[w] != a[0] || b[w] != b[0];
+    }
+    if (torn) stats_->torn.fetch_add(1, std::memory_order_relaxed);
+    if (a[0] != b[0]) stats_->mixed.fetch_add(1, std::memory_order_relaxed);
+    stats_->reads.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+ private:
+  PairStats* stats_;
+  bool writer_;
+};
+
+class PairWorkload final : public workload::Workload {
+ public:
+  void Load(storage::Database* db, int /*num_table_partitions*/) override {
+    // key % 2 puts the two rows of every pair on different lock
+    // partitions: every transaction is cross-partition.
+    db->partitioner().n = 2;
+    storage::Table* t = db->CreateTable(kPairTable, "pair", 2 * kPairs,
+                                        kPairWords * sizeof(std::uint64_t));
+    for (std::uint64_t k = 0; k < 2 * kPairs; ++k) t->Insert(k, 0);
+  }
+
+  std::unique_ptr<workload::TxnSource> MakeSource(int worker_id) const
+      override {
+    return std::make_unique<Source>(worker_id, &writer_, &reader_);
+  }
+
+  std::string name() const override { return "pair"; }
+
+  PairStats& stats() { return stats_; }
+
+ private:
+  class Source final : public workload::TxnSource {
+   public:
+    Source(int worker_id, txn::TxnLogic* writer, txn::TxnLogic* reader)
+        : rng_(0x51AFull + static_cast<std::uint64_t>(worker_id)),
+          writer_(writer),
+          reader_(reader) {}
+
+    void Next(txn::Txn* t) override {
+      t->ResetForReuse();
+      t->logic = rng_.Percent(50) ? reader_ : writer_;
+      *t->Params<std::uint64_t>() = rng_.NextU64(kPairs);
+    }
+
+   private:
+    Rng rng_;
+    txn::TxnLogic* writer_;
+    txn::TxnLogic* reader_;
+  };
+
+  mutable PairStats stats_;
+  mutable PairLogic writer_{&stats_, /*writer=*/true};
+  mutable PairLogic reader_{&stats_, /*writer=*/false};
+};
+
+// Checks the pair invariant over a main slab and returns the sum of the
+// pair values, which is the number of writers applied to it.
+std::uint64_t CheckSlabPairs(const storage::Database& db) {
+  const storage::Table* t = db.GetTable(kPairTable);
+  std::uint64_t sum = 0;
+  for (std::uint64_t p = 0; p < kPairs; ++p) {
+    const auto* a = static_cast<const std::uint64_t*>(t->RowBySlot(2 * p));
+    const auto* b =
+        static_cast<const std::uint64_t*>(t->RowBySlot(2 * p + 1));
+    for (int w = 0; w < kPairWords; ++w) {
+      EXPECT_EQ(a[w], a[0]) << "torn recovered row, pair " << p;
+      EXPECT_EQ(b[w], b[0]) << "torn recovered row, pair " << p;
+    }
+    EXPECT_EQ(a[0], b[0]) << "mixed recovered pair " << p;
+    sum += a[0];
+  }
+  return sum;
+}
+
+// Recovery from a durable ORTHRUS run killed at a quarter, half and three
+// quarters of its virtual time, and after a clean shutdown: every
+// recovered pair is whole, and the clean log holds exactly the committed
+// writers.
+TEST(WalOrthrus, CrashPointsRecoverWholePairs) {
+  PairWorkload wl;
+  storage::Database db;
+  wl.Load(&db, 1);
+  engine::OrthrusOptions oo;
+  oo.num_cc = 2;
+  const int n_exec = 8 - oo.num_cc;
+  wal::DurabilityOptions dopts;
+  dopts.arena_records = 512;
+  wal::GroupCommitLog log(dopts, &db, n_exec);
+  engine::EngineOptions o;
+  o.num_cores = 8;
+  o.duration_seconds = 0.05;
+  o.max_txns_per_worker = 150;
+  o.lock_buckets = 1 << 10;
+  o.wal = &log;
+  engine::OrthrusEngine eng(o, oo);
+  hal::SimPlatform sim(8 + log.loggers());
+  const RunResult r = eng.Run(&sim, &db, wl);
+  const hal::Cycles end = sim.GlobalClock();
+
+  const PairStats& s = wl.stats();
+  ASSERT_GT(r.total.committed, 0u);
+  EXPECT_GT(s.writes.load(), 0u);
+  EXPECT_GT(s.reads.load(), 0u);
+  EXPECT_EQ(s.torn.load(), 0u);
+  EXPECT_EQ(s.mixed.load(), 0u);
+
+  for (const double frac : {0.25, 0.5, 0.75, 1.0}) {
+    SCOPED_TRACE(frac);
+    PairWorkload rwl;
+    storage::Database rdb;
+    rwl.Load(&rdb, 1);
+    const auto images =
+        frac == 1.0 ? log.FinalImages()
+                    : log.CrashImagesAt(static_cast<hal::Cycles>(
+                          frac * static_cast<double>(end)));
+    wal::Recover(images, n_exec, &rdb);
+    const std::uint64_t recovered = CheckSlabPairs(rdb);
+    if (frac == 1.0) {
+      EXPECT_EQ(recovered, s.writes.load());
+    }
+  }
 }
 
 // --------------------------------------------------------- option checks

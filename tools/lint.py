@@ -16,10 +16,9 @@ Enforces two contracts that neither the compiler nor clang-tidy checks:
    make_unique / make_shared) in src/mp/, src/lock/, src/storage/, or
    src/engine/orthrus/. The paper's tuned lock manager "never interacts
    with a memory allocator" on the hot path; these directories ARE hot
-   path — the ORTHRUS CC lock tables, and the storage layer's
-   version-install / snapshot-read fast paths, must come from setup-time
-   sizing — so every allocation must be an explicitly marked
-   setup/cold-path site.
+   path — the ORTHRUS CC lock tables and the storage layer's row slabs
+   and indexes must come from setup-time sizing — so every allocation must
+   be an explicitly marked setup/cold-path site.
    Escape: `// lint:allow-alloc <why>` on the offending line or the line
    above it.
 
