@@ -7,14 +7,14 @@
 // transaction's lock set (one message round-trip regardless of how many
 // partitions the keys would have spanned).
 //
-// Expected shape: under a uniform workload the partitioned table wins as
-// transactions span many partitions are... rather, the shared table wins
-// when transactions would chain across many CC threads (it has no chains),
-// and loses as CC-thread count grows (bucket-latch contention among CC
-// threads) or when the partitioned layout is single-partition-friendly.
-// Under Zipfian skew the shared table also self-balances CC load while the
-// partitioned table's hottest partition saturates first (Section 3.3's
-// utilization-imbalance discussion).
+// Expected shape: the shared table wins when transactions would chain
+// across many CC threads (it has no chains: one home CC thread acquires
+// the whole lock set), and loses as the CC-thread count grows (stripe-latch
+// contention among CC threads) or when transactions are single-partition,
+// where a partitioned transaction visits one CC thread and takes no latch.
+// Under Zipfian skew the shared table also self-balances CC load,
+// while the partitioned table's hottest partition saturates first
+// (Section 3.3's utilization-imbalance discussion).
 #include <vector>
 
 #include "bench/common/bench_harness.h"
@@ -57,20 +57,6 @@ int main() {
         tputs.push_back(RunPoint(&eng, &wl, kCores, 1).Throughput());
       }
       PrintRow(shared ? "shared-cc-table" : "partitioned-cc", tputs);
-    }
-    // The fifth architecture: the same partition-local lock metadata with
-    // no dedicated CC threads at all — every one of the 80 cores both
-    // acquires (through per-partition latches; the x-axis is the shard
-    // count here) and executes. Prices the dedicated-thread design
-    // against doing CC in place on the same partitioned metadata.
-    {
-      std::vector<double> tputs;
-      for (int n_cc : cc_counts) {
-        workload::KvWorkload wl(make_kv(n_cc, zipf, parts_per_txn));
-        engine::SharedCcEngine eng(BenchOptions(kCores));
-        tputs.push_back(RunPoint(&eng, &wl, kCores, 1).Throughput());
-      }
-      PrintRow("sharedcc-everywhere", tputs);
     }
   };
 

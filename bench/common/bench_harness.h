@@ -34,7 +34,6 @@
 #include "engine/deadlockfree/deadlockfree_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
-#include "engine/sharedcc/sharedcc_engine.h"
 #include "engine/twopl/twopl_engine.h"
 #include "hal/sim_platform.h"
 #include "workload/micro.h"

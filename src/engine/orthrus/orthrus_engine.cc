@@ -71,18 +71,15 @@ int DecodeStage(std::uint64_t w) {
   return static_cast<int>((w >> kStageShift) & kStageFieldMask);
 }
 
-struct ScLock;
-
 // One lock request. Each transaction's requests live inline in its TCB
 // (index = access index), so neither CC mode allocates request nodes.
 struct CcRequest {
   Tcb* tcb = nullptr;
-  ScLock* sc_lock = nullptr;  // shared-mode owner lock (Section 3.4)
   CcRequest* next = nullptr;
   CcRequest* prev = nullptr;
-  // Partitioned mode: the access's (table, key), copied at acquire so a
-  // release finds its lock without reading the access array, whose lines
-  // the exec thread owns again once the grant returns.
+  // The access's (table, key), copied at acquire so a release finds its
+  // lock without reading the access array, whose lines the exec thread
+  // owns again once the grant returns.
   std::uint64_t key = 0;
   std::uint32_t table = 0;
   LockMode mode = LockMode::kShared;
@@ -125,6 +122,75 @@ struct alignas(kTcbAlign) Tcb {
   std::array<CcRequest, kMaxAccesses> inline_reqs{};
 };
 
+// ------------------------------------------------------- FIFO lock queue
+
+// Fills `r` for access `a` of `tcb` and appends it to `lock`'s FIFO queue.
+// Returns whether `r` is granted at once: an exclusive request on an empty
+// queue, a shared one while no exclusive request is queued.
+bool Enqueue(CcLock* lock, CcRequest* r, Tcb* tcb, const Access& a) {
+  r->tcb = tcb;
+  r->key = a.key;
+  r->table = a.table;
+  r->mode = a.mode;
+  const bool grantable = a.mode == LockMode::kExclusive
+                             ? lock->head == nullptr
+                             : lock->queued_x == 0;
+  r->next = nullptr;
+  r->prev = lock->tail;
+  if (lock->tail != nullptr) {
+    lock->tail->next = r;
+  } else {
+    lock->head = r;
+  }
+  lock->tail = r;
+  if (a.mode == LockMode::kExclusive) lock->queued_x++;
+  r->granted = grantable;
+  return grantable;
+}
+
+void Unlink(CcLock* lock, CcRequest* r) {
+  ORTHRUS_DCHECK(lock->head != nullptr);
+  if (r->mode == LockMode::kExclusive) lock->queued_x--;
+  if (r->prev != nullptr) {
+    r->prev->next = r->next;
+  } else {
+    lock->head = r->next;
+  }
+  if (r->next != nullptr) {
+    r->next->prev = r->prev;
+  } else {
+    lock->tail = r->prev;
+  }
+  r->prev = r->next = nullptr;
+}
+
+// Removes `r` from its lock in `locks`. The lock is erased when its queue
+// empties; otherwise the queue's newly compatible prefix is granted, with
+// `on_grant(request)` called for each. The lock is found again by its
+// (table, key) because an earlier Erase may have moved it; `on_grant` must
+// leave `locks` unchanged, so the lock stays put for the whole sweep.
+template <typename OnGrant>
+void Release(CcLockTable* locks, CcRequest* r, OnGrant on_grant) {
+  CcLock* lock = locks->Find(r->table, r->key);
+  ORTHRUS_DCHECK(lock != nullptr);
+  Unlink(lock, r);
+  if (lock->head == nullptr) {
+    locks->Erase(lock);
+    return;
+  }
+  bool x_seen = false;
+  for (CcRequest* f = lock->head; f != nullptr; f = f->next) {
+    if (!f->granted) {
+      const bool grantable =
+          f->mode == LockMode::kExclusive ? f == lock->head : !x_seen;
+      if (!grantable) break;
+      f->granted = true;
+      on_grant(f);
+    }
+    if (f->mode == LockMode::kExclusive) x_seen = true;
+  }
+}
+
 // -------------------------------------- shared CC lock table (Section 3.4)
 
 // One latched lock table shared by all CC threads: the paper's alternative
@@ -132,30 +198,25 @@ struct alignas(kTcbAlign) Tcb {
 // its locks one at a time in global key order (deadlock freedom by ordered
 // acquisition); when a lock is busy the transaction parks in that lock's
 // FIFO queue, and whichever CC thread later grants the lock continues the
-// acquisition. Bucket latches are contended only by CC threads.
-struct ScLock {
-  std::uint32_t table = 0;
-  std::uint64_t key = 0;
-  CcRequest* head = nullptr;
-  CcRequest* tail = nullptr;
-  ScLock* next_in_bucket = nullptr;
-  std::uint32_t queued_total = 0;
-  std::uint32_t queued_x = 0;
-};
-
+// acquisition. Stripe latches are contended only by CC threads.
+//
+// The table is a power-of-two set of stripes, each a latch over a
+// CcLockTable; the top bits of the (table, key) mix pick the stripe, and
+// CcLockTable homes the lock from the low bits. A lock leaves its stripe
+// when its queue empties, so each stripe holds at most the run's live-lock
+// bound and is sized from it once.
 class SharedCcTable {
  public:
-  explicit SharedCcTable(int n_cc, std::size_t n_buckets = 1 << 14,
-                         std::size_t heads_per_cc = 1 << 18)
-      : mask_(NextPowerOfTwo(n_buckets) - 1),
-        // lint:allow-alloc setup: built once per run
-        buckets_(std::make_unique<Bucket[]>(mask_ + 1)),
-        head_pool_(static_cast<std::size_t>(n_cc) * heads_per_cc),
-        shard_next_(n_cc),
-        shard_end_(n_cc) {
-    for (int c = 0; c < n_cc; ++c) {
-      shard_next_[c] = c * heads_per_cc;
-      shard_end_[c] = (c + 1) * heads_per_cc;
+  // Four stripes per CC thread keep the latch load per stripe flat as CC
+  // threads are added, and the footprint small: every stripe is sized for
+  // the whole bound, which at ablation_shared_cc's largest (80 cores, 2 CC:
+  // 24,960 live locks) is 65,536 x 32 B = 2 MiB, so the table costs at
+  // most 8 MiB per CC thread at every point that bench runs.
+  SharedCcTable(int n_cc, std::size_t max_live_locks)
+      : stripes_(NextPowerOfTwo(4 * static_cast<std::uint64_t>(n_cc))),
+        stripe_shift_(64 - __builtin_ctzll(stripes_.size())) {
+    for (auto& s : stripes_) {
+      s = std::make_unique<Stripe>(max_live_locks);  // lint:allow-alloc setup
     }
   }
 
@@ -163,40 +224,24 @@ class SharedCcTable {
   // once every lock is granted. Must be called by a CC core.
   bool ContinueAcquire(Tcb* tcb) {
     // Whichever CC thread granted the parked request owns the transaction's
-    // acquisition cursor now; the bucket latch hand-off is the sync edge.
+    // acquisition cursor now; the stripe latch hand-off is the sync edge.
     hal::RaceCheck(&tcb->next_acq, sizeof(tcb->next_acq), /*is_write=*/true,
                    "orthrus.tcb.next_acq");
     Txn& t = tcb->txn;
     while (tcb->next_acq < static_cast<int>(t.accesses.size())) {
       const Access& a = t.accesses[tcb->next_acq];
-      Bucket* b = &buckets_[Hash(a.table, a.key) & mask_];
-      b->latch.Lock();
+      Stripe& s = StripeOf(a.table, a.key);
+      s.latch.Lock();
       hal::ConsumeCycles(kCcOpCycles);
-      ScLock* lock = FindOrCreate(b, a.table, a.key);
-      CcRequest* r = &tcb->inline_reqs[tcb->next_acq];
-      r->tcb = tcb;
-      r->mode = a.mode;
-      r->next = nullptr;
-      r->prev = lock->tail;
-      r->sc_lock = lock;
-      const bool grantable = a.mode == LockMode::kExclusive
-                                 ? lock->queued_total == 0
-                                 : lock->queued_x == 0;
-      if (lock->tail != nullptr) {
-        lock->tail->next = r;
-      } else {
-        lock->head = r;
-      }
-      lock->tail = r;
-      lock->queued_total++;
-      if (a.mode == LockMode::kExclusive) lock->queued_x++;
-      r->granted = grantable;
-      b->latch.Unlock();
-      // Branch on the latch-protected local, never on r->granted after the
-      // unlock: a releaser on another CC thread may grant the parked
-      // request in that window, and a stale re-read would have this thread
-      // and the granter both continue the same transaction.
-      if (!grantable) return false;  // parked; a granter will continue us
+      const bool granted = Enqueue(s.locks.FindOrInsert(a.table, a.key),
+                                   &tcb->inline_reqs[tcb->next_acq], tcb, a);
+      s.latch.Unlock();
+      // Branch on the latch-protected result, never on the request's
+      // `granted` after the unlock: a releaser on another CC thread may
+      // grant the parked request in that window, and a stale re-read would
+      // have this thread and the granter both continue the same
+      // transaction.
+      if (!granted) return false;  // parked; a granter will continue us
       tcb->next_acq++;
     }
     return true;
@@ -208,83 +253,46 @@ class SharedCcTable {
   void ReleaseAll(Tcb* tcb, std::vector<Tcb*>* runnable) {
     for (int i = 0; i < tcb->next_acq; ++i) {
       CcRequest* r = &tcb->inline_reqs[i];
-      ScLock* lock = r->sc_lock;
-      Bucket* b = &buckets_[Hash(lock->table, lock->key) & mask_];
-      b->latch.Lock();
+      Stripe& s = StripeOf(r->table, r->key);
+      s.latch.Lock();
       hal::ConsumeCycles(kCcOpCycles);
-      Unlink(lock, r);
-      bool x_seen = false;
-      for (CcRequest* f = lock->head; f != nullptr; f = f->next) {
-        if (!f->granted) {
-          const bool grantable = f->mode == LockMode::kExclusive
-                                     ? f == lock->head
-                                     : !x_seen;
-          if (!grantable) break;
-          f->granted = true;
-          hal::RaceCheck(&f->tcb->next_acq, sizeof(f->tcb->next_acq),
-                         /*is_write=*/true, "orthrus.tcb.next_acq");
-          f->tcb->next_acq++;  // the lock it was parked on
-          runnable->push_back(f->tcb);
-        }
-        if (f->mode == LockMode::kExclusive) x_seen = true;
-      }
-      b->latch.Unlock();
+      Release(&s.locks, r, [runnable](CcRequest* f) {
+        Tcb* t = f->tcb;
+        hal::RaceCheck(&t->next_acq, sizeof(t->next_acq), /*is_write=*/true,
+                       "orthrus.tcb.next_acq");
+        t->next_acq++;  // past the lock it was parked on
+        runnable->push_back(t);
+      });
+      s.latch.Unlock();
     }
+  }
+
+  // Teardown only (no latches): locks still live, and the sum of the
+  // stripes' live-lock peaks, an upper bound on the table's own peak.
+  std::size_t LiveRaw() const ORTHRUS_NO_THREAD_SAFETY_ANALYSIS {
+    std::size_t n = 0;
+    for (const auto& s : stripes_) n += s->locks.used();
+    return n;
+  }
+  std::size_t HighWaterRaw() const ORTHRUS_NO_THREAD_SAFETY_ANALYSIS {
+    std::size_t n = 0;
+    for (const auto& s : stripes_) n += s->locks.high_water();
+    return n;
   }
 
  private:
-  struct alignas(kCacheLineSize) Bucket {
+  struct alignas(kCacheLineSize) Stripe {
+    explicit Stripe(std::size_t max_live) : locks(max_live) {}
     hal::SpinLock latch;
-    ScLock* chain ORTHRUS_GUARDED_BY(latch) = nullptr;
+    CcLockTable locks ORTHRUS_GUARDED_BY(latch);
   };
 
-  static std::size_t Hash(std::uint32_t table, std::uint64_t key) {
-    std::uint64_t h = (key ^ (static_cast<std::uint64_t>(table) << 56)) *
-                      0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
+  Stripe& StripeOf(std::uint32_t table, std::uint64_t key) {
+    return *stripes_[LockKeyMix(table, key) >> stripe_shift_];
   }
 
-  ScLock* FindOrCreate(Bucket* b, std::uint32_t table, std::uint64_t key)
-      ORTHRUS_REQUIRES(b->latch) {
-    for (ScLock* l = b->chain; l != nullptr; l = l->next_in_bucket) {
-      if (l->key == key && l->table == table) return l;
-    }
-    const int me = hal::CoreId();
-    ORTHRUS_CHECK_MSG(shard_next_[me] < shard_end_[me],
-                      "shared-CC lock-head shard exhausted");
-    ScLock* l = &head_pool_[shard_next_[me]++];
-    l->table = table;
-    l->key = key;
-    l->head = l->tail = nullptr;
-    l->queued_total = 0;
-    l->queued_x = 0;
-    l->next_in_bucket = b->chain;
-    b->chain = l;
-    return l;
-  }
-
-  static void Unlink(ScLock* lock, CcRequest* r) {
-    ORTHRUS_DCHECK(lock->queued_total > 0);
-    lock->queued_total--;
-    if (r->mode == LockMode::kExclusive) lock->queued_x--;
-    if (r->prev != nullptr) {
-      r->prev->next = r->next;
-    } else {
-      lock->head = r->next;
-    }
-    if (r->next != nullptr) {
-      r->next->prev = r->prev;
-    } else {
-      lock->tail = r->prev;
-    }
-    r->prev = r->next = nullptr;
-  }
-
-  std::size_t mask_;
-  std::unique_ptr<Bucket[]> buckets_;
-  std::vector<ScLock> head_pool_;
-  std::vector<std::size_t> shard_next_;
-  std::vector<std::size_t> shard_end_;
+  std::vector<std::unique_ptr<Stripe>> stripes_;
+  int stripe_shift_;  // 64 - log2(stripe count): the mix's top bits
 };
 
 // --------------------------------------------------------- shared state
@@ -418,28 +426,8 @@ class CcThread {
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       const Access& a = tcb->txn.accesses[i];
       hal::ConsumeCycles(kCcOpCycles);
-      CcLock* lock = locks_.FindOrInsert(a.table, a.key);
-      CcRequest* r = &tcb->inline_reqs[i];
-      r->tcb = tcb;
-      r->key = a.key;
-      r->table = a.table;
-      r->mode = a.mode;
-      // FIFO enqueue. An exclusive request is grantable only on an empty
-      // queue, a shared one while no exclusive request is queued.
-      const bool grantable = a.mode == LockMode::kExclusive
-                                 ? lock->head == nullptr
-                                 : lock->queued_x == 0;
-      r->next = nullptr;
-      r->prev = lock->tail;
-      if (lock->tail != nullptr) {
-        lock->tail->next = r;
-      } else {
-        lock->head = r;
-      }
-      lock->tail = r;
-      if (a.mode == LockMode::kExclusive) lock->queued_x++;
-      r->granted = grantable;
-      if (!grantable) {
+      if (!Enqueue(locks_.FindOrInsert(a.table, a.key), &tcb->inline_reqs[i],
+                   tcb, a)) {
         pending++;
         stats_->lock_waits++;
       }
@@ -490,8 +478,8 @@ class CcThread {
   }
 
   // Releases one stage's requests, granting unblocked followers and
-  // erasing locks left with no queued request. Each lock is found again by
-  // its (table, key): an earlier Erase may have moved it.
+  // erasing locks left with no queued request. A granted transaction's
+  // Advance only sends a message, so the table stays unchanged.
   void ReleaseStage(Tcb* tcb, const Stage& stage) {
     ORTHRUS_DCHECK(stage.part == cc_id_);
     // Concurrent releases of *other* stages are legal; these tags cover
@@ -500,56 +488,16 @@ class CcThread {
                    "orthrus.tcb.stages");
     RaceCheckRequests(tcb, stage);
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
-      CcRequest* r = &tcb->inline_reqs[i];
       hal::ConsumeCycles(kCcOpCycles);
-      CcLock* lock = locks_.Find(r->table, r->key);
-      ORTHRUS_DCHECK(lock != nullptr);
-      Unlink(lock, r);
-      if (lock->head == nullptr) {
-        locks_.Erase(lock);
-      } else {
-        GrantFollowers(lock);
-      }
-      ORTHRUS_DCHECK(held_ > 0);
-      held_--;
-    }
-  }
-
-  static void Unlink(CcLock* lock, CcRequest* r) {
-    ORTHRUS_DCHECK(lock->head != nullptr);
-    if (r->mode == LockMode::kExclusive) lock->queued_x--;
-    if (r->prev != nullptr) {
-      r->prev->next = r->next;
-    } else {
-      lock->head = r->next;
-    }
-    if (r->next != nullptr) {
-      r->next->prev = r->prev;
-    } else {
-      lock->tail = r->prev;
-    }
-    r->prev = r->next = nullptr;
-  }
-
-  // Grants the queue's newly compatible prefix. A granted transaction's
-  // Advance only sends a message, so the table, and `lock` with it, stays
-  // unchanged for the whole sweep.
-  void GrantFollowers(CcLock* lock) {
-    bool x_seen = false;
-    for (CcRequest* r = lock->head; r != nullptr; r = r->next) {
-      if (!r->granted) {
-        const bool grantable = r->mode == LockMode::kExclusive
-                                   ? r == lock->head
-                                   : !x_seen;
-        if (!grantable) break;
-        r->granted = true;
+      Release(&locks_, &tcb->inline_reqs[i], [this](CcRequest* r) {
         Tcb* t = r->tcb;
         hal::RaceCheck(&t->pending, sizeof(t->pending), /*is_write=*/true,
                        "orthrus.tcb.pending");
         ORTHRUS_DCHECK(t->pending > 0);
         if (--t->pending == 0) Advance(t);
-      }
-      if (r->mode == LockMode::kExclusive) x_seen = true;
+      });
+      ORTHRUS_DCHECK(held_ > 0);
+      held_--;
     }
   }
 
@@ -938,9 +886,7 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
 
   // ---- NUMA placement. Active only when the caller supplied a real
   // multi-socket topology; null or flat keeps every allocation and every
-  // worker->core assignment exactly as before (byte-identical runs). The
-  // shared-CC table opts out: it shards its latch state by hal::CoreId(),
-  // which a non-identity worker->core map would send out of range.
+  // worker->core assignment exactly as before (byte-identical runs).
   //
   // Policy (the paper's data-locality argument taken to the socket level):
   // group 0 = CC threads plus the log streams they feed, packed together
@@ -949,8 +895,7 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   // threads, filling the remaining cores socket-major, with each exec
   // thread's grant-queue rings and TCBs carved from its own node's arena.
   const hal::Topology* topo = options_.topology;
-  const bool placement =
-      topo != nullptr && !topo->flat() && !orthrus_.shared_cc_table;
+  const bool placement = topo != nullptr && !topo->flat();
   std::vector<int> core_of_worker;    // worker id -> core id
   std::vector<int> socket_of_worker;  // worker id -> modeled socket
   hal::NodeArenaSet arenas;  // outlives Shared: rings point into the slabs
@@ -973,15 +918,22 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.n_exec = n_exec;
   shared.wal = options_.wal;
   shared.forwarding = orthrus_.forwarding;
+
+  // Live-lock bound for every CC lock table: each in-flight transaction
+  // queues at most kMaxAccesses requests, all of which may land in one
+  // table.
+  const std::size_t inflight = static_cast<std::size_t>(orthrus_.max_inflight);
+  const std::size_t max_live_locks = static_cast<std::size_t>(n_exec) *
+                                     inflight *
+                                     static_cast<std::size_t>(kMaxAccesses);
   if (orthrus_.shared_cc_table) {
     shared.shared_cc =  // lint:allow-alloc setup
-        std::make_unique<SharedCcTable>(n_cc);
+        std::make_unique<SharedCcTable>(n_cc, max_live_locks);
   }
 
   // Queue capacities: provable upper bounds on outstanding messages per
   // pair, doubled for slack (Mesh::Send CHECK-fails if these are wrong).
   // A transaction has at most two messages outstanding on any one pair.
-  const std::size_t inflight = static_cast<std::size_t>(orthrus_.max_inflight);
   constexpr std::size_t per_txn_msgs = 2;
   const std::size_t aq_cap = NextPowerOfTwo(2 * inflight + 4);
   const std::size_t fq_cap = NextPowerOfTwo(
@@ -1025,13 +977,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   const runtime::DriverOptions dopts =
       MakeDriverOptions(options_, /*charge_admission=*/true);
 
-  // Live-lock bound for every CC lock table: each in-flight transaction
-  // queues at most kMaxAccesses requests, all of which may land in one
-  // table.
-  const std::size_t max_live_locks = static_cast<std::size_t>(n_exec) *
-                                     inflight *
-                                     static_cast<std::size_t>(kMaxAccesses);
-
   std::vector<std::unique_ptr<CcThread>> cc_threads;
   std::vector<std::unique_ptr<ExecThread>> exec_threads;
   for (int c = 0; c < n_cc; ++c) {
@@ -1071,10 +1016,16 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   }
 
   // Consistency: every queue fully drained. Every lock was released and
-  // erased: each CC thread checks its own table on exit.
+  // erased: each CC thread checks its own table on exit, and the shared
+  // table is checked here, where CC worker 0 also reports its peak.
   ORTHRUS_CHECK(shared.exec_to_cc.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.cc_to_cc.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.cc_to_exec.SizeRawTotal() == 0);
+  if (shared.shared_cc != nullptr) {
+    ORTHRUS_CHECK_MSG(shared.shared_cc->LiveRaw() == 0,
+                      "shared CC table holds live locks after the run");
+    pool.worker(0).stats.cc_live_locks_max = shared.shared_cc->HighWaterRaw();
+  }
 
   return pool.Finalize();
 }

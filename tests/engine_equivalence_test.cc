@@ -21,7 +21,6 @@
 #include "engine/deadlockfree/deadlockfree_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
-#include "engine/sharedcc/sharedcc_engine.h"
 #include "engine/twopl/twopl_engine.h"
 #include "hal/sim_platform.h"
 #include "workload/tpcc/tpcc_workload.h"
@@ -149,13 +148,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
-  {
-    // The fifth architecture: partition-latched lock shards, no dedicated
-    // CC threads, ordered acquisition — same committed multiset.
-    engine::SharedCcEngine eng(Options(kExecWorkers));
-    outcomes.emplace_back(eng.name(),
-                          RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
-  }
   // ORTHRUS variants: every message-passing configuration (forwarding
   // on/off, shared CC table) must agree with the
   // shared-everything engines. The clock-level pins are
@@ -192,11 +184,12 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
 
 // Mixed read/write stream, the mix `kv_hot_read90` runs natively: half the
 // transactions are read-only and take shared locks, in a queued lock
-// table (2PL wait-die), in partition-latched shards (sharedcc-everywhere)
-// and on ORTHRUS's CC threads. Every engine still commits exactly the
-// first K transactions of each worker's stream, and read-only
-// transactions write nothing, so the commit counts, the RMW counter sums
-// and the final table digests must all match.
+// table (2PL wait-die), in ORTHRUS's partitioned CC tables, and in its
+// latched shared table (Section 3.4), where ordered acquisition parks and
+// continues readers and writers across CC threads. Every engine still
+// commits exactly the first K transactions of each worker's stream, and
+// read-only transactions write nothing, so the commit counts, the RMW
+// counter sums and the final table digests must all match.
 TEST(EngineEquivalence, ReadMixMatchesAcrossLockingEngines) {
   workload::YcsbSpec spec = Spec();
   workload::KvConfig cfg = workload::MakeYcsbConfig(spec);
@@ -222,14 +215,11 @@ TEST(EngineEquivalence, ReadMixMatchesAcrossLockingEngines) {
                             engine::DeadlockPolicyKind::kWaitDie);
     outcomes.emplace_back(eng.name(), run_plain(&eng));
   }
-  {
-    engine::SharedCcEngine eng(Options(kExecWorkers));
-    outcomes.emplace_back(eng.name(), run_plain(&eng));
-  }
-  {
+  for (bool shared_cc : {false, true}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
+    oo.shared_cc_table = shared_cc;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     workload::KvWorkload fresh(cfg);
     storage::Database db;
@@ -357,15 +347,13 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kExecWorkers, kExecWorkers, 0));
   }
-  {
-    engine::SharedCcEngine eng(Options(kExecWorkers));
-    outcomes.emplace_back(eng.name(),
-                          RunTpcc(&eng, kExecWorkers, kExecWorkers, 0));
-  }
-  {
+  // ORTHRUS with partitioned CC tables and with the shared table (Section
+  // 3.4), whose ordered acquisition covers TPC-C's multi-table lock sets.
+  for (bool shared_cc : {false, true}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
+    oo.shared_cc_table = shared_cc;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
@@ -410,11 +398,6 @@ TEST(EngineEquivalence, FullMixSeededDeliveriesMatchAcrossEngines) {
   }
   {
     engine::DeadlockFreeEngine eng(Options(kExecWorkers));
-    outcomes.emplace_back(
-        eng.name(), RunTpccAt(&eng, kExecWorkers, kExecWorkers, 0, scale));
-  }
-  {
-    engine::SharedCcEngine eng(Options(kExecWorkers));
     outcomes.emplace_back(
         eng.name(), RunTpccAt(&eng, kExecWorkers, kExecWorkers, 0, scale));
   }
@@ -475,11 +458,6 @@ TEST(EngineEquivalence, ExhaustedDeliveryBacklogMatchesAcrossEngines) {
   }
   {
     engine::DeadlockFreeEngine eng(Options(kExecWorkers));
-    outcomes.emplace_back(
-        eng.name(), RunTpccAt(&eng, kExecWorkers, kExecWorkers, 0, scale));
-  }
-  {
-    engine::SharedCcEngine eng(Options(kExecWorkers));
     outcomes.emplace_back(
         eng.name(), RunTpccAt(&eng, kExecWorkers, kExecWorkers, 0, scale));
   }

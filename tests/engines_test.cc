@@ -9,7 +9,6 @@
 #include "engine/deadlockfree/deadlockfree_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
-#include "engine/sharedcc/sharedcc_engine.h"
 #include "engine/twopl/twopl_engine.h"
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
@@ -201,32 +200,6 @@ TEST_P(EnginesOnPlatform, PartitionedStorePctMultiMix) {
   RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 4);
 }
 
-// ------------------------------------------------- shared-CC everywhere
-
-TEST_P(EnginesOnPlatform, SharedCcEverywhereConserves) {
-  KvConfig c = SmallKv(4);
-  c.placement = KvConfig::Placement::kFixedCount;
-  c.partitions_per_txn = 3;  // every txn crosses partition-shard latches
-  KvWorkload wl(c);
-  engine::SharedCcEngine eng(SmallRun(4));
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 1);
-}
-
-TEST_P(EnginesOnPlatform, SharedCcEverywhereNeverAborts) {
-  KvConfig c = SmallKv(2);
-  c.hot_records = 8;  // extreme conflicts: FIFO waits, never deadlocks
-  KvWorkload wl(c);
-  engine::SharedCcEngine eng(SmallRun(4));
-  storage::Database db;
-  wl.Load(&db, 1);
-  auto platform = MakePlatform(GetParam().simulated, 4);
-  RunResult r = eng.Run(platform.get(), &db, wl);
-  EXPECT_GT(r.total.committed, 0u);
-  EXPECT_EQ(r.total.aborted, 0u);  // ordered acquisition
-  EXPECT_EQ(r.total.deadlocks, 0u);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
 // ---------------------------------------------------------------- ORTHRUS
 
 TEST_P(EnginesOnPlatform, OrthrusSinglePartitionTxns) {
@@ -364,19 +337,6 @@ TEST_P(EnginesOnPlatform, TpccOrthrus) {
   auto platform = MakePlatform(GetParam().simulated, 6);
   RunResult r = eng.Run(platform.get(), &db, wl);
   EXPECT_GT(r.total.committed, 0u);
-  CheckTpccInvariants(wl, db, r);
-}
-
-TEST_P(EnginesOnPlatform, TpccSharedCcEverywhere) {
-  workload::tpcc::TpccWorkload wl(SmallTpcc(4));
-  storage::Database db;
-  wl.Load(&db, 1);
-  db.partitioner().n = 2;  // two partition shards over four warehouses
-  engine::SharedCcEngine eng(SmallRun(4));
-  auto platform = MakePlatform(GetParam().simulated, 4);
-  RunResult r = eng.Run(platform.get(), &db, wl);
-  EXPECT_GT(r.total.committed, 0u);
-  EXPECT_EQ(r.total.deadlocks, 0u);
   CheckTpccInvariants(wl, db, r);
 }
 

@@ -146,7 +146,7 @@ TEST(SimNuma, LocalTransfersCheaperThanRemote) {
 
 // One small deterministic engine run; returns the digest-relevant tuple.
 std::tuple<std::uint64_t, std::uint64_t, hal::Cycles> EngineRun(
-    const hal::Topology* topo, int sockets) {
+    const hal::Topology* topo, int sockets, bool shared_cc = false) {
   KvConfig kv;
   kv.num_records = 4000;
   kv.hot_records = 16;
@@ -162,6 +162,7 @@ std::tuple<std::uint64_t, std::uint64_t, hal::Cycles> EngineRun(
   eo.topology = topo;
   OrthrusOptions oo;
   oo.num_cc = 2;
+  oo.shared_cc_table = shared_cc;
   OrthrusEngine eng(eo, oo);
   hal::SimConfig cfg;
   cfg.sockets = sockets;
@@ -184,13 +185,17 @@ TEST(SimNuma, FlatTopologyIsByteIdentical) {
 TEST(SimNuma, PlacementIsDeterministic) {
   // With two modeled sockets and a matching topology, runs repeat exactly
   // (placement must not introduce schedule nondeterminism), commits land,
-  // and effects conserve.
+  // and effects conserve — with partitioned CC tables and with the shared
+  // table (Section 3.4), whose CC threads run on placed cores.
   const hal::Topology topo = hal::Topology::Modeled(6, 2);
-  const auto a = EngineRun(&topo, 2);
-  const auto b = EngineRun(&topo, 2);
-  EXPECT_GT(std::get<0>(a), 0u);
-  EXPECT_EQ(std::get<1>(a), std::get<0>(a) * 10);
-  EXPECT_EQ(a, b);
+  for (bool shared_cc : {false, true}) {
+    SCOPED_TRACE(shared_cc ? "shared-cc" : "partitioned-cc");
+    const auto a = EngineRun(&topo, 2, shared_cc);
+    const auto b = EngineRun(&topo, 2, shared_cc);
+    EXPECT_GT(std::get<0>(a), 0u);
+    EXPECT_EQ(std::get<1>(a), std::get<0>(a) * 10);
+    EXPECT_EQ(a, b);
+  }
 }
 
 TEST(SlabArena, NativeNodeBindingAndHugePagesDegrade) {
@@ -238,26 +243,32 @@ TEST(Placement, NativePlacedMeshStress) {
   // Placement-homed per-pair rings under true concurrency: four CC
   // threads packed on socket 0 forward acquisition chains among
   // themselves while every exec thread sends across to them from
-  // socket 1 — the configuration the NUMA ablation leans on.
+  // socket 1 — the configuration the NUMA ablation leans on. The
+  // shared-table arm (Section 3.4) has the placed CC threads hand parked
+  // acquisitions to one another through the stripe latches instead.
   const hal::Topology topo = hal::Topology::Modeled(8, 2);
-  KvConfig kv;
-  kv.num_records = 8000;
-  kv.num_partitions = 4;
-  KvWorkload wl(kv);
-  storage::Database db;
-  wl.Load(&db, 1);
-  EngineOptions eo;
-  eo.num_cores = 8;
-  eo.duration_seconds = 0.05;
-  eo.topology = &topo;
-  OrthrusOptions oo;
-  oo.num_cc = 4;
-  OrthrusEngine eng(eo, oo);
-  hal::NativePlatform p(8);
-  p.SetPinThreads(true);
-  RunResult r = eng.Run(&p, &db, wl);
-  EXPECT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+  for (bool shared_cc : {false, true}) {
+    SCOPED_TRACE(shared_cc ? "shared-cc" : "partitioned-cc");
+    KvConfig kv;
+    kv.num_records = 8000;
+    kv.num_partitions = 4;
+    KvWorkload wl(kv);
+    storage::Database db;
+    wl.Load(&db, 1);
+    EngineOptions eo;
+    eo.num_cores = 8;
+    eo.duration_seconds = 0.05;
+    eo.topology = &topo;
+    OrthrusOptions oo;
+    oo.num_cc = 4;
+    oo.shared_cc_table = shared_cc;
+    OrthrusEngine eng(eo, oo);
+    hal::NativePlatform p(8);
+    p.SetPinThreads(true);
+    RunResult r = eng.Run(&p, &db, wl);
+    EXPECT_GT(r.total.committed, 0u);
+    EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+  }
 }
 
 }  // namespace

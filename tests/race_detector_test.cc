@@ -26,7 +26,6 @@
 #include "engine/deadlockfree/deadlockfree_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
-#include "engine/sharedcc/sharedcc_engine.h"
 #include "engine/twopl/twopl_engine.h"
 #include "hal/sim_platform.h"
 #include "wal/wal.h"
@@ -308,12 +307,6 @@ TEST(RaceClean, PartitionedStoreMultiPartition) {
   KvWorkload wl(c);
   engine::PartitionedEngine eng(SmallRun(4));
   RunKv(&eng, &wl, 4, 4, /*race_detect=*/true);
-}
-
-TEST(RaceClean, SharedCcEverywhereHighContention) {
-  KvWorkload wl(SmallKv(2));
-  engine::SharedCcEngine eng(SmallRun(4));
-  RunKv(&eng, &wl, 4, 1, /*race_detect=*/true);
 }
 
 TEST(RaceClean, OrthrusMultiPartitionChain) {

@@ -42,7 +42,6 @@
 #include "engine/deadlockfree/deadlockfree_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
-#include "engine/sharedcc/sharedcc_engine.h"
 #include "engine/twopl/twopl_engine.h"
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
@@ -147,16 +146,23 @@ std::vector<EngineCase> DurabilityEngines() {
          return std::make_unique<engine::PartitionedEngine>(o);
        }});
   cases.push_back(
-      {"sharedcc", kWorkers, kWorkers, 0, kWorkers,
-       [](const engine::EngineOptions& o) -> std::unique_ptr<engine::Engine> {
-         return std::make_unique<engine::SharedCcEngine>(o);
-       }});
-  cases.push_back(
       {"orthrus", kOrthrusCc + kWorkers, kOrthrusCc, kOrthrusCc, kWorkers,
        [](const engine::EngineOptions& o) -> std::unique_ptr<engine::Engine> {
          engine::OrthrusOptions oo;
          oo.num_cc = kOrthrusCc;
          oo.max_inflight = 1;
+         return std::make_unique<engine::OrthrusEngine>(o, oo);
+       }});
+  // Section 3.4's shared table: the stripes' latches hand parked
+  // acquisitions between CC threads while commits flow to the log.
+  cases.push_back(
+      {"orthrus-sharedcc", kOrthrusCc + kWorkers, kOrthrusCc, kOrthrusCc,
+       kWorkers,
+       [](const engine::EngineOptions& o) -> std::unique_ptr<engine::Engine> {
+         engine::OrthrusOptions oo;
+         oo.num_cc = kOrthrusCc;
+         oo.max_inflight = 1;
+         oo.shared_cc_table = true;
          return std::make_unique<engine::OrthrusEngine>(o, oo);
        }});
   return cases;

@@ -8,7 +8,7 @@ Enforces two contracts that neither the compiler nor clang-tidy checks:
    state must go through hal::Atomic / hal::SpinLock so the simulator
    charges coherence for it and the race detector sees the happens-before
    edge. A raw std::atomic works natively and silently disappears from both
-   models (this exact bug shipped once: SharedCcEngine's grant flag).
+   models (this exact bug shipped once, in a lock-grant flag).
    Escape: `// lint:allow-raw-atomic <why>` on the offending line or the
    line above it.
 
