@@ -87,7 +87,6 @@ inline engine::EngineOptions BenchOptions(int cores) {
   engine::EngineOptions o;
   o.num_cores = cores;
   o.duration_seconds = PointSeconds();
-  o.lock_buckets = 1 << 16;
   return o;
 }
 

@@ -98,7 +98,6 @@ BENCHMARK(BM_QueueMeshDrain)
 void BM_LockTableAcquireRelease(benchmark::State& state) {
   lock::LockTable::Config cfg;
   cfg.num_buckets = 1 << 12;
-  cfg.max_lock_heads = 1 << 16;
   cfg.max_workers = 1;
   lock::LockTable table(cfg);
   WorkerStats stats;

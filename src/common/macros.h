@@ -12,6 +12,11 @@ namespace orthrus {
 // coherence model.
 inline constexpr std::size_t kCacheLineSize = 64;
 
+// Keeps a read-only computation alive without storing its result. Storing
+// it in a member of a logic object that every worker shares would be a
+// data race, and would bounce that line between cores on every call.
+inline void KeepValue(std::uint64_t v) { asm volatile("" : : "r"(v)); }
+
 #define ORTHRUS_LIKELY(x) __builtin_expect(!!(x), 1)
 #define ORTHRUS_UNLIKELY(x) __builtin_expect(!!(x), 0)
 

@@ -21,6 +21,8 @@
 #define ORTHRUS_ENGINE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,10 +51,6 @@ struct EngineOptions {
   // Optional commit cap per worker (0 = unlimited); used by tests that want
   // bounded runs independent of timing.
   std::uint64_t max_txns_per_worker = 0;
-
-  // Lock-table sizing for the shared-everything engines.
-  std::uint64_t lock_buckets = 1 << 16;
-  std::uint64_t max_lock_heads = 1 << 22;
 
   // Seed for the runtime layer's per-worker RNG streams (backoff policies
   // and randomized strategies; the defaults never draw from them).
@@ -97,6 +95,23 @@ inline runtime::DriverOptions MakeDriverOptions(const EngineOptions& o,
   d.resume_committed = o.resume_committed;
   return d;
 }
+
+// Builds one transaction worker's strategy. Called on the setup thread,
+// once per worker and before any worker starts, so per-worker lock-table
+// registration needs no synchronization.
+using StrategyFactory =
+    std::function<std::unique_ptr<runtime::ExecutionStrategy>(
+        runtime::WorkerContext&)>;
+
+// The Run of the thread-per-transaction engines (2PL, deadlock-free,
+// partitioned): options.num_cores workers, each driving its own strategy
+// through runtime::TxnDriver, plus the WAL's logger cores when options.wal
+// is set. An engine supplies only its strategies and the shared state they
+// lock (a lock table and policy, or partition latches).
+RunResult RunThreadPerTxn(const EngineOptions& options,
+                          hal::Platform* platform, storage::Database* db,
+                          const workload::Workload& workload,
+                          const StrategyFactory& make_strategy);
 
 class Engine {
  public:

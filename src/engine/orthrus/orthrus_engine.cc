@@ -451,7 +451,11 @@ class CcThread {
 
   void ProcessAcquire(Tcb* tcb) {
     if (shared_->shared_cc != nullptr) {
-      if (shared_->shared_cc->ContinueAcquire(tcb)) SendGrant(tcb);
+      if (shared_->shared_cc->ContinueAcquire(tcb)) {
+        SendGrant(tcb);
+      } else {
+        stats_->lock_waits++;
+      }
       return;
     }
     if (AcquireStage(tcb)) Advance(tcb);
@@ -466,7 +470,11 @@ class CcThread {
       // Continue the transactions our release unblocked; any that complete
       // their lock set are handed to their execution threads.
       for (Tcb* t : runnable_) {
-        if (shared_->shared_cc->ContinueAcquire(t)) SendGrant(t);
+        if (shared_->shared_cc->ContinueAcquire(t)) {
+          SendGrant(t);
+        } else {
+          stats_->lock_waits++;
+        }
       }
       return;
     }

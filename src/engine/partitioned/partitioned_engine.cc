@@ -85,41 +85,11 @@ RunResult PartitionedEngine::Run(hal::Platform* platform,
     partition_locks.push_back(std::make_unique<hal::SpinLock>());
   }
 
-  const int loggers = options_.wal != nullptr ? options_.wal->loggers() : 0;
-  runtime::WorkerPool pool(platform, n + loggers, options_.duration_seconds,
-                           options_.rng_seed);
-  const runtime::DriverOptions dopts = MakeDriverOptions(options_);
-  for (int w = 0; w < n; ++w) {
-    pool.Spawn(w, [this, db, &workload, &partition_locks,
-                   &dopts](runtime::WorkerContext& ctx) {
-      std::unique_ptr<workload::TxnSource> source =
-          workload.MakeSource(ctx.worker_id);
-      PartitionedStrategy strategy(&partition_locks, db, &ctx.stats);
-      runtime::TxnDriver driver(dopts, db, source.get(), &strategy, &ctx);
-      std::unique_ptr<wal::Producer> producer;
-      if (options_.wal != nullptr) {
-        producer = std::make_unique<wal::Producer>(options_.wal,
-                                                   ctx.worker_id, &ctx);
-        strategy.set_wal(producer.get());
-        driver.set_wal(producer.get());
-      }
-      driver.Run();
-    });
-  }
-  for (int l = 0; l < loggers; ++l) {
-    const int w = n + l;
-    pool.AssignRole(w, runtime::WorkerRole::kLogger);
-    pool.Spawn(w, [this, l](runtime::WorkerContext& ctx) {
-      options_.wal->RunLogger(l, &ctx);
-    });
-  }
-
-  RunResult result = pool.Run();
-  if (options_.wal != nullptr) {
-    ORTHRUS_CHECK_MSG(options_.wal->MeshBacklogRaw() == 0,
-                      "wal fragments stranded in the mesh after shutdown");
-  }
-  return result;
+  auto make_strategy = [&](runtime::WorkerContext& w) {
+    return std::make_unique<PartitionedStrategy>(&partition_locks, db,
+                                                 &w.stats);
+  };
+  return RunThreadPerTxn(options_, platform, db, workload, make_strategy);
 }
 
 }  // namespace orthrus::engine

@@ -1,7 +1,5 @@
 #include "engine/twopl/twopl_engine.h"
 
-#include <vector>
-
 #include "runtime/locking_strategy.h"
 #include "wal/wal.h"
 
@@ -93,58 +91,16 @@ std::unique_ptr<lock::DeadlockPolicy> TwoPlEngine::MakePolicy() const {
 
 RunResult TwoPlEngine::Run(hal::Platform* platform, storage::Database* db,
                            const workload::Workload& workload) {
-  const int n = options_.num_cores;
-  const int loggers = options_.wal != nullptr ? options_.wal->loggers() : 0;
   lock::LockTable::Config lt_config;
-  lt_config.num_buckets = options_.lock_buckets;
-  lt_config.max_lock_heads = options_.max_lock_heads;
-  lt_config.max_workers = n;
+  lt_config.max_workers = options_.num_cores;
   lock::LockTable lock_table(lt_config);
-
-  runtime::WorkerPool pool(platform, n + loggers, options_.duration_seconds,
-                           options_.rng_seed);
   std::unique_ptr<lock::DeadlockPolicy> policy = MakePolicy();
-
-  // Worker contexts are registered up front (single-threaded) so no
-  // registration races exist at run time.
-  std::vector<lock::WorkerLockCtx*> ctxs(n);
-  for (int w = 0; w < n; ++w) {
-    ctxs[w] = lock_table.RegisterWorker(w, &pool.worker(w).stats);
-  }
-
-  const runtime::DriverOptions dopts = MakeDriverOptions(options_);
-  for (int w = 0; w < n; ++w) {
-    pool.Spawn(w, [this, db, &workload, &lock_table, &ctxs, &dopts,
-                   policy = policy.get()](runtime::WorkerContext& ctx) {
-      std::unique_ptr<workload::TxnSource> source =
-          workload.MakeSource(ctx.worker_id);
-      TwoPlStrategy strategy(&lock_table, ctxs[ctx.worker_id], policy, db,
-                             &ctx.stats);
-      runtime::TxnDriver driver(dopts, db, source.get(), &strategy, &ctx);
-      std::unique_ptr<wal::Producer> producer;
-      if (options_.wal != nullptr) {
-        producer = std::make_unique<wal::Producer>(options_.wal,
-                                                   ctx.worker_id, &ctx);
-        strategy.set_wal(producer.get());
-        driver.set_wal(producer.get());
-      }
-      driver.Run();
-    });
-  }
-  for (int l = 0; l < loggers; ++l) {
-    const int w = n + l;
-    pool.AssignRole(w, runtime::WorkerRole::kLogger);
-    pool.Spawn(w, [this, l](runtime::WorkerContext& ctx) {
-      options_.wal->RunLogger(l, &ctx);
-    });
-  }
-
-  RunResult result = pool.Run();
-  if (options_.wal != nullptr) {
-    ORTHRUS_CHECK_MSG(options_.wal->MeshBacklogRaw() == 0,
-                      "wal fragments stranded in the mesh after shutdown");
-  }
-  return result;
+  auto make_strategy = [&](runtime::WorkerContext& w) {
+    return std::make_unique<TwoPlStrategy>(
+        &lock_table, lock_table.RegisterWorker(w.worker_id, &w.stats),
+        policy.get(), db, &w.stats);
+  };
+  return RunThreadPerTxn(options_, platform, db, workload, make_strategy);
 }
 
 }  // namespace orthrus::engine

@@ -1,7 +1,7 @@
 // NUMA-aware slab allocator backing the engine's long-lived flat arrays:
-// table row slabs, LineRing blocks, lock-table buckets, and 512-aligned
-// TCBs. Carves line-aligned chunks out of mmap'd slabs; optionally binds
-// slabs to a NUMA node (raw mbind syscall, best effort) and requests 2 MB
+// table row slabs, LineRing blocks, and 512-aligned TCBs. Carves
+// line-aligned chunks out of mmap'd slabs; optionally binds slabs to a
+// NUMA node (raw mbind syscall, best effort) and requests 2 MB
 // huge pages (MAP_HUGETLB with a plain-page fallback).
 //
 // There is no per-object free: everything lives until the arena dies, which

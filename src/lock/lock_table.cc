@@ -6,25 +6,7 @@ LockTable::LockTable(Config config) : config_(config) {
   const std::uint64_t n = NextPowerOfTwo(config_.num_buckets);
   config_.num_buckets = n;
   bucket_mask_ = n - 1;
-  if (config_.arena != nullptr) {
-    buckets_ = config_.arena->AllocateArray<Bucket>(n);
-    head_pool_ =
-        config_.arena->AllocateArray<LockHead>(config_.max_lock_heads);
-  } else {
-    owned_buckets_ = std::make_unique<Bucket[]>(n);  // lint:allow-alloc setup
-    owned_head_pool_ =  // lint:allow-alloc setup
-        std::make_unique<LockHead[]>(config_.max_lock_heads);
-    buckets_ = owned_buckets_.get();
-    head_pool_ = owned_head_pool_.get();
-  }
-  if (config_.home_socket >= 0) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      buckets_[i].latch.SetHomeRaw(config_.home_socket);
-    }
-  }
-  heads_per_worker_ = config_.max_lock_heads /
-                      static_cast<std::uint64_t>(config_.max_workers);
-  ORTHRUS_CHECK(heads_per_worker_ >= 1);
+  buckets_ = std::make_unique<Bucket[]>(n);  // lint:allow-alloc setup
   workers_.resize(config_.max_workers);
 }
 
@@ -40,9 +22,6 @@ WorkerLockCtx* LockTable::RegisterWorker(int id, WorkerStats* stats) {
   ctx->worker_id = id;
   ctx->stats = stats;
   ctx->acquired.reserve(64);
-  ctx->head_shard = &head_pool_[static_cast<std::uint64_t>(id) *
-                                heads_per_worker_];
-  ctx->head_shard_left = heads_per_worker_;
   return ctx;
 }
 
@@ -57,21 +36,25 @@ LockTable::Bucket* LockTable::BucketFor(std::uint32_t table,
 LockHead* LockTable::FindOrCreateHead(WorkerLockCtx* ctx, Bucket* b,
                                       std::uint32_t table,
                                       std::uint64_t key) {
+  // The chain holds at most one head per (table, key): a vacant head takes
+  // a new key only after the whole chain was searched for that key.
+  LockHead* vacant = nullptr;
   for (LockHead* h = b->heads; h != nullptr; h = h->next_in_bucket) {
     if (h->key == key && h->table == table) return h;
+    if (vacant == nullptr && h->queued_total == 0) vacant = h;
   }
-  ORTHRUS_CHECK_MSG(ctx->head_shard_left > 0, "lock-head shard exhausted");
-  LockHead* h = ctx->head_shard++;
-  ctx->head_shard_left--;
-  h->table = table;
-  h->key = key;
-  h->queue_head = nullptr;
-  h->queue_tail = nullptr;
-  h->queued_total = 0;
-  h->queued_x = 0;
-  h->next_in_bucket = b->heads;
-  b->heads = h;
-  return h;
+  if (vacant == nullptr) {
+    // Cold path: the bucket has more live locks than ever before. Bounded
+    // by the bucket's peak number of simultaneously live locks.
+    // lint:allow-alloc cold path: chain growth, bounded by peak live locks
+    ctx->owned_heads.push_back(std::make_unique<LockHead>());
+    vacant = ctx->owned_heads.back().get();
+    vacant->next_in_bucket = b->heads;
+    b->heads = vacant;
+  }
+  vacant->table = table;
+  vacant->key = key;
+  return vacant;
 }
 
 bool LockTable::NoConflictAhead(const Request* req) const {
@@ -275,12 +258,12 @@ bool DeadlockPolicy::WaitForGrant(WorkerLockCtx* /*me*/, Request* req,
   return true;
 }
 
-std::uint64_t LockTable::lock_heads_in_use() const {
-  std::uint64_t used = 0;
+std::uint64_t LockTable::lock_heads_allocated() const {
+  std::uint64_t n = 0;
   for (const auto& w : workers_) {
-    if (w != nullptr) used += heads_per_worker_ - w->head_shard_left;
+    if (w != nullptr) n += w->owned_heads.size();
   }
-  return used;
+  return n;
 }
 
 }  // namespace orthrus::lock

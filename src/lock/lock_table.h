@@ -4,8 +4,11 @@
 //  * a hash table of lock-request lists with **per-bucket latches** (no
 //    global latch, no intention locks — only record-grained logical locks);
 //  * **no memory allocator interaction** on the hot path: request nodes come
-//    from per-worker freelists, lock heads from a pre-sized pool with a bump
-//    allocator, and both are recycled for the whole run;
+//    from per-worker freelists, and a lock head whose queue empties stays in
+//    its bucket chain for the next key that hashes there. A worker allocates
+//    only when its free list or a bucket's chain runs dry (cold-path growth),
+//    so a chain holds at most its bucket's peak number of live locks, however
+//    long the run and however many keys it touches;
 //  * strict FIFO grant order per lock (no bypassing), which gives
 //    starvation freedom and, combined with ordered acquisition, deadlock
 //    freedom for the Deadlock-free baseline.
@@ -24,7 +27,6 @@
 #include "common/macros.h"
 #include "common/stats.h"
 #include "hal/hal.h"
-#include "hal/slab_arena.h"
 #include "txn/txn.h"
 
 namespace orthrus::lock {
@@ -40,7 +42,7 @@ class DeadlockPolicy;
 // workers read the digest / waits-for fields while this worker waits).
 struct WorkerLockCtx {
   WorkerLockCtx() = default;
-  // Out-of-line: owned_requests needs the complete Request type to delete.
+  // Out-of-line: the owned nodes need their complete types to delete.
   ~WorkerLockCtx();
 
   WorkerLockCtx(const WorkerLockCtx&) = delete;
@@ -74,11 +76,9 @@ struct WorkerLockCtx {
   Request* free_requests = nullptr;
   std::vector<std::unique_ptr<Request>> owned_requests;
 
-  // Private shard of the lock-head pool (bump allocation, no sync): the
-  // paper's "never interacts with a memory allocator" rule — a shared bump
-  // counter would itself become a contended line.
-  LockHead* head_shard = nullptr;
-  std::uint64_t head_shard_left = 0;
+  // Lock heads this worker allocated. They live in bucket chains and serve
+  // every worker; the owner only frees them at teardown.
+  std::vector<std::unique_ptr<LockHead>> owned_heads;
 
   // While blocked: the request being waited on and the nearest conflicting
   // blocker's context (advisory; may go stale and is refreshed during the
@@ -99,8 +99,11 @@ struct Request {
   hal::Atomic<std::uint32_t> granted{0};
 };
 
-// Lock state for one (table, key). Lives for the whole run once created
-// (lock heads are recycled, never freed, so no cross-worker deallocation).
+// Lock state for one (table, key), or vacant (queued_total == 0). A vacant
+// head stays in its bucket chain and takes the next key that hashes to its
+// bucket, so (table, key) only changes under the bucket latch while no
+// request is queued. Anyone holding a queued request on a head may read its
+// (table, key) without the latch.
 struct LockHead {
   std::uint32_t table = 0;
   std::uint64_t key = 0;
@@ -117,8 +120,7 @@ struct LockHead {
 class LockTable {
  public:
   struct Config {
-    std::uint64_t num_buckets = 1 << 16;     // rounded up to a power of two
-    std::uint64_t max_lock_heads = 1 << 22;  // pool size
+    std::uint64_t num_buckets = 1 << 16;  // rounded up to a power of two
     int max_workers = 128;
     // Fixed CPU work per acquire/release. Includes the instruction- and
     // data-cache refetches a worker pays because lock-manager code and
@@ -131,13 +133,6 @@ class LockTable {
     // data-movement overhead of Section 2.1, and it makes latch hold times
     // grow with contention (the feedback loop behind Figure 1's collapse).
     hal::Cycles node_touch_cycles = 40;
-    // Arena backing the bucket array and lock-head pool (NUMA node binding;
-    // both types are trivially destructible, so the arena's no-free model
-    // fits). Must outlive the table. Null keeps owned heap arrays.
-    hal::SlabArena* arena = nullptr;
-    // Modeled socket the bucket latch lines live on (-1 = unplaced); only a
-    // multi-socket SimConfig consults it.
-    int home_socket = -1;
   };
 
   enum class AcquireResult {
@@ -181,7 +176,9 @@ class LockTable {
   void RefreshBlocker(WorkerLockCtx* ctx);
 
   const Config& config() const { return config_; }
-  std::uint64_t lock_heads_in_use() const;
+  // Lock heads allocated by all workers so far. Reads every worker's
+  // context: call only while no worker runs.
+  std::uint64_t lock_heads_allocated() const;
 
  private:
   struct alignas(kCacheLineSize) Bucket {
@@ -190,8 +187,8 @@ class LockTable {
   };
 
   Bucket* BucketFor(std::uint32_t table, std::uint64_t key);
-  // Finds or creates the lock head (allocating from ctx's pool shard);
-  // bucket latch must be held.
+  // Finds the key's lock head, else relabels the chain's first vacant head,
+  // else allocates one into ctx; bucket latch must be held.
   LockHead* FindOrCreateHead(WorkerLockCtx* ctx, Bucket* b,
                              std::uint32_t table, std::uint64_t key)
       ORTHRUS_REQUIRES(b->latch);
@@ -212,11 +209,7 @@ class LockTable {
 
   Config config_;
   std::uint64_t bucket_mask_;
-  std::unique_ptr<Bucket[]> owned_buckets_;     // heap fallback (no arena)
-  std::unique_ptr<LockHead[]> owned_head_pool_;
-  Bucket* buckets_ = nullptr;
-  LockHead* head_pool_ = nullptr;
-  std::uint64_t heads_per_worker_ = 0;
+  std::unique_ptr<Bucket[]> buckets_;
   std::vector<std::unique_ptr<WorkerLockCtx>> workers_;
 };
 

@@ -178,11 +178,14 @@ class TxnDriver {
 
   TxnAdmission& admission() { return admission_; }
 
-  // Durability attachment (also set it on the strategy): the driver polls
-  // the producer each iteration, gates admission on arena space and the
-  // pending pipeline, defers commit accounting to the group-commit ack,
+  // Durability attachment, for the driver and its strategy: the driver
+  // polls the producer each iteration, gates admission on arena space and
+  // the pending pipeline, defers commit accounting to the group-commit ack,
   // and drains + retires the producer before returning.
-  void set_wal(wal::Producer* w) { wal_ = w; }
+  void set_wal(wal::Producer* w) {
+    wal_ = w;
+    strategy_->set_wal(w);
+  }
 
  private:
   TxnAdmission admission_;

@@ -80,13 +80,9 @@ class KvWorkload::ReadLogic final : public txn::TxnLogic {
                      "kv.row");
       sink ^= row[1];
     }
-    // Keep the reads observable.
-    sink_ = sink;
+    KeepValue(sink);
     return true;
   }
-
- private:
-  std::uint64_t sink_ = 0;
 };
 
 // --------------------------------------------------------------- source

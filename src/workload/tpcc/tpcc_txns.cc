@@ -303,7 +303,7 @@ class OrderStatusLogic final : public txn::TxnLogic {
         break;
       }
     }
-    sink_ = sink;
+    KeepValue(sink);
 
     TpccTallies::Tally& tally = aux_->tallies.per_core[hal::CoreId() & 127];
     tally.order_statuses++;
@@ -312,7 +312,6 @@ class OrderStatusLogic final : public txn::TxnLogic {
 
  private:
   TpccAux* aux_;
-  std::uint64_t sink_ = 0;
 };
 
 // Delivery (extension): processes the oldest undelivered order of each of

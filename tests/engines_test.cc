@@ -48,7 +48,6 @@ EngineOptions SmallRun(int cores) {
   o.num_cores = cores;
   o.duration_seconds = 0.05;    // generous deadline; the txn cap binds first
   o.max_txns_per_worker = 150;
-  o.lock_buckets = 1 << 12;
   return o;
 }
 

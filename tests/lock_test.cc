@@ -14,10 +14,9 @@ namespace {
 
 using txn::LockMode;
 
-lock::LockTable::Config SmallConfig() {
+LockTable::Config SmallConfig() {
   LockTable::Config c;
   c.num_buckets = 256;
-  c.max_lock_heads = 4096;
   c.max_workers = 8;
   return c;
 }
@@ -90,7 +89,7 @@ TEST_F(LockTableBasic, LockHeadsAreReused) {
               LockTable::AcquireResult::kGranted);
     table_.ReleaseAll(ctx_[0]);
   }
-  EXPECT_EQ(table_.lock_heads_in_use(), 1u);
+  EXPECT_EQ(table_.lock_heads_allocated(), 1u);
 }
 
 // --- wait-die decision rules (single-threaded: we inspect the immediate
@@ -301,24 +300,10 @@ TEST(LockTableNative, WaitDieStressEventuallyAllCommit) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(commits[i], 300u);
 }
 
-}  // namespace
-}  // namespace orthrus::lock
-
-namespace orthrus::lock {
-namespace {
-
 // --- Additional edge cases -------------------------------------------
 
-LockTable::Config EdgeConfig() {
-  LockTable::Config c;
-  c.num_buckets = 256;
-  c.max_lock_heads = 4096;
-  c.max_workers = 8;
-  return c;
-}
-
 TEST(LockTableEdge, SingleWorkerReacquiresFreely) {
-  LockTable table(EdgeConfig());
+  LockTable table(SmallConfig());
   WorkerStats stats;
   hal::SimPlatform sim(1);
   WorkerLockCtx* ctx = table.RegisterWorker(0, &stats);
@@ -337,7 +322,7 @@ TEST(LockTableEdge, DreadlocksDigestResetBetweenTransactions) {
   // After a wait ends, the published digest must collapse back to the
   // worker's own bit — stale closure bits would seed false positives in
   // later transactions.
-  LockTable table(EdgeConfig());
+  LockTable table(SmallConfig());
   WorkerStats stats[2];
   hal::SimPlatform sim(2);
   WorkerLockCtx* c0 = table.RegisterWorker(0, &stats[0]);
@@ -363,7 +348,7 @@ TEST(LockTableEdge, DreadlocksDigestResetBetweenTransactions) {
 }
 
 TEST(LockTableEdge, WaitForGraphEdgeClearedAfterGrant) {
-  LockTable table(EdgeConfig());
+  LockTable table(SmallConfig());
   WorkerStats stats[2];
   hal::SimPlatform sim(2);
   WorkerLockCtx* c0 = table.RegisterWorker(0, &stats[0]);
@@ -389,7 +374,7 @@ TEST(LockTableEdge, WaitForGraphEdgeClearedAfterGrant) {
 TEST(LockTableEdge, QueueCountersBalanceAfterChurn) {
   // Grant/abort/release churn must leave every queue empty: re-acquiring
   // exclusively must succeed instantly for every key touched.
-  LockTable table(EdgeConfig());
+  LockTable table(SmallConfig());
   WorkerStats stats[3];
   hal::SimPlatform sim(3);
   WorkerLockCtx* ctx[3];
@@ -430,6 +415,116 @@ TEST(LockTableEdge, QueueCountersBalanceAfterChurn) {
   });
   sim2.Run();
   EXPECT_EQ(post.lock_waits, 0u);
+}
+
+TEST(LockTableEdge, VacantHeadServesNextKeyInBucket) {
+  // One bucket: every key shares a chain. A head whose queue emptied takes
+  // the next key, so the chain grows only with locks live at the same time.
+  LockTable::Config c = SmallConfig();
+  c.num_buckets = 1;
+  LockTable table(c);
+  WorkerStats stats[2];
+  WorkerLockCtx* a = table.RegisterWorker(0, &stats[0]);
+  WorkerLockCtx* b = table.RegisterWorker(1, &stats[1]);
+  for (std::uint64_t key = 0; key < 100; ++key) {
+    ASSERT_EQ(table.Acquire(a, 1, key, LockMode::kExclusive, nullptr),
+              LockTable::AcquireResult::kGranted);
+    table.ReleaseAll(a);
+  }
+  EXPECT_EQ(table.lock_heads_allocated(), 1u);
+  // Two live locks need two heads; a live head is never relabeled, so the
+  // holder of key 1 still blocks a second request for it.
+  ASSERT_EQ(table.Acquire(a, 1, 1, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  ASSERT_EQ(table.Acquire(b, 1, 2, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  EXPECT_EQ(table.lock_heads_allocated(), 2u);
+  table.ReleaseAll(b);
+  ASSERT_EQ(table.Acquire(b, 1, 3, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  EXPECT_EQ(table.Acquire(b, 1, 1, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kWaiting);
+  EXPECT_EQ(table.lock_heads_allocated(), 2u);
+}
+
+TEST(LockTableEdge, LockHeadsStayBoundedOverManyKeys) {
+  // Every transaction takes two keys no earlier one took, then two keys of
+  // a four-key hot set, where wait-die kills the younger of two rivals.
+  // Heads are kept only for live or vacated locks, so the table grows with
+  // the locks live at once, not with the keys a run touches.
+  constexpr int kWorkers = 3;
+  constexpr int kRounds = 2000;
+  constexpr std::uint64_t kKeysPerTxn = 4;
+  constexpr std::uint64_t kHotKeys = 4;
+  LockTable::Config c = SmallConfig();
+  c.num_buckets = 16;
+  LockTable table(c);
+  WorkerStats stats[kWorkers];
+  hal::SimPlatform sim(kWorkers);
+  WorkerLockCtx* ctx[kWorkers];
+  for (int i = 0; i < kWorkers; ++i) {
+    ctx[i] = table.RegisterWorker(i, &stats[i]);
+  }
+  WaitDiePolicy policy;
+  int aborts = 0;
+  for (int i = 0; i < kWorkers; ++i) {
+    sim.Spawn(i, [&, i] {
+      std::uint64_t ts = i + 1;
+      for (int round = 0; round < kRounds; ++round) {
+        ctx[i]->txn_timestamp = ts;
+        const std::uint64_t r = static_cast<std::uint64_t>(round);
+        const std::uint64_t fresh =
+            kHotKeys + 2 * (r * kWorkers + static_cast<std::uint64_t>(i));
+        bool ok = true;
+        for (std::uint64_t key :
+             {fresh, fresh + 1, r % kHotKeys, (r + 1) % kHotKeys}) {
+          auto res = table.Acquire(ctx[i], 1, key, LockMode::kExclusive,
+                                   &policy);
+          if (res == LockTable::AcquireResult::kDie ||
+              (res == LockTable::AcquireResult::kWaiting &&
+               !table.Wait(ctx[i], &policy))) {
+            ok = false;
+            break;
+          }
+        }
+        hal::ConsumeCycles(200);  // hold the locks for the "logic"
+        table.ReleaseAll(ctx[i]);
+        if (ok) {
+          ts += kWorkers;
+        } else {
+          aborts++;
+        }
+      }
+    });
+  }
+  sim.Run();
+  EXPECT_GT(aborts, 0);
+
+  // A bucket's chain never holds more heads than its peak of locks live at
+  // once, and no more than kWorkers * kKeysPerTxn are ever live.
+  const std::uint64_t keys_touched =
+      kHotKeys + 2ull * kWorkers * static_cast<std::uint64_t>(kRounds);
+  const std::uint64_t heads = table.lock_heads_allocated();
+  const std::uint64_t bound = c.num_buckets * kWorkers * kKeysPerTxn;
+  EXPECT_GT(heads, 0u);
+  EXPECT_LE(heads, bound);
+  EXPECT_GE(keys_touched, 10 * bound);
+
+  // Every queue drained: each key touched is granted at once, and a drained
+  // table serves all of them from the heads it already has.
+  WorkerStats post;
+  WorkerLockCtx* probe = table.RegisterWorker(kWorkers, &post);
+  hal::SimPlatform sim2(1);
+  sim2.Spawn(0, [&] {
+    for (std::uint64_t key = 0; key < keys_touched; ++key) {
+      EXPECT_EQ(table.Acquire(probe, 1, key, LockMode::kExclusive, nullptr),
+                LockTable::AcquireResult::kGranted);
+      table.ReleaseAll(probe);
+    }
+  });
+  sim2.Run();
+  EXPECT_EQ(post.lock_waits, 0u);
+  EXPECT_EQ(table.lock_heads_allocated(), heads);
 }
 
 }  // namespace

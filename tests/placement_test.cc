@@ -158,7 +158,6 @@ std::tuple<std::uint64_t, std::uint64_t, hal::Cycles> EngineRun(
   eo.num_cores = 6;
   eo.duration_seconds = 0.05;
   eo.max_txns_per_worker = 120;
-  eo.lock_buckets = 1 << 12;
   eo.topology = topo;
   OrthrusOptions oo;
   oo.num_cc = 2;

@@ -116,7 +116,6 @@ TEST_P(ConservationProperty, NoLostOrPhantomUpdates) {
   options.num_cores = kCores;
   options.duration_seconds = 0.05;
   options.max_txns_per_worker = 80;
-  options.lock_buckets = 1 << 12;
 
   auto eng = MakeEngine(c.engine, options);
   hal::SimPlatform sim(kCores);

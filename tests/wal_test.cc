@@ -460,7 +460,6 @@ TEST(WalOrthrus, TimeBoundRunReplaysToTheLiveState) {
   engine::EngineOptions o;
   o.num_cores = 8;
   o.duration_seconds = 0.004;
-  o.lock_buckets = 1 << 12;
   o.wal = &log;
   engine::OrthrusEngine eng(o, oo);
   hal::SimPlatform sim(8 + log.loggers());
@@ -621,7 +620,6 @@ TEST(WalOrthrus, CrashPointsRecoverWholePairs) {
   o.num_cores = 8;
   o.duration_seconds = 0.05;
   o.max_txns_per_worker = 150;
-  o.lock_buckets = 1 << 10;
   o.wal = &log;
   engine::OrthrusEngine eng(o, oo);
   hal::SimPlatform sim(8 + log.loggers());
@@ -786,7 +784,6 @@ TEST(WalNative, OrthrusDurableOnNativeThreads) {
     engine::EngineOptions o;
     o.num_cores = 6;
     o.duration_seconds = secs;  // wall seconds on the native platform
-    o.lock_buckets = 1 << 12;
     o.wal = &log;
     engine::OrthrusEngine eng(o, oo);
     hal::NativePlatform p(6 + log.loggers());
