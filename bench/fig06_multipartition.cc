@@ -51,7 +51,6 @@ int main() {
       workload::KvWorkload wl(kv_for(kCc, false, std::min(k, kCc)));
       engine::OrthrusOptions oo;
       oo.num_cc = kCc;
-      oo.split_index = true;
       engine::OrthrusEngine eng(BenchOptions(kCores), oo);
       RunResult r = RunPoint(&eng, &wl, kCores, kCc);
       tputs.push_back(r.Throughput());
@@ -74,8 +73,7 @@ int main() {
     std::vector<double> tputs;
     for (int k : parts_per_txn) {
       workload::KvWorkload wl(kv_for(kCores, false, k));
-      engine::DeadlockFreeEngine eng(BenchOptions(kCores),
-                                     /*split_index=*/true);
+      engine::DeadlockFreeEngine eng(BenchOptions(kCores));
       RunResult r = RunPoint(&eng, &wl, kCores, kCores);
       tputs.push_back(r.Throughput());
     }

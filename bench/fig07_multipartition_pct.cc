@@ -48,7 +48,6 @@ int main() {
       workload::KvWorkload wl(kv_for(kCc, false, pct));
       engine::OrthrusOptions oo;
       oo.num_cc = kCc;
-      oo.split_index = true;
       engine::OrthrusEngine eng(BenchOptions(kCores), oo);
       tputs.push_back(RunPoint(&eng, &wl, kCores, kCc).Throughput());
     }
@@ -69,8 +68,7 @@ int main() {
     std::vector<double> tputs;
     for (int pct : pct_multi) {
       workload::KvWorkload wl(kv_for(kCores, false, pct));
-      engine::DeadlockFreeEngine eng(BenchOptions(kCores),
-                                     /*split_index=*/true);
+      engine::DeadlockFreeEngine eng(BenchOptions(kCores));
       tputs.push_back(RunPoint(&eng, &wl, kCores, kCores).Throughput());
     }
     PrintRow("split-deadlock-free", tputs);

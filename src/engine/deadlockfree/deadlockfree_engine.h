@@ -6,8 +6,8 @@
 // deadlock-handling logic runs at all — isolating the cost of deadlock
 // handling from the cost of lock management itself.
 //
-// With `split_index` the engine uses physically partitioned indexes
-// ("Split Deadlock-free", Section 4.3) to isolate cache-locality effects.
+// "Split Deadlock-free" (Section 4.3) is this engine over a database loaded
+// with physically partitioned indexes (Workload::Load's partition count).
 #ifndef ORTHRUS_ENGINE_DEADLOCKFREE_DEADLOCKFREE_ENGINE_H_
 #define ORTHRUS_ENGINE_DEADLOCKFREE_DEADLOCKFREE_ENGINE_H_
 
@@ -18,20 +18,14 @@ namespace orthrus::engine {
 
 class DeadlockFreeEngine final : public Engine {
  public:
-  explicit DeadlockFreeEngine(EngineOptions options, bool split_index = false)
-      : options_(options), split_index_(split_index) {}
+  explicit DeadlockFreeEngine(EngineOptions options) : options_(options) {}
 
   RunResult Run(hal::Platform* platform, storage::Database* db,
                 const workload::Workload& workload) override;
-  std::string name() const override {
-    return split_index_ ? "split-deadlock-free" : "deadlock-free";
-  }
-
-  bool split_index() const { return split_index_; }
+  std::string name() const override { return "deadlock-free"; }
 
  private:
   EngineOptions options_;
-  bool split_index_;
 };
 
 }  // namespace orthrus::engine

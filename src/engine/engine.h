@@ -28,7 +28,6 @@
 
 #include "common/stats.h"
 #include "hal/hal.h"
-#include "hal/topology.h"
 #include "runtime/txn_driver.h"
 #include "runtime/worker_pool.h"
 #include "storage/database.h"
@@ -75,14 +74,6 @@ struct EngineOptions {
   // count against max_txns_per_worker, and the caller's TxnSource must
   // skip the same prefix per worker. See wal::RecoveryResult.
   const std::vector<std::uint64_t>* resume_committed = nullptr;
-
-  // Socket/core topology for NUMA-aware placement (hal::Topology). Null or
-  // flat (num_sockets() <= 1) = placement off: workers run on their
-  // identity cores and nothing is arena-placed, byte-identical to a build
-  // without the subsystem. Multi-socket: engines that support placement
-  // co-locate CC threads with the lock partitions and log streams they own
-  // and put exec threads' mesh rings on their home node. Not owned.
-  const hal::Topology* topology = nullptr;
 };
 
 // Maps the engine-level options onto the runtime layer's driver knobs.

@@ -8,8 +8,6 @@
 #include "engine/orthrus/cc_lock_table.h"
 #include "engine/orthrus/stages.h"
 #include "hal/hal.h"
-#include "hal/slab_arena.h"
-#include "hal/topology.h"
 #include "mp/queue_mesh.h"
 #include "txn/ollp.h"
 #include "wal/wal.h"
@@ -550,27 +548,10 @@ class CcThread {
 
 class ExecThread {
  public:
-  // TCBs are address-stable for the run and non-trivially destructible
-  // (Txn holds vectors), so arena-placed ones are destroyed in place while
-  // the arena keeps the storage; heap ones delete normally.
-  struct TcbDeleter {
-    bool in_arena = false;
-    void operator()(Tcb* t) const {
-      if (in_arena) {
-        t->~Tcb();
-      } else {
-        delete t;
-      }
-    }
-  };
-
-  // `arena`, when non-null, places this thread's 512-aligned TCBs on its
-  // home node (NUMA placement; see Run). Null keeps heap TCBs.
   ExecThread(int exec_id, Shared* shared, storage::Database* db,
              const workload::Workload& workload,
              runtime::WorkerContext* worker,
-             const runtime::DriverOptions& driver_options, int max_inflight,
-             hal::SlabArena* arena = nullptr)
+             const runtime::DriverOptions& driver_options, int max_inflight)
       : exec_id_(exec_id),
         shared_(shared),
         db_(db),
@@ -581,10 +562,7 @@ class ExecThread {
     tcbs_.reserve(static_cast<std::size_t>(max_inflight));
     for (int i = 0; i < max_inflight; ++i) {
       // lint:allow-alloc setup: in-flight window built before the run
-      Tcb* t = arena != nullptr
-                   ? new (arena->Allocate(sizeof(Tcb), alignof(Tcb))) Tcb()
-                   : new Tcb();  // lint:allow-alloc setup
-      tcbs_.emplace_back(t, TcbDeleter{arena != nullptr});
+      Tcb* t = tcbs_.emplace_back(std::make_unique<Tcb>()).get();
       t->exec_id = exec_id_;
       t->slot = i;
       free_slots_.push_back(i);
@@ -832,7 +810,7 @@ class ExecThread {
   WorkerStats* stats_;
   std::unique_ptr<workload::TxnSource> source_;
   runtime::TxnAdmission admission_;
-  std::vector<std::unique_ptr<Tcb, TcbDeleter>> tcbs_;
+  std::vector<std::unique_ptr<Tcb>> tcbs_;
   std::vector<int> free_slots_;
   int inflight_ = 0;
   // Dispatch's sort buffer: accesses paired with their partitions.
@@ -859,7 +837,7 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
 }
 
 std::string OrthrusEngine::name() const {
-  std::string n = orthrus_.split_index ? "split-orthrus" : "orthrus";
+  std::string n = "orthrus";
   if (!orthrus_.forwarding) n += "-nofwd";
   if (orthrus_.shared_cc_table) n += "-sharedcc";
   return n;
@@ -892,35 +870,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
         "arena_records >= (max_inflight + 1) * kMaxTxnFragments");
   }
 
-  // ---- NUMA placement. Active only when the caller supplied a real
-  // multi-socket topology; null or flat keeps every allocation and every
-  // worker->core assignment exactly as before (byte-identical runs).
-  //
-  // Policy (the paper's data-locality argument taken to the socket level):
-  // group 0 = CC threads plus the log streams they feed, packed together
-  // on socket 0 so the lock partitions, the CC-side mesh rings, and the
-  // CC<->CC forwarding chains never cross the interconnect; group 1 = exec
-  // threads, filling the remaining cores socket-major, with each exec
-  // thread's grant-queue rings and TCBs carved from its own node's arena.
-  const hal::Topology* topo = options_.topology;
-  const bool placement = topo != nullptr && !topo->flat();
-  std::vector<int> core_of_worker;    // worker id -> core id
-  std::vector<int> socket_of_worker;  // worker id -> modeled socket
-  hal::NodeArenaSet arenas;  // outlives Shared: rings point into the slabs
-  if (placement) {
-    std::vector<std::vector<int>> groups(2);
-    for (int c = 0; c < n_cc; ++c) groups[0].push_back(c);
-    for (int l = 0; l < loggers; ++l) {
-      groups[0].push_back(options_.num_cores + l);
-    }
-    for (int e = 0; e < n_exec; ++e) groups[1].push_back(n_cc + e);
-    core_of_worker = topo->PackGroups(groups);
-    socket_of_worker.resize(core_of_worker.size());
-    for (std::size_t w = 0; w < core_of_worker.size(); ++w) {
-      socket_of_worker[w] = topo->SocketOf(core_of_worker[w]);
-    }
-  }
-
   Shared shared;
   shared.n_cc = n_cc;
   shared.n_exec = n_exec;
@@ -949,26 +898,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   const std::size_t gq_cap =
       NextPowerOfTwo(per_txn_msgs * inflight + 4);
 
-  // Per-receiver ring placement: a receiver's rings live on its node. The
-  // vectors stay empty (and the meshes get null) when placement is off.
-  std::vector<Mesh::ReceiverPlacement> cc_recv;
-  std::vector<Mesh::ReceiverPlacement> exec_recv;
-  if (placement) {
-    for (int c = 0; c < n_cc; ++c) {
-      const int s = socket_of_worker[static_cast<std::size_t>(c)];
-      cc_recv.push_back({arenas.ForNode(s), s});
-    }
-    for (int e = 0; e < n_exec; ++e) {
-      const int s = socket_of_worker[static_cast<std::size_t>(n_cc + e)];
-      exec_recv.push_back({arenas.ForNode(s), s});
-    }
-  }
-
-  shared.exec_to_cc.Reset(n_exec, n_cc, aq_cap,
-                          placement ? &cc_recv : nullptr);
-  shared.cc_to_cc.Reset(n_cc, n_cc, fq_cap, placement ? &cc_recv : nullptr);
-  shared.cc_to_exec.Reset(n_cc, n_exec, gq_cap,
-                          placement ? &exec_recv : nullptr);
+  shared.exec_to_cc.Reset(n_exec, n_cc, aq_cap);
+  shared.cc_to_cc.Reset(n_cc, n_cc, fq_cap);
+  shared.cc_to_exec.Reset(n_cc, n_exec, gq_cap);
 
   runtime::WorkerPool pool(platform, options_.num_cores + loggers,
                            options_.duration_seconds, options_.rng_seed);
@@ -981,7 +913,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   for (int l = 0; l < loggers; ++l) {
     pool.AssignRole(options_.num_cores + l, runtime::WorkerRole::kLogger);
   }
-  if (placement) pool.SetPlacement(core_of_worker);
   const runtime::DriverOptions dopts =
       MakeDriverOptions(options_, /*charge_admission=*/true);
 
@@ -992,14 +923,10 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
         c, &shared, &pool.worker(c).stats, max_live_locks));
   }
   for (int e = 0; e < n_exec; ++e) {
-    hal::SlabArena* tcb_arena =
-        placement ? arenas.ForNode(
-                        socket_of_worker[static_cast<std::size_t>(n_cc + e)])
-                  : nullptr;
     // lint:allow-alloc setup
     exec_threads.push_back(std::make_unique<ExecThread>(
         e, &shared, db, workload, &pool.worker(n_cc + e), dopts,
-        orthrus_.max_inflight, tcb_arena));
+        orthrus_.max_inflight));
   }
 
   for (int c = 0; c < n_cc; ++c) {

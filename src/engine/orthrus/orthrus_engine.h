@@ -48,10 +48,6 @@ struct OrthrusOptions {
   // Section 3.3 optimization: CC->CC forwarding of lock-acquisition chains.
   bool forwarding = true;
 
-  // Use physically partitioned indexes (SPLIT ORTHRUS, Section 4.3). The
-  // database must then be loaded with num_table_partitions == num_cc.
-  bool split_index = false;
-
   // Section 3.4's alternative architecture: instead of partitioning the
   // lock space, all CC threads share one latched lock table and any one of
   // them acquires a transaction's complete lock set (in global key order,

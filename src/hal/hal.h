@@ -79,10 +79,6 @@ enum class MemOp { kLoad, kStore, kRmw };
 // modeled access needs no hash lookups. Ignored by the native platform.
 struct LineMeta {
   std::int16_t owner = -1;   // core that last wrote the line
-  // Modeled NUMA socket of the line's backing memory, or -1 when unplaced.
-  // Consulted only by a multi-socket SimConfig, and only when no core owns
-  // the line yet (after that the owner's socket decides transfer distance).
-  std::int8_t home = -1;
   // Whether accesses through this line establish happens-before edges for
   // the race detector (SimConfig::race_detect). True for every hal::Atomic —
   // their loads/stores really are acquire/release. mp::detail::LineRing
@@ -281,11 +277,6 @@ class alignas(kCacheLineSize) Atomic {
   T RawLoad() const { return v_.load(std::memory_order_relaxed); }
   void RawStore(T v) { v_.store(v, std::memory_order_relaxed); }
 
-  // Setup-time NUMA placement tag for the simulator's distance model.
-  void SetHomeRaw(int socket) {
-    line_.home = static_cast<std::int8_t>(socket);
-  }
-
  private:
   void Touch(MemOp op) {
     CoreContext* cc = CurrentCore();
@@ -328,12 +319,6 @@ class ORTHRUS_CAPABILITY("mutex") SpinLock {
   // Setup-time (unmodeled) check, for tests.
   bool IsLockedRaw() const {
     return next_.RawLoad() != serving_.RawLoad();
-  }
-
-  // Setup-time NUMA placement tag (both ticket lines) for the sim model.
-  void SetHomeRaw(int socket) {
-    next_.SetHomeRaw(socket);
-    serving_.SetHomeRaw(socket);
   }
 
  private:
@@ -380,6 +365,14 @@ class IdleBackoff {
   Cycles cap_;
   Cycles current_ = kBase;
 };
+
+// ---------------------------------------------------------------------
+// Advises the kernel to back the whole 2 MiB pages inside [p, p + n) with
+// transparent huge pages (madvise MADV_HUGEPAGE), for large heap arrays.
+// Call before the first touch, so the first faults already map huge pages.
+// Touches no byte and advises nothing outside that range. Returns the bytes
+// advised: 0 when no whole page fits, off Linux, or when the call fails.
+std::size_t AdviseHugePages(void* p, std::size_t n);
 
 }  // namespace orthrus::hal
 

@@ -1,30 +1,6 @@
 #include "hal/native_platform.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace orthrus::hal {
-
-namespace {
-
-// Best-effort affinity pin; a failure (cgroup mask, exotic libc) is not an
-// error — the thread just runs unpinned, as before.
-void PinCurrentThread(int core_id) {
-#if defined(__linux__)
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  CPU_SET(static_cast<unsigned>(core_id) % hw, &mask);
-  pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask);
-#else
-  (void)core_id;
-#endif
-}
-
-}  // namespace
 
 NativePlatform::NativePlatform(int num_cores)
     : num_cores_(num_cores),
@@ -59,9 +35,7 @@ void NativePlatform::Run() {
   for (int i = 0; i < num_cores_; ++i) {
     if (!cores_[i].spawned) continue;
     NativeCore* core = &cores_[i];
-    const bool pin = pin_threads_;
-    threads_.emplace_back([core, pin]() {
-      if (pin) PinCurrentThread(core->context.core_id);
+    threads_.emplace_back([core]() {
       SetCurrentCore(&core->context);
       core->fn();
       SetCurrentCore(nullptr);

@@ -1,7 +1,7 @@
 // Real-hardware platform: logical cores are std::threads, atomics are plain
 // std::atomics, time is the wall clock. Used by the test suite to validate
-// engine thread-safety with true concurrency, and by downstream users on
-// real many-core machines (where one would also pin threads to cores).
+// engine thread-safety with true concurrency, and by bench/oltp for native
+// measurements. Threads are left to the OS scheduler.
 #ifndef ORTHRUS_HAL_NATIVE_PLATFORM_H_
 #define ORTHRUS_HAL_NATIVE_PLATFORM_H_
 
@@ -23,12 +23,6 @@ class NativePlatform final : public Platform {
   bool is_simulated() const override { return false; }
   void Spawn(int core_id, std::function<void()> fn) override;
   void Run() override;
-
-  // Opt-in: pin each spawned worker thread to OS CPU (core_id % nproc) via
-  // pthread_setaffinity_np before it runs. Off by default — tests routinely
-  // run more logical cores than the host has, and pinning there would just
-  // serialize them. Call before Run.
-  void SetPinThreads(bool pin) { pin_threads_ = pin; }
   double CyclesPerSecond() const override { return kGhz * 1e9; }
 
   Cycles Now() override;
@@ -52,7 +46,6 @@ class NativePlatform final : public Platform {
   std::vector<std::thread> threads_;
   std::chrono::steady_clock::time_point epoch_;
   bool ran_ = false;
-  bool pin_threads_ = false;
 };
 
 }  // namespace orthrus::hal

@@ -11,7 +11,6 @@ namespace orthrus::hal {
 SimPlatform::SimPlatform(int num_cores, SimConfig config)
     : num_cores_(num_cores), config_(config), cores_(num_cores) {
   ORTHRUS_CHECK(num_cores >= 1 && num_cores <= Bitset128::kBits);
-  ORTHRUS_CHECK(config_.sockets >= 1);
   if (config_.race_detect) {
     detector_ = std::make_unique<analysis::RaceDetector>(num_cores);
     detector_->set_report_fatal(config_.race_report_fatal);
@@ -127,21 +126,8 @@ void SimPlatform::OnAtomicAccess(LineMeta* line, MemOp op) {
 
   const bool exclusive_here = line->owner == me && line->readers.Test(me) &&
                               !line->readers.AnyOtherThan(me);
-  // Multi-socket model: a transfer is same-socket when the line's current
-  // location — its owner, or its placed home node while unowned — shares a
-  // socket with the requester. Single-socket configs never take this path,
-  // keeping their cost arithmetic identical to the pre-NUMA model.
-  bool local_transfer = false;
-  if (config_.sockets > 1) {
-    const int loc_socket = line->owner >= 0
-                               ? SocketOf(line->owner)
-                               : static_cast<int>(line->home);
-    local_transfer = loc_socket >= 0 && loc_socket == SocketOf(me);
-  }
-
-  // Every cross-socket transfer flows through the shared coherence fabric,
-  // which has finite aggregate capacity. Returns the queueing delay
-  // suffered. Same-socket transfers never touch it.
+  // Every line transfer flows through the shared coherence fabric, which
+  // has finite aggregate capacity. Returns the queueing delay suffered.
   auto charge_interconnect = [&](Cycles start) -> Cycles {
     const Cycles begin = std::max(start, interconnect_busy_until_);
     interconnect_busy_until_ = begin + config_.interconnect_service_cycles;
@@ -149,12 +135,8 @@ void SimPlatform::OnAtomicAccess(LineMeta* line, MemOp op) {
     return begin - start;
   };
 
-  // Cost of pulling the line to this core, distance-aware.
+  // Cost of pulling the line to this core.
   auto transfer_cost = [&](Cycles start) -> Cycles {
-    if (local_transfer) {
-      stats_.local_transfers++;
-      return config_.local_transfer_cycles;
-    }
     stats_.remote_transfers++;
     return config_.remote_transfer_cycles + charge_interconnect(start);
   };
@@ -192,12 +174,8 @@ void SimPlatform::OnAtomicAccess(LineMeta* line, MemOp op) {
       // to the line, not the core).
       Cycles fabric_delay = 0;
       if (!exclusive_here) {
-        if (local_transfer) {
-          stats_.local_transfers++;
-        } else {
-          stats_.remote_transfers++;
-          fabric_delay = charge_interconnect(t);
-        }
+        stats_.remote_transfers++;
+        fabric_delay = charge_interconnect(t);
       }
       line->busy_until = std::max(t, line->busy_until) + fabric_delay +
                          config_.store_service_cycles;

@@ -49,15 +49,6 @@ struct SimConfig {
   // saturation flattens otherwise conflict-free workloads at high core
   // counts (Figure 1).
   Cycles interconnect_service_cycles = 6;
-  // Modeled socket count. 1 (the default) keeps the flat machine: every
-  // transfer is "remote" and the cost arithmetic is bit-for-bit what it was
-  // before sockets existed. With sockets > 1, core i lives on socket
-  // i % sockets (Linux's round-robin package enumeration), transfers whose
-  // endpoints share a socket cost local_transfer_cycles, and — key for the
-  // Figure-1 saturation story — same-socket transfers stay off the shared
-  // cross-socket interconnect entirely.
-  int sockets = 1;
-  Cycles local_transfer_cycles = 60;  // same-socket line transfer
   Cycles relax_cycles = 40;          // one CpuRelax pause
   // Stable-storage sync model (wal group commit). A sync stalls the caller
   // for a fixed device latency plus a per-line streaming cost, and occupies
@@ -87,8 +78,7 @@ struct SimStats {
   std::uint64_t atomic_reads = 0;
   std::uint64_t atomic_stores = 0;
   std::uint64_t atomic_rmws = 0;
-  std::uint64_t remote_transfers = 0;   // cross-socket (all, when sockets==1)
-  std::uint64_t local_transfers = 0;    // same-socket (sockets > 1 only)
+  std::uint64_t remote_transfers = 0;
   std::uint64_t rmw_stall_cycles = 0;  // cycles spent waiting on busy lines
   std::uint64_t interconnect_stall_cycles = 0;
   std::uint64_t storage_syncs = 0;
@@ -124,13 +114,6 @@ class SimPlatform final : public Platform {
   // reports() after Run() — the schedule is deterministic, so the first
   // report of a given seed/config is always the same race.
   analysis::RaceDetector* race_detector() { return detector_.get(); }
-
-  // Modeled socket of a core (0 on a single-socket config). Matches
-  // Topology::Modeled(num_cores, config.sockets) so placement decisions and
-  // the cost model agree on distances.
-  int SocketOf(int core) const {
-    return config_.sockets <= 1 ? 0 : core % config_.sockets;
-  }
 
  private:
   struct SimCore {

@@ -22,7 +22,6 @@
 
 #include "common/macros.h"
 #include "hal/hal.h"
-#include "hal/slab_arena.h"
 
 namespace orthrus::mp::detail {
 
@@ -37,30 +36,15 @@ class LineRing {
   static constexpr std::size_t kMsgsPerLine = kCacheLineSize / sizeof(T);
 
   // Capacity must be a power of two (index masking).
-  //
-  // An optional arena places the blocks on the receiver's NUMA node; the
-  // home tag additionally tells the simulator's distance model which
-  // modeled socket the blocks live on (-1 = unplaced). Both default to the
-  // historical heap path, which allocation-for-allocation is what the arena
-  // produces too — Line is trivially destructible either way.
-  explicit LineRing(std::size_t capacity, hal::SlabArena* arena = nullptr,
-                    int home_socket = -1)
+  explicit LineRing(std::size_t capacity)
       : capacity_(capacity),
         mask_(capacity - 1),
         word_mask_(WordsPerLine(capacity) - 1),
         line_shift_(Log2(WordsPerLine(capacity))) {
     ORTHRUS_CHECK(IsPowerOfTwo(capacity));
     const std::size_t n = capacity / WordsPerLine(capacity);
-    if (arena != nullptr) {
-      lines_ = arena->AllocateArray<Line>(n);
-    } else {
-      owned_lines_ = std::make_unique<Line[]>(n);  // lint:allow-alloc setup
-      lines_ = owned_lines_.get();
-    }
+    lines_ = std::make_unique<Line[]>(n);  // lint:allow-alloc setup
     for (std::size_t i = 0; i < n; ++i) {
-      if (home_socket >= 0) {
-        lines_[i].meta.home = static_cast<std::int8_t>(home_socket);
-      }
       // Payload touches are coherence charges, not synchronization: the
       // words are relaxed, ordered only by the owning queue's index
       // atomics. The race detector checks them as plain data instead
@@ -127,8 +111,7 @@ class LineRing {
   const std::size_t mask_;
   const std::size_t word_mask_;
   const std::size_t line_shift_;
-  std::unique_ptr<Line[]> owned_lines_;  // heap fallback (no arena)
-  Line* lines_ = nullptr;
+  std::unique_ptr<Line[]> lines_;
 };
 
 // Polite spin for blocking sends. Queue capacities are provable bounds on

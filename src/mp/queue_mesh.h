@@ -44,31 +44,17 @@ class QueueMesh {
   QueueMesh(const QueueMesh&) = delete;
   QueueMesh& operator=(const QueueMesh&) = delete;
 
-  // NUMA placement for one receiver's column of queues (see SpscQueue).
-  struct ReceiverPlacement {
-    hal::SlabArena* arena = nullptr;
-    int home_socket = -1;
-  };
-
   // (Re)builds the matrix. All queues share one capacity: the caller's
-  // provable per-pair bound on outstanding messages. `placement`, when
-  // non-null, has one entry per receiver and places each receiver's queues
-  // on its node.
-  void Reset(int senders, int receivers, std::size_t capacity,
-             const std::vector<ReceiverPlacement>* placement = nullptr) {
+  // provable per-pair bound on outstanding messages.
+  void Reset(int senders, int receivers, std::size_t capacity) {
     ORTHRUS_CHECK(senders >= 1 && receivers >= 1);
-    ORTHRUS_CHECK(placement == nullptr ||
-                  placement->size() == static_cast<std::size_t>(receivers));
     senders_ = senders;
     receivers_ = receivers;
     queues_.clear();
     queues_.reserve(static_cast<std::size_t>(senders) * receivers);
     for (int i = 0; i < senders * receivers; ++i) {
-      const ReceiverPlacement p = placement != nullptr
-                                      ? (*placement)[i % receivers]
-                                      : ReceiverPlacement{};
       queues_.push_back(  // lint:allow-alloc setup
-          std::make_unique<SpscQueue<T>>(capacity, p.arena, p.home_socket));
+          std::make_unique<SpscQueue<T>>(capacity));
     }
   }
 

@@ -33,17 +33,9 @@ class SpscQueue {
   // Messages sharing one (modeled) cache line of payload.
   static constexpr std::size_t kMsgsPerLine = detail::LineRing<T>::kMsgsPerLine;
 
-  // Capacity must be a power of two (index masking). The optional (arena,
-  // home_socket) pair NUMA-places the payload blocks on the receiver's node
-  // and tags them for the sim's distance model (see detail::LineRing).
-  explicit SpscQueue(std::size_t capacity, hal::SlabArena* arena = nullptr,
-                     int home_socket = -1)
-      : capacity_(capacity), ring_(capacity, arena, home_socket) {
-    if (home_socket >= 0) {
-      tail_.SetHomeRaw(home_socket);
-      head_.SetHomeRaw(home_socket);
-    }
-  }
+  // Capacity must be a power of two (index masking).
+  explicit SpscQueue(std::size_t capacity)
+      : capacity_(capacity), ring_(capacity) {}
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;

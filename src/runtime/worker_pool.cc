@@ -40,24 +40,9 @@ int WorkerPool::CountRole(WorkerRole role) const {
   return n;
 }
 
-void WorkerPool::SetPlacement(std::vector<int> core_of_worker) {
-  ORTHRUS_CHECK_MSG(
-      core_of_worker.size() == workers_.size(),
-      "placement map must cover every worker");
-  // Must be a permutation: each worker gets a distinct core in range.
-  std::vector<bool> used(workers_.size(), false);
-  for (int core : core_of_worker) {
-    ORTHRUS_CHECK(core >= 0 && core < static_cast<int>(workers_.size()));
-    ORTHRUS_CHECK_MSG(!used[core], "placement maps two workers to one core");
-    used[core] = true;
-  }
-  core_of_worker_ = std::move(core_of_worker);
-}
-
 void WorkerPool::Spawn(int w, std::function<void(WorkerContext&)> body) {
   WorkerContext* ctx = &workers_[w];
-  const int core = core_of_worker_.empty() ? w : core_of_worker_[w];
-  platform_->Spawn(core, [this, ctx, body = std::move(body)]() {
+  platform_->Spawn(w, [this, ctx, body = std::move(body)]() {
     // Stall-accounting sink for blocking queue sends (observability only;
     // see mp::detail::WedgeSpin). Installed for the body's lifetime and
     // folded into the worker's plain stats afterward.

@@ -109,19 +109,9 @@ class WorkerPool {
   WorkerRole role(int w) const { return workers_[w].role; }
   int CountRole(WorkerRole role) const;
 
-  // Topology-aware placement: worker `w` runs on logical core
-  // `core_of_worker[w]` instead of core `w`. Must be a permutation of the
-  // worker ids (typically Topology::PackGroups output) and must be set
-  // before any Spawn. Worker identity — ids, RNG streams, stats — is
-  // untouched; only the core a worker's body executes on changes, so on a
-  // single-socket (flat) topology the identity map reproduces the
-  // placement-free schedule exactly.
-  void SetPlacement(std::vector<int> core_of_worker);
-
-  // Registers worker `w` on logical core `w` (or its placed core when
-  // SetPlacement was called). All Spawn calls must happen before Run. The
-  // body runs with the worker's clock already begun and is followed by
-  // clock.Finish().
+  // Registers worker `w` on logical core `w`. All Spawn calls must happen
+  // before Run. The body runs with the worker's clock already begun and is
+  // followed by clock.Finish().
   void Spawn(int w, std::function<void(WorkerContext&)> body);
 
   // Runs all workers to completion, then aggregates. Equivalent to
@@ -140,7 +130,6 @@ class WorkerPool {
   double duration_seconds_;
   double cps_;
   std::vector<WorkerContext> workers_;
-  std::vector<int> core_of_worker_;  // empty = identity
 };
 
 }  // namespace orthrus::runtime

@@ -8,8 +8,7 @@ Table* Database::CreateTable(std::uint32_t id, std::string name,
   ORTHRUS_CHECK_MSG(id == tables_.size(), "table ids must be dense");
   // lint:allow-alloc schema setup, before any worker runs
   tables_.push_back(std::make_unique<Table>(id, std::move(name), capacity,
-                                            row_bytes, num_partitions,
-                                            arena_));
+                                            row_bytes, num_partitions));
   return tables_.back().get();
 }
 

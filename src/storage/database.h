@@ -59,16 +59,9 @@ class Database {
   Partitioner& partitioner() { return partitioner_; }
   const Partitioner& partitioner() const { return partitioner_; }
 
-  // Arena backing row slabs of tables created *after* this call (NUMA node
-  // binding / huge pages). Must outlive the database. Null (the default)
-  // keeps per-table heap slabs.
-  void set_arena(hal::SlabArena* arena) { arena_ = arena; }
-  hal::SlabArena* arena() const { return arena_; }
-
  private:
   std::vector<std::unique_ptr<Table>> tables_;
   Partitioner partitioner_;
-  hal::SlabArena* arena_ = nullptr;
 };
 
 }  // namespace orthrus::storage

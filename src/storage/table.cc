@@ -12,8 +12,7 @@ constexpr std::uint64_t kEmptyKey = ~0ull;
 }  // namespace
 
 Table::Table(std::uint32_t id, std::string name, std::uint64_t capacity,
-             std::uint32_t row_bytes, int num_partitions,
-             hal::SlabArena* arena)
+             std::uint32_t row_bytes, int num_partitions)
     : id_(id),
       name_(std::move(name)),
       capacity_(capacity),
@@ -23,18 +22,11 @@ Table::Table(std::uint32_t id, std::string name, std::uint64_t capacity,
   ORTHRUS_CHECK(capacity >= 1);
   ORTHRUS_CHECK(row_bytes >= 8);
   ORTHRUS_CHECK(num_partitions >= 1);
-  if (arena != nullptr) {
-    // Arena storage is already zeroed (fresh mmap pages, no reuse).
-    rows_ = static_cast<std::uint8_t*>(
-        arena->Allocate(capacity * row_stride_, kCacheLineSize));
-  } else {
-    // Default-initialised, so the huge-page advice precedes the first touch.
-    // lint:allow-alloc schema setup, before any worker runs
-    owned_rows_.reset(new std::uint8_t[capacity * row_stride_]);
-    rows_ = owned_rows_.get();
-    hal::AdviseHugePages(rows_, capacity * row_stride_);
-    std::memset(rows_, 0, capacity * row_stride_);
-  }
+  // Default-initialised, so the huge-page advice precedes the first touch.
+  // lint:allow-alloc schema setup, before any worker runs
+  rows_.reset(new std::uint8_t[capacity * row_stride_]);
+  hal::AdviseHugePages(rows_.get(), capacity * row_stride_);
+  std::memset(rows_.get(), 0, capacity * row_stride_);
 
   // Size each partition's index for the worst case (all rows in one
   // partition would still fit); 2x occupancy headroom keeps probes short.

@@ -24,7 +24,6 @@
 
 #include "common/macros.h"
 #include "hal/hal.h"
-#include "hal/slab_arena.h"
 #include "storage/storage_cost.h"
 
 namespace orthrus::storage {
@@ -36,13 +35,9 @@ class Table {
   // `id`: catalog id. `capacity`: max rows. `row_bytes`: payload size.
   // `num_partitions` > 1 builds a split (physically partitioned) index;
   // partition of a key is supplied by the caller at insert/lookup time so
-  // the table stays agnostic of the partitioning function. `arena`, when
-  // non-null, backs the row slab (NUMA node binding / huge pages — see
-  // hal::SlabArena); it must outlive the table. Null keeps the owned heap
-  // slab.
+  // the table stays agnostic of the partitioning function.
   Table(std::uint32_t id, std::string name, std::uint64_t capacity,
-        std::uint32_t row_bytes, int num_partitions = 1,
-        hal::SlabArena* arena = nullptr);
+        std::uint32_t row_bytes, int num_partitions = 1);
 
   std::uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -91,18 +86,19 @@ class Table {
   // (pointers die with the process; slots survive into a reloaded slab).
   std::uint64_t SlotOfRow(const void* row) const {
     const auto* p = static_cast<const std::uint8_t*>(row);
-    ORTHRUS_DCHECK(p >= rows_ && p < rows_ + capacity_ * row_stride_);
-    return static_cast<std::uint64_t>(p - rows_) / row_stride_;
+    ORTHRUS_DCHECK(p >= rows_.get() &&
+                   p < rows_.get() + capacity_ * row_stride_);
+    return static_cast<std::uint64_t>(p - rows_.get()) / row_stride_;
   }
 
   // Row address by slot number (append-region style access).
   void* RowBySlot(std::uint64_t slot) {
     ORTHRUS_DCHECK(slot < capacity_);
-    return rows_ + slot * row_stride_;
+    return rows_.get() + slot * row_stride_;
   }
   const void* RowBySlot(std::uint64_t slot) const {
     ORTHRUS_DCHECK(slot < capacity_);
-    return rows_ + slot * row_stride_;
+    return rows_.get() + slot * row_stride_;
   }
 
   // Allocates `n` fresh slots from the tail of the slab without touching the
@@ -137,8 +133,7 @@ class Table {
   int num_partitions_;
   std::uint64_t size_ = 0;       // rows inserted through the index
   std::uint64_t reserved_ = 0;   // slots handed out by ReserveSlots
-  std::unique_ptr<std::uint8_t[]> owned_rows_;  // heap fallback (no arena)
-  std::uint8_t* rows_ = nullptr;
+  std::unique_ptr<std::uint8_t[]> rows_;
   std::vector<Index> indexes_;   // one per partition
   StorageCostModel cost_model_;
   hal::Cycles probe_cost_ = 0;

@@ -98,6 +98,23 @@ inline std::uint64_t LastNameAttr(int w, int d, int name_code) {
 // --- Row layouts (money in integer cents; rates in basis points). Rows are
 // embedded at the head of each table row; row_padding bytes follow.
 
+// Relaxed atomic access to the fields that OLLP reconnaissance reads
+// without locks while lock holders write them: DistrictRow::next_o_id and
+// delivered_o_id, OrderRec::c_id and ol_cnt, OrderLineRec::i_id (Delivery
+// and StockLevel plan from them). Both sides go through these so the
+// accesses are not data races; a stale read is caught by the validation
+// under locks in Run. They compile to plain loads and stores and add no
+// modeled cost.
+template <typename T>
+T LoadRelaxed(const T& field) {
+  return __atomic_load_n(&field, __ATOMIC_RELAXED);
+}
+
+template <typename T>
+void StoreRelaxed(T& field, T value) {
+  __atomic_store_n(&field, value, __ATOMIC_RELAXED);
+}
+
 struct WarehouseRow {
   std::uint64_t ytd_cents;
   std::uint32_t tax_bp;  // sales tax, basis points (0..2000)

@@ -25,7 +25,8 @@ namespace {
 // access set annotated for this row; the detector then proves the engine's
 // grant/release protocol actually orders conflicting accesses. The OLLP
 // reconnaissance reads in BuildAccessSet are *not* checked: they are
-// deliberately unsynchronized estimates, re-validated under locks in Run.
+// deliberately unlocked estimates (relaxed atomic loads, see LoadRelaxed),
+// re-validated under locks in Run.
 template <typename Row>
 Row* CheckedRow(void* row, bool is_write, const char* label) {
   hal::RaceCheck(row, sizeof(Row), is_write, label);
@@ -80,7 +81,8 @@ class NewOrderLogic final : public txn::TxnLogic {
     ctx.ChargeOp(ctx.db->GetTable(kCustomer)->RowAccessCost() + row_op);
 
     // Allocate the order id under the district X lock.
-    const std::uint32_t o_id = dr->next_o_id++;
+    const std::uint32_t o_id = dr->next_o_id;
+    StoreRelaxed(dr->next_o_id, o_id + 1);
     const int ring = aux_->DistrictIndex(p->w, p->d);
     const int cap = aux_->scale.order_ring_capacity;
     const int slot = static_cast<int>(o_id % static_cast<std::uint32_t>(cap));
@@ -122,7 +124,7 @@ class NewOrderLogic final : public txn::TxnLogic {
                                       aux_->scale.max_items_per_order +
                                   j];
       hal::RaceCheck(&ol, sizeof(ol), /*is_write=*/true, "tpcc.orderline_ring");
-      ol.i_id = static_cast<std::uint32_t>(p->item_id[j]);
+      StoreRelaxed(ol.i_id, static_cast<std::uint32_t>(p->item_id[j]));
       ol.supply_w = static_cast<std::uint32_t>(p->supply_w[j]);
       ol.quantity = qty;
       ol.amount_cents = static_cast<std::uint32_t>(amount);
@@ -135,8 +137,8 @@ class NewOrderLogic final : public txn::TxnLogic {
     hal::RaceCheck(&order, sizeof(order), /*is_write=*/true,
                    "tpcc.order_ring");
     order.o_id = o_id;
-    order.c_id = static_cast<std::uint32_t>(p->c);
-    order.ol_cnt = static_cast<std::uint32_t>(p->ol_cnt);
+    StoreRelaxed(order.c_id, static_cast<std::uint32_t>(p->c));
+    StoreRelaxed(order.ol_cnt, static_cast<std::uint32_t>(p->ol_cnt));
     order.all_local = all_local;
     order.total_cents = total;
     ctx.ChargeOp(2 * row_op);  // order + new-order inserts
@@ -336,10 +338,11 @@ class DeliveryLogic final : public txn::TxnLogic {
   // delivered order multiset load-deterministic for *any* number of
   // committed Deliveries, not only runs that stop short of the backlog.
   std::uint32_t DeliverableEnd(const DistrictRow& dr) const {
-    if (aux_->scale.seeded_orders <= 0) return dr.next_o_id;
+    const std::uint32_t next = LoadRelaxed(dr.next_o_id);
+    if (aux_->scale.seeded_orders <= 0) return next;
     const std::uint32_t frontier =
         1 + static_cast<std::uint32_t>(aux_->scale.seeded_orders);
-    return std::min(dr.next_o_id, frontier);
+    return std::min(next, frontier);
   }
 
   void BuildAccessSet(txn::Txn* t, storage::Database* db) override {
@@ -353,12 +356,13 @@ class DeliveryLogic final : public txn::TxnLogic {
       const auto* dr = static_cast<const DistrictRow*>(
           db->GetTable(kDistrict)->LookupRaw(DistrictKey(p->w, d)));
       ORTHRUS_DCHECK(dr != nullptr);
-      p->observed_cursor[d] = dr->delivered_o_id;
-      if (dr->delivered_o_id < DeliverableEnd(*dr)) {
+      const std::uint32_t cursor = LoadRelaxed(dr->delivered_o_id);
+      p->observed_cursor[d] = cursor;
+      if (cursor < DeliverableEnd(*dr)) {
         const int ring = aux_->DistrictIndex(p->w, d);
-        const OrderRec& o = aux_->orders[ring][dr->delivered_o_id % cap];
-        p->customer_key[d] = CustomerKey(p->w, d,
-                                         static_cast<int>(o.c_id));
+        const OrderRec& o = aux_->orders[ring][cursor % cap];
+        p->customer_key[d] =
+            CustomerKey(p->w, d, static_cast<int>(LoadRelaxed(o.c_id)));
         t->accesses.push_back({kCustomer, txn::LockMode::kExclusive,
                                p->customer_key[d], nullptr});
       } else {
@@ -410,7 +414,7 @@ class DeliveryLogic final : public txn::TxnLogic {
       ORTHRUS_DCHECK(cr != nullptr);
       ctx.ChargeOp(ctx.db->GetTable(kCustomer)->RowAccessCost() + row_op);
       cr->balance_cents += static_cast<std::int64_t>(o.total_cents);
-      dr->delivered_o_id++;
+      StoreRelaxed(dr->delivered_o_id, dr->delivered_o_id + 1);
       tally.orders_delivered++;
       tally.delivered_cents += o.total_cents;
     }
@@ -438,28 +442,29 @@ class StockLevelLogic final : public txn::TxnLogic {
     const auto* dr = static_cast<const DistrictRow*>(
         db->GetTable(kDistrict)->LookupRaw(DistrictKey(p->w, p->d)));
     ORTHRUS_DCHECK(dr != nullptr);
-    p->observed_next_o_id = dr->next_o_id;
+    const std::uint32_t newest = LoadRelaxed(dr->next_o_id);
+    p->observed_next_o_id = newest;
     p->n_items = 0;
     const int ring = aux_->DistrictIndex(p->w, p->d);
-    const std::uint32_t newest = dr->next_o_id;
     const std::uint32_t scan = std::min<std::uint32_t>(
         newest - 1,
         static_cast<std::uint32_t>(aux_->scale.stock_level_orders));
     for (std::uint32_t back = 1; back <= scan; ++back) {
       const std::uint32_t o_id = newest - back;
       const OrderRec& o = aux_->orders[ring][o_id % cap];
-      const std::uint32_t lines =
-          std::min<std::uint32_t>(o.ol_cnt, aux_->scale.max_items_per_order);
+      const std::uint32_t lines = std::min<std::uint32_t>(
+          LoadRelaxed(o.ol_cnt), aux_->scale.max_items_per_order);
       for (std::uint32_t j = 0; j < lines && p->n_items < 32; ++j) {
         const OrderLineRec& ol =
             aux_->order_lines[ring][static_cast<std::size_t>(o_id % cap) *
                                         aux_->scale.max_items_per_order +
                                     j];
+        const auto i_id = static_cast<std::int32_t>(LoadRelaxed(ol.i_id));
         bool fresh = true;
         for (int m = 0; m < p->n_items; ++m) {
-          fresh &= (p->items[m] != static_cast<std::int32_t>(ol.i_id));
+          fresh &= (p->items[m] != i_id);
         }
-        if (fresh) p->items[p->n_items++] = static_cast<std::int32_t>(ol.i_id);
+        if (fresh) p->items[p->n_items++] = i_id;
       }
     }
     t->accesses.push_back({kDistrict, txn::LockMode::kShared,

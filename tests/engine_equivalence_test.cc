@@ -93,6 +93,7 @@ struct Outcome {
   std::uint64_t committed = 0;
   std::uint64_t counter_sum = 0;
   std::uint64_t digest = 0;
+  hal::Cycles clock = 0;  // the sim's GlobalClock() after the run
 };
 
 // FNV-1a over every row's verifiable words, in slot order.
@@ -122,6 +123,7 @@ Outcome RunOne(engine::Engine* eng, workload::Workload* wl, int cores,
   out.committed = r.total.committed;
   out.counter_sum = kv.SumCounters(db);
   out.digest = TableDigest(db);
+  out.clock = sim.GlobalClock();
   return out;
 }
 
@@ -517,17 +519,23 @@ TEST(EngineEquivalence, TpccRunsAreDeterministic) {
 TEST(EngineEquivalence, OrthrusRunsAreDeterministic) {
   workload::KvWorkload kv(workload::MakeYcsbConfig(Spec()));
   ShiftedWorkload aligned(&kv, kOrthrusCc);
-  const auto run = [&aligned] {
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    return RunOne(&eng, &aligned, kOrthrusCc + kExecWorkers, kOrthrusCc);
-  };
-  const Outcome a = run();
-  const Outcome b = run();
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.digest, b.digest);
+  for (bool shared_cc : {false, true}) {
+    SCOPED_TRACE(shared_cc ? "shared-cc" : "partitioned-cc");
+    const auto run = [&aligned, shared_cc] {
+      engine::OrthrusOptions oo;
+      oo.num_cc = kOrthrusCc;
+      oo.max_inflight = 1;
+      oo.shared_cc_table = shared_cc;
+      engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
+      return RunOne(&eng, &aligned, kOrthrusCc + kExecWorkers, kOrthrusCc);
+    };
+    const Outcome a = run();
+    const Outcome b = run();
+    EXPECT_GT(a.committed, 0u);
+    EXPECT_EQ(a.committed, b.committed);
+    EXPECT_EQ(a.digest, b.digest);
+    EXPECT_EQ(a.clock, b.clock);
+  }
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST_P(EnginesOnPlatform, DeadlockFreeSplitIndex) {
   c.placement = KvConfig::Placement::kFixedCount;
   c.partitions_per_txn = 2;
   KvWorkload wl(c);
-  DeadlockFreeEngine eng(SmallRun(4), /*split_index=*/true);
+  DeadlockFreeEngine eng(SmallRun(4));
   RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, /*table_partitions=*/4);
 }
 
@@ -253,7 +253,6 @@ TEST_P(EnginesOnPlatform, OrthrusSplitIndex) {
   KvWorkload wl(c);
   OrthrusOptions oo;
   oo.num_cc = 2;
-  oo.split_index = true;
   OrthrusEngine eng(SmallRun(6), oo);
   RunKvAndCheck(&eng, &wl, GetParam().simulated, 6, /*table_partitions=*/2);
 }

@@ -258,6 +258,34 @@ TEST(OrthrusStatic, WorksOnNativeThreads) {
   EXPECT_EQ(wl->SumCounters(db), r.total.committed * 10);
 }
 
+TEST(OrthrusStatic, FourCcChainsOnNativeThreads) {
+  // Per-pair rings under true concurrency with four CC threads: the CC
+  // threads forward acquisition chains among themselves while every exec
+  // thread sends to all of them. The shared-table arm (Section 3.4) has
+  // the CC threads hand parked acquisitions to one another through the
+  // stripe latches instead.
+  for (bool shared_cc : {false, true}) {
+    SCOPED_TRACE(shared_cc ? "shared-cc" : "partitioned-cc");
+    KvConfig kv;
+    kv.num_records = 8000;
+    kv.num_partitions = 4;
+    KvWorkload wl(kv);
+    storage::Database db;
+    wl.Load(&db, 1);
+    EngineOptions eo;
+    eo.num_cores = 8;
+    eo.duration_seconds = 0.05;  // wall seconds on the native platform
+    OrthrusOptions oo;
+    oo.num_cc = 4;
+    oo.shared_cc_table = shared_cc;
+    OrthrusEngine eng(eo, oo);
+    hal::NativePlatform p(8);
+    RunResult r = eng.Run(&p, &db, wl);
+    EXPECT_GT(r.total.committed, 0u);
+    EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+  }
+}
+
 TEST(OrthrusZipfian, SkewedWorkloadConserves) {
   KvConfig kv;
   kv.num_records = 8000;

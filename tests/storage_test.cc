@@ -7,7 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "hal/slab_arena.h"
+#include "hal/hal.h"
 #include "storage/database.h"
 #include "storage/secondary_index.h"
 #include "storage/table.h"

@@ -96,8 +96,8 @@ def lint_file(path, rules):
             if "lint:allow-alloc" not in marked:
                 violations.append(
                     (path, lineno, "hot-alloc",
-                     "allocation in a hot-path directory — carve from an "
-                     "arena, or mark the setup site "
+                     "allocation in a hot-path directory — size it at "
+                     "setup, or mark the setup site "
                      "`// lint:allow-alloc <why>`"))
     return violations
 
