@@ -1,8 +1,9 @@
 // Component micro-benchmarks (google-benchmark): real-time costs of the
 // building blocks on the host machine — SPSC queue ops, lock-table
-// acquire/release, index probes, RNG draws, fiber switches, and simulator
-// event dispatch. These measure the *infrastructure itself* (wall-clock),
-// unlike the fig* binaries which measure *simulated* engine throughput.
+// acquire/release, index probes, RNG draws, fiber switches, native hal
+// hooks, and simulator event dispatch. These measure the *infrastructure
+// itself* (wall-clock), unlike the fig* binaries which measure *simulated*
+// engine throughput.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "hal/fiber.h"
+#include "hal/native_platform.h"
 #include "hal/sim_platform.h"
 #include "lock/lock_table.h"
 #include "mp/queue_mesh.h"
@@ -182,6 +184,39 @@ void BM_FiberSwitchPair(benchmark::State& state) {
   fiber.SwitchIn(&main_sp);
 }
 BENCHMARK(BM_FiberSwitchPair);
+
+// hal hot-path hooks on a native core, with the calling thread installed as
+// core 0 of a NativePlatform the way NativePlatform::Run installs its
+// threads. The CC loop pays one Now() per iteration, and its ring indexes
+// and kCcOpCycles charges pay the other two per message.
+// arg0: 0 = hal::Now(), 1 = hal::Atomic::load, 2 = hal::ConsumeCycles.
+void BM_HalHooksNative(benchmark::State& state) {
+  hal::NativePlatform platform(1);
+  hal::CoreContext core;
+  core.platform = &platform;
+  core.core_id = 0;
+  hal::SetCurrentCore(&core);
+  hal::Atomic<std::uint64_t> word;
+  switch (state.range(0)) {
+    case 0:
+      state.SetLabel("Now");
+      for (auto _ : state) benchmark::DoNotOptimize(hal::Now());
+      break;
+    case 1:
+      state.SetLabel("Atomic::load");
+      for (auto _ : state) benchmark::DoNotOptimize(word.load());
+      break;
+    default:
+      state.SetLabel("ConsumeCycles");
+      for (auto _ : state) {
+        hal::ConsumeCycles(100);
+        benchmark::ClobberMemory();
+      }
+      break;
+  }
+  hal::SetCurrentCore(nullptr);
+}
+BENCHMARK(BM_HalHooksNative)->DenseRange(0, 2)->ArgName("hook");
 
 void BM_SimEventDispatch(benchmark::State& state) {
   // Wall-time per simulated scheduling event: N cores ping-ponging on

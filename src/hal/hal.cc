@@ -6,17 +6,6 @@
 
 namespace orthrus::hal {
 
-namespace {
-// Identifies the logical core for the calling OS thread. Under simulation
-// all fibers share one OS thread and the scheduler rewrites this on every
-// fiber switch; under the native platform each spawned thread sets it once.
-thread_local CoreContext* tls_current_core = nullptr;
-}  // namespace
-
-CoreContext* CurrentCore() { return tls_current_core; }
-
-void SetCurrentCore(CoreContext* ctx) { tls_current_core = ctx; }
-
 std::size_t AdviseHugePages(void* p, std::size_t n) {
 #if defined(__linux__) && defined(MADV_HUGEPAGE)
   constexpr std::uintptr_t kHugePageBytes = 2u << 20;

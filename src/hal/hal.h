@@ -19,6 +19,11 @@
 //    hal::ConsumeCycles(n);
 //  - data that is protected by logical locks (record payloads) may use plain
 //    memory: the engine's own locking discipline makes it race-free.
+//
+// Modeled costs and coherence hooks (ConsumeCycles, hal::Atomic accesses,
+// mp ring line touches, storage syncs) reach the platform only on simulated
+// cores (CoreContext::simulated). On a native core each is one thread-local
+// read and one untaken branch: real hardware pays the real costs itself.
 #ifndef ORTHRUS_HAL_HAL_H_
 #define ORTHRUS_HAL_HAL_H_
 
@@ -59,14 +64,29 @@ struct CoreContext {
   // accesses to the platform's race detector. One predictable branch when
   // off — RaceCheck costs nothing in production paths.
   bool race_check = false;
+  // True only on SimPlatform cores: the modeled-cost hooks (ConsumeCycles,
+  // Atomic and ring line touches, OnStorageSync) call the platform only
+  // when set, so a native core never leaves the inline fast path for them.
+  // mp::detail::WedgeSpin also reads it to pick its wedge bound.
+  bool simulated = false;
 };
+
+namespace detail {
+// Identifies the logical core for the calling OS thread. Under simulation
+// all fibers share one OS thread and the scheduler rewrites this on every
+// fiber switch; under the native platform each spawned thread sets it once.
+// Defined inline here so every hook reads it without an out-of-line call.
+inline thread_local CoreContext* tls_current_core = nullptr;
+}  // namespace detail
 
 // Returns the current logical core, or nullptr when called from setup code
 // outside any core (e.g. while loading tables).
-CoreContext* CurrentCore();
+inline CoreContext* CurrentCore() { return detail::tls_current_core; }
 
 // Installs/clears the current core. Platform-internal.
-void SetCurrentCore(CoreContext* ctx);
+inline void SetCurrentCore(CoreContext* ctx) {
+  detail::tls_current_core = ctx;
+}
 
 // Kind of memory operation, for the simulator's cost model. Plain stores
 // retire through the store buffer (the core does not stall on the line
@@ -106,7 +126,6 @@ class Platform {
   virtual ~Platform() = default;
 
   virtual int num_cores() const = 0;
-  virtual bool is_simulated() const = 0;
 
   // Registers logical core `core_id` to run `fn`. All Spawn calls must
   // happen before Run.
@@ -124,20 +143,25 @@ class Platform {
   // Current core's clock (virtual cycles under simulation).
   virtual Cycles Now() = 0;
 
-  // Declares n cycles of computation by the current core.
-  virtual void ConsumeCycles(Cycles n) = 0;
-
   // Polite spin-wait pause; a scheduling point under simulation.
   virtual void CpuRelax() = 0;
 
+  // The modeled-cost hooks below are reached only from cores whose
+  // CoreContext::simulated is set; the defaults are no-ops.
+
+  // Declares n cycles of computation by the current core.
+  virtual void ConsumeCycles(Cycles n) { (void)n; }
+
   // Charges the coherence cost of an atomic access to `line`. Called by
   // hal::Atomic before performing the underlying operation.
-  virtual void OnAtomicAccess(LineMeta* line, MemOp op) = 0;
+  virtual void OnAtomicAccess(LineMeta* line, MemOp op) {
+    (void)line;
+    (void)op;
+  }
 
   // Charges the cost of forcing `bytes` of buffered log data to stable
   // storage on `device`. The calling core stalls for the sync latency the
-  // same way fsync callers do; the device serializes concurrent syncs. A
-  // no-op on the native platform.
+  // same way fsync callers do; the device serializes concurrent syncs.
   virtual void OnStorageSync(StorageMeta* device, std::uint64_t bytes) {
     (void)device;
     (void)bytes;
@@ -159,11 +183,12 @@ class Platform {
 
 // ---------------------------------------------------------------------
 // Free functions used on hot paths. All degrade to cheap no-ops when not on
-// a logical core (setup/teardown code).
+// a logical core (setup/teardown code); ConsumeCycles and OnStorageSync are
+// also no-ops on native cores.
 
 inline void ConsumeCycles(Cycles n) {
   CoreContext* cc = CurrentCore();
-  if (cc != nullptr) cc->platform->ConsumeCycles(n);
+  if (cc != nullptr && cc->simulated) cc->platform->ConsumeCycles(n);
 }
 
 inline void CpuRelax() {
@@ -176,10 +201,13 @@ inline Cycles Now() {
   return cc != nullptr ? cc->platform->Now() : 0;
 }
 
-// Declares a stable-storage sync by the current core (no-op off-core).
+// Declares a stable-storage sync by the current core (no-op off-core and on
+// native cores).
 inline void OnStorageSync(StorageMeta* device, std::uint64_t bytes) {
   CoreContext* cc = CurrentCore();
-  if (cc != nullptr) cc->platform->OnStorageSync(device, bytes);
+  if (cc != nullptr && cc->simulated) {
+    cc->platform->OnStorageSync(device, bytes);
+  }
 }
 
 // Id of the calling logical core, or -1 outside any core.
@@ -280,7 +308,9 @@ class alignas(kCacheLineSize) Atomic {
  private:
   void Touch(MemOp op) {
     CoreContext* cc = CurrentCore();
-    if (cc != nullptr) cc->platform->OnAtomicAccess(&line_, op);
+    if (cc != nullptr && cc->simulated) {
+      cc->platform->OnAtomicAccess(&line_, op);
+    }
   }
 
   std::atomic<T> v_;

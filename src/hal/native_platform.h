@@ -1,11 +1,15 @@
 // Real-hardware platform: logical cores are std::threads, atomics are plain
-// std::atomics, time is the wall clock. Used by the test suite to validate
+// std::atomics. Time is the x86-64 time-stamp counter (TSC), counted from
+// platform construction and converted to seconds with a rate calibrated
+// once per process against steady_clock; other architectures read
+// steady_clock nanoseconds. Modeled costs are never charged here: cores
+// leave CoreContext::simulated unset, so ConsumeCycles and the coherence
+// hooks stop at one inline branch. Used by the test suite to validate
 // engine thread-safety with true concurrency, and by bench/oltp for native
 // measurements. Threads are left to the OS scheduler.
 #ifndef ORTHRUS_HAL_NATIVE_PLATFORM_H_
 #define ORTHRUS_HAL_NATIVE_PLATFORM_H_
 
-#include <chrono>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -20,21 +24,15 @@ class NativePlatform final : public Platform {
   ~NativePlatform() override;
 
   int num_cores() const override { return num_cores_; }
-  bool is_simulated() const override { return false; }
   void Spawn(int core_id, std::function<void()> fn) override;
   void Run() override;
-  double CyclesPerSecond() const override { return kGhz * 1e9; }
+  double CyclesPerSecond() const override { return cycles_per_second_; }
 
+  // Clock ticks since construction.
   Cycles Now() override;
-  void ConsumeCycles(Cycles n) override;
   void CpuRelax() override;
-  void OnAtomicAccess(LineMeta* line, MemOp op) override;
 
  private:
-  // Nominal rate used to convert wall nanoseconds into "cycles" so that
-  // engine code can use one time unit on both platforms.
-  static constexpr double kGhz = 2.0;
-
   struct NativeCore {
     std::function<void()> fn;
     CoreContext context;
@@ -44,7 +42,8 @@ class NativePlatform final : public Platform {
   int num_cores_;
   std::vector<NativeCore> cores_;
   std::vector<std::thread> threads_;
-  std::chrono::steady_clock::time_point epoch_;
+  double cycles_per_second_;
+  Cycles origin_;  // raw clock reading at construction
   bool ran_ = false;
 };
 

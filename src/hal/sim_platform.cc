@@ -20,6 +20,7 @@ SimPlatform::SimPlatform(int num_cores, SimConfig config)
     cores_[i].context.core_id = i;
     cores_[i].context.jitter_state = 0x9E3779B97F4A7C15ull * (i + 1) + 1;
     cores_[i].context.race_check = config_.race_detect;
+    cores_[i].context.simulated = true;
   }
 }
 

@@ -44,7 +44,7 @@ struct SimConfig {
   Cycles store_service_cycles = 40;  // line occupancy per plain store
   Cycles invalidate_per_sharer = 25; // added write cost per invalidated sharer
   // Aggregate coherence-fabric capacity: every remote line transfer also
-  // occupies the (shared) interconnect for this long. 4 cycles at 2 GHz
+  // occupies the (shared) interconnect for this long. 6 cycles at 2 GHz
   // caps the machine at ~333M line transfers/s — the resource whose
   // saturation flattens otherwise conflict-free workloads at high core
   // counts (Figure 1).
@@ -92,7 +92,6 @@ class SimPlatform final : public Platform {
   ~SimPlatform() override;
 
   int num_cores() const override { return num_cores_; }
-  bool is_simulated() const override { return true; }
   void Spawn(int core_id, std::function<void()> fn) override;
   void Run() override;
   double CyclesPerSecond() const override { return config_.ghz * 1e9; }

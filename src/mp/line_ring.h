@@ -104,7 +104,7 @@ class LineRing {
 
   static void TouchLine(hal::LineMeta* meta, hal::MemOp op) {
     hal::CoreContext* cc = hal::CurrentCore();
-    if (cc != nullptr) cc->platform->OnAtomicAccess(meta, op);
+    if (cc != nullptr && cc->simulated) cc->platform->OnAtomicAccess(meta, op);
   }
 
   const std::size_t capacity_;
@@ -129,8 +129,7 @@ class WedgeSpin {
  public:
   WedgeSpin() {
     hal::CoreContext* core = hal::CurrentCore();
-    const bool simulated =
-        core != nullptr && core->platform->is_simulated();
+    const bool simulated = core != nullptr && core->simulated;
     bound_ = simulated ? (1ull << 26) : (1ull << 32);
     sink_ = core != nullptr ? core->send_stall_sink : nullptr;
   }

@@ -50,7 +50,11 @@ void TxnDriver::Run() {
         case TxnOutcome::kAbort:
           // Deadlock handling killed the attempt. Brief backoff (grows
           // with the restart count, capped) lets the conflicting older
-          // transaction finish before we retry.
+          // transaction finish before we retry. The delay is modeled: on a
+          // native core ConsumeCycles declares the cycles and waits for
+          // none, so there the retry is immediate (after one CpuRelax
+          // yield) and runtime.backoffs_per_commit counts immediate
+          // retries.
           ctx_->stats.aborted++;
           ctx_->stats.backoffs++;
           t.restarts++;

@@ -3,7 +3,9 @@
 // platform.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -277,6 +279,27 @@ TEST(SimPlatform, StatsCountAccesses) {
   EXPECT_GE(sim.stats().remote_transfers, 1u);
 }
 
+// The modeled-cost hooks skip the platform on native cores only: on a sim
+// core ConsumeCycles still moves the clock by exactly n, and a hal::Atomic
+// access is still charged and counted.
+TEST(SimPlatform, ModeledHooksReachSimCores) {
+  SimPlatform sim(1);
+  Atomic<std::uint64_t> a;
+  bool simulated = false;
+  Cycles before = 0, after = 0;
+  sim.Spawn(0, [&] {
+    simulated = CurrentCore()->simulated;
+    before = Now();
+    ConsumeCycles(12345);
+    after = Now();
+    (void)a.load();
+  });
+  sim.Run();
+  EXPECT_TRUE(simulated);
+  EXPECT_EQ(after - before, 12345u);
+  EXPECT_EQ(sim.stats().atomic_reads, 1u);
+}
+
 TEST(SimPlatform, IdleBackoffAdvancesTime) {
   SimPlatform sim(1);
   Cycles elapsed = 0;
@@ -354,6 +377,39 @@ TEST(NativePlatform, NowIsMonotonic) {
   });
   native.Run();
   EXPECT_TRUE(monotonic);
+}
+
+// Now() ticks converted with CyclesPerSecond() measure the same interval
+// as steady_clock, so native cycle counts mean seconds.
+TEST(NativePlatform, ClockRateMatchesSteadyClock) {
+  NativePlatform native(1);
+  bool simulated = true;
+  double ticks = 0;
+  double seconds = 0;
+  native.Spawn(0, [&] {
+    simulated = CurrentCore()->simulated;
+    const auto t0 = std::chrono::steady_clock::now();
+    const Cycles c0 = Now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const Cycles c1 = Now();
+    const auto t1 = std::chrono::steady_clock::now();
+    ticks = static_cast<double>(c1 - c0);
+    seconds = std::chrono::duration<double>(t1 - t0).count();
+  });
+  native.Run();
+  EXPECT_FALSE(simulated);
+  ASSERT_GE(seconds, 0.05);
+  EXPECT_NEAR(ticks / native.CyclesPerSecond(), seconds, 0.1 * seconds);
+}
+
+// Readings count from platform construction, not from boot: trace spans
+// are placed on a timeline that starts when the platform was created.
+TEST(NativePlatform, NowCountsFromConstruction) {
+  NativePlatform native(1);
+  Cycles first = ~Cycles{0};
+  native.Spawn(0, [&] { first = Now(); });
+  native.Run();
+  EXPECT_LT(static_cast<double>(first), 1.0 * native.CyclesPerSecond());
 }
 
 }  // namespace
