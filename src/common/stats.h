@@ -40,8 +40,7 @@ struct WorkerStats {
   // per drain).
   std::uint64_t cc_batches = 0;
   std::uint64_t cc_batch_msgs = 0;
-  // Most locks live at once in any one ORTHRUS CC lock table; for the
-  // shared table (Section 3.4), the sum of its stripes' peaks. Merged by
+  // Most locks live at once in any one ORTHRUS CC lock table. Merged by
   // max, not summed.
   std::uint64_t cc_live_locks_max = 0;
   std::uint64_t cycles[static_cast<int>(TimeCategory::kCount)] = {0, 0, 0};

@@ -12,8 +12,7 @@
 // without leaving the array, and the array is small enough to stay
 // cache-resident. Erase uses backward-shift deletion (no tombstones), which
 // moves entries: a CcLock pointer is valid only until the next Erase on the
-// same table. No synchronization of its own: a partitioned CC thread owns
-// its table, and each stripe of the shared table latches its own.
+// same table. No synchronization: each CC thread owns its table.
 #ifndef ORTHRUS_ENGINE_ORTHRUS_CC_LOCK_TABLE_H_
 #define ORTHRUS_ENGINE_ORTHRUS_CC_LOCK_TABLE_H_
 
@@ -31,14 +30,6 @@ namespace orthrus::engine {
 // the thread does nothing else, the cache-locality benefit of partitioned
 // functionality (Sections 2.1 and 3.1).
 inline constexpr std::uint64_t kCcOpCycles = 12;
-
-// The (table, key) mix every CC lock structure hashes with. CcLockTable
-// homes a lock from its low bits; ORTHRUS's shared table (Section 3.4)
-// picks a stripe from its top bits, so the two choices stay independent.
-inline std::uint64_t LockKeyMix(std::uint32_t table, std::uint64_t key) {
-  return (key ^ (static_cast<std::uint64_t>(table) << 56)) *
-         0x9E3779B97F4A7C15ull;
-}
 
 // One live lock: its key and the FIFO queue of `Request` nodes on it (the
 // engine keeps those in the requesting transactions' TCBs). A lock with a
@@ -121,7 +112,9 @@ class CcLockTable {
 
   // Home slot of (table, key); exposed so tests can build colliding keys.
   std::size_t Home(std::uint32_t table, std::uint64_t key) const {
-    const std::uint64_t h = LockKeyMix(table, key);
+    const std::uint64_t h =
+        (key ^ (static_cast<std::uint64_t>(table) << 56)) *
+        0x9E3779B97F4A7C15ull;
     return static_cast<std::size_t>(h ^ (h >> 32)) & mask_;
   }
 

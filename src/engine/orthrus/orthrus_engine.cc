@@ -1,6 +1,5 @@
 #include "engine/orthrus/orthrus_engine.h"
 
-#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
@@ -70,7 +69,7 @@ int DecodeStage(std::uint64_t w) {
 }
 
 // One lock request. Each transaction's requests live inline in its TCB
-// (index = access index), so neither CC mode allocates request nodes.
+// (index = access index), so the CC threads never allocate request nodes.
 struct CcRequest {
   Tcb* tcb = nullptr;
   CcRequest* next = nullptr;
@@ -105,17 +104,11 @@ struct alignas(kTcbAlign) Tcb {
   bool replan_pending = false;
   bool counted_commit = false;
 
-  // Shared-CC mode (Section 3.4): index of the next lock to acquire in
-  // global key order and the CC thread handling this transaction.
-  int next_acq = 0;
-  int home_cc = -1;
-
   // CC-side state, starting on a line of its own so that CC writes never
   // share a cache line with the exec thread's bookkeeping above.
   // `pending` counts the ungranted locks of the stage in progress. The
   // request nodes are one per access; each stage's slice belongs to the
-  // CC thread owning that stage's partition (to the acquiring CC thread in
-  // shared-CC mode) from acquire until release.
+  // CC thread owning that stage's partition from acquire until release.
   alignas(kCacheLineSize) std::uint32_t pending = 0;
   std::array<CcRequest, kMaxAccesses> inline_reqs{};
 };
@@ -189,110 +182,6 @@ void Release(CcLockTable* locks, CcRequest* r, OnGrant on_grant) {
   }
 }
 
-// -------------------------------------- shared CC lock table (Section 3.4)
-
-// One latched lock table shared by all CC threads: the paper's alternative
-// to partitioning the lock space. A transaction's home CC thread acquires
-// its locks one at a time in global key order (deadlock freedom by ordered
-// acquisition); when a lock is busy the transaction parks in that lock's
-// FIFO queue, and whichever CC thread later grants the lock continues the
-// acquisition. Stripe latches are contended only by CC threads.
-//
-// The table is a power-of-two set of stripes, each a latch over a
-// CcLockTable; the top bits of the (table, key) mix pick the stripe, and
-// CcLockTable homes the lock from the low bits. A lock leaves its stripe
-// when its queue empties, so each stripe holds at most the run's live-lock
-// bound and is sized from it once.
-class SharedCcTable {
- public:
-  // Four stripes per CC thread keep the latch load per stripe flat as CC
-  // threads are added, and the footprint small: every stripe is sized for
-  // the whole bound, which at ablation_shared_cc's largest (80 cores, 2 CC:
-  // 24,960 live locks) is 65,536 x 32 B = 2 MiB, so the table costs at
-  // most 8 MiB per CC thread at every point that bench runs.
-  SharedCcTable(int n_cc, std::size_t max_live_locks)
-      : stripes_(NextPowerOfTwo(4 * static_cast<std::uint64_t>(n_cc))),
-        stripe_shift_(64 - __builtin_ctzll(stripes_.size())) {
-    for (auto& s : stripes_) {
-      s = std::make_unique<Stripe>(max_live_locks);  // lint:allow-alloc setup
-    }
-  }
-
-  // Continues tcb's ordered acquisition from tcb->next_acq. Returns true
-  // once every lock is granted. Must be called by a CC core.
-  bool ContinueAcquire(Tcb* tcb) {
-    // Whichever CC thread granted the parked request owns the transaction's
-    // acquisition cursor now; the stripe latch hand-off is the sync edge.
-    hal::RaceCheck(&tcb->next_acq, sizeof(tcb->next_acq), /*is_write=*/true,
-                   "orthrus.tcb.next_acq");
-    Txn& t = tcb->txn;
-    while (tcb->next_acq < static_cast<int>(t.accesses.size())) {
-      const Access& a = t.accesses[tcb->next_acq];
-      Stripe& s = StripeOf(a.table, a.key);
-      s.latch.Lock();
-      hal::ConsumeCycles(kCcOpCycles);
-      const bool granted = Enqueue(s.locks.FindOrInsert(a.table, a.key),
-                                   &tcb->inline_reqs[tcb->next_acq], tcb, a);
-      s.latch.Unlock();
-      // Branch on the latch-protected result, never on the request's
-      // `granted` after the unlock: a releaser on another CC thread may
-      // grant the parked request in that window, and a stale re-read would
-      // have this thread and the granter both continue the same
-      // transaction.
-      if (!granted) return false;  // parked; a granter will continue us
-      tcb->next_acq++;
-    }
-    return true;
-  }
-
-  // Releases every lock tcb holds (indexes [0, next_acq)), collecting the
-  // transactions whose parked request became granted; the caller continues
-  // them outside the latches.
-  void ReleaseAll(Tcb* tcb, std::vector<Tcb*>* runnable) {
-    for (int i = 0; i < tcb->next_acq; ++i) {
-      CcRequest* r = &tcb->inline_reqs[i];
-      Stripe& s = StripeOf(r->table, r->key);
-      s.latch.Lock();
-      hal::ConsumeCycles(kCcOpCycles);
-      Release(&s.locks, r, [runnable](CcRequest* f) {
-        Tcb* t = f->tcb;
-        hal::RaceCheck(&t->next_acq, sizeof(t->next_acq), /*is_write=*/true,
-                       "orthrus.tcb.next_acq");
-        t->next_acq++;  // past the lock it was parked on
-        runnable->push_back(t);
-      });
-      s.latch.Unlock();
-    }
-  }
-
-  // Teardown only (no latches): locks still live, and the sum of the
-  // stripes' live-lock peaks, an upper bound on the table's own peak.
-  std::size_t LiveRaw() const ORTHRUS_NO_THREAD_SAFETY_ANALYSIS {
-    std::size_t n = 0;
-    for (const auto& s : stripes_) n += s->locks.used();
-    return n;
-  }
-  std::size_t HighWaterRaw() const ORTHRUS_NO_THREAD_SAFETY_ANALYSIS {
-    std::size_t n = 0;
-    for (const auto& s : stripes_) n += s->locks.high_water();
-    return n;
-  }
-
- private:
-  struct alignas(kCacheLineSize) Stripe {
-    explicit Stripe(std::size_t max_live) : locks(max_live) {}
-    hal::SpinLock latch;
-    CcLockTable locks ORTHRUS_GUARDED_BY(latch);
-  };
-
-  Stripe& StripeOf(std::uint32_t table, std::uint64_t key) {
-    return *stripes_[LockKeyMix(table, key) >> stripe_shift_];
-  }
-
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  int stripe_shift_;  // 64 - log2(stripe count): the mix's top bits
-};
-
 // --------------------------------------------------------- shared state
 
 using Mesh = mp::QueueMesh<std::uint64_t>;
@@ -317,9 +206,6 @@ struct Shared {
   // Durability (null = off): each exec thread owns wal producer slot
   // exec_id; logger workers ride above the CC/exec cores.
   wal::GroupCommitLog* wal;
-
-  // Section 3.4 mode: non-null when CC threads share one latched table.
-  std::unique_ptr<SharedCcTable> shared_cc;
 };
 
 // ------------------------------------------------------------ CC thread
@@ -328,12 +214,7 @@ class CcThread {
  public:
   CcThread(int cc_id, Shared* shared, WorkerStats* stats,
            std::size_t max_live_locks)
-      : cc_id_(cc_id),
-        shared_(shared),
-        stats_(stats),
-        // Shared-CC mode keeps its locks in SharedCcTable; the thread-local
-        // table then stays unused (minimal footprint).
-        locks_(shared->shared_cc != nullptr ? 1 : max_live_locks) {}
+      : cc_id_(cc_id), shared_(shared), stats_(stats), locks_(max_live_locks) {}
 
   void Main() {
     // Polling cached-empty queues costs L1 hits; a small cap keeps grant
@@ -393,7 +274,7 @@ class CcThread {
     Tcb* tcb = DecodeTcb(word);
     switch (DecodeTag(word)) {
       case kAcquire:
-        ProcessAcquire(tcb);
+        if (AcquireStage(tcb)) Advance(tcb);
         break;
       case kRelease:
         ProcessRelease(tcb, word);
@@ -447,35 +328,7 @@ class CcThread {
                    /*is_write=*/true, "orthrus.tcb.reqs");
   }
 
-  void ProcessAcquire(Tcb* tcb) {
-    if (shared_->shared_cc != nullptr) {
-      if (shared_->shared_cc->ContinueAcquire(tcb)) {
-        SendGrant(tcb);
-      } else {
-        stats_->lock_waits++;
-      }
-      return;
-    }
-    if (AcquireStage(tcb)) Advance(tcb);
-  }
-
   void ProcessRelease(Tcb* tcb, std::uint64_t word) {
-    if (shared_->shared_cc != nullptr) {
-      runnable_.clear();
-      shared_->shared_cc->ReleaseAll(tcb, &runnable_);
-      shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kAck));
-      stats_->messages_sent++;
-      // Continue the transactions our release unblocked; any that complete
-      // their lock set are handed to their execution threads.
-      for (Tcb* t : runnable_) {
-        if (shared_->shared_cc->ContinueAcquire(t)) {
-          SendGrant(t);
-        } else {
-          stats_->lock_waits++;
-        }
-      }
-      return;
-    }
     ReleaseStage(tcb, tcb->stages[DecodeStage(word)]);
     // Release requests are satisfied and acknowledged immediately
     // (Section 3.1).
@@ -507,17 +360,13 @@ class CcThread {
     }
   }
 
-  void SendGrant(Tcb* tcb) {
-    shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kGrant));
-    stats_->messages_sent++;
-  }
-
   // All locks of tcb's current stage are granted: forward along the chain
   // (Section 3.3) or hand back to the execution thread.
   void Advance(Tcb* tcb) {
     const int next = tcb->cur_stage + 1;
     if (next >= tcb->n_stages) {
-      SendGrant(tcb);
+      shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kGrant));
+      stats_->messages_sent++;
       return;
     }
     if (!shared_->forwarding) {
@@ -541,7 +390,6 @@ class CcThread {
   CcLockTable locks_;
   // Requests enqueued and not yet released.
   std::uint64_t held_ = 0;
-  std::vector<Tcb*> runnable_;  // scratch for shared-mode release grants
 };
 
 // ----------------------------------------------------------- exec thread
@@ -679,10 +527,8 @@ class ExecThread {
   }
 
   // Resolves and prefetches every access's row, sorts the accesses into
-  // CC-thread order and starts the acquisition chain. In shared-CC mode the
-  // sort is the global key order and a single home CC thread (round robin)
-  // handles the whole transaction. `t0` is the caller's clock reading;
-  // returns the reading that ends the span.
+  // CC-thread order and starts the acquisition chain. `t0` is the caller's
+  // clock reading; returns the reading that ends the span.
   //
   // Resolution is planned data access: the index is read-only during a
   // run, so a row's address does not depend on its lock, and the misses
@@ -697,20 +543,6 @@ class ExecThread {
     ResolveRows(db_, &t.accesses);
     const hal::Cycles tr = hal::Now();
     stats_->Add(TimeCategory::kExecution, tr - t0);
-    if (shared_->shared_cc != nullptr) {
-      std::sort(t.accesses.begin(), t.accesses.end(), txn::AccessKeyOrder());
-      hal::RaceCheck(&tcb->next_acq, sizeof(tcb->next_acq), /*is_write=*/true,
-                     "orthrus.tcb.next_acq");
-      tcb->next_acq = 0;
-      tcb->home_cc = static_cast<int>(rr_counter_++ %
-                                      static_cast<std::uint64_t>(shared_->n_cc));
-      inflight_++;
-      shared_->inflight_global.fetch_add(1);
-      SendAcquire(tcb, tcb->home_cc);
-      const hal::Cycles t1 = hal::Now();
-      stats_->Add(TimeCategory::kLocking, t1 - tr);
-      return t1;
-    }
     tcb->n_stages = BuildStages(&t.accesses, db_->partitioner(),
                                 sort_scratch_.data(), tcb->stages.data());
     // Slot reuse: the previous occupant's CC-side touches happen-before
@@ -765,18 +597,12 @@ class ExecThread {
 
     hal::RaceCheck(&tcb->pending_acks, sizeof(tcb->pending_acks),
                    /*is_write=*/true, "orthrus.tcb.acks");
-    if (shared_->shared_cc != nullptr) {
-      tcb->pending_acks = 1;
-      shared_->exec_to_cc.Send(exec_id_, tcb->home_cc, Encode(tcb, kRelease));
+    // One release per stage, to the stage's CC thread, naming the stage.
+    tcb->pending_acks = tcb->n_stages;
+    for (int s = 0; s < tcb->n_stages; ++s) {
+      shared_->exec_to_cc.Send(exec_id_, tcb->stages[s].part,
+                               EncodeRelease(tcb, s));
       stats_->messages_sent++;
-    } else {
-      // One release per stage, to the stage's CC thread, naming the stage.
-      tcb->pending_acks = tcb->n_stages;
-      for (int s = 0; s < tcb->n_stages; ++s) {
-        shared_->exec_to_cc.Send(exec_id_, tcb->stages[s].part,
-                                 EncodeRelease(tcb, s));
-        stats_->messages_sent++;
-      }
     }
     stats_->Add(TimeCategory::kLocking, hal::Now() - t1);
   }
@@ -820,7 +646,6 @@ class ExecThread {
   // transactions that have not reached Capture yet (see IssueNew).
   wal::Producer* wal_ = nullptr;
   std::uint64_t wal_uncaptured_ = 0;
-  std::uint64_t rr_counter_ = 0;  // shared-CC home assignment
 };
 
 }  // namespace
@@ -839,7 +664,6 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
 std::string OrthrusEngine::name() const {
   std::string n = "orthrus";
   if (!orthrus_.forwarding) n += "-nofwd";
-  if (orthrus_.shared_cc_table) n += "-sharedcc";
   return n;
 }
 
@@ -847,11 +671,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
                              const workload::Workload& workload) {
   const int n_cc = orthrus_.num_cc;
   const int n_exec = options_.num_cores - n_cc;
-  if (!orthrus_.shared_cc_table) {
-    ORTHRUS_CHECK_MSG(db->partitioner().n == n_cc,
-                      "ORTHRUS needs the database partitioner configured "
-                      "with one partition per CC thread");
-  }
+  ORTHRUS_CHECK_MSG(db->partitioner().n == n_cc,
+                    "ORTHRUS needs the database partitioner configured "
+                    "with one partition per CC thread");
 
   // Durability: one wal producer per exec thread (CC threads never commit),
   // logger workers above the CC/exec cores. Admission reserves a worst-case
@@ -883,10 +705,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   const std::size_t max_live_locks = static_cast<std::size_t>(n_exec) *
                                      inflight *
                                      static_cast<std::size_t>(kMaxAccesses);
-  if (orthrus_.shared_cc_table) {
-    shared.shared_cc =  // lint:allow-alloc setup
-        std::make_unique<SharedCcTable>(n_cc, max_live_locks);
-  }
 
   // Queue capacities: provable upper bounds on outstanding messages per
   // pair, doubled for slack (Mesh::Send CHECK-fails if these are wrong).
@@ -951,16 +769,10 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   }
 
   // Consistency: every queue fully drained. Every lock was released and
-  // erased: each CC thread checks its own table on exit, and the shared
-  // table is checked here, where CC worker 0 also reports its peak.
+  // erased: each CC thread checks its own table on exit.
   ORTHRUS_CHECK(shared.exec_to_cc.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.cc_to_cc.SizeRawTotal() == 0);
   ORTHRUS_CHECK(shared.cc_to_exec.SizeRawTotal() == 0);
-  if (shared.shared_cc != nullptr) {
-    ORTHRUS_CHECK_MSG(shared.shared_cc->LiveRaw() == 0,
-                      "shared CC table holds live locks after the run");
-    pool.worker(0).stats.cc_live_locks_max = shared.shared_cc->HighWaterRaw();
-  }
 
   return pool.Finalize();
 }

@@ -38,8 +38,7 @@ namespace orthrus::engine {
 struct OrthrusOptions {
   // Cores devoted to concurrency control; the remaining
   // (EngineOptions::num_cores - num_cc) cores execute transactions. The
-  // split is fixed for the run (tune it beforehand: AutotuneThreadSplit).
-  // Unless shared_cc_table is set, CC thread c owns lock partition c.
+  // split is fixed for the run. CC thread c owns lock partition c.
   int num_cc = 4;
 
   // Maximum transactions an execution thread keeps in flight.
@@ -47,15 +46,6 @@ struct OrthrusOptions {
 
   // Section 3.3 optimization: CC->CC forwarding of lock-acquisition chains.
   bool forwarding = true;
-
-  // Section 3.4's alternative architecture: instead of partitioning the
-  // lock space, all CC threads share one latched lock table and any one of
-  // them acquires a transaction's complete lock set (in global key order,
-  // so deadlock freedom is preserved; a blocked acquisition is continued by
-  // whichever CC thread grants the blocking lock). Synchronization exists
-  // again — but only among the CC threads, a much smaller set than all
-  // cores, which is exactly the trade the paper describes.
-  bool shared_cc_table = false;
 };
 
 class OrthrusEngine final : public Engine {

@@ -150,25 +150,17 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
-  // ORTHRUS variants: every message-passing configuration (forwarding
-  // on/off, shared CC table) must agree with the
+  // ORTHRUS with forwarding on and off must agree with the
   // shared-everything engines. The clock-level pins are
   // OrthrusRunsAreDeterministic plus the exact message-count tests in
   // orthrus_engine_test.
-  struct OrthrusCase {
-    bool forwarding;
-    bool shared_cc;
-  };
-  for (const OrthrusCase& c :
-       {OrthrusCase{true, false}, OrthrusCase{false, false},
-        OrthrusCase{true, true}}) {
+  for (bool forwarding : {true, false}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     // One transaction in flight per exec thread: the commit cap is checked
     // before each issue, so each worker commits exactly its first K.
     oo.max_inflight = 1;
-    oo.forwarding = c.forwarding;
-    oo.shared_cc_table = c.shared_cc;
+    oo.forwarding = forwarding;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &orthrus_aligned,
@@ -186,10 +178,8 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
 
 // Mixed read/write stream, the mix `kv_hot_read90` runs natively: half the
 // transactions are read-only and take shared locks, in a queued lock
-// table (2PL wait-die), in ORTHRUS's partitioned CC tables, and in its
-// latched shared table (Section 3.4), where ordered acquisition parks and
-// continues readers and writers across CC threads. Every engine still
-// commits exactly the first K transactions of each worker's stream, and
+// table (2PL wait-die) and in ORTHRUS's partitioned CC tables. Every
+// engine still commits exactly the first K transactions of each worker's stream, and
 // read-only transactions write nothing, so the commit counts, the RMW
 // counter sums and the final table digests must all match.
 TEST(EngineEquivalence, ReadMixMatchesAcrossLockingEngines) {
@@ -217,11 +207,10 @@ TEST(EngineEquivalence, ReadMixMatchesAcrossLockingEngines) {
                             engine::DeadlockPolicyKind::kWaitDie);
     outcomes.emplace_back(eng.name(), run_plain(&eng));
   }
-  for (bool shared_cc : {false, true}) {
+  {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    oo.shared_cc_table = shared_cc;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     workload::KvWorkload fresh(cfg);
     storage::Database db;
@@ -349,13 +338,10 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kExecWorkers, kExecWorkers, 0));
   }
-  // ORTHRUS with partitioned CC tables and with the shared table (Section
-  // 3.4), whose ordered acquisition covers TPC-C's multi-table lock sets.
-  for (bool shared_cc : {false, true}) {
+  {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    oo.shared_cc_table = shared_cc;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
@@ -519,23 +505,19 @@ TEST(EngineEquivalence, TpccRunsAreDeterministic) {
 TEST(EngineEquivalence, OrthrusRunsAreDeterministic) {
   workload::KvWorkload kv(workload::MakeYcsbConfig(Spec()));
   ShiftedWorkload aligned(&kv, kOrthrusCc);
-  for (bool shared_cc : {false, true}) {
-    SCOPED_TRACE(shared_cc ? "shared-cc" : "partitioned-cc");
-    const auto run = [&aligned, shared_cc] {
-      engine::OrthrusOptions oo;
-      oo.num_cc = kOrthrusCc;
-      oo.max_inflight = 1;
-      oo.shared_cc_table = shared_cc;
-      engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-      return RunOne(&eng, &aligned, kOrthrusCc + kExecWorkers, kOrthrusCc);
-    };
-    const Outcome a = run();
-    const Outcome b = run();
-    EXPECT_GT(a.committed, 0u);
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.clock, b.clock);
-  }
+  const auto run = [&aligned] {
+    engine::OrthrusOptions oo;
+    oo.num_cc = kOrthrusCc;
+    oo.max_inflight = 1;
+    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
+    return RunOne(&eng, &aligned, kOrthrusCc + kExecWorkers, kOrthrusCc);
+  };
+  const Outcome a = run();
+  const Outcome b = run();
+  EXPECT_GT(a.committed, 0u);
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.clock, b.clock);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Focused tests for ORTHRUS-engine behaviours beyond the generic engine
-// integration suite: message economics of the forwarding optimization, the
-// shared-CC-table mode (Section 3.4), in-flight window effects, CC/exec
-// stats attribution, Zipfian-skew handling, planned row resolution, and
-// the option CHECKs.
+// integration suite: message economics of the forwarding optimization,
+// in-flight window effects, CC/exec stats attribution, Zipfian-skew
+// handling, planned row resolution, and the option CHECKs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -102,60 +101,21 @@ TEST(OrthrusMessages, SinglePartitionCostsFourMessagesPerTxn) {
               4.0, 0.5);
 }
 
-TEST(OrthrusSharedCc, CommitsAndConserves) {
-  OrthrusOptions oo;
-  oo.num_cc = 3;
-  oo.shared_cc_table = true;
-  KvWorkload* wl = nullptr;
-  storage::Database db;
-  RunResult r = RunOrthrus(MultiPartKv(3, 2), oo, 7, &wl, &db);
-  EXPECT_GT(r.total.committed, 0u);
-  EXPECT_EQ(r.total.aborted, 0u);  // ordered acquisition: no deadlocks
-  EXPECT_EQ(wl->SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusSharedCc, HighContentionConserves) {
+TEST(OrthrusStatic, HighContentionConserves) {
+  // Eight hot keys over two CC threads: most requests queue behind a
+  // holder, so grant sweeps on release advance parked stages.
   OrthrusOptions oo;
   oo.num_cc = 2;
-  oo.shared_cc_table = true;
   KvConfig kv;
   kv.num_records = 4000;
-  kv.hot_records = 8;  // extreme conflicts exercise parked continuations
+  kv.hot_records = 8;
   kv.num_partitions = 2;
   KvWorkload* wl = nullptr;
   storage::Database db;
   RunResult r = RunOrthrus(kv, oo, 6, &wl, &db);
   EXPECT_GT(r.total.committed, 0u);
   EXPECT_EQ(wl->SumCounters(db), r.total.committed * 10);
-  // Parked requests count as lock waits, as in partitioned mode.
   EXPECT_GT(r.total.lock_waits, 0u);
-}
-
-TEST(OrthrusSharedCc, WorksOnNativeThreads) {
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.shared_cc_table = true;
-  KvConfig kv;
-  kv.num_records = 4000;
-  kv.hot_records = 32;
-  kv.num_partitions = 2;
-  KvWorkload* wl = nullptr;
-  storage::Database db;
-  RunResult r = RunOrthrus(kv, oo, 5, &wl, &db, /*native=*/true);
-  EXPECT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl->SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusSharedCc, MessagesIndependentOfPartitionSpread) {
-  // Shared table: one home CC regardless of how many partitions keys span.
-  OrthrusOptions oo;
-  oo.num_cc = 4;
-  oo.shared_cc_table = true;
-  RunResult r = RunOrthrus(MultiPartKv(4, 4), oo, 8);
-  ASSERT_GT(r.total.committed, 0u);
-  // acquire + grant + release + ack = 4, despite 4-partition key spread.
-  EXPECT_NEAR(static_cast<double>(r.total.messages_sent) / r.total.committed,
-              4.0, 0.5);
 }
 
 TEST(OrthrusStats, CcWorkersAccrueLockingTime) {
@@ -261,29 +221,23 @@ TEST(OrthrusStatic, WorksOnNativeThreads) {
 TEST(OrthrusStatic, FourCcChainsOnNativeThreads) {
   // Per-pair rings under true concurrency with four CC threads: the CC
   // threads forward acquisition chains among themselves while every exec
-  // thread sends to all of them. The shared-table arm (Section 3.4) has
-  // the CC threads hand parked acquisitions to one another through the
-  // stripe latches instead.
-  for (bool shared_cc : {false, true}) {
-    SCOPED_TRACE(shared_cc ? "shared-cc" : "partitioned-cc");
-    KvConfig kv;
-    kv.num_records = 8000;
-    kv.num_partitions = 4;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    EngineOptions eo;
-    eo.num_cores = 8;
-    eo.duration_seconds = 0.05;  // wall seconds on the native platform
-    OrthrusOptions oo;
-    oo.num_cc = 4;
-    oo.shared_cc_table = shared_cc;
-    OrthrusEngine eng(eo, oo);
-    hal::NativePlatform p(8);
-    RunResult r = eng.Run(&p, &db, wl);
-    EXPECT_GT(r.total.committed, 0u);
-    EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-  }
+  // thread sends to all of them.
+  KvConfig kv;
+  kv.num_records = 8000;
+  kv.num_partitions = 4;
+  KvWorkload wl(kv);
+  storage::Database db;
+  wl.Load(&db, 1);
+  EngineOptions eo;
+  eo.num_cores = 8;
+  eo.duration_seconds = 0.05;  // wall seconds on the native platform
+  OrthrusOptions oo;
+  oo.num_cc = 4;
+  OrthrusEngine eng(eo, oo);
+  hal::NativePlatform p(8);
+  RunResult r = eng.Run(&p, &db, wl);
+  EXPECT_GT(r.total.committed, 0u);
+  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
 }
 
 TEST(OrthrusZipfian, SkewedWorkloadConserves) {
@@ -323,52 +277,6 @@ TEST(OrthrusZipfian, SkewConcentratesConflictsOnHotPartition) {
   for (int c = 1; c < 4; ++c) waits_rest += r.per_worker[c].lock_waits;
   // The hot partition alone outweighs the other three combined.
   EXPECT_GT(waits0, waits_rest);
-}
-
-}  // namespace
-}  // namespace orthrus
-
-// ------------------------------------------------------------- autotune
-
-#include "engine/autotune.h"
-
-namespace orthrus {
-namespace {
-
-TEST(Autotune, PicksAReasonableSplit) {
-  workload::KvConfig kv;
-  kv.num_records = 20000;
-  kv.num_partitions = 1;  // partition-agnostic (uniform placement)
-  workload::KvWorkload wl(kv);
-  engine::AutotuneOptions opts;
-  opts.candidates = {1, 2, 4, 8};
-  opts.probe_seconds = 0.001;
-  engine::AutotuneResult r = engine::AutotuneThreadSplit(16, &wl, opts);
-  EXPECT_EQ(r.probes.size(), 4u);
-  EXPECT_GT(r.best_throughput, 0.0);
-  EXPECT_GE(r.best_num_cc, 1);
-  EXPECT_LE(r.best_num_cc, 8);
-  // The winner's throughput must match its own probe entry.
-  bool found = false;
-  for (const auto& p : r.probes) {
-    if (p.num_cc == r.best_num_cc) {
-      EXPECT_DOUBLE_EQ(p.throughput, r.best_throughput);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(Autotune, DefaultCandidatesArePowersOfTwo) {
-  workload::KvConfig kv;
-  kv.num_records = 10000;
-  kv.num_partitions = 1;
-  workload::KvWorkload wl(kv);
-  engine::AutotuneOptions opts;
-  opts.probe_seconds = 0.0005;
-  engine::AutotuneResult r = engine::AutotuneThreadSplit(8, &wl, opts);
-  // Defaults: 1, 2, 4 (candidates must leave at least one exec core).
-  EXPECT_EQ(r.probes.size(), 3u);
 }
 
 // --------------------------------------------------------- option checks
@@ -553,53 +461,37 @@ TEST(CcLockTable, CapacityCheckFiresPastTheBound) {
 // Boundedness: uniform KV touching many times more distinct keys than the
 // live-lock bound. Every CC lock table stays within
 // n_exec * max_inflight * kMaxAccesses; the engine's teardown CHECKs that
-// each ends empty. The shared-table arm (Section 3.4) runs one CC thread
-// and two exec threads over 2M rows for long enough to touch more than
-// 2^18 distinct keys, each of which must leave its stripe once its queue
-// empties; its reported peak is the sum of the stripes' peaks.
+// each ends empty.
 TEST(OrthrusStatic, LiveLocksStayWithinBound) {
   constexpr std::uint64_t kMaxAccesses = 40;
-  struct Arm {
-    const char* name;
-    bool shared_cc;
-    int num_cc;
-    int cores;
-    std::uint64_t records;
-    double seconds;
-  };
-  for (const Arm& arm : {Arm{"partitioned", false, 2, 6, 200000, 0.004},
-                         Arm{"shared-cc", true, 1, 3, 2000000, 0.06}}) {
-    SCOPED_TRACE(arm.name);
-    OrthrusOptions oo;
-    oo.num_cc = arm.num_cc;
-    oo.shared_cc_table = arm.shared_cc;
-    KvConfig kv;
-    kv.num_records = arm.records;
-    kv.num_partitions = arm.num_cc;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    EngineOptions eo = SmallRun(arm.cores);
-    eo.max_txns_per_worker = 0;
-    eo.duration_seconds = arm.seconds;
-    OrthrusEngine eng(eo, oo);
-    hal::SimPlatform sim(arm.cores);
-    RunResult r = eng.Run(&sim, &db, wl);
-    const std::uint64_t bound = static_cast<std::uint64_t>(eng.num_exec()) *
-                                static_cast<std::uint64_t>(oo.max_inflight) *
-                                kMaxAccesses;
-    EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-    // Ten keys per transaction out of 200k or 2M: nearly all distinct.
-    EXPECT_GE(r.total.committed * 10, 10 * bound);
-    EXPECT_GT(r.total.cc_live_locks_max, 0u);
-    EXPECT_LE(r.total.cc_live_locks_max, bound);
-    // Merged by max, not summed.
-    std::uint64_t per_worker_max = 0;
-    for (const WorkerStats& w : r.per_worker) {
-      per_worker_max = std::max(per_worker_max, w.cc_live_locks_max);
-    }
-    EXPECT_EQ(r.total.cc_live_locks_max, per_worker_max);
+  OrthrusOptions oo;
+  oo.num_cc = 2;
+  KvConfig kv;
+  kv.num_records = 200000;
+  kv.num_partitions = oo.num_cc;
+  KvWorkload wl(kv);
+  storage::Database db;
+  wl.Load(&db, 1);
+  EngineOptions eo = SmallRun(6);
+  eo.max_txns_per_worker = 0;
+  eo.duration_seconds = 0.004;
+  OrthrusEngine eng(eo, oo);
+  hal::SimPlatform sim(6);
+  RunResult r = eng.Run(&sim, &db, wl);
+  const std::uint64_t bound = static_cast<std::uint64_t>(eng.num_exec()) *
+                              static_cast<std::uint64_t>(oo.max_inflight) *
+                              kMaxAccesses;
+  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+  // Ten keys per transaction out of 200k: nearly all distinct.
+  EXPECT_GE(r.total.committed * 10, 10 * bound);
+  EXPECT_GT(r.total.cc_live_locks_max, 0u);
+  EXPECT_LE(r.total.cc_live_locks_max, bound);
+  // Merged by max, not summed.
+  std::uint64_t per_worker_max = 0;
+  for (const WorkerStats& w : r.per_worker) {
+    per_worker_max = std::max(per_worker_max, w.cc_live_locks_max);
   }
+  EXPECT_EQ(r.total.cc_live_locks_max, per_worker_max);
 }
 
 // ------------------------------------------------- planned row resolution
@@ -739,9 +631,6 @@ TEST(OrthrusPlannedAccess, LogicRunsOnTheRowsItsKeysName) {
   arms.push_back({"default", oo});
   oo.forwarding = false;
   arms.push_back({"no-forwarding", oo});
-  oo.forwarding = true;
-  oo.shared_cc_table = true;
-  arms.push_back({"shared-cc", oo});
   for (const Arm& arm : arms) {
     KvWorkload kv(MultiPartKv(2, 2));
     RowCheckWorkload wl(&kv);

@@ -328,15 +328,6 @@ TEST(RaceClean, OrthrusHighContention) {
   RunKv(&eng, &wl, 6, 1, /*race_detect=*/true);
 }
 
-TEST(RaceClean, OrthrusSharedCcTable) {
-  KvWorkload wl(SmallKv(2));
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.shared_cc_table = true;
-  engine::OrthrusEngine eng(SmallRun(6), oo);
-  RunKv(&eng, &wl, 6, 1, /*race_detect=*/true);
-}
-
 TEST(RaceClean, WalDurableTwoPl) {
   KvWorkload wl(SmallKv(4));
   storage::Database db;

@@ -153,18 +153,6 @@ std::vector<EngineCase> DurabilityEngines() {
          oo.max_inflight = 1;
          return std::make_unique<engine::OrthrusEngine>(o, oo);
        }});
-  // Section 3.4's shared table: the stripes' latches hand parked
-  // acquisitions between CC threads while commits flow to the log.
-  cases.push_back(
-      {"orthrus-sharedcc", kOrthrusCc + kWorkers, kOrthrusCc, kOrthrusCc,
-       kWorkers,
-       [](const engine::EngineOptions& o) -> std::unique_ptr<engine::Engine> {
-         engine::OrthrusOptions oo;
-         oo.num_cc = kOrthrusCc;
-         oo.max_inflight = 1;
-         oo.shared_cc_table = true;
-         return std::make_unique<engine::OrthrusEngine>(o, oo);
-       }});
   return cases;
 }
 
