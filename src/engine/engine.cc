@@ -11,8 +11,7 @@ RunResult RunThreadPerTxn(const EngineOptions& options,
   const int n = options.num_cores;
   wal::GroupCommitLog* log = options.wal;
   const int loggers = log != nullptr ? log->loggers() : 0;
-  runtime::WorkerPool pool(platform, n + loggers, options.duration_seconds,
-                           options.rng_seed);
+  runtime::WorkerPool pool(platform, n + loggers, options.duration_seconds);
   const runtime::DriverOptions dopts = MakeDriverOptions(options);
   std::vector<std::unique_ptr<runtime::ExecutionStrategy>> strategies(n);
   for (int w = 0; w < n; ++w) {

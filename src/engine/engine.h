@@ -13,7 +13,7 @@
 //                          message passing (the paper's contribution)
 //
 // The transaction lifecycle itself (admission, OLLP planning, deadline and
-// commit-cap gating, restart backoff, stat accounting) is shared: it lives
+// commit-cap gating, RestartBackoff, stat accounting) is shared: it lives
 // in src/runtime/, and the shared-everything engines are thin
 // runtime::ExecutionStrategy implementations over it. See
 // runtime/txn_driver.h for how to add a new architecture.
@@ -51,14 +51,6 @@ struct EngineOptions {
   // bounded runs independent of timing.
   std::uint64_t max_txns_per_worker = 0;
 
-  // Seed for the runtime layer's per-worker RNG streams (backoff policies
-  // and randomized strategies; the defaults never draw from them).
-  std::uint64_t rng_seed = 0;
-
-  // Optional override of the restart backoff (null = the default capped
-  // exponential with deterministic jitter). Not owned.
-  const runtime::BackoffPolicy* backoff = nullptr;
-
   // Durability. Null = off: no logger cores are spawned, no commit path
   // touches wal state, and runs are byte-identical to a build without the
   // subsystem. Non-null = a caller-owned group-commit log constructed for
@@ -82,7 +74,6 @@ inline runtime::DriverOptions MakeDriverOptions(const EngineOptions& o,
   runtime::DriverOptions d;
   d.max_txns_per_worker = o.max_txns_per_worker;
   d.charge_admission = charge_admission;
-  d.backoff = o.backoff;
   d.resume_committed = o.resume_committed;
   return d;
 }

@@ -32,8 +32,7 @@ enum MsgTag : std::uint64_t {
   kAcquire = 0,    // exec->CC or CC->CC: acquire locks for cur_stage
   kRelease = 1,    // exec->CC: release one stage's locks of tcb
   kGrant = 2,      // CC->exec: all stages granted, execute
-  kStageDone = 3,  // CC->exec (non-forwarding mode): one stage granted
-  kAck = 4,        // CC->exec: release processed
+  kAck = 3,        // CC->exec: release processed
   kTagMask = 7,
 };
 
@@ -193,12 +192,11 @@ using Mesh = mp::QueueMesh<std::uint64_t>;
 struct Shared {
   int n_cc;
   int n_exec;
-  bool forwarding;
 
   // Queue meshes, indexed (sender, receiver).
   Mesh exec_to_cc;  // (exec, cc)  acquire + release
   Mesh cc_to_cc;    // (cc, cc)    forward
-  Mesh cc_to_exec;  // (cc, exec)  grant / stage-done / ack
+  Mesh cc_to_exec;  // (cc, exec)  grant / ack
 
   hal::Atomic<std::uint64_t> execs_done{0};
   hal::Atomic<std::uint64_t> inflight_global{0};
@@ -262,8 +260,7 @@ class CcThread {
   bool DrainOnce() {
     const auto handle = [this](std::uint64_t w) { Handle(w); };
     std::size_t n = shared_->exec_to_cc.Drain(cc_id_, handle);
-    // The CC->CC mesh carries forwarding chains only.
-    if (shared_->forwarding) n += shared_->cc_to_cc.Drain(cc_id_, handle);
+    n += shared_->cc_to_cc.Drain(cc_id_, handle);
     if (n == 0) return false;
     stats_->cc_batches++;
     stats_->cc_batch_msgs += n;
@@ -360,19 +357,13 @@ class CcThread {
     }
   }
 
-  // All locks of tcb's current stage are granted: forward along the chain
-  // (Section 3.3) or hand back to the execution thread.
+  // All locks of tcb's current stage are granted: forward to the next CC
+  // of the chain (Section 3.3), or grant the last stage to the execution
+  // thread.
   void Advance(Tcb* tcb) {
     const int next = tcb->cur_stage + 1;
     if (next >= tcb->n_stages) {
       shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kGrant));
-      stats_->messages_sent++;
-      return;
-    }
-    if (!shared_->forwarding) {
-      // Ablation mode: the execution thread mediates every hop, paying
-      // two message delays per CC thread (2*Ncc total).
-      shared_->cc_to_exec.Send(cc_id_, tcb->exec_id, Encode(tcb, kStageDone));
       stats_->messages_sent++;
       return;
     }
@@ -476,16 +467,6 @@ class ExecThread {
             case kGrant:
               Execute(DecodeTcb(w));
               break;
-            case kStageDone: {
-              // Non-forwarding mode: we mediate the next hop ourselves.
-              Tcb* tcb = DecodeTcb(w);
-              hal::RaceCheck(&tcb->cur_stage, sizeof(tcb->cur_stage),
-                             /*is_write=*/true, "orthrus.tcb.stage");
-              tcb->cur_stage++;
-              ORTHRUS_DCHECK(tcb->cur_stage < tcb->n_stages);
-              SendAcquire(tcb, tcb->stages[tcb->cur_stage].part);
-              break;
-            }
             case kAck:
               OnAck(DecodeTcb(w));
               break;
@@ -555,15 +536,12 @@ class ExecThread {
     tcb->cur_stage = 0;
     inflight_++;
     shared_->inflight_global.fetch_add(1);
-    SendAcquire(tcb, tcb->stages[0].part);
+    shared_->exec_to_cc.Send(exec_id_, tcb->stages[0].part,
+                             Encode(tcb, kAcquire));
+    stats_->messages_sent++;
     const hal::Cycles t1 = hal::Now();
     stats_->Add(TimeCategory::kLocking, t1 - tr);
     return t1;
-  }
-
-  void SendAcquire(Tcb* tcb, int cc) {
-    shared_->exec_to_cc.Send(exec_id_, cc, Encode(tcb, kAcquire));
-    stats_->messages_sent++;
   }
 
   // All locks granted: run the procedure on the rows Dispatch resolved and
@@ -661,11 +639,7 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
                     "max_inflight must be at least 1");
 }
 
-std::string OrthrusEngine::name() const {
-  std::string n = "orthrus";
-  if (!orthrus_.forwarding) n += "-nofwd";
-  return n;
-}
+std::string OrthrusEngine::name() const { return "orthrus"; }
 
 RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
                              const workload::Workload& workload) {
@@ -696,7 +670,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.n_cc = n_cc;
   shared.n_exec = n_exec;
   shared.wal = options_.wal;
-  shared.forwarding = orthrus_.forwarding;
 
   // Live-lock bound for every CC lock table: each in-flight transaction
   // queues at most kMaxAccesses requests, all of which may land in one
@@ -721,7 +694,7 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.cc_to_exec.Reset(n_cc, n_exec, gq_cap);
 
   runtime::WorkerPool pool(platform, options_.num_cores + loggers,
-                           options_.duration_seconds, options_.rng_seed);
+                           options_.duration_seconds);
   for (int c = 0; c < n_cc; ++c) {
     pool.AssignRole(c, runtime::WorkerRole::kCc);
   }

@@ -12,11 +12,10 @@
 // Lock acquisition follows the deadlock-avoidance discipline of Section
 // 3.2: a transaction's full lock set is known up front (from analysis or
 // OLLP reconnaissance), grouped by owning CC thread, and requested in
-// ascending CC-thread order, one CC at a time. With the Section 3.3
-// forwarding optimization each CC forwards the transaction directly to the
-// next CC in its chain, so a transaction whose locks live on Ncc threads
-// costs Ncc+1 messages instead of 2*Ncc; the ablation flag `forwarding`
-// turns this off to measure exactly that difference.
+// ascending CC-thread order, one CC at a time. Following the Section 3.3
+// forwarding optimization, each CC forwards the transaction directly to
+// the next CC in its chain, so a transaction whose locks live on Ncc
+// threads costs Ncc+1 messages instead of 2*Ncc.
 //
 // Execution threads are asynchronous (Section 3.3): each keeps a bounded
 // window of in-flight transactions, starting new ones instead of blocking
@@ -43,9 +42,6 @@ struct OrthrusOptions {
 
   // Maximum transactions an execution thread keeps in flight.
   int max_inflight = 8;
-
-  // Section 3.3 optimization: CC->CC forwarding of lock-acquisition chains.
-  bool forwarding = true;
 };
 
 class OrthrusEngine final : public Engine {

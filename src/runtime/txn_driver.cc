@@ -9,9 +9,7 @@ TxnDriver::TxnDriver(const DriverOptions& options, storage::Database* db,
                      WorkerContext* ctx)
     : admission_(options, db, source, ctx),
       strategy_(strategy),
-      ctx_(ctx),
-      backoff_(options.backoff != nullptr ? options.backoff
-                                          : &default_backoff_) {}
+      ctx_(ctx) {}
 
 void TxnDriver::Run() {
   txn::Txn t;
@@ -48,17 +46,17 @@ void TxnDriver::Run() {
           done = true;
           break;
         case TxnOutcome::kAbort:
-          // Deadlock handling killed the attempt. Brief backoff (grows
-          // with the restart count, capped) lets the conflicting older
-          // transaction finish before we retry. The delay is modeled: on a
-          // native core ConsumeCycles declares the cycles and waits for
-          // none, so there the retry is immediate (after one CpuRelax
-          // yield) and runtime.backoffs_per_commit counts immediate
-          // retries.
+          // Deadlock handling killed the attempt. A brief RestartBackoff
+          // (grows with the restart count, capped) lets the conflicting
+          // older transaction finish before we retry. The delay is
+          // modeled: on a native core ConsumeCycles declares the cycles
+          // and waits for none, so there the retry is immediate (after one
+          // CpuRelax yield) and runtime.backoffs_per_commit counts
+          // immediate retries.
           ctx_->stats.aborted++;
           ctx_->stats.backoffs++;
           t.restarts++;
-          hal::ConsumeCycles(backoff_->Delay(t.restarts, &ctx_->rng));
+          hal::ConsumeCycles(RestartBackoff(t.restarts));
           hal::CpuRelax();
           break;
         case TxnOutcome::kMismatch:

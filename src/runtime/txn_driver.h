@@ -4,11 +4,11 @@
 // Every architecture in the paper runs the same loop around its
 // concurrency control: pull a transaction from the worker's source, plan
 // its access set (OLLP reconnaissance when data-dependent), stamp it,
-// try to execute it until it commits — backing off after deadlock aborts
-// and re-planning after stale-estimate aborts — all gated by the run
-// deadline and an optional per-worker commit cap. Before this layer each
-// engine re-implemented that loop; now an engine supplies only an
-// ExecutionStrategy (how one attempt acquires locks and runs logic) and
+// try to execute it until it commits — backing off (RestartBackoff) after
+// deadlock aborts and re-planning after stale-estimate aborts — all gated
+// by the run deadline and an optional per-worker commit cap. Before this
+// layer each engine re-implemented that loop; now an engine supplies only
+// an ExecutionStrategy (how one attempt acquires locks and runs logic) and
 // the TxnDriver owns everything else.
 //
 // ORTHRUS's execution threads pipeline several transactions and therefore
@@ -59,28 +59,15 @@ class ExecutionStrategy {
   wal::Producer* wal_ = nullptr;
 };
 
-// Restart backoff, configured in one place and ablatable. The default is
-// the capped exponential with deterministic per-core jitter that 2PL has
-// always used: (base << min(restarts, max_shift)) + FastJitter(jitter).
-// `rng` is the worker's seeded stream, for randomized policies; the
-// default policy deliberately uses hal::FastJitter instead so simulator
-// runs stay bit-reproducible with the pre-runtime-layer engines.
-class BackoffPolicy {
- public:
-  hal::Cycles base = 100;
-  std::uint32_t max_shift = 4;
-  hal::Cycles jitter = 256;
-
-  virtual ~BackoffPolicy() = default;
-
-  // `restarts` is the transaction's restart count including the abort that
-  // triggered this call.
-  virtual hal::Cycles Delay(std::uint32_t restarts, Rng* rng) const {
-    (void)rng;
-    return (base << (restarts < max_shift ? restarts : max_shift)) +
-           hal::FastJitter(jitter);
-  }
-};
+// The restart backoff: a capped exponential with deterministic per-core
+// jitter, (100 << min(restarts, 4)) + FastJitter(256). `restarts` is the
+// transaction's restart count including the abort that triggered this
+// call. FastJitter keeps simulator runs bit-reproducible: each backoff
+// draws from the core's jitter stream exactly once.
+inline hal::Cycles RestartBackoff(std::uint32_t restarts) {
+  return (hal::Cycles{100} << (restarts < 4 ? restarts : 4)) +
+         hal::FastJitter(256);
+}
 
 struct DriverOptions {
   // The run deadline is not configured here: it lives in the worker's
@@ -94,9 +81,6 @@ struct DriverOptions {
   // message-passing engines account admission this way; the
   // shared-everything engines historically did not.
   bool charge_admission = false;
-
-  // Restart backoff; null selects the default capped-jitter policy.
-  const BackoffPolicy* backoff = nullptr;
 
   // Post-crash resume credit, indexed by worker id (null = none). A worker
   // whose previous incarnation already made `(*resume_committed)[w]`
@@ -191,8 +175,6 @@ class TxnDriver {
   TxnAdmission admission_;
   ExecutionStrategy* strategy_;
   WorkerContext* ctx_;
-  const BackoffPolicy* backoff_;
-  BackoffPolicy default_backoff_;
   wal::Producer* wal_ = nullptr;
 };
 

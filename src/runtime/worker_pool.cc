@@ -4,22 +4,9 @@
 #include <utility>
 
 namespace orthrus::runtime {
-namespace {
-
-// SplitMix64 over (seed, worker id): distinct, well-mixed per-worker
-// streams even for adjacent ids and a zero pool seed.
-std::uint64_t MixSeed(std::uint64_t seed, int worker_id) {
-  std::uint64_t z =
-      seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(worker_id + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 WorkerPool::WorkerPool(hal::Platform* platform, int num_workers,
-                       double duration_seconds, std::uint64_t rng_seed)
+                       double duration_seconds)
     : platform_(platform),
       duration_seconds_(duration_seconds),
       cps_(platform->CyclesPerSecond()),
@@ -28,10 +15,7 @@ WorkerPool::WorkerPool(hal::Platform* platform, int num_workers,
   // the field would silently corrupt transaction age ordering.
   ORTHRUS_CHECK_MSG(num_workers >= 1 && num_workers <= kMaxWorkers,
                     "worker count exceeds the wait-die tie-break range");
-  for (int w = 0; w < num_workers; ++w) {
-    workers_[w].worker_id = w;
-    workers_[w].rng.Seed(MixSeed(rng_seed, w));
-  }
+  for (int w = 0; w < num_workers; ++w) workers_[w].worker_id = w;
 }
 
 int WorkerPool::CountRole(WorkerRole role) const {

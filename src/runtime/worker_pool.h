@@ -2,9 +2,10 @@
 //
 // The paper's experiments hold the worker lifecycle constant while varying
 // the concurrency-control architecture. This header owns that constant
-// part: per-worker clocks, statistics, deterministic per-worker RNG
-// streams, spawn/join against a hal::Platform, and the final aggregation
-// into a RunResult. Engines describe only *what a worker does* (a
+// part: per-worker clocks, statistics, spawn/join against a hal::Platform,
+// and the final aggregation into a RunResult. The transaction loop run on
+// top of it, restarts and their RestartBackoff included, is part 2
+// (txn_driver.h). Engines describe only *what a worker does* (a
 // callback receiving its WorkerContext); everything else lives here, so a
 // fairness fix or a new scenario is a one-place edit instead of a four-way
 // engine patch.
@@ -15,7 +16,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "hal/hal.h"
 
@@ -63,16 +63,12 @@ enum class WorkerRole : std::uint8_t {
 // fields: exactly one logical core touches a context while the platform is
 // running; the pool aggregates after join. Line-aligned because the pool
 // keeps the contexts in one array: packed, a worker's hot counters would
-// share a cache line with its neighbour's clock and RNG.
+// share a cache line with its neighbour's clock.
 struct alignas(kCacheLineSize) WorkerContext {
   int worker_id = -1;
   WorkerRole role = WorkerRole::kFlex;
   WorkerStats stats;
   WorkerClock clock;
-  // Deterministic per-worker stream, seeded from (pool seed, worker id).
-  // Available to strategies and backoff policies that want randomness
-  // without sharing generator state across cores.
-  Rng rng;
 };
 
 // Owns the worker contexts for one engine run and the spawn/join/aggregate
@@ -88,7 +84,7 @@ struct alignas(kCacheLineSize) WorkerContext {
 class WorkerPool {
  public:
   WorkerPool(hal::Platform* platform, int num_workers,
-             double duration_seconds, std::uint64_t rng_seed = 0);
+             double duration_seconds);
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;

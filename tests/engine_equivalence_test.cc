@@ -150,17 +150,15 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
-  // ORTHRUS with forwarding on and off must agree with the
-  // shared-everything engines. The clock-level pins are
-  // OrthrusRunsAreDeterministic plus the exact message-count tests in
-  // orthrus_engine_test.
-  for (bool forwarding : {true, false}) {
+  // ORTHRUS must agree with the shared-everything engines. The
+  // clock-level pins are OrthrusRunsAreDeterministic plus the exact
+  // message-count test in orthrus_engine_test.
+  {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     // One transaction in flight per exec thread: the commit cap is checked
     // before each issue, so each worker commits exactly its first K.
     oo.max_inflight = 1;
-    oo.forwarding = forwarding;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunOne(&eng, &orthrus_aligned,

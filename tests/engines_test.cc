@@ -234,18 +234,6 @@ TEST_P(EnginesOnPlatform, OrthrusHighContention) {
   RunKvAndCheck(&eng, &wl, GetParam().simulated, 6, 1);
 }
 
-TEST_P(EnginesOnPlatform, OrthrusNoForwardingEquivalentResults) {
-  KvConfig c = SmallKv(2);
-  c.placement = KvConfig::Placement::kFixedCount;
-  c.partitions_per_txn = 2;
-  KvWorkload wl(c);
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.forwarding = false;  // exec-mediated hops (2*Ncc messages)
-  OrthrusEngine eng(SmallRun(6), oo);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 6, 1);
-}
-
 TEST_P(EnginesOnPlatform, OrthrusSplitIndex) {
   KvConfig c = SmallKv(2);
   c.placement = KvConfig::Placement::kFixedCount;

@@ -1,5 +1,5 @@
 // Focused tests for ORTHRUS-engine behaviours beyond the generic engine
-// integration suite: message economics of the forwarding optimization,
+// integration suite: the exact message cost of the forwarding chain,
 // in-flight window effects, CC/exec stats attribution, Zipfian-skew
 // handling, planned row resolution, and the option CHECKs.
 #include <gtest/gtest.h>
@@ -66,39 +66,19 @@ KvConfig MultiPartKv(int parts, int parts_per_txn) {
 }
 
 TEST(OrthrusMessages, ForwardingSavesMessages) {
-  // With Ncc=3 partitions per txn: forwarding needs Ncc+1 = 4 lock-path
-  // messages; exec-mediated hops need 2*Ncc = 6 (plus releases+acks and the
-  // final grant in both modes). Compare measured messages per commit.
-  OrthrusOptions fwd;
-  fwd.num_cc = 3;
-  OrthrusOptions nofwd = fwd;
-  nofwd.forwarding = false;
-
-  KvWorkload* wl = nullptr;
-  storage::Database db1, db2;
-  RunResult a = RunOrthrus(MultiPartKv(3, 3), fwd, 7, &wl, &db1);
-  RunResult b = RunOrthrus(MultiPartKv(3, 3), nofwd, 7, &wl, &db2);
-  ASSERT_GT(a.total.committed, 0u);
-  ASSERT_GT(b.total.committed, 0u);
-  const double per_a =
-      static_cast<double>(a.total.messages_sent) / a.total.committed;
-  const double per_b =
-      static_cast<double>(b.total.messages_sent) / b.total.committed;
-  // Both modes share: grant(1) + releases(3) + acks(3) = 7. Lock path: fwd
-  // = acquire(1)+forwards(2) = 3; no-fwd = acquires(3)+stage-dones(2) = 5.
-  EXPECT_NEAR(per_a, 10.0, 0.9);
-  EXPECT_NEAR(per_b, 12.0, 0.9);
-  EXPECT_LT(per_a, per_b);
-}
-
-TEST(OrthrusMessages, SinglePartitionCostsFourMessagesPerTxn) {
+  // A transaction whose locks live on k CC threads sends one acquire, k-1
+  // CC->CC forwards, one grant, k releases and k acks: 3k+1 messages,
+  // exactly, for every commit (KV transactions never re-plan). Hops
+  // mediated by the exec thread would cost 4k.
   OrthrusOptions oo;
-  oo.num_cc = 2;
-  RunResult r = RunOrthrus(MultiPartKv(2, 1), oo, 6);
-  ASSERT_GT(r.total.committed, 0u);
-  // acquire + grant + release + ack = 4.
-  EXPECT_NEAR(static_cast<double>(r.total.messages_sent) / r.total.committed,
-              4.0, 0.5);
+  oo.num_cc = 4;
+  for (int k = 1; k <= 4; ++k) {
+    const RunResult r = RunOrthrus(MultiPartKv(4, k), oo, 7);
+    ASSERT_GT(r.total.committed, 0u) << "k=" << k;
+    EXPECT_EQ(r.total.messages_sent,
+              static_cast<std::uint64_t>(3 * k + 1) * r.total.committed)
+        << "k=" << k;
+  }
 }
 
 TEST(OrthrusStatic, HighContentionConserves) {
@@ -621,30 +601,20 @@ hal::SimConfig RaceArmed() {
 }
 
 TEST(OrthrusPlannedAccess, LogicRunsOnTheRowsItsKeysName) {
-  struct Arm {
-    const char* name;
-    OrthrusOptions oo;
-  };
-  std::vector<Arm> arms;
+  KvWorkload kv(MultiPartKv(2, 2));
+  RowCheckWorkload wl(&kv);
+  storage::Database db;
+  wl.Load(&db, 1);
   OrthrusOptions oo;
   oo.num_cc = 2;
-  arms.push_back({"default", oo});
-  oo.forwarding = false;
-  arms.push_back({"no-forwarding", oo});
-  for (const Arm& arm : arms) {
-    KvWorkload kv(MultiPartKv(2, 2));
-    RowCheckWorkload wl(&kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(SmallRun(5), arm.oo);
-    hal::SimPlatform sim(5, RaceArmed());
-    const RunResult r = eng.Run(&sim, &db, wl);
-    ASSERT_GT(r.total.committed, 0u) << arm.name;
-    EXPECT_EQ(kv.SumCounters(db), r.total.committed * 10) << arm.name;
-    EXPECT_GE(wl.tally().accesses, r.total.committed * 10) << arm.name;
-    EXPECT_EQ(wl.tally().mismatches, 0u) << arm.name;
-    EXPECT_EQ(sim.race_detector()->races_observed(), 0u) << arm.name;
-  }
+  OrthrusEngine eng(SmallRun(5), oo);
+  hal::SimPlatform sim(5, RaceArmed());
+  const RunResult r = eng.Run(&sim, &db, wl);
+  ASSERT_GT(r.total.committed, 0u);
+  EXPECT_EQ(kv.SumCounters(db), r.total.committed * 10);
+  EXPECT_GE(wl.tally().accesses, r.total.committed * 10);
+  EXPECT_EQ(wl.tally().mismatches, 0u);
+  EXPECT_EQ(sim.race_detector()->races_observed(), 0u);
 }
 
 TEST(OrthrusPlannedAccess, OllpReplanResolvesTheNewAccessSet) {

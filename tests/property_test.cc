@@ -34,7 +34,6 @@ enum class EngineKind {
   kDeadlockFree,
   kPartitioned,
   kOrthrus,
-  kOrthrusNoFwd,
 };
 
 const char* Name(EngineKind k) {
@@ -45,7 +44,6 @@ const char* Name(EngineKind k) {
     case EngineKind::kDeadlockFree: return "deadlockfree";
     case EngineKind::kPartitioned: return "partitioned";
     case EngineKind::kOrthrus: return "orthrus";
-    case EngineKind::kOrthrusNoFwd: return "orthrusnofwd";
   }
   return "?";
 }
@@ -75,12 +73,6 @@ std::unique_ptr<engine::Engine> MakeEngine(EngineKind kind,
     case EngineKind::kOrthrus: {
       engine::OrthrusOptions oo;
       oo.num_cc = 2;
-      return std::make_unique<engine::OrthrusEngine>(options, oo);
-    }
-    case EngineKind::kOrthrusNoFwd: {
-      engine::OrthrusOptions oo;
-      oo.num_cc = 2;
-      oo.forwarding = false;
       return std::make_unique<engine::OrthrusEngine>(options, oo);
     }
   }
@@ -129,7 +121,6 @@ TEST_P(ConservationProperty, NoLostOrPhantomUpdates) {
   // acquisition never abort (static access sets, no OLLP).
   if (c.engine == EngineKind::kDeadlockFree ||
       c.engine == EngineKind::kOrthrus ||
-      c.engine == EngineKind::kOrthrusNoFwd ||
       c.engine == EngineKind::kPartitioned) {
     EXPECT_EQ(r.total.aborted, 0u) << Name(c.engine);
     EXPECT_EQ(r.total.ollp_aborts, 0u) << Name(c.engine);
@@ -141,8 +132,7 @@ std::vector<PropertyCase> AllCases() {
   for (EngineKind e :
        {EngineKind::kTwoPlWaitDie, EngineKind::kTwoPlGraph,
         EngineKind::kTwoPlDreadlocks, EngineKind::kDeadlockFree,
-        EngineKind::kPartitioned, EngineKind::kOrthrus,
-        EngineKind::kOrthrusNoFwd}) {
+        EngineKind::kPartitioned, EngineKind::kOrthrus}) {
     for (std::uint64_t hot : {0ull, 128ull, 16ull}) {
       for (std::uint64_t seed : {1ull, 7ull}) {
         cases.push_back({e, hot, seed});

@@ -208,7 +208,7 @@ TEST(TxnDriver, AbortsTriggerCountedBackoffsAndRetries) {
 }
 
 TEST(TxnDriver, BackoffDelayGrowsWithRestartsAndCaps) {
-  // The default policy's capped exponential, measured through the virtual
+  // RestartBackoff's capped exponential, measured through the virtual
   // clock: 5 commits with 6 aborts each at zero strategy cost spend
   // (almost) exactly the backoff schedule.
   const DriverRun r = RunDriver(CappedOptions(5), kAmpleDuration,
@@ -220,25 +220,6 @@ TEST(TxnDriver, BackoffDelayGrowsWithRestartsAndCaps) {
   const double min_backoff = 5 * (200 + 400 + 800 + 1600 + 1600 + 1600);
   EXPECT_GE(elapsed_cycles, min_backoff);
   EXPECT_LT(elapsed_cycles, min_backoff + 30 * 256 + 2048);
-}
-
-TEST(TxnDriver, CustomBackoffPolicyIsConsulted) {
-  class CountingPolicy final : public BackoffPolicy {
-   public:
-    hal::Cycles Delay(std::uint32_t restarts, Rng* rng) const override {
-      calls.push_back(restarts);
-      EXPECT_NE(rng, nullptr);
-      return 0;
-    }
-    mutable std::vector<std::uint32_t> calls;
-  };
-  CountingPolicy policy;
-  DriverOptions o = CappedOptions(2);
-  o.backoff = &policy;
-  const DriverRun r = RunDriver(o, kAmpleDuration, /*aborts=*/3, /*mismatches=*/0, 10);
-  EXPECT_EQ(r.stats.committed, 2u);
-  const std::vector<std::uint32_t> want = {1, 2, 3, 1, 2, 3};
-  EXPECT_EQ(policy.calls, want);
 }
 
 // --------------------------------------------------- mismatch replanning
@@ -409,20 +390,6 @@ TEST(WorkerPool, AggregatesStatsAndSpansClocks) {
   EXPECT_GE(r.elapsed_seconds, 3000.0 / SimCps());
   // The result carries the platform's rate for converting its cycles.
   EXPECT_EQ(r.cycles_per_second, sim.CyclesPerSecond());
-}
-
-TEST(WorkerPool, PerWorkerRngStreamsAreSeededAndDistinct) {
-  hal::SimPlatform sim_a(2), sim_b(2);
-  WorkerPool a(&sim_a, 2, 1.0, /*rng_seed=*/42);
-  WorkerPool b(&sim_b, 2, 1.0, /*rng_seed=*/42);
-  // Same seed, same worker: identical stream. Different workers: distinct.
-  EXPECT_EQ(a.worker(0).rng.Next(), b.worker(0).rng.Next());
-  EXPECT_EQ(a.worker(1).rng.Next(), b.worker(1).rng.Next());
-  EXPECT_NE(a.worker(0).rng.Next(), a.worker(1).rng.Next());
-
-  hal::SimPlatform sim_c(2);
-  WorkerPool c(&sim_c, 2, 1.0, /*rng_seed=*/43);
-  EXPECT_NE(c.worker(0).rng.Next(), b.worker(0).rng.Next());
 }
 
 TEST(WorkerPool, SplitRunAllowsMidpointAssertions) {
