@@ -9,35 +9,41 @@
 namespace orthrus::engine {
 namespace {
 
-// One attempt of deadlock-free locking: sort the pre-declared access set
-// into the canonical global order, acquire everything (FIFO wait via
-// runtime::LockingStrategy with a null deadlock policy — deadlock freedom
-// by construction), then execute with all locks held.
+// One attempt of deadlock-free locking: resolve the pre-declared access set,
+// sort it into the canonical global order, acquire everything (FIFO wait
+// via runtime::LockingStrategy with a null deadlock policy — deadlock
+// freedom by construction), then execute with all locks held.
 class DeadlockFreeStrategy final : public runtime::LockingStrategy {
  public:
   DeadlockFreeStrategy(lock::LockTable* lock_table, lock::WorkerLockCtx* ctx,
                        storage::Database* db, WorkerStats* st)
       : LockingStrategy(lock_table, ctx, /*policy=*/nullptr, st), db_(db) {}
 
+  // Timed by phase, as 2PL: start | resolve | acquire | logic | release.
   runtime::TxnOutcome TryExecute(txn::Txn* t) override {
     std::sort(t->accesses.begin(), t->accesses.end(), txn::AccessKeyOrder());
 
-    // Phase 1: acquire everything, charged as one kLocking span (waits
-    // inside it are additionally charged to kWaiting by the lock table).
-    hal::Cycles t0 = hal::Now();
-    for (const txn::Access& a : t->accesses) AcquireOrdered(a);
-    stats()->Add(TimeCategory::kLocking, hal::Now() - t0);
-
-    // Phase 2: execute with all locks held.
-    t0 = hal::Now();
+    // Phase 1: resolve and prefetch every row before the first lock.
+    const hal::Cycles t0 = hal::Now();
     ResolveRows(db_, &t->accesses);
+    const hal::Cycles t1 = hal::Now();
+    stats()->Add(TimeCategory::kExecution, t1 - t0);
+
+    // Phase 2: acquire everything; the waits inside the span are kWaiting.
+    const hal::Cycles waited_before = WaitedSoFar();
+    for (const txn::Access& a : t->accesses) AcquireOrdered(a);
+    const hal::Cycles t2 = hal::Now();
+    ChargeAcquirePhase(t2 - t1, waited_before, /*modelled=*/0);
+
+    // Phase 3: execute with all locks held.
     txn::ExecContext ec{db_, stats(), /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
-    stats()->Add(TimeCategory::kExecution, hal::Now() - t0);
+    const hal::Cycles t3 = hal::Now();
+    stats()->Add(TimeCategory::kExecution, t3 - t2);
 
     // Durability: capture redo images before the locks drop.
     if (ok && wal_ != nullptr) wal_->Capture(t, db_);
-    ReleaseAllLocks();
+    ReleaseAllLocks(t3);
     return ok ? runtime::TxnOutcome::kCommitted
               : runtime::TxnOutcome::kMismatch;
   }

@@ -186,9 +186,14 @@ class Platform {
 // a logical core (setup/teardown code); ConsumeCycles and OnStorageSync are
 // also no-ops on native cores.
 
-inline void ConsumeCycles(Cycles n) {
+// Returns the cycles it modelled: n on a simulated core, 0 elsewhere. A
+// caller timing a span that contains declared work can move exactly that
+// work to another category without reading the clock around it.
+inline Cycles ConsumeCycles(Cycles n) {
   CoreContext* cc = CurrentCore();
-  if (cc != nullptr && cc->simulated) cc->platform->ConsumeCycles(n);
+  if (cc == nullptr || !cc->simulated) return 0;
+  cc->platform->ConsumeCycles(n);
+  return n;
 }
 
 inline void CpuRelax() {

@@ -3,19 +3,12 @@
 namespace orthrus::runtime {
 
 bool LockingStrategy::AcquireOrAbort(const txn::Access& a) {
-  hal::Cycles t0 = hal::Now();
   const lock::LockTable::AcquireResult r =
       table_->Acquire(ctx_, a.table, a.key, a.mode, policy_);
   if (r == lock::LockTable::AcquireResult::kWaiting) {
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
-    if (!table_->Wait(ctx_, policy_)) return false;
-    t0 = hal::Now();
-  } else if (r == lock::LockTable::AcquireResult::kDie) {
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
-    return false;
+    return table_->Wait(ctx_, policy_);
   }
-  stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
-  return true;
+  return r != lock::LockTable::AcquireResult::kDie;
 }
 
 void LockingStrategy::AcquireOrdered(const txn::Access& a) {
@@ -30,10 +23,17 @@ void LockingStrategy::AcquireOrdered(const txn::Access& a) {
   }
 }
 
-void LockingStrategy::ReleaseAllLocks() {
-  const hal::Cycles t0 = hal::Now();
+void LockingStrategy::ChargeAcquirePhase(hal::Cycles span,
+                                         hal::Cycles waited_before,
+                                         hal::Cycles modelled) {
+  const hal::Cycles carved = (WaitedSoFar() - waited_before) + modelled;
+  stats_->Add(TimeCategory::kExecution, modelled);
+  stats_->Add(TimeCategory::kLocking, span > carved ? span - carved : 0);
+}
+
+void LockingStrategy::ReleaseAllLocks(hal::Cycles since) {
   table_->ReleaseAll(ctx_);
-  stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
+  stats_->Add(TimeCategory::kLocking, hal::Now() - since);
 }
 
 }  // namespace orthrus::runtime

@@ -7,15 +7,16 @@
 // request waits or dies. LockingStrategy hoists exactly that plumbing
 // behind the strategy interface: concrete strategies describe *when* locks
 // are taken and how execution work interleaves with them; the wait loop,
-// the DeadlockPolicy hand-off, the per-acquisition kLocking accounting,
-// and release-all live here, in one place.
+// the DeadlockPolicy hand-off, the acquire-phase accounting and
+// release-all live here, in one place.
 //
-// The accounting is deliberately bit-compatible with what the engines
-// always did (equivalence digests and sim clocks pin this): blocked time
-// is charged to kWaiting inside LockTable::Wait, AcquireOrAbort charges
-// the acquire/enqueue spans around it to kLocking, and AcquireOrdered
-// leaves accounting to the caller (the deadlock-free engine charges its
-// whole acquire phase as one span).
+// Accounting is by phase, not by lock call: the acquire calls read no
+// clock. Blocked time is charged to kWaiting inside LockTable::Wait (two
+// readings per wait). A strategy times its whole acquire phase with the
+// readings that bound it and hands the span to ChargeAcquirePhase, which
+// carves the waits and any declared per-access work out of it and charges
+// the rest to kLocking. ReleaseAllLocks closes the attempt with one more
+// reading.
 #ifndef ORTHRUS_RUNTIME_LOCKING_STRATEGY_H_
 #define ORTHRUS_RUNTIME_LOCKING_STRATEGY_H_
 
@@ -42,16 +43,33 @@ class LockingStrategy : public ExecutionStrategy {
   // lock, and if queued behind a conflict runs the configured deadlock
   // policy's wait. Returns false when the policy aborted the attempt (die
   // at request time, or a detected deadlock during the wait); the caller
-  // must then release all held locks and report TxnOutcome::kAbort.
+  // must then release all held locks and report TxnOutcome::kAbort. No
+  // clock reading outside the wait: the caller times the phase.
   bool AcquireOrAbort(const txn::Access& a);
 
   // Ordered-acquisition variant: FIFO wait that can never abort (deadlock
-  // freedom must be guaranteed by the caller's acquisition order). No
-  // stat accounting — the caller owns the timing span.
+  // freedom must be guaranteed by the caller's acquisition order). Timed
+  // by the caller, like AcquireOrAbort.
   void AcquireOrdered(const txn::Access& a);
 
-  // Releases every lock held by the current attempt, charging kLocking.
-  void ReleaseAllLocks();
+  // The kWaiting total so far; read it at the start of an acquire phase
+  // and pass it to ChargeAcquirePhase at the end.
+  hal::Cycles WaitedSoFar() const {
+    return stats_->Get(TimeCategory::kWaiting);
+  }
+
+  // Charges an acquire phase that spanned `span` cycles. The lock waits
+  // inside it (charged to kWaiting since `waited_before`) and `modelled`
+  // cycles of declared per-access work (hal::ConsumeCycles' return, charged
+  // here to kExecution) are carved out; the rest is kLocking, clamped at 0
+  // because unpinned native threads can read a clock that runs behind the
+  // one read inside a wait.
+  void ChargeAcquirePhase(hal::Cycles span, hal::Cycles waited_before,
+                          hal::Cycles modelled);
+
+  // Releases every lock held by the current attempt and charges kLocking
+  // from `since`, the caller's last clock reading, to now.
+  void ReleaseAllLocks(hal::Cycles since);
 
   WorkerStats* stats() { return stats_; }
 

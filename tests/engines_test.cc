@@ -110,6 +110,53 @@ TEST_P(EnginesOnPlatform, TwoPlWaitDieHighContention) {
   RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 1);
 }
 
+// Every worker's Figure-10 split fits in the run: no category exceeds the
+// elapsed cycles (which bound each worker's own), and the three sum to no
+// more. A category over the bound is an unsigned underflow where the lock
+// waits are carved out of an acquire span; a sum over it is time charged
+// twice.
+void ExpectTimeFitsElapsed(const RunResult& r) {
+  const double elapsed = r.elapsed_seconds * r.cycles_per_second + 1;
+  for (std::size_t w = 0; w < r.per_worker.size(); ++w) {
+    const WorkerStats& s = r.per_worker[w];
+    double sum = 0;
+    for (int c = 0; c < static_cast<int>(TimeCategory::kCount); ++c) {
+      const double v = static_cast<double>(s.cycles[c]);
+      EXPECT_LE(v, elapsed) << "worker " << w << " category " << c;
+      sum += v;
+    }
+    EXPECT_LE(sum, elapsed) << "worker " << w;
+  }
+}
+
+// 2PL times its attempts by phase. Under wait-die at high contention both
+// lock categories show on the sim, and the declared per-access work (the
+// modelled cycles of every committed access, at least) stays execution.
+TEST_P(EnginesOnPlatform, TwoPlWaitDieTimeFitsElapsed) {
+  KvConfig c = SmallKv(1);
+  c.hot_records = 16;
+  KvWorkload wl(c);
+  TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kWaitDie);
+  storage::Database db;
+  wl.Load(&db, 1);
+  auto platform = MakePlatform(GetParam().simulated, 4);
+  RunResult r = eng.Run(platform.get(), &db, wl);
+  EXPECT_GT(r.total.committed, 0u);
+  ExpectTimeFitsElapsed(r);
+  if (!GetParam().simulated) return;
+  const storage::Table* table = db.GetTable(KvWorkload::kTableId);
+  const hal::Cycles op_cost =
+      table->RowAccessCost() + table->cost_model().op_compute_cycles;
+  for (std::size_t w = 0; w < r.per_worker.size(); ++w) {
+    const WorkerStats& s = r.per_worker[w];
+    EXPECT_GT(s.Get(TimeCategory::kLocking), 0u) << "worker " << w;
+    EXPECT_GT(s.Get(TimeCategory::kWaiting), 0u) << "worker " << w;
+    EXPECT_GE(s.Get(TimeCategory::kExecution),
+              s.committed * c.ops_per_txn * op_cost)
+        << "worker " << w;
+  }
+}
+
 TEST_P(EnginesOnPlatform, TwoPlWaitForGraphHighContention) {
   KvConfig c = SmallKv(1);
   c.hot_records = 16;
@@ -156,6 +203,7 @@ TEST_P(EnginesOnPlatform, DeadlockFreeNeverAborts) {
   EXPECT_EQ(r.total.aborted, 0u);
   EXPECT_EQ(r.total.deadlocks, 0u);
   EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+  ExpectTimeFitsElapsed(r);
 }
 
 TEST_P(EnginesOnPlatform, DeadlockFreeSplitIndex) {

@@ -300,6 +300,17 @@ TEST(SimPlatform, ModeledHooksReachSimCores) {
   EXPECT_EQ(sim.stats().atomic_reads, 1u);
 }
 
+// ConsumeCycles reports the cycles it modelled: n on a sim core, so a
+// caller can move declared work out of a timed span without a clock read.
+TEST(SimPlatform, ConsumeCyclesReturnsModelledCycles) {
+  SimPlatform sim(1);
+  Cycles returned = 0;
+  sim.Spawn(0, [&] { returned = ConsumeCycles(777); });
+  sim.Run();
+  EXPECT_EQ(returned, 777u);
+  EXPECT_EQ(ConsumeCycles(777), 0u);  // off-core: nothing modelled
+}
+
 TEST(SimPlatform, IdleBackoffAdvancesTime) {
   SimPlatform sim(1);
   Cycles elapsed = 0;
@@ -400,6 +411,16 @@ TEST(NativePlatform, ClockRateMatchesSteadyClock) {
   EXPECT_FALSE(simulated);
   ASSERT_GE(seconds, 0.05);
   EXPECT_NEAR(ticks / native.CyclesPerSecond(), seconds, 0.1 * seconds);
+}
+
+// A native core models nothing: ConsumeCycles returns 0, so the declared
+// work it skips is never subtracted from a measured span.
+TEST(NativePlatform, ConsumeCyclesModelsNothing) {
+  NativePlatform native(1);
+  Cycles returned = ~Cycles{0};
+  native.Spawn(0, [&] { returned = ConsumeCycles(777); });
+  native.Run();
+  EXPECT_EQ(returned, 0u);
 }
 
 // Readings count from platform construction, not from boot: trace spans

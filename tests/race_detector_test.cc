@@ -348,14 +348,25 @@ TEST(RaceClean, WalDurableTwoPl) {
       << " races, first: " << det->reports().at(0).ToString();
 }
 
-TEST(RaceClean, TpccOrthrusFullMix) {
+workload::tpcc::TpccScale FullMixTpcc() {
   workload::tpcc::TpccScale s;
   s.warehouses = 4;
   s.customers_per_district = 60;
   s.items = 200;
   s.order_ring_capacity = 8192;
   s.mix = workload::tpcc::FullTpccMix();
-  workload::tpcc::TpccWorkload wl(s);
+  return s;
+}
+
+void ExpectNoRaces(hal::SimPlatform* sim) {
+  RaceDetector* det = sim->race_detector();
+  EXPECT_TRUE(det->reports().empty())
+      << det->races_observed()
+      << " races, first: " << det->reports().at(0).ToString();
+}
+
+TEST(RaceClean, TpccOrthrusFullMix) {
+  workload::tpcc::TpccWorkload wl(FullMixTpcc());
   storage::Database db;
   wl.Load(&db, 1);
   db.partitioner().n = 2;
@@ -367,10 +378,23 @@ TEST(RaceClean, TpccOrthrusFullMix) {
   hal::SimPlatform sim(6, cfg);
   RunResult r = eng.Run(&sim, &db, wl);
   EXPECT_GT(r.total.committed, 0u);
-  RaceDetector* det = sim.race_detector();
-  EXPECT_TRUE(det->reports().empty())
-      << det->races_observed()
-      << " races, first: " << det->reports().at(0).ToString();
+  ExpectNoRaces(&sim);
+}
+
+// 2PL resolves the whole access set before its first lock, and Delivery /
+// StockLevel re-plan it from unlocked OLLP reconnaissance reads when an
+// estimate goes stale: row contents must still be touched under locks only.
+TEST(RaceClean, TpccTwoPlWaitDieFullMix) {
+  workload::tpcc::TpccWorkload wl(FullMixTpcc());
+  storage::Database db;
+  wl.Load(&db, 1);
+  engine::TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kWaitDie);
+  hal::SimConfig cfg;
+  cfg.race_detect = true;
+  hal::SimPlatform sim(4, cfg);
+  RunResult r = eng.Run(&sim, &db, wl);
+  EXPECT_GT(r.total.committed, 0u);
+  ExpectNoRaces(&sim);
 }
 
 // -------------------------------------------------- zero-perturbation pin
