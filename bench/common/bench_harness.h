@@ -17,8 +17,10 @@
 //   ORTHRUS_BENCH_JSON_DIR
 //                         when set, each figure driver also writes
 //                         <dir>/BENCH_<figure>.json with one record per
-//                         (series, x) point — throughput and p99 commit
-//                         latency — so the nightly can archive trend data.
+//                         (series, x) point — throughput, p99 commit
+//                         latency, and the simulator's atomic RMWs, remote
+//                         line transfers and RMW stall cycles per commit —
+//                         so the nightly can archive trend data.
 //                         Unset: no filesystem effects.
 #ifndef ORTHRUS_BENCH_COMMON_BENCH_HARNESS_H_
 #define ORTHRUS_BENCH_COMMON_BENCH_HARNESS_H_
@@ -29,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/deadlockfree/deadlockfree_engine.h"
@@ -90,17 +93,24 @@ inline engine::EngineOptions BenchOptions(int cores) {
   return o;
 }
 
+// One data point: the engine's result plus the simulator's counters for
+// the same run, which name a shared hot line when one limits throughput.
+struct PointResult : RunResult {
+  hal::SimStats sim;
+};
+
 // Runs `eng` on a fresh database loaded from `wl`. `table_partitions` > 1
 // builds split indexes; `partitioner_n` overrides the partition universe
 // after load when nonzero (e.g. ORTHRUS CC count over unsplit tables).
-inline RunResult RunPoint(engine::Engine* eng, workload::Workload* wl,
-                          int cores, int table_partitions,
-                          int partitioner_n = 0) {
+inline PointResult RunPoint(engine::Engine* eng, workload::Workload* wl,
+                            int cores, int table_partitions,
+                            int partitioner_n = 0) {
   storage::Database db;
   wl->Load(&db, table_partitions);
   if (partitioner_n != 0) db.partitioner().n = partitioner_n;
   hal::SimPlatform sim(cores);
-  return eng->Run(&sim, &db, *wl);
+  RunResult r = eng->Run(&sim, &db, *wl);
+  return PointResult{std::move(r), sim.stats()};
 }
 
 // Prints one series row: label followed by throughput values in Mtxns/s.
@@ -137,6 +147,9 @@ struct JsonRecord {
   double abort_rate;
   std::uint64_t committed;
   double elapsed_seconds;
+  double atomic_rmws_per_commit;
+  double remote_transfers_per_commit;
+  double rmw_stall_cycles_per_commit;
 };
 
 class JsonReport {
@@ -149,7 +162,7 @@ class JsonReport {
   void SetFigure(const std::string& name) { figure_ = name; }
 
   void Add(const std::string& series, const std::string& x,
-           const RunResult& r) {
+           const PointResult& r) {
     if (std::getenv("ORTHRUS_BENCH_JSON_DIR") == nullptr) return;
     JsonRecord rec;
     rec.series = series;
@@ -162,6 +175,15 @@ class JsonReport {
     rec.abort_rate = r.AbortRate();
     rec.committed = r.total.committed;
     rec.elapsed_seconds = r.elapsed_seconds;
+    const auto per_commit = [&r](std::uint64_t n) {
+      return r.total.committed == 0
+                 ? 0.0
+                 : static_cast<double>(n) /
+                       static_cast<double>(r.total.committed);
+    };
+    rec.atomic_rmws_per_commit = per_commit(r.sim.atomic_rmws);
+    rec.remote_transfers_per_commit = per_commit(r.sim.remote_transfers);
+    rec.rmw_stall_cycles_per_commit = per_commit(r.sim.rmw_stall_cycles);
     records_.push_back(std::move(rec));
   }
 
@@ -190,12 +212,17 @@ class JsonReport {
                    "\"p99_commit_latency_us\": %.3f, "
                    "\"abort_rate\": %.6f, "
                    "\"committed\": %llu, "
-                   "\"elapsed_seconds\": %.6f}%s\n",
+                   "\"elapsed_seconds\": %.6f, "
+                   "\"atomic_rmws_per_commit\": %.4f, "
+                   "\"remote_transfers_per_commit\": %.4f, "
+                   "\"rmw_stall_cycles_per_commit\": %.2f}%s\n",
                    r.series.c_str(), r.x.c_str(),
                    r.throughput_txns_per_sec, r.p99_commit_latency_us,
                    r.abort_rate,
                    static_cast<unsigned long long>(r.committed),
-                   r.elapsed_seconds,
+                   r.elapsed_seconds, r.atomic_rmws_per_commit,
+                   r.remote_transfers_per_commit,
+                   r.rmw_stall_cycles_per_commit,
                    i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -211,7 +238,7 @@ inline void JsonFigure(const std::string& name) {
 }
 
 inline void JsonPoint(const std::string& series, const std::string& x,
-                      const RunResult& r) {
+                      const PointResult& r) {
   JsonReport::Instance().Add(series, x, r);
 }
 

@@ -4,7 +4,10 @@
 //
 // Expected shape: each curve rises while execution threads are the
 // bottleneck, then plateaus once the fixed CC threads saturate; the plateau
-// height is ordered by the number of CC threads.
+// height is ordered by the number of CC threads. A plateau that does not
+// move with the CC count is some other limit: the atomic RMWs and RMW
+// stall cycles per commit in BENCH_fig05_thread_allocation.json show
+// whether a shared line is it.
 #include <vector>
 
 #include "bench/common/bench_harness.h"
@@ -18,6 +21,7 @@ int main() {
   for (int e : exec_counts) xs.push_back(std::to_string(e));
   PrintHeader("Figure 5: ORTHRUS thread allocation (uniform 10RMW)",
               "tput (M/s) @exec", xs);
+  JsonFigure("fig05_thread_allocation");
 
   for (int n_cc : {4, 8, 16}) {
     std::vector<double> tputs;
@@ -34,7 +38,9 @@ int main() {
       engine::OrthrusOptions oo;
       oo.num_cc = n_cc;
       engine::OrthrusEngine eng(BenchOptions(n_cc + n_exec), oo);
-      RunResult r = RunPoint(&eng, &wl, n_cc + n_exec, 1);
+      PointResult r = RunPoint(&eng, &wl, n_cc + n_exec, 1);
+      JsonPoint(std::to_string(n_cc) + " cc threads", std::to_string(n_exec),
+                r);
       tputs.push_back(r.Throughput());
     }
     PrintRow(std::to_string(n_cc) + " cc threads", tputs);

@@ -69,11 +69,9 @@ struct EngineOptions {
 };
 
 // Maps the engine-level options onto the runtime layer's driver knobs.
-inline runtime::DriverOptions MakeDriverOptions(const EngineOptions& o,
-                                                bool charge_admission = false) {
+inline runtime::DriverOptions MakeDriverOptions(const EngineOptions& o) {
   runtime::DriverOptions d;
   d.max_txns_per_worker = o.max_txns_per_worker;
-  d.charge_admission = charge_admission;
   d.resume_committed = o.resume_committed;
   return d;
 }

@@ -101,7 +101,6 @@ struct alignas(kTcbAlign) Tcb {
   // Exec-side bookkeeping.
   int pending_acks = 0;
   bool replan_pending = false;
-  bool counted_commit = false;
 
   // CC-side state, starting on a line of its own so that CC writes never
   // share a cache line with the exec thread's bookkeeping above.
@@ -198,8 +197,8 @@ struct Shared {
   Mesh cc_to_cc;    // (cc, cc)    forward
   Mesh cc_to_exec;  // (cc, exec)  grant / ack
 
+  // Exec threads that have left Main; see CcThread::RunDrained.
   hal::Atomic<std::uint64_t> execs_done{0};
-  hal::Atomic<std::uint64_t> inflight_global{0};
 
   // Durability (null = off): each exec thread owns wal producer slot
   // exec_id; logger workers ride above the CC/exec cores.
@@ -251,10 +250,16 @@ class CcThread {
   }
 
  private:
+  // True once every exec thread has left Main, which alone means that no
+  // message is still in flight to any CC thread:
+  // - an exec thread leaves Main only at inflight_ == 0, i.e. after the
+  //   last ack of every transaction it admitted;
+  // - a CC sends kAck only after it has processed the release;
+  // - a release is a transaction's last message to the CC threads, because
+  //   forwards happen before the grant.
   bool RunDrained() {
     return shared_->execs_done.load() ==
-               static_cast<std::uint64_t>(shared_->n_exec) &&
-           shared_->inflight_global.load() == 0;
+           static_cast<std::uint64_t>(shared_->n_exec);
   }
 
   bool DrainOnce() {
@@ -500,7 +505,6 @@ class ExecThread {
       now = admission_.Admit(&tcb->txn, now);
       if (wal_ != nullptr) wal_uncaptured_++;
       tcb->replan_pending = false;
-      tcb->counted_commit = false;
       now = Dispatch(tcb, now);
       issued = true;
     }
@@ -535,7 +539,6 @@ class ExecThread {
                    /*is_write=*/true, "orthrus.tcb.stages");
     tcb->cur_stage = 0;
     inflight_++;
-    shared_->inflight_global.fetch_add(1);
     shared_->exec_to_cc.Send(exec_id_, tcb->stages[0].part,
                              Encode(tcb, kAcquire));
     stats_->messages_sent++;
@@ -568,7 +571,6 @@ class ExecThread {
         stats_->committed++;
         stats_->txn_latency.Record(t1 - t.start_cycles);
       }
-      tcb->counted_commit = true;
     } else {
       tcb->replan_pending = true;  // stale OLLP estimate: re-plan after acks
     }
@@ -594,16 +596,13 @@ class ExecThread {
       tcb->replan_pending = false;
       if (admission_.planner()->Replan(&tcb->txn, stats_)) {
         // Re-dispatch the same transaction with the fresh estimate. The
-        // slot stays occupied; inflight counters already include it.
+        // slot stays occupied; Dispatch counts it in flight again.
         inflight_--;
-        shared_->inflight_global.fetch_add(
-            static_cast<std::uint64_t>(-1));
         Dispatch(tcb, hal::Now());
         return;
       }
     }
     inflight_--;
-    shared_->inflight_global.fetch_add(static_cast<std::uint64_t>(-1));
     free_slots_.push_back(tcb->slot);
   }
 
@@ -704,8 +703,7 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   for (int l = 0; l < loggers; ++l) {
     pool.AssignRole(options_.num_cores + l, runtime::WorkerRole::kLogger);
   }
-  const runtime::DriverOptions dopts =
-      MakeDriverOptions(options_, /*charge_admission=*/true);
+  const runtime::DriverOptions dopts = MakeDriverOptions(options_);
 
   std::vector<std::unique_ptr<CcThread>> cc_threads;
   std::vector<std::unique_ptr<ExecThread>> exec_threads;

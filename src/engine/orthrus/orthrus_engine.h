@@ -5,9 +5,11 @@
 // keeps its lock meta-data strictly core-local), and the remaining cores
 // run *only* transaction logic. The two kinds of cores share no data
 // structures; they cooperate exclusively through per-pair latch-free SPSC
-// message queues (Section 3.1). A CC thread's lock table holds only locks
-// with queued requests (cc_lock_table.h), so it stays cache-resident
-// however many distinct keys a run touches.
+// message queues (Section 3.1). The only word the stages share outside
+// those rings is `execs_done`, which each exec thread bumps once, on exit,
+// and which the CC threads read to stop. A CC thread's lock table holds
+// only locks with queued requests (cc_lock_table.h), so it stays
+// cache-resident however many distinct keys a run touches.
 //
 // Lock acquisition follows the deadlock-avoidance discipline of Section
 // 3.2: a transaction's full lock set is known up front (from analysis or

@@ -77,11 +77,6 @@ struct DriverOptions {
   // Optional commit cap per worker (0 = unlimited).
   std::uint64_t max_txns_per_worker = 0;
 
-  // Charge source pull + planning to TimeCategory::kExecution. The
-  // message-passing engines account admission this way; the
-  // shared-everything engines historically did not.
-  bool charge_admission = false;
-
   // Post-crash resume credit, indexed by worker id (null = none). A worker
   // whose previous incarnation already made `(*resume_committed)[w]`
   // transactions durable counts them against its commit cap, so a resumed
@@ -120,15 +115,13 @@ class TxnAdmission {
   // kWorkerIdBits; WorkerPool CHECKs that worker ids fit), latency start
   // stamp, restart counter reset. `now` is the caller's clock reading at
   // the start of admission. Admit reads the clock once, after planning:
-  // that reading ends the span charged with charge_admission, becomes
+  // that reading ends the span charged to kExecution, becomes
   // t->start_cycles, and is returned for the caller's next stage.
   hal::Cycles Admit(txn::Txn* t, hal::Cycles now) {
     source_->Next(t);
     planner_.Plan(t);
     const hal::Cycles end = hal::Now();
-    if (options_.charge_admission) {
-      ctx_->stats.Add(TimeCategory::kExecution, end - now);
-    }
+    ctx_->stats.Add(TimeCategory::kExecution, end - now);
     t->timestamp = (++ts_counter_ << kWorkerIdBits) |
                    static_cast<std::uint64_t>(ctx_->worker_id);
     t->start_cycles = end;

@@ -179,6 +179,46 @@ TEST(OrthrusInflight, WiderWindowRaisesThroughputWhenUncontended) {
   EXPECT_GT(run(wide), run(narrow) * 1.2);
 }
 
+// The stages share only their rings (Section 3.1): with more exec
+// threads than the CC threads can serve, single-partition transactions
+// scale with the CC count, and a commit costs no atomic RMW. The ring
+// index words are plain loads and stores; the only RMWs left are the exec
+// threads' one `execs_done` add each. A shared counter bumped per
+// transaction would cost at least one RMW per commit, and the sim serves
+// a contended line one RMW at a time, so it would cap throughput whatever
+// the CC count.
+TEST(OrthrusScaleOut, MoreCcThreadsRunFasterWithNoSharedRmwPerCommit) {
+  constexpr int kExec = 24;
+  auto run = [](int n_cc) {
+    KvConfig kv;
+    kv.num_records = 20000;
+    kv.num_partitions = n_cc;
+    kv.placement = KvConfig::Placement::kFixedCount;
+    kv.partitions_per_txn = 1;
+    KvWorkload wl(kv);
+    storage::Database db;
+    wl.Load(&db, 1);
+    EngineOptions o;
+    o.num_cores = n_cc + kExec;
+    o.duration_seconds = 0.0005;
+    OrthrusOptions oo;
+    oo.num_cc = n_cc;
+    OrthrusEngine eng(o, oo);
+    hal::SimPlatform sim(o.num_cores);
+    const RunResult r = eng.Run(&sim, &db, wl);
+    EXPECT_GT(r.total.committed, 0u) << n_cc;
+    EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10) << n_cc;
+    const double rmws_per_commit =
+        static_cast<double>(sim.stats().atomic_rmws) /
+        static_cast<double>(r.total.committed);
+    EXPECT_LT(rmws_per_commit, 0.05) << n_cc << " CC threads";
+    return r.Throughput();
+  };
+  const double two = run(2);
+  const double four = run(4);
+  EXPECT_GT(four, 1.35 * two) << "2 CC: " << two << " txn/s, 4 CC: " << four;
+}
+
 TEST(OrthrusStatic, WorksOnNativeThreads) {
   // The default static path — per-pair SPSC meshes, messages published
   // as produced, bounded drains — under true concurrency, at the shape the

@@ -302,18 +302,16 @@ struct AdmitProbe {
 };
 
 // `gap` cycles pass between the caller's reading and the Admit call.
-AdmitProbe ProbeAdmit(bool charge_admission, hal::Cycles next_cycles,
-                      hal::Cycles plan_cycles, hal::Cycles gap) {
+AdmitProbe ProbeAdmit(hal::Cycles next_cycles, hal::Cycles plan_cycles,
+                      hal::Cycles gap) {
   NoopLogic logic(plan_cycles);
   NoopSource source(&logic, next_cycles);
   storage::Database db;
   hal::SimPlatform sim(1);
   WorkerPool pool(&sim, 1, kAmpleDuration);
-  DriverOptions opts;
-  opts.charge_admission = charge_admission;
   AdmitProbe p;
   pool.Spawn(0, [&](WorkerContext& ctx) {
-    TxnAdmission admission(opts, &db, &source, &ctx);
+    TxnAdmission admission(DriverOptions{}, &db, &source, &ctx);
     hal::ConsumeCycles(1234);  // a reading away from the clock's origin
     txn::Txn t;
     p.t0 = hal::Now();
@@ -330,17 +328,13 @@ AdmitProbe ProbeAdmit(bool charge_admission, hal::Cycles next_cycles,
 TEST(TxnAdmission, AdmitStampsAndReturnsTheOnePostPlanReading) {
   constexpr hal::Cycles kNext = 700;
   constexpr hal::Cycles kPlan = 50;
-  for (const bool charge : {true, false}) {
-    const AdmitProbe p = ProbeAdmit(charge, kNext, kPlan, /*gap=*/0);
-    EXPECT_EQ(p.start_cycles, p.t0 + kNext + kPlan) << charge;
-    EXPECT_EQ(p.returned, p.start_cycles) << charge;
-    EXPECT_EQ(p.charged, charge ? kNext + kPlan : 0u) << charge;
-  }
   // The charged span starts at the caller's reading, not at the call.
-  constexpr hal::Cycles kGap = 9;
-  const AdmitProbe p = ProbeAdmit(true, kNext, kPlan, kGap);
-  EXPECT_EQ(p.start_cycles, p.t0 + kGap + kNext + kPlan);
-  EXPECT_EQ(p.charged, kGap + kNext + kPlan);
+  for (const hal::Cycles gap : {hal::Cycles{0}, hal::Cycles{9}}) {
+    const AdmitProbe p = ProbeAdmit(kNext, kPlan, gap);
+    EXPECT_EQ(p.start_cycles, p.t0 + gap + kNext + kPlan) << gap;
+    EXPECT_EQ(p.returned, p.start_cycles) << gap;
+    EXPECT_EQ(p.charged, gap + kNext + kPlan) << gap;
+  }
 }
 
 TEST(TxnAdmission, OpenComparesTheCallersReadingWithTheDeadline) {
