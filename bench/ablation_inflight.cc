@@ -33,7 +33,7 @@ int main() {
       oo.num_cc = kCc;
       oo.max_inflight = window;
       engine::OrthrusEngine eng(BenchOptions(kCores), oo);
-      tputs.push_back(RunPoint(&eng, &wl, kCores, 1).Throughput());
+      tputs.push_back(RunPoint(&eng, &wl, kCores).Throughput());
     }
     PrintRow(contended ? "high contention" : "uniform", tputs);
   }

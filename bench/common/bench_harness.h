@@ -99,14 +99,13 @@ struct PointResult : RunResult {
   hal::SimStats sim;
 };
 
-// Runs `eng` on a fresh database loaded from `wl`. `table_partitions` > 1
-// builds split indexes; `partitioner_n` overrides the partition universe
-// after load when nonzero (e.g. ORTHRUS CC count over unsplit tables).
+// Runs `eng` on a fresh database loaded from `wl`. `partitioner_n`
+// overrides the partition universe after load when nonzero (e.g. the
+// ORTHRUS CC count over TPC-C, whose loader leaves it at 1).
 inline PointResult RunPoint(engine::Engine* eng, workload::Workload* wl,
-                            int cores, int table_partitions,
-                            int partitioner_n = 0) {
+                            int cores, int partitioner_n = 0) {
   storage::Database db;
-  wl->Load(&db, table_partitions);
+  wl->Load(&db, 1);
   if (partitioner_n != 0) db.partitioner().n = partitioner_n;
   hal::SimPlatform sim(cores);
   RunResult r = eng->Run(&sim, &db, *wl);

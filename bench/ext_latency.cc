@@ -31,7 +31,7 @@ int main() {
     kv.seed = 77;
     workload::KvWorkload wl(kv);
     auto eng = make();
-    RunResult r = RunPoint(eng.get(), &wl, kCores, 1, partitioner_n);
+    RunResult r = RunPoint(eng.get(), &wl, kCores, partitioner_n);
     const double to_us = 1e6 / 2e9;  // cycles -> microseconds at 2 GHz
     std::printf("  %-18s tput %7.2f M/s   p50 %8.1f us   p99 %8.1f us   "
                 "max %9.1f us\n",

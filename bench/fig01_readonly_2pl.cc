@@ -33,7 +33,7 @@ int main() {
     workload::KvWorkload wl(kv);
     engine::TwoPlEngine eng(BenchOptions(cores),
                             engine::DeadlockPolicyKind::kDreadlocks);
-    PointResult r = RunPoint(&eng, &wl, cores, /*table_partitions=*/1);
+    PointResult r = RunPoint(&eng, &wl, cores);
     JsonPoint("two-phase-locking", std::to_string(cores), r);
     tputs.push_back(r.Throughput());
   }

@@ -39,7 +39,7 @@ int main() {
         kv.seed = 4;
         workload::KvWorkload wl(kv);
         auto eng = make();
-        RunResult r = RunPoint(eng.get(), &wl, cores, 1);
+        RunResult r = RunPoint(eng.get(), &wl, cores);
         tputs.push_back(r.Throughput());
       }
       PrintRow(label, tputs);

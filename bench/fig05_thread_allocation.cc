@@ -38,7 +38,7 @@ int main() {
       engine::OrthrusOptions oo;
       oo.num_cc = n_cc;
       engine::OrthrusEngine eng(BenchOptions(n_cc + n_exec), oo);
-      PointResult r = RunPoint(&eng, &wl, n_cc + n_exec, 1);
+      PointResult r = RunPoint(&eng, &wl, n_cc + n_exec);
       JsonPoint(std::to_string(n_cc) + " cc threads", std::to_string(n_exec),
                 r);
       tputs.push_back(r.Throughput());

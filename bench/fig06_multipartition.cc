@@ -5,8 +5,8 @@
 // sharply from 2 on (coarse partition locks serialize transactions that
 // merely share a partition); ORTHRUS degrades gently (more message hops per
 // chain: Ncc+1); Deadlock-free is flat (shared-everything: partitions mean
-// nothing to it); the SPLIT variants run above their unsplit counterparts
-// at low partition counts and converge to them as transactions spread.
+// nothing to it).
+#include <functional>
 #include <vector>
 
 #include "bench/common/bench_harness.h"
@@ -22,6 +22,7 @@ int main() {
   for (int p : parts_per_txn) xs.push_back(std::to_string(p));
   PrintHeader("Figure 6: partitions accessed per transaction (80 cores)",
               "tput (M/s) @parts", xs);
+  JsonFigure("fig06_multipartition");
 
   auto kv_for = [&](int universe, bool local_affinity, int k) {
     workload::KvConfig kv;
@@ -34,60 +35,37 @@ int main() {
     kv.seed = 6;
     return kv;
   };
+  // One series: `run(k)` measures the point at k partitions per txn.
+  auto series = [&](const std::string& label,
+                    const std::function<PointResult(int)>& run) {
+    std::vector<double> tputs;
+    for (std::size_t i = 0; i < parts_per_txn.size(); ++i) {
+      PointResult r = run(parts_per_txn[i]);
+      JsonPoint(label, xs[i], r);
+      tputs.push_back(r.Throughput());
+    }
+    PrintRow(label, tputs);
+  };
 
-  {  // Partitioned-store: 80 partitions (one per worker), split indexes.
-    std::vector<double> tputs;
-    for (int k : parts_per_txn) {
-      workload::KvWorkload wl(kv_for(kCores, true, k));
-      engine::PartitionedEngine eng(BenchOptions(kCores));
-      RunResult r = RunPoint(&eng, &wl, kCores, kCores);
-      tputs.push_back(r.Throughput());
-    }
-    PrintRow("partitioned-store", tputs);
-  }
-  {  // SPLIT ORTHRUS: 16 CC threads, split indexes.
-    std::vector<double> tputs;
-    for (int k : parts_per_txn) {
-      workload::KvWorkload wl(kv_for(kCc, false, std::min(k, kCc)));
-      engine::OrthrusOptions oo;
-      oo.num_cc = kCc;
-      engine::OrthrusEngine eng(BenchOptions(kCores), oo);
-      RunResult r = RunPoint(&eng, &wl, kCores, kCc);
-      tputs.push_back(r.Throughput());
-    }
-    PrintRow("split-orthrus", tputs);
-  }
-  {  // ORTHRUS: 16 CC threads, shared index.
-    std::vector<double> tputs;
-    for (int k : parts_per_txn) {
-      workload::KvWorkload wl(kv_for(kCc, false, std::min(k, kCc)));
-      engine::OrthrusOptions oo;
-      oo.num_cc = kCc;
-      engine::OrthrusEngine eng(BenchOptions(kCores), oo);
-      RunResult r = RunPoint(&eng, &wl, kCores, 1);
-      tputs.push_back(r.Throughput());
-    }
-    PrintRow("orthrus", tputs);
-  }
-  {  // Split Deadlock-free: shared-everything locking over split indexes.
-    std::vector<double> tputs;
-    for (int k : parts_per_txn) {
-      workload::KvWorkload wl(kv_for(kCores, false, k));
-      engine::DeadlockFreeEngine eng(BenchOptions(kCores));
-      RunResult r = RunPoint(&eng, &wl, kCores, kCores);
-      tputs.push_back(r.Throughput());
-    }
-    PrintRow("split-deadlock-free", tputs);
-  }
-  {  // Deadlock-free locking: partition count is irrelevant to it.
-    std::vector<double> tputs;
-    for (int k : parts_per_txn) {
-      workload::KvWorkload wl(kv_for(kCores, false, k));
-      engine::DeadlockFreeEngine eng(BenchOptions(kCores));
-      RunResult r = RunPoint(&eng, &wl, kCores, 1);
-      tputs.push_back(r.Throughput());
-    }
-    PrintRow("deadlock-free", tputs);
-  }
+  // Partitioned-store: 80 partitions, one per worker.
+  series("partitioned-store", [&](int k) {
+    workload::KvWorkload wl(kv_for(kCores, true, k));
+    engine::PartitionedEngine eng(BenchOptions(kCores));
+    return RunPoint(&eng, &wl, kCores);
+  });
+  // ORTHRUS: 16 CC threads.
+  series("orthrus", [&](int k) {
+    workload::KvWorkload wl(kv_for(kCc, false, std::min(k, kCc)));
+    engine::OrthrusOptions oo;
+    oo.num_cc = kCc;
+    engine::OrthrusEngine eng(BenchOptions(kCores), oo);
+    return RunPoint(&eng, &wl, kCores);
+  });
+  // Deadlock-free locking: partition count is irrelevant to it.
+  series("deadlock-free", [&](int k) {
+    workload::KvWorkload wl(kv_for(kCores, false, k));
+    engine::DeadlockFreeEngine eng(BenchOptions(kCores));
+    return RunPoint(&eng, &wl, kCores);
+  });
   return 0;
 }

@@ -5,6 +5,7 @@
 // Expected shape: Partitioned-store starts highest at 0% and decays fastest
 // as multi-partition work grows; ORTHRUS decays gently (extra message hops)
 // and stays above Deadlock-free across the whole range, including 100%.
+#include <functional>
 #include <vector>
 
 #include "bench/common/bench_harness.h"
@@ -20,6 +21,7 @@ int main() {
   for (int p : pct_multi) xs.push_back(std::to_string(p) + "%");
   PrintHeader("Figure 7: percentage of multi-partition txns (80 cores)",
               "tput (M/s) @multi", xs);
+  JsonFigure("fig07_multipartition_pct");
 
   auto kv_for = [&](int universe, bool local_affinity, int pct) {
     workload::KvConfig kv;
@@ -32,55 +34,34 @@ int main() {
     kv.seed = 7;
     return kv;
   };
+  // One series: `run(pct)` measures the point at pct% multi-partition.
+  auto series = [&](const std::string& label,
+                    const std::function<PointResult(int)>& run) {
+    std::vector<double> tputs;
+    for (std::size_t i = 0; i < pct_multi.size(); ++i) {
+      PointResult r = run(pct_multi[i]);
+      JsonPoint(label, xs[i], r);
+      tputs.push_back(r.Throughput());
+    }
+    PrintRow(label, tputs);
+  };
 
-  {
-    std::vector<double> tputs;
-    for (int pct : pct_multi) {
-      workload::KvWorkload wl(kv_for(kCores, true, pct));
-      engine::PartitionedEngine eng(BenchOptions(kCores));
-      tputs.push_back(RunPoint(&eng, &wl, kCores, kCores).Throughput());
-    }
-    PrintRow("partitioned-store", tputs);
-  }
-  {
-    std::vector<double> tputs;
-    for (int pct : pct_multi) {
-      workload::KvWorkload wl(kv_for(kCc, false, pct));
-      engine::OrthrusOptions oo;
-      oo.num_cc = kCc;
-      engine::OrthrusEngine eng(BenchOptions(kCores), oo);
-      tputs.push_back(RunPoint(&eng, &wl, kCores, kCc).Throughput());
-    }
-    PrintRow("split-orthrus", tputs);
-  }
-  {
-    std::vector<double> tputs;
-    for (int pct : pct_multi) {
-      workload::KvWorkload wl(kv_for(kCc, false, pct));
-      engine::OrthrusOptions oo;
-      oo.num_cc = kCc;
-      engine::OrthrusEngine eng(BenchOptions(kCores), oo);
-      tputs.push_back(RunPoint(&eng, &wl, kCores, 1).Throughput());
-    }
-    PrintRow("orthrus", tputs);
-  }
-  {
-    std::vector<double> tputs;
-    for (int pct : pct_multi) {
-      workload::KvWorkload wl(kv_for(kCores, false, pct));
-      engine::DeadlockFreeEngine eng(BenchOptions(kCores));
-      tputs.push_back(RunPoint(&eng, &wl, kCores, kCores).Throughput());
-    }
-    PrintRow("split-deadlock-free", tputs);
-  }
-  {
-    std::vector<double> tputs;
-    for (int pct : pct_multi) {
-      workload::KvWorkload wl(kv_for(kCores, false, pct));
-      engine::DeadlockFreeEngine eng(BenchOptions(kCores));
-      tputs.push_back(RunPoint(&eng, &wl, kCores, 1).Throughput());
-    }
-    PrintRow("deadlock-free", tputs);
-  }
+  series("partitioned-store", [&](int pct) {
+    workload::KvWorkload wl(kv_for(kCores, true, pct));
+    engine::PartitionedEngine eng(BenchOptions(kCores));
+    return RunPoint(&eng, &wl, kCores);
+  });
+  series("orthrus", [&](int pct) {
+    workload::KvWorkload wl(kv_for(kCc, false, pct));
+    engine::OrthrusOptions oo;
+    oo.num_cc = kCc;
+    engine::OrthrusEngine eng(BenchOptions(kCores), oo);
+    return RunPoint(&eng, &wl, kCores);
+  });
+  series("deadlock-free", [&](int pct) {
+    workload::KvWorkload wl(kv_for(kCores, false, pct));
+    engine::DeadlockFreeEngine eng(BenchOptions(kCores));
+    return RunPoint(&eng, &wl, kCores);
+  });
   return 0;
 }

@@ -38,7 +38,7 @@ int main() {
       oo.num_cc = kCc;
       engine::OrthrusEngine eng(BenchOptions(kCores), oo);
       tputs.push_back(
-          RunPoint(&eng, &wl, kCores, 1, /*partitioner_n=*/kCc).Throughput());
+          RunPoint(&eng, &wl, kCores, /*partitioner_n=*/kCc).Throughput());
     }
     PrintRow("orthrus", tputs);
   }
@@ -47,7 +47,7 @@ int main() {
     for (int w : warehouses) {
       workload::tpcc::TpccWorkload wl(scale_for(w));
       engine::DeadlockFreeEngine eng(BenchOptions(kCores));
-      tputs.push_back(RunPoint(&eng, &wl, kCores, 1).Throughput());
+      tputs.push_back(RunPoint(&eng, &wl, kCores).Throughput());
     }
     PrintRow("deadlock-free", tputs);
   }
@@ -57,7 +57,7 @@ int main() {
       workload::tpcc::TpccWorkload wl(scale_for(w));
       engine::TwoPlEngine eng(BenchOptions(kCores),
                               engine::DeadlockPolicyKind::kDreadlocks);
-      tputs.push_back(RunPoint(&eng, &wl, kCores, 1).Throughput());
+      tputs.push_back(RunPoint(&eng, &wl, kCores).Throughput());
     }
     PrintRow("2pl-dreadlocks", tputs);
   }

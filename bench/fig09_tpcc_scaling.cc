@@ -36,7 +36,7 @@ int main() {
       oo.num_cc = std::max(2, cores / 5);
       engine::OrthrusEngine eng(BenchOptions(cores), oo);
       tputs.push_back(
-          RunPoint(&eng, &wl, cores, 1, /*partitioner_n=*/oo.num_cc)
+          RunPoint(&eng, &wl, cores, /*partitioner_n=*/oo.num_cc)
               .Throughput());
     }
     PrintRow("orthrus", tputs);
@@ -46,7 +46,7 @@ int main() {
     for (int cores : core_counts) {
       workload::tpcc::TpccWorkload wl(scale16());
       engine::DeadlockFreeEngine eng(BenchOptions(cores));
-      tputs.push_back(RunPoint(&eng, &wl, cores, 1).Throughput());
+      tputs.push_back(RunPoint(&eng, &wl, cores).Throughput());
     }
     PrintRow("deadlock-free", tputs);
   }
@@ -56,7 +56,7 @@ int main() {
       workload::tpcc::TpccWorkload wl(scale16());
       engine::TwoPlEngine eng(BenchOptions(cores),
                               engine::DeadlockPolicyKind::kDreadlocks);
-      tputs.push_back(RunPoint(&eng, &wl, cores, 1).Throughput());
+      tputs.push_back(RunPoint(&eng, &wl, cores).Throughput());
     }
     PrintRow("2pl-dreadlocks", tputs);
   }

@@ -49,7 +49,7 @@ int main() {
       engine::OrthrusOptions oo;
       oo.num_cc = kCc;
       engine::OrthrusEngine eng(BenchOptions(kCores), oo);
-      RunResult r = RunPoint(&eng, &wl, kCores, 1, kCc);
+      RunResult r = RunPoint(&eng, &wl, kCores, kCc);
       // Execution threads only (per_worker[kCc..]) — CC threads are the
       // delegated lock manager, like the paper's measurement.
       WorkerStats exec_total;
@@ -69,14 +69,14 @@ int main() {
     {
       workload::tpcc::TpccWorkload wl(scale_for(w));
       engine::DeadlockFreeEngine eng(BenchOptions(kCores));
-      RunResult r = RunPoint(&eng, &wl, kCores, 1);
+      RunResult r = RunPoint(&eng, &wl, kCores);
       print_breakdown("deadlock-free", r.total);
     }
     {
       workload::tpcc::TpccWorkload wl(scale_for(w));
       engine::TwoPlEngine eng(BenchOptions(kCores),
                               engine::DeadlockPolicyKind::kDreadlocks);
-      RunResult r = RunPoint(&eng, &wl, kCores, 1);
+      RunResult r = RunPoint(&eng, &wl, kCores);
       print_breakdown("2pl-dreadlocks", r.total);
     }
   }

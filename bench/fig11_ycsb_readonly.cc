@@ -45,7 +45,7 @@ int main() {
         engine::OrthrusOptions oo;
         oo.num_cc = n_cc;
         engine::OrthrusEngine eng(BenchOptions(cores), oo);
-        PointResult r = RunPoint(&eng, wl.get(), cores, 1);
+        PointResult r = RunPoint(&eng, wl.get(), cores);
         JsonPoint(label + tag, std::to_string(cores), r);
         tputs.push_back(r.Throughput());
       }
@@ -68,7 +68,7 @@ int main() {
         spec.row_bytes = KvRowBytes();
         auto wl = MakeYcsbWorkload(spec);
         engine::DeadlockFreeEngine eng(BenchOptions(cores));
-        PointResult r = RunPoint(&eng, wl.get(), cores, 1);
+        PointResult r = RunPoint(&eng, wl.get(), cores);
         JsonPoint("deadlock-free" + tag, std::to_string(cores), r);
         tputs.push_back(r.Throughput());
       }
@@ -87,7 +87,7 @@ int main() {
         auto wl = MakeYcsbWorkload(spec);
         engine::TwoPlEngine eng(BenchOptions(cores),
                                 engine::DeadlockPolicyKind::kWaitDie);
-        PointResult r = RunPoint(&eng, wl.get(), cores, 1);
+        PointResult r = RunPoint(&eng, wl.get(), cores);
         JsonPoint("2pl-waitdie" + tag, std::to_string(cores), r);
         tputs.push_back(r.Throughput());
       }

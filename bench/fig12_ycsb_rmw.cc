@@ -49,7 +49,7 @@ int main() {
         engine::OrthrusOptions oo;
         oo.num_cc = n_cc;
         engine::OrthrusEngine eng(BenchOptions(cores), oo);
-        PointResult r = RunPoint(&eng, wl.get(), cores, 1);
+        PointResult r = RunPoint(&eng, wl.get(), cores);
         JsonPoint(label + tag, std::to_string(cores), r);
         tputs.push_back(r.Throughput());
       }
@@ -65,7 +65,7 @@ int main() {
       for (int cores : core_counts) {
         auto wl = MakeYcsbWorkload(ycsb(workload::YcsbPlacement::kRandom, 1));
         engine::DeadlockFreeEngine eng(BenchOptions(cores));
-        PointResult r = RunPoint(&eng, wl.get(), cores, 1);
+        PointResult r = RunPoint(&eng, wl.get(), cores);
         JsonPoint("deadlock-free" + tag, std::to_string(cores), r);
         tputs.push_back(r.Throughput());
       }
@@ -77,7 +77,7 @@ int main() {
         auto wl = MakeYcsbWorkload(ycsb(workload::YcsbPlacement::kRandom, 1));
         engine::TwoPlEngine eng(BenchOptions(cores),
                                 engine::DeadlockPolicyKind::kWaitDie);
-        PointResult r = RunPoint(&eng, wl.get(), cores, 1);
+        PointResult r = RunPoint(&eng, wl.get(), cores);
         JsonPoint("2pl-waitdie" + tag, std::to_string(cores), r);
         tputs.push_back(r.Throughput());
       }

@@ -167,77 +167,6 @@ BENCHMARK(BM_ResolveRows)
     ->Args({200000, 1})
     ->ArgNames({"rows", "batched"});
 
-// Split against unsplit index where a split could pay: three threads each
-// probe only their own partition (key % 3), the partitioned-store pattern.
-// Each batch of 10 keys is prefetched and then probed, as
-// engine::ResolveRows does. Split into 3, each thread walks a sub-index of
-// a third of the keys; unsplit, all three share one index. Rows are 8
-// bytes and never touched, so only the index is measured; 5M rows keep
-// the larger index at 256 MiB and one table is alive at a time.
-// `index_MiB` reports the run's index size (keys + slots, every partition,
-// sized as Table sizes them). arg0: 0 = unsplit, 1 = split into 3.
-constexpr int kSplitParts = 3;
-constexpr std::uint64_t kSplitRows = 5'000'000;
-std::unique_ptr<storage::Table> split_probe_table;
-
-void SplitProbeSetup(const benchmark::State& state) {
-  const int parts = state.range(0) != 0 ? kSplitParts : 1;
-  if (split_probe_table != nullptr &&
-      split_probe_table->num_partitions() == parts) {
-    return;
-  }
-  split_probe_table.reset();
-  split_probe_table =
-      std::make_unique<storage::Table>(0, "kv", kSplitRows, 8, parts);
-  for (std::uint64_t k = 0; k < kSplitRows; ++k) {
-    split_probe_table->Insert(k, static_cast<int>(k % parts));
-  }
-}
-
-void BM_SplitIndexProbe(benchmark::State& state) {
-  constexpr std::size_t kBatch = 10;
-  constexpr std::size_t kKeys = kBatch << 14;
-  storage::Table* table = split_probe_table.get();
-  const int parts = table->num_partitions();
-  const int mine = state.thread_index();
-  const int part = parts == 1 ? 0 : mine;
-  Rng rng(11 + static_cast<std::uint64_t>(mine));
-  std::vector<std::uint64_t> keys(kKeys);
-  for (std::uint64_t& k : keys) {
-    k = rng.NextU64(kSplitRows / kSplitParts) * kSplitParts +
-        static_cast<std::uint64_t>(mine);
-  }
-  std::size_t next = 0;
-  std::uintptr_t sum = 0;
-  for (auto _ : state) {
-    const std::uint64_t* batch = &keys[next];
-    next = (next + kBatch) % kKeys;
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      table->PrefetchIndex(batch[i], part);
-    }
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      const void* row = table->LookupRaw(batch[i], part);
-      sum += reinterpret_cast<std::uintptr_t>(row);
-    }
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kBatch));
-  if (mine == 0) {
-    const auto n_parts = static_cast<std::uint64_t>(parts);
-    const std::uint64_t cells = NextPowerOfTwo(2 * (kSplitRows / n_parts + 1));
-    state.counters["index_MiB"] = static_cast<double>(
-        (cells * n_parts * 2 * sizeof(std::uint64_t)) >> 20);
-  }
-}
-BENCHMARK(BM_SplitIndexProbe)
-    ->Setup(SplitProbeSetup)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("split")
-    ->Threads(kSplitParts)
-    ->UseRealTime();
-
 void BM_FiberSwitchPair(benchmark::State& state) {
   // Round-trip context switch cost: main -> fiber -> main.
   void* main_sp = nullptr;

@@ -37,7 +37,7 @@ int main() {
   {
     workload::KvWorkload wl(kv);
     storage::Database db;
-    wl.Load(&db, /*num_table_partitions=*/1);
+    wl.Load(&db, 1);
 
     engine::EngineOptions options;
     options.num_cores = kCores;
@@ -53,7 +53,7 @@ int main() {
   {
     workload::KvWorkload wl(kv);
     storage::Database db;
-    wl.Load(&db, /*num_table_partitions=*/1);
+    wl.Load(&db, 1);
 
     engine::EngineOptions options;
     options.num_cores = kCores;

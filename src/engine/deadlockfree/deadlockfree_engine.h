@@ -5,9 +5,6 @@
 // Ordered acquisition over FIFO queues makes deadlock impossible, so no
 // deadlock-handling logic runs at all — isolating the cost of deadlock
 // handling from the cost of lock management itself.
-//
-// "Split Deadlock-free" (Section 4.3) is this engine over a database loaded
-// with physically partitioned indexes (Workload::Load's partition count).
 #ifndef ORTHRUS_ENGINE_DEADLOCKFREE_DEADLOCKFREE_ENGINE_H_
 #define ORTHRUS_ENGINE_DEADLOCKFREE_DEADLOCKFREE_ENGINE_H_
 

@@ -106,17 +106,10 @@ class Engine {
   virtual std::string name() const = 0;
 };
 
-// Sub-index holding `key` in table `t`: 0 unless the table is split.
-inline int IndexPartition(const storage::Database* db, const storage::Table* t,
-                          std::uint64_t key) {
-  return t->num_partitions() > 1 ? db->partitioner().PartOf(key) : 0;
-}
-
 // Resolves the row pointer for an access, charging the modeled index-probe
-// cost. Routes to the right sub-index when the table is split.
+// cost.
 inline void ResolveRow(storage::Database* db, txn::Access* a) {
-  storage::Table* t = db->GetTable(a->table);
-  a->row = t->Lookup(a->key, IndexPartition(db, t, a->key));
+  a->row = db->GetTable(a->table)->Lookup(a->key);
   ORTHRUS_CHECK_MSG(a->row != nullptr, "access to missing key");
 }
 
@@ -127,8 +120,7 @@ inline void ResolveRow(storage::Database* db, txn::Access* a) {
 inline void ResolveRows(storage::Database* db,
                         std::vector<txn::Access>* accesses) {
   for (const txn::Access& a : *accesses) {
-    const storage::Table* t = db->GetTable(a.table);
-    t->PrefetchIndex(a.key, IndexPartition(db, t, a.key));
+    db->GetTable(a.table)->PrefetchIndex(a.key);
   }
   for (txn::Access& a : *accesses) ResolveRow(db, &a);
   for (const txn::Access& a : *accesses) hal::Prefetch(a.row);

@@ -81,8 +81,9 @@ RunResult PartitionedEngine::Run(hal::Platform* platform,
                                  const workload::Workload& workload) {
   const int n = options_.num_cores;
   ORTHRUS_CHECK_MSG(db->partitioner().n == n,
-                    "Partitioned-store needs one partition per worker; "
-                    "load the database with num_table_partitions == cores");
+                    "Partitioned-store needs one partition per worker: "
+                    "db->partitioner().n must equal the worker count "
+                    "(EngineOptions::num_cores)");
 
   // One coarse-grained lock per partition.
   std::vector<std::unique_ptr<hal::SpinLock>> partition_locks;

@@ -42,8 +42,7 @@ class Database {
   // Creates a table; `id` must equal the next unused catalog id so that
   // table ids double as dense vector indexes.
   Table* CreateTable(std::uint32_t id, std::string name,
-                     std::uint64_t capacity, std::uint32_t row_bytes,
-                     int num_partitions = 1);
+                     std::uint64_t capacity, std::uint32_t row_bytes);
 
   Table* GetTable(std::uint32_t id) {
     ORTHRUS_DCHECK(id < tables_.size());

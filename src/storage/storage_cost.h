@@ -4,10 +4,9 @@
 // (hal::ConsumeCycles) rather than per-line modeled accesses: modeling every
 // payload byte as a cache line would make simulation quadratically slower
 // while adding nothing to the contention story the paper is about. The one
-// storage effect that *is* performance-relevant to the paper is the cache
-// footprint of indexes (Section 4.3's SPLIT variants), which this model
-// captures by making probe cost grow with the log of the index's size
-// relative to the cache hierarchy.
+// storage effect the model keeps is the cache footprint of a table's
+// index: probe cost grows with the log of the index's size relative to
+// the cache hierarchy.
 #ifndef ORTHRUS_STORAGE_STORAGE_COST_H_
 #define ORTHRUS_STORAGE_STORAGE_COST_H_
 

@@ -11,16 +11,15 @@
 // the paper's scope: it studies concurrency control, explicitly leaving
 // index contention to complementary work (PLP).
 //
-// A table can be built "split" into per-partition sub-indexes (Section 4.3's
-// SPLIT variants): same data, but each partition's index is small enough to
-// stay cache-resident, which lowers the modeled probe cost.
+// Each table has exactly one index. Section 4.3's SPLIT variants (one
+// sub-index per partition) are not reproduced: see README "One index per
+// table".
 #ifndef ORTHRUS_STORAGE_TABLE_H_
 #define ORTHRUS_STORAGE_TABLE_H_
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/macros.h"
 #include "hal/hal.h"
@@ -33,11 +32,8 @@ inline constexpr std::uint64_t kNoSlot = ~0ull;
 class Table {
  public:
   // `id`: catalog id. `capacity`: max rows. `row_bytes`: payload size.
-  // `num_partitions` > 1 builds a split (physically partitioned) index;
-  // partition of a key is supplied by the caller at insert/lookup time so
-  // the table stays agnostic of the partitioning function.
   Table(std::uint32_t id, std::string name, std::uint64_t capacity,
-        std::uint32_t row_bytes, int num_partitions = 1);
+        std::uint32_t row_bytes);
 
   std::uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -48,21 +44,20 @@ class Table {
   // word-granular access every workload performs is never misaligned even
   // for odd payload sizes (100B YCSB rows, 1000B paper-scale rows).
   std::uint32_t row_stride() const { return row_stride_; }
-  int num_partitions() const { return num_partitions_; }
 
   // --- Setup-time API (single-threaded) --------------------------------
 
   // Inserts a new key, returning its row pointer. Aborts on duplicate key
   // or capacity overflow: loaders are deterministic, so either is a bug.
-  void* Insert(std::uint64_t key, int partition = 0);
+  void* Insert(std::uint64_t key);
 
   // --- Run-time API ----------------------------------------------------
 
   // Returns the row for `key` or nullptr. Charges the modeled probe cost.
-  void* Lookup(std::uint64_t key, int partition = 0);
+  void* Lookup(std::uint64_t key);
 
   // Probe without the modeled charge (verification / loaders).
-  void* LookupRaw(std::uint64_t key, int partition = 0) const;
+  void* LookupRaw(std::uint64_t key) const;
 
   // Index hash: a probe for `key` starts at cell HashKey(key) & mask.
   // Fibonacci hashing with an extra xor-fold; cheap and well-spread for the
@@ -75,10 +70,8 @@ class Table {
   // Prefetches the index line holding the key where a probe for `key`
   // starts. Charges nothing and reads nothing; a probe that runs past that
   // line still works, it just misses once more.
-  void PrefetchIndex(std::uint64_t key, int partition = 0) const {
-    ORTHRUS_DCHECK(partition >= 0 && partition < num_partitions_);
-    const Index& idx = indexes_[partition];
-    hal::Prefetch(&idx.keys[HashKey(key) & idx.mask]);
+  void PrefetchIndex(std::uint64_t key) const {
+    hal::Prefetch(&index_.keys[HashKey(key) & index_.mask]);
   }
 
   // Slot number of a row pointer previously returned by Lookup/Insert/
@@ -108,7 +101,7 @@ class Table {
   // Modeled cost of touching one row of this table.
   hal::Cycles RowAccessCost() const { return row_cost_; }
 
-  // Modeled cost of one index probe (depends on split configuration).
+  // Modeled cost of one index probe (grows with the index's size).
   hal::Cycles ProbeCost() const { return probe_cost_; }
 
   const StorageCostModel& cost_model() const { return cost_model_; }
@@ -130,11 +123,10 @@ class Table {
   std::uint64_t capacity_;
   std::uint32_t row_bytes_;
   std::uint32_t row_stride_;
-  int num_partitions_;
   std::uint64_t size_ = 0;       // rows inserted through the index
   std::uint64_t reserved_ = 0;   // slots handed out by ReserveSlots
   std::unique_ptr<std::uint8_t[]> rows_;
-  std::vector<Index> indexes_;   // one per partition
+  Index index_;
   StorageCostModel cost_model_;
   hal::Cycles probe_cost_ = 0;
   hal::Cycles row_cost_ = 0;

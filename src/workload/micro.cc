@@ -1,6 +1,5 @@
 #include "workload/micro.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
@@ -273,24 +272,16 @@ std::string KvWorkload::name() const {
   return n;
 }
 
-void KvWorkload::Load(storage::Database* db, int num_table_partitions) {
+void KvWorkload::Load(storage::Database* db, int /*unused*/) {
   // The run-time partition universe (lock routing for ORTHRUS, data routing
   // for Partitioned-store, key targeting for the generator) is
-  // config_.num_partitions. Split tables must be built with exactly that
-  // count, because index routing reuses the same partitioner.
-  const int table_parts = std::max(1, num_table_partitions);
-  if (table_parts > 1) {
-    ORTHRUS_CHECK_MSG(table_parts == config_.num_partitions,
-                      "split index partition count must equal the workload's "
-                      "partition universe");
-  }
+  // config_.num_partitions.
   db->partitioner().n = config_.num_partitions;
   db->partitioner().mode = storage::Partitioner::Mode::kModulo;
-  storage::Table* table = db->CreateTable(
-      kTableId, "kv", config_.num_records, config_.row_bytes, table_parts);
+  storage::Table* table = db->CreateTable(kTableId, "kv", config_.num_records,
+                                          config_.row_bytes);
   for (std::uint64_t k = 0; k < config_.num_records; ++k) {
-    const int part = table_parts > 1 ? db->partitioner().PartOf(k) : 0;
-    std::uint64_t* row = static_cast<std::uint64_t*>(table->Insert(k, part));
+    std::uint64_t* row = static_cast<std::uint64_t*>(table->Insert(k));
     row[0] = 0;                // RMW counter
     row[1] = k * 2654435761u;  // payload word
   }

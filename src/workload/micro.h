@@ -71,7 +71,7 @@ class KvWorkload final : public Workload {
   explicit KvWorkload(KvConfig config);
   ~KvWorkload() override;
 
-  void Load(storage::Database* db, int num_table_partitions) override;
+  void Load(storage::Database* db, int unused) override;
   std::unique_ptr<TxnSource> MakeSource(int worker_id) const override;
   std::string name() const override;
 

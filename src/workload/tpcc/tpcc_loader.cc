@@ -4,14 +4,11 @@
 
 namespace orthrus::workload::tpcc {
 
-void LoadTpccDatabase(storage::Database* db, TpccAux* aux,
-                      int num_table_partitions) {
+void LoadTpccDatabase(storage::Database* db, TpccAux* aux) {
   const TpccScale& s = aux->scale;
-  const int parts = std::max(1, num_table_partitions);
   db->partitioner().mode = storage::Partitioner::Mode::kWarehouseHigh32;
-  // The caller overrides `n` to the engine's partition count; default to
-  // the table partition count so split loads route consistently.
-  db->partitioner().n = parts;
+  // The caller overrides `n` to the engine's partition count.
+  db->partitioner().n = 1;
 
   Rng rng(s.seed);
   const std::uint32_t pad = s.row_padding;
@@ -20,41 +17,37 @@ void LoadTpccDatabase(storage::Database* db, TpccAux* aux,
   const int c_count = s.customers_per_district;
 
   storage::Table* warehouse = db->CreateTable(
-      kWarehouse, "warehouse", w_count, sizeof(WarehouseRow) + pad, parts);
+      kWarehouse, "warehouse", w_count, sizeof(WarehouseRow) + pad);
   storage::Table* district =
       db->CreateTable(kDistrict, "district",
                       static_cast<std::uint64_t>(w_count) * d_count,
-                      sizeof(DistrictRow) + pad, parts);
+                      sizeof(DistrictRow) + pad);
   storage::Table* customer = db->CreateTable(
       kCustomer, "customer",
       static_cast<std::uint64_t>(w_count) * d_count * c_count,
-      sizeof(CustomerRow) + pad, parts);
+      sizeof(CustomerRow) + pad);
   storage::Table* stock =
       db->CreateTable(kStock, "stock",
                       static_cast<std::uint64_t>(w_count) * s.items,
-                      sizeof(StockRow) + pad, parts);
+                      sizeof(StockRow) + pad);
   storage::Table* item =
-      db->CreateTable(kItem, "item", s.items, sizeof(ItemRow) + pad, 1);
-
-  auto part_of = [&](std::uint64_t key) {
-    return parts > 1 ? db->partitioner().PartOf(key) : 0;
-  };
+      db->CreateTable(kItem, "item", s.items, sizeof(ItemRow) + pad);
 
   for (int i = 0; i < s.items; ++i) {
-    ItemRow* row = static_cast<ItemRow*>(item->Insert(ItemKey(i), 0));
+    ItemRow* row = static_cast<ItemRow*>(item->Insert(ItemKey(i)));
     row->price_cents = static_cast<std::uint32_t>(rng.NextInRange(100, 10000));
     row->name_hash = static_cast<std::uint32_t>(rng.Next());
   }
 
   for (int w = 0; w < w_count; ++w) {
-    WarehouseRow* wr = static_cast<WarehouseRow*>(
-        warehouse->Insert(WarehouseKey(w), part_of(WarehouseKey(w))));
+    WarehouseRow* wr =
+        static_cast<WarehouseRow*>(warehouse->Insert(WarehouseKey(w)));
     wr->ytd_cents = 0;
     wr->tax_bp = static_cast<std::uint32_t>(rng.NextU64(2001));
 
     for (int i = 0; i < s.items; ++i) {
       const std::uint64_t key = StockKey(w, i);
-      StockRow* sr = static_cast<StockRow*>(stock->Insert(key, part_of(key)));
+      StockRow* sr = static_cast<StockRow*>(stock->Insert(key));
       sr->quantity = TpccWorkload::kInitialStockQuantity;
       sr->ytd = 0;
       sr->order_cnt = 0;
@@ -63,8 +56,7 @@ void LoadTpccDatabase(storage::Database* db, TpccAux* aux,
 
     for (int d = 0; d < d_count; ++d) {
       const std::uint64_t dkey = DistrictKey(w, d);
-      DistrictRow* dr =
-          static_cast<DistrictRow*>(district->Insert(dkey, part_of(dkey)));
+      DistrictRow* dr = static_cast<DistrictRow*>(district->Insert(dkey));
       dr->ytd_cents = 0;
       dr->tax_bp = static_cast<std::uint32_t>(rng.NextU64(2001));
       dr->next_o_id = 1;
@@ -73,8 +65,7 @@ void LoadTpccDatabase(storage::Database* db, TpccAux* aux,
 
       for (int c = 0; c < c_count; ++c) {
         const std::uint64_t ckey = CustomerKey(w, d, c);
-        CustomerRow* cr =
-            static_cast<CustomerRow*>(customer->Insert(ckey, part_of(ckey)));
+        CustomerRow* cr = static_cast<CustomerRow*>(customer->Insert(ckey));
         cr->balance_cents = 0;
         cr->ytd_payment_cents = 0;
         cr->payment_cnt = 0;
@@ -111,8 +102,8 @@ void LoadTpccDatabase(storage::Database* db, TpccAux* aux,
                       "seeded orders must fit the order ring");
     for (int w = 0; w < w_count; ++w) {
       for (int d = 0; d < d_count; ++d) {
-        auto* dr = static_cast<DistrictRow*>(db->GetTable(kDistrict)->Lookup(
-            DistrictKey(w, d), part_of(DistrictKey(w, d))));
+        auto* dr = static_cast<DistrictRow*>(
+            db->GetTable(kDistrict)->Lookup(DistrictKey(w, d)));
         dr->next_o_id = 1 + static_cast<std::uint32_t>(s.seeded_orders);
         const int ring = aux->DistrictIndex(w, d);
         for (int o = 1; o <= s.seeded_orders; ++o) {
@@ -140,7 +131,7 @@ void LoadTpccDatabase(storage::Database* db, TpccAux* aux,
             ol.supply_w = static_cast<std::uint32_t>(w);
             ol.quantity = static_cast<std::uint32_t>(rng.NextInRange(1, 10));
             const auto* ir = static_cast<const ItemRow*>(
-                item->Lookup(ItemKey(static_cast<int>(ol.i_id)), 0));
+                item->Lookup(ItemKey(static_cast<int>(ol.i_id))));
             ol.amount_cents = ol.quantity * ir->price_cents;
             rec.total_cents += ol.amount_cents;
           }

@@ -183,8 +183,8 @@ std::string TpccWorkload::name() const {
   return "tpcc-w" + std::to_string(aux_->scale.warehouses);
 }
 
-void TpccWorkload::Load(storage::Database* db, int num_table_partitions) {
-  LoadTpccDatabase(db, aux_.get(), num_table_partitions);
+void TpccWorkload::Load(storage::Database* db, int /*unused*/) {
+  LoadTpccDatabase(db, aux_.get());
 }
 
 std::unique_ptr<TxnSource> TpccWorkload::MakeSource(int worker_id) const {

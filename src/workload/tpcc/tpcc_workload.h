@@ -132,7 +132,7 @@ class TpccWorkload final : public Workload {
   explicit TpccWorkload(TpccScale scale);
   ~TpccWorkload() override;
 
-  void Load(storage::Database* db, int num_table_partitions) override;
+  void Load(storage::Database* db, int unused) override;
   std::unique_ptr<TxnSource> MakeSource(int worker_id) const override;
   std::string name() const override;
 
@@ -193,8 +193,7 @@ std::unique_ptr<txn::TxnLogic> MakeDeliveryLogic(TpccAux* aux);
 std::unique_ptr<txn::TxnLogic> MakeStockLevelLogic(TpccAux* aux);
 
 // Loader (exposed for tests that want a database without the workload).
-void LoadTpccDatabase(storage::Database* db, TpccAux* aux,
-                      int num_table_partitions);
+void LoadTpccDatabase(storage::Database* db, TpccAux* aux);
 
 }  // namespace orthrus::workload::tpcc
 

@@ -25,11 +25,10 @@ class Workload {
  public:
   virtual ~Workload() = default;
 
-  // Populates `db` with tables and rows. `num_table_partitions` > 1 builds
-  // physically partitioned ("split") indexes, used by Partitioned-store and
-  // the SPLIT engine variants; the database's partitioner is configured to
-  // match.
-  virtual void Load(storage::Database* db, int num_table_partitions) = 0;
+  // Populates `db` with tables and rows and configures its partitioner.
+  // The `int` is unused: it is kept only because bench/oltp's probe
+  // wrapper overrides this signature.
+  virtual void Load(storage::Database* db, int unused) = 0;
 
   virtual std::unique_ptr<TxnSource> MakeSource(int worker_id) const = 0;
 

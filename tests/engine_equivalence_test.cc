@@ -53,8 +53,8 @@ class ShiftedWorkload final : public workload::Workload {
   ShiftedWorkload(workload::Workload* inner, int shift)
       : inner_(inner), shift_(shift) {}
 
-  void Load(storage::Database* db, int num_table_partitions) override {
-    inner_->Load(db, num_table_partitions);
+  void Load(storage::Database* db, int unused) override {
+    inner_->Load(db, unused);
   }
   std::unique_ptr<workload::TxnSource> MakeSource(int worker_id) const
       override {

@@ -64,10 +64,9 @@ KvConfig SmallKv(int partitions) {
 // every committed transaction bumped exactly ops_per_txn distinct row
 // counters, and aborted attempts left no trace.
 void RunKvAndCheck(engine::Engine* eng, KvWorkload* wl, bool simulated,
-                   int cores, int table_partitions,
-                   std::uint64_t* committed_out = nullptr) {
+                   int cores, std::uint64_t* committed_out = nullptr) {
   storage::Database db;
-  wl->Load(&db, table_partitions);
+  wl->Load(&db, 1);
   auto platform = MakePlatform(simulated, cores);
   RunResult result = eng->Run(platform.get(), &db, *wl);
   EXPECT_GT(result.total.committed, 0u) << eng->name();
@@ -99,7 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(EnginesOnPlatform, TwoPlWaitDieLowContention) {
   KvWorkload wl(SmallKv(1));
   TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kWaitDie);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 1);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
 TEST_P(EnginesOnPlatform, TwoPlWaitDieHighContention) {
@@ -107,7 +106,7 @@ TEST_P(EnginesOnPlatform, TwoPlWaitDieHighContention) {
   c.hot_records = 16;  // heavy conflicts: aborts and restarts exercised
   KvWorkload wl(c);
   TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kWaitDie);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 1);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
 // Every worker's Figure-10 split fits in the run: no category exceeds the
@@ -162,7 +161,7 @@ TEST_P(EnginesOnPlatform, TwoPlWaitForGraphHighContention) {
   c.hot_records = 16;
   KvWorkload wl(c);
   TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kWaitForGraph);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 1);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
 TEST_P(EnginesOnPlatform, TwoPlDreadlocksHighContention) {
@@ -170,7 +169,7 @@ TEST_P(EnginesOnPlatform, TwoPlDreadlocksHighContention) {
   c.hot_records = 16;
   KvWorkload wl(c);
   TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kDreadlocks);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 1);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
 TEST_P(EnginesOnPlatform, TwoPlReadOnlyNeverAborts) {
@@ -206,13 +205,13 @@ TEST_P(EnginesOnPlatform, DeadlockFreeNeverAborts) {
   ExpectTimeFitsElapsed(r);
 }
 
-TEST_P(EnginesOnPlatform, DeadlockFreeSplitIndex) {
+TEST_P(EnginesOnPlatform, DeadlockFreeTwoOfFourPartitions) {
   KvConfig c = SmallKv(4);
   c.placement = KvConfig::Placement::kFixedCount;
   c.partitions_per_txn = 2;
   KvWorkload wl(c);
   DeadlockFreeEngine eng(SmallRun(4));
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, /*table_partitions=*/4);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
 // ---------------------------------------------------- partitioned-store
@@ -224,7 +223,7 @@ TEST_P(EnginesOnPlatform, PartitionedStoreSinglePartition) {
   c.local_affinity = true;
   KvWorkload wl(c);
   PartitionedEngine eng(SmallRun(4));
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 4);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
 TEST_P(EnginesOnPlatform, PartitionedStoreMultiPartition) {
@@ -234,7 +233,7 @@ TEST_P(EnginesOnPlatform, PartitionedStoreMultiPartition) {
   c.local_affinity = true;
   KvWorkload wl(c);
   PartitionedEngine eng(SmallRun(4));
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 4);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
 TEST_P(EnginesOnPlatform, PartitionedStorePctMultiMix) {
@@ -244,7 +243,17 @@ TEST_P(EnginesOnPlatform, PartitionedStorePctMultiMix) {
   c.local_affinity = true;
   KvWorkload wl(c);
   PartitionedEngine eng(SmallRun(4));
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4, 4);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
+}
+
+TEST(PartitionedStoreDeathTest, PartitionerCountMustEqualWorkers) {
+  KvWorkload wl(SmallKv(2));  // partitioner().n = 2 against 4 workers
+  storage::Database db;
+  wl.Load(&db, 1);
+  PartitionedEngine eng(SmallRun(4));
+  hal::SimPlatform sim(4);
+  EXPECT_DEATH(eng.Run(&sim, &db, wl),
+               "partitioner\\(\\)\\.n must equal the worker count");
 }
 
 // ---------------------------------------------------------------- ORTHRUS
@@ -257,7 +266,7 @@ TEST_P(EnginesOnPlatform, OrthrusSinglePartitionTxns) {
   OrthrusOptions oo;
   oo.num_cc = 2;
   OrthrusEngine eng(SmallRun(6), oo);  // 2 CC + 4 exec
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 6, 1);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 6);
 }
 
 TEST_P(EnginesOnPlatform, OrthrusMultiPartitionChain) {
@@ -268,7 +277,7 @@ TEST_P(EnginesOnPlatform, OrthrusMultiPartitionChain) {
   OrthrusOptions oo;
   oo.num_cc = 3;
   OrthrusEngine eng(SmallRun(7), oo);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 7, 1);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 7);
 }
 
 TEST_P(EnginesOnPlatform, OrthrusHighContention) {
@@ -279,18 +288,7 @@ TEST_P(EnginesOnPlatform, OrthrusHighContention) {
   OrthrusOptions oo;
   oo.num_cc = 2;
   OrthrusEngine eng(SmallRun(6), oo);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 6, 1);
-}
-
-TEST_P(EnginesOnPlatform, OrthrusSplitIndex) {
-  KvConfig c = SmallKv(2);
-  c.placement = KvConfig::Placement::kFixedCount;
-  c.partitions_per_txn = 1;
-  KvWorkload wl(c);
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  OrthrusEngine eng(SmallRun(6), oo);
-  RunKvAndCheck(&eng, &wl, GetParam().simulated, 6, /*table_partitions=*/2);
+  RunKvAndCheck(&eng, &wl, GetParam().simulated, 6);
 }
 
 TEST_P(EnginesOnPlatform, OrthrusNeverAbortsOnStaticAccessSets) {

@@ -555,9 +555,7 @@ class RowCheckLogic final : public txn::TxnLogic {
   }
   bool Run(txn::Txn* t, const txn::ExecContext& ctx) override {
     for (txn::Access& a : t->accesses) {
-      const storage::Table* tbl = ctx.db->GetTable(a.table);
-      void* const want =
-          tbl->LookupRaw(a.key, engine::IndexPartition(ctx.db, tbl, a.key));
+      void* const want = ctx.db->GetTable(a.table)->LookupRaw(a.key);
       tally_->accesses++;
       if (a.row != want) {
         tally_->mismatches++;
@@ -594,8 +592,8 @@ class RowCheckWorkload final : public workload::Workload {
                             int stale_customers_per_district = 0)
       : inner_(inner), cpd_(stale_customers_per_district) {}
 
-  void Load(storage::Database* db, int num_table_partitions) override {
-    inner_->Load(db, num_table_partitions);
+  void Load(storage::Database* db, int unused) override {
+    inner_->Load(db, unused);
   }
   std::unique_ptr<workload::TxnSource> MakeSource(int worker_id) const
       override {

@@ -102,7 +102,7 @@ TEST_P(ConservationProperty, NoLostOrPhantomUpdates) {
 
   KvWorkload wl(kv);
   storage::Database db;
-  wl.Load(&db, partitioned ? kCores : 1);
+  wl.Load(&db, 1);
 
   EngineOptions options;
   options.num_cores = kCores;

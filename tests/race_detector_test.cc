@@ -262,9 +262,9 @@ struct CleanOutcome {
 // Runs the engine on the simulator and, when race_detect is on, asserts the
 // run produced no reports (printing the first one when it did).
 CleanOutcome RunKv(engine::Engine* eng, KvWorkload* wl, int cores,
-                   int table_partitions, bool race_detect) {
+                   bool race_detect) {
   storage::Database db;
-  wl->Load(&db, table_partitions);
+  wl->Load(&db, 1);
   hal::SimConfig cfg;
   cfg.race_detect = race_detect;
   hal::SimPlatform sim(cores, cfg);
@@ -282,19 +282,19 @@ CleanOutcome RunKv(engine::Engine* eng, KvWorkload* wl, int cores,
 TEST(RaceClean, TwoPlDreadlocksHighContention) {
   KvWorkload wl(SmallKv(1));
   engine::TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kDreadlocks);
-  RunKv(&eng, &wl, 4, 1, /*race_detect=*/true);
+  RunKv(&eng, &wl, 4, /*race_detect=*/true);
 }
 
 TEST(RaceClean, TwoPlWaitDieHighContention) {
   KvWorkload wl(SmallKv(1));
   engine::TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kWaitDie);
-  RunKv(&eng, &wl, 4, 1, /*race_detect=*/true);
+  RunKv(&eng, &wl, 4, /*race_detect=*/true);
 }
 
 TEST(RaceClean, DeadlockFreeHighContention) {
   KvWorkload wl(SmallKv(1));
   engine::DeadlockFreeEngine eng(SmallRun(4));
-  RunKv(&eng, &wl, 4, 1, /*race_detect=*/true);
+  RunKv(&eng, &wl, 4, /*race_detect=*/true);
 }
 
 TEST(RaceClean, PartitionedStoreMultiPartition) {
@@ -305,7 +305,7 @@ TEST(RaceClean, PartitionedStoreMultiPartition) {
   c.local_affinity = true;
   KvWorkload wl(c);
   engine::PartitionedEngine eng(SmallRun(4));
-  RunKv(&eng, &wl, 4, 4, /*race_detect=*/true);
+  RunKv(&eng, &wl, 4, /*race_detect=*/true);
 }
 
 TEST(RaceClean, OrthrusMultiPartitionChain) {
@@ -317,7 +317,7 @@ TEST(RaceClean, OrthrusMultiPartitionChain) {
   OrthrusOptions oo;
   oo.num_cc = 3;
   engine::OrthrusEngine eng(SmallRun(7), oo);
-  RunKv(&eng, &wl, 7, 1, /*race_detect=*/true);
+  RunKv(&eng, &wl, 7, /*race_detect=*/true);
 }
 
 TEST(RaceClean, OrthrusHighContention) {
@@ -325,7 +325,7 @@ TEST(RaceClean, OrthrusHighContention) {
   OrthrusOptions oo;
   oo.num_cc = 2;
   engine::OrthrusEngine eng(SmallRun(6), oo);
-  RunKv(&eng, &wl, 6, 1, /*race_detect=*/true);
+  RunKv(&eng, &wl, 6, /*race_detect=*/true);
 }
 
 TEST(RaceClean, WalDurableTwoPl) {
@@ -409,7 +409,7 @@ TEST(RaceDetectZeroPerturbation, OrthrusClockIsByteIdentical) {
     OrthrusOptions oo;
     oo.num_cc = 2;
     engine::OrthrusEngine eng(SmallRun(6), oo);
-    return RunKv(&eng, &wl, 6, 1, race_detect);
+    return RunKv(&eng, &wl, 6, race_detect);
   };
   const CleanOutcome off = run(false);
   const CleanOutcome on = run(true);

@@ -1,5 +1,5 @@
-// Tests for the storage layer: tables, hash index, split indexes, reserved
-// slots, huge-page advice, secondary index, database catalog, cost model.
+// Tests for the storage layer: tables, hash index, reserved slots,
+// huge-page advice, secondary index, database catalog, cost model.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -55,23 +55,11 @@ TEST(Table, CapacityOverflowDies) {
   EXPECT_DEATH(t.Insert(3), "full");
 }
 
-TEST(Table, SplitIndexRouting) {
-  Table t(0, "t", 100, 16, /*num_partitions=*/4);
-  for (std::uint64_t k = 0; k < 40; ++k) {
-    t.Insert(k, static_cast<int>(k % 4));
-  }
-  for (std::uint64_t k = 0; k < 40; ++k) {
-    EXPECT_NE(t.LookupRaw(k, static_cast<int>(k % 4)), nullptr);
-    // Wrong partition must miss: split indexes are disjoint.
-    EXPECT_EQ(t.LookupRaw(k, static_cast<int>((k + 1) % 4)), nullptr);
-  }
-}
-
-TEST(Table, SplitIndexProbeIsCheaperForLargeTables) {
-  // A 1M-row index blows the modeled cache; a 16-way split index does not.
-  Table big(0, "big", 1 << 20, 16, 1);
-  Table split(1, "split", 1 << 20, 16, 16);
-  EXPECT_GT(big.ProbeCost(), split.ProbeCost());
+TEST(Table, ProbeCostFollowsIndexSize) {
+  // A 1M-row index blows the modeled cache; a 1k-row index does not.
+  Table big(0, "big", 1 << 20, 16);
+  Table small(1, "small", 1 << 10, 16);
+  EXPECT_GT(big.ProbeCost(), small.ProbeCost());
 }
 
 TEST(Table, RowAccessCostScalesWithRowBytes) {
@@ -146,41 +134,15 @@ TEST(Table, CollidingKeysKeepTheirOwnRows) {
   EXPECT_EQ(t.LookupRaw(absent[0]), nullptr);
 }
 
-TEST(Table, SplitIndexPartitionsAreDisjoint) {
-  // Every key goes into each partition's own index; the same key may live
-  // in two partitions with different rows.
-  Table t(0, "t", 64, 16, /*num_partitions=*/4);
-  for (std::uint64_t k = 0; k < 8; ++k) {
-    for (int p = 0; p < 2; ++p) {
-      *static_cast<std::uint64_t*>(t.Insert(k, p)) = k * 10 + p;
-    }
-  }
-  for (std::uint64_t k = 0; k < 8; ++k) {
-    for (int p = 0; p < 4; ++p) {
-      t.PrefetchIndex(k, p);
-      void* row = t.LookupRaw(k, p);
-      if (p >= 2) {
-        EXPECT_EQ(row, nullptr) << k << " " << p;
-        continue;
-      }
-      ASSERT_NE(row, nullptr) << k << " " << p;
-      EXPECT_EQ(*static_cast<std::uint64_t*>(row),
-                k * 10 + static_cast<std::uint64_t>(p));
-    }
-  }
-}
-
 TEST(Table, PrefetchIndexOnAbsentKeysChangesNothing) {
-  Table t(0, "t", 100, 16, /*num_partitions=*/2);
-  for (std::uint64_t k = 0; k < 50; ++k) t.Insert(k, static_cast<int>(k % 2));
+  Table t(0, "t", 100, 16);
+  for (std::uint64_t k = 0; k < 50; ++k) t.Insert(k);
   for (std::uint64_t k : {50ull, 1000ull, 1ull << 40, ~0ull - 1, ~0ull}) {
-    t.PrefetchIndex(k, 0);
-    t.PrefetchIndex(k, 1);
-    EXPECT_EQ(t.LookupRaw(k, 0), nullptr);
-    EXPECT_EQ(t.LookupRaw(k, 1), nullptr);
+    t.PrefetchIndex(k);
+    EXPECT_EQ(t.LookupRaw(k), nullptr);
   }
   for (std::uint64_t k = 0; k < 50; ++k) {
-    EXPECT_NE(t.LookupRaw(k, static_cast<int>(k % 2)), nullptr) << k;
+    EXPECT_NE(t.LookupRaw(k), nullptr) << k;
   }
 }
 

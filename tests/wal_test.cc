@@ -67,8 +67,8 @@ class SkippingWorkload final : public workload::Workload {
                    const std::vector<std::uint64_t>* skip)
       : inner_(inner), skip_(skip) {}
 
-  void Load(storage::Database* db, int num_table_partitions) override {
-    inner_->Load(db, num_table_partitions);
+  void Load(storage::Database* db, int unused) override {
+    inner_->Load(db, unused);
   }
   std::unique_ptr<workload::TxnSource> MakeSource(int worker_id) const
       override {
@@ -528,13 +528,13 @@ class PairLogic final : public txn::TxnLogic {
 
 class PairWorkload final : public workload::Workload {
  public:
-  void Load(storage::Database* db, int /*num_table_partitions*/) override {
+  void Load(storage::Database* db, int /*unused*/) override {
     // key % 2 puts the two rows of every pair on different lock
     // partitions: every transaction is cross-partition.
     db->partitioner().n = 2;
     storage::Table* t = db->CreateTable(kPairTable, "pair", 2 * kPairs,
                                         kPairWords * sizeof(std::uint64_t));
-    for (std::uint64_t k = 0; k < 2 * kPairs; ++k) t->Insert(k, 0);
+    for (std::uint64_t k = 0; k < 2 * kPairs; ++k) t->Insert(k);
   }
 
   std::unique_ptr<workload::TxnSource> MakeSource(int worker_id) const
