@@ -1,5 +1,6 @@
 // Per-worker execution statistics and the CPU-time breakdown used by the
-// paper's Figure 10 (Execution / Locking / Waiting).
+// paper's Figure 10 (Execution / Locking / Waiting), and the clock cursor
+// that charges a thread's time to that breakdown.
 #ifndef ORTHRUS_COMMON_STATS_H_
 #define ORTHRUS_COMMON_STATS_H_
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "hal/hal.h"
 
 namespace orthrus {
 
@@ -54,6 +56,41 @@ struct WorkerStats {
   }
 
   void Merge(const WorkerStats& other);
+};
+
+// One thread's clock cursor: the last clock reading and the stats its spans
+// are charged to. Each Mark closes the span since the previous reading, so
+// a thread that reads the clock only through Mark charges every cycle
+// exactly once and its three categories sum to its run. A reading at a
+// stage boundary serves both stages: it ends one span, starts the next and
+// is returned for the caller's own use (a gate, a latency stamp). It reads
+// through hal::Now, so only code above the hal layer may use it.
+class SpanClock {
+ public:
+  // `start` is the reading the first span begins at, normally the worker's
+  // begin reading (WorkerClock::start).
+  SpanClock(WorkerStats* stats, hal::Cycles start)
+      : stats_(stats), last_(start) {}
+
+  // Reads the clock once, charges the time since the previous reading to
+  // `cat`, stores the new reading and returns it.
+  hal::Cycles Mark(TimeCategory cat) {
+    const hal::Cycles now = hal::Now();
+    stats_->Add(cat, now - last_);
+    last_ = now;
+    return now;
+  }
+
+  // Moves the cursor to `reading`, a later reading of the same thread whose
+  // span since the previous one the caller charges itself (or leaves
+  // uncharged on purpose).
+  void Advance(hal::Cycles reading) { last_ = reading; }
+
+  hal::Cycles last() const { return last_; }
+
+ private:
+  WorkerStats* stats_;
+  hal::Cycles last_;
 };
 
 // Aggregated run result produced by the benchmark harness.

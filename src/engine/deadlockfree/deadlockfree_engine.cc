@@ -19,12 +19,13 @@ class DeadlockFreeStrategy final : public runtime::LockingStrategy {
                        storage::Database* db, WorkerStats* st)
       : LockingStrategy(lock_table, ctx, /*policy=*/nullptr, st), db_(db) {}
 
-  // Timed by phase, as 2PL: start | resolve | acquire | logic | release.
-  runtime::TxnOutcome TryExecute(txn::Txn* t) override {
+  // Timed by phase, as 2PL: from the caller's reading `t0`, one reading at
+  // the end of each of resolve | acquire | logic | release. The sort is
+  // charged with the resolve phase.
+  runtime::Attempt TryExecute(txn::Txn* t, hal::Cycles t0) override {
     std::sort(t->accesses.begin(), t->accesses.end(), txn::AccessKeyOrder());
 
     // Phase 1: resolve and prefetch every row before the first lock.
-    const hal::Cycles t0 = hal::Now();
     ResolveRows(db_, &t->accesses);
     const hal::Cycles t1 = hal::Now();
     stats()->Add(TimeCategory::kExecution, t1 - t0);
@@ -43,9 +44,10 @@ class DeadlockFreeStrategy final : public runtime::LockingStrategy {
 
     // Durability: capture redo images before the locks drop.
     if (ok && wal_ != nullptr) wal_->Capture(t, db_);
-    ReleaseAllLocks(t3);
-    return ok ? runtime::TxnOutcome::kCommitted
-              : runtime::TxnOutcome::kMismatch;
+    const hal::Cycles end = ReleaseAllLocks(t3);
+    return {ok ? runtime::TxnOutcome::kCommitted
+               : runtime::TxnOutcome::kMismatch,
+            end};
   }
 
  private:

@@ -213,31 +213,26 @@ class CcThread {
            std::size_t max_live_locks)
       : cc_id_(cc_id), shared_(shared), stats_(stats), locks_(max_live_locks) {}
 
-  void Main() {
+  // `start` is the worker's begin reading (WorkerPool::Spawn).
+  void Main(hal::Cycles start) {
     // Polling cached-empty queues costs L1 hits; a small cap keeps grant
     // latency low while still bounding event rates when truly idle.
     hal::IdleBackoff idle(128);
     // One clock read per loop iteration: the span since the previous read
     // is locking time when that iteration's drain delivered messages, and
     // waiting time otherwise (empty polls, idle backoff).
-    hal::Cycles last = hal::Now();
-    const auto account = [&](bool busy) {
-      const hal::Cycles now = hal::Now();
-      stats_->Add(busy ? TimeCategory::kLocking : TimeCategory::kWaiting,
-                  now - last);
-      last = now;
-    };
+    SpanClock clock(stats_, start);
     while (true) {
       // Read the termination predicate *before* draining: if it was true
       // before a drain that found nothing, no message can arrive later.
       const bool maybe_done = RunDrained();
       if (DrainOnce()) {
-        account(/*busy=*/true);
+        clock.Mark(TimeCategory::kLocking);
         idle.Reset();
         continue;
       }
       if (maybe_done) {
-        account(/*busy=*/false);
+        clock.Mark(TimeCategory::kWaiting);
         ORTHRUS_CHECK_MSG(held_ == 0, "CC exiting with locks held");
         ORTHRUS_CHECK_MSG(locks_.used() == 0,
                           "CC exiting with live locks in its table");
@@ -245,7 +240,7 @@ class CcThread {
         break;
       }
       idle.Idle();
-      account(/*busy=*/false);
+      clock.Mark(TimeCategory::kWaiting);
     }
   }
 
@@ -402,7 +397,8 @@ class ExecThread {
         worker_(worker),
         stats_(&worker->stats),
         source_(workload.MakeSource(shared->n_cc + exec_id)),
-        admission_(driver_options, db, source_.get(), worker) {
+        admission_(driver_options, db, source_.get(), worker),
+        clock_(stats_, 0) {
     tcbs_.reserve(static_cast<std::size_t>(max_inflight));
     for (int i = 0; i < max_inflight; ++i) {
       // lint:allow-alloc setup: in-flight window built before the run
@@ -417,7 +413,12 @@ class ExecThread {
   // end (gate, pull, plan, stamp) and replanning are the shared runtime's;
   // only the in-flight window and the grant/ack event loop are ORTHRUS's
   // own. Runs with the worker's clock already begun (WorkerPool::Spawn).
+  //
+  // The thread reads the clock only through clock_, so each of its cycles
+  // is charged once. A commit takes four readings: Admit's post-plan stamp,
+  // the ends of Dispatch's resolve and send, and the end of the logic.
   void Main() {
+    clock_ = SpanClock(stats_, worker_->clock.start);
     // The wal producer registers with the log's mesh and publishes its
     // epoch heartbeat from its constructor, so it must be built on-core
     // (ExecThread itself is constructed before the workers start).
@@ -438,11 +439,12 @@ class ExecThread {
         idle.Reset();
         continue;
       }
-      // One reading gates the exit and starts the waiting span.
-      const hal::Cycles t0 = hal::Now();
-      if (Stopping(t0) && inflight_ == 0 && WalDrained()) break;
+      // Nothing to do. One reading closes the empty poll as waiting and
+      // gates the exit; a second closes the idle backoff.
+      const hal::Cycles now = clock_.Mark(TimeCategory::kWaiting);
+      if (Stopping(now) && inflight_ == 0 && WalDrained()) break;
       idle.Idle();
-      stats_->Add(TimeCategory::kWaiting, hal::Now() - t0);
+      clock_.Mark(TimeCategory::kWaiting);
     }
     if (wal_ != nullptr) wal_->Retire();
     shared_->execs_done.fetch_add(1);
@@ -482,16 +484,13 @@ class ExecThread {
     return n != 0;
   }
 
-  // Clock readings chain through the stage boundaries: the first is taken
-  // only once a slot is free, and each later one is the end of the
-  // previous stage — Admit's post-plan stamp starts Dispatch, whose end
-  // gates the next admission.
+  // Reads no clock of its own: the gate takes the cursor's last reading,
+  // which is the end of the previous stage (after a dispatch, the end of
+  // its send). Admit's post-plan stamp closes the admission span.
   bool IssueNew() {
     bool issued = false;
-    hal::Cycles now = 0;  // 0: not read yet
     while (!free_slots_.empty()) {
-      if (now == 0) now = hal::Now();
-      if (Stopping(now)) break;
+      if (Stopping(clock_.last())) break;
       // Durability admission gate: every admitted transaction will Capture
       // into the fragment arena when its grant arrives — regardless of
       // arena pressure at that moment — so admission reserves a worst-case
@@ -502,18 +501,20 @@ class ExecThread {
       free_slots_.pop_back();
       Tcb* tcb = tcbs_[slot].get();
       // Pull + plan (reconnaissance) + stamp.
-      now = admission_.Admit(&tcb->txn, now);
+      admission_.Admit(&tcb->txn, &clock_);
       if (wal_ != nullptr) wal_uncaptured_++;
       tcb->replan_pending = false;
-      now = Dispatch(tcb, now);
+      Dispatch(tcb);
       issued = true;
     }
     return issued;
   }
 
   // Resolves and prefetches every access's row, sorts the accesses into
-  // CC-thread order and starts the acquisition chain. `t0` is the caller's
-  // clock reading; returns the reading that ends the span.
+  // CC-thread order and starts the acquisition chain. Two readings: the end
+  // of the resolution closes the span since the cursor's last reading
+  // (Admit's stamp, or an ack's processing on a replan) as kExecution, and
+  // the end of the send closes the stage building and send as kLocking.
   //
   // Resolution is planned data access: the index is read-only during a
   // run, so a row's address does not depend on its lock, and the misses
@@ -521,13 +522,12 @@ class ExecThread {
   // Before the grant only pointers are stored and prefetch hints issued;
   // row contents are never touched. It sits after Admit's stamp, so
   // commit latency includes it, and before the first acquire, after which
-  // the CC threads read these Access lines. It is charged to kExecution.
-  hal::Cycles Dispatch(Tcb* tcb, hal::Cycles t0) {
+  // the CC threads read these Access lines.
+  void Dispatch(Tcb* tcb) {
     Txn& t = tcb->txn;
     ORTHRUS_CHECK(t.accesses.size() <= kMaxAccesses);
     ResolveRows(db_, &t.accesses);
-    const hal::Cycles tr = hal::Now();
-    stats_->Add(TimeCategory::kExecution, tr - t0);
+    clock_.Mark(TimeCategory::kExecution);
     tcb->n_stages = BuildStages(&t.accesses, db_->partitioner(),
                                 sort_scratch_.data(), tcb->stages.data());
     // Slot reuse: the previous occupant's CC-side touches happen-before
@@ -542,22 +542,19 @@ class ExecThread {
     shared_->exec_to_cc.Send(exec_id_, tcb->stages[0].part,
                              Encode(tcb, kAcquire));
     stats_->messages_sent++;
-    const hal::Cycles t1 = hal::Now();
-    stats_->Add(TimeCategory::kLocking, t1 - tr);
-    return t1;
+    clock_.Mark(TimeCategory::kLocking);
   }
 
   // All locks granted: run the procedure on the rows Dispatch resolved and
-  // prefetched, then release everything. Three clock readings: the start,
-  // the end of the logic (which also stamps the commit latency and starts
-  // the release span), and the end.
+  // prefetched, then release everything. One clock reading, at the end of
+  // the logic: it closes the span since the previous mark (the grant's
+  // delivery included) as kExecution and stamps the commit latency. The
+  // release sends fall into the span that the thread's next mark closes.
   void Execute(Tcb* tcb) {
-    const hal::Cycles t0 = hal::Now();
     Txn& t = tcb->txn;
     txn::ExecContext ec{db_, stats_, /*charge_cycles=*/true};
     const bool ok = t.logic->Run(&t, ec);
-    const hal::Cycles t1 = hal::Now();
-    stats_->Add(TimeCategory::kExecution, t1 - t0);
+    const hal::Cycles end = clock_.Mark(TimeCategory::kExecution);
 
     if (ok) {
       if (wal_ != nullptr) {
@@ -569,7 +566,7 @@ class ExecThread {
         wal_uncaptured_--;
       } else {
         stats_->committed++;
-        stats_->txn_latency.Record(t1 - t.start_cycles);
+        stats_->txn_latency.Record(end - t.start_cycles);
       }
     } else {
       tcb->replan_pending = true;  // stale OLLP estimate: re-plan after acks
@@ -584,7 +581,6 @@ class ExecThread {
                                EncodeRelease(tcb, s));
       stats_->messages_sent++;
     }
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t1);
   }
 
   void OnAck(Tcb* tcb) {
@@ -598,7 +594,7 @@ class ExecThread {
         // Re-dispatch the same transaction with the fresh estimate. The
         // slot stays occupied; Dispatch counts it in flight again.
         inflight_--;
-        Dispatch(tcb, hal::Now());
+        Dispatch(tcb);
         return;
       }
     }
@@ -613,6 +609,8 @@ class ExecThread {
   WorkerStats* stats_;
   std::unique_ptr<workload::TxnSource> source_;
   runtime::TxnAdmission admission_;
+  // The thread's clock cursor; Main starts it at the worker's begin reading.
+  SpanClock clock_;
   std::vector<std::unique_ptr<Tcb>> tcbs_;
   std::vector<int> free_slots_;
   int inflight_ = 0;
@@ -720,7 +718,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
 
   for (int c = 0; c < n_cc; ++c) {
     CcThread* t = cc_threads[c].get();
-    pool.Spawn(c, [t](runtime::WorkerContext&) { t->Main(); });
+    pool.Spawn(c, [t](runtime::WorkerContext& ctx) {
+      t->Main(ctx.clock.start);
+    });
   }
   for (int e = 0; e < n_exec; ++e) {
     ExecThread* t = exec_threads[e].get();

@@ -20,7 +20,7 @@ class PartitionedStrategy final : public runtime::ExecutionStrategy {
     parts_.reserve(16);
   }
 
-  runtime::TxnOutcome TryExecute(txn::Txn* t) override {
+  runtime::Attempt TryExecute(txn::Txn* t, hal::Cycles t0) override {
     // Partition footprint, ascending and deduplicated: the ascending order
     // makes partition-lock acquisition deadlock free.
     parts_.clear();
@@ -30,10 +30,10 @@ class PartitionedStrategy final : public runtime::ExecutionStrategy {
     std::sort(parts_.begin(), parts_.end());
     parts_.erase(std::unique(parts_.begin(), parts_.end()), parts_.end());
 
-    // Timed by phase: start | resolve | lock | logic | unlock. Every row
-    // resolves before the first partition lock, so the misses overlap
-    // outside the critical section.
-    const hal::Cycles t0 = hal::Now();
+    // Timed by phase from the caller's reading `t0`, one reading at the end
+    // of each of resolve | lock | logic | unlock; the footprint above is
+    // charged with the resolve phase. Every row resolves before the first
+    // partition lock, so the misses overlap outside the critical section.
     ResolveRows(db_, &t->accesses);
     const hal::Cycles t1 = hal::Now();
     st_->Add(TimeCategory::kExecution, t1 - t0);
@@ -52,10 +52,12 @@ class PartitionedStrategy final : public runtime::ExecutionStrategy {
     if (ok && wal_ != nullptr) wal_->Capture(t, db_);
 
     UnlockFootprint();
-    st_->Add(TimeCategory::kLocking, hal::Now() - t3);
+    const hal::Cycles end = hal::Now();
+    st_->Add(TimeCategory::kLocking, end - t3);
 
-    return ok ? runtime::TxnOutcome::kCommitted
-              : runtime::TxnOutcome::kMismatch;
+    return {ok ? runtime::TxnOutcome::kCommitted
+               : runtime::TxnOutcome::kMismatch,
+            end};
   }
 
  private:

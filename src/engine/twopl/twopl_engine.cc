@@ -18,17 +18,17 @@ class TwoPlStrategy final : public runtime::LockingStrategy {
                 WorkerStats* st)
       : LockingStrategy(lock_table, ctx, policy, st), db_(db) {}
 
-  // Timed by phase, one clock reading per boundary: start | resolve |
-  // acquire | logic | release. Five readings on commit, four on abort,
-  // plus the two LockTable::Wait takes per lock wait.
-  runtime::TxnOutcome TryExecute(txn::Txn* t) override {
+  // Timed by phase, one clock reading per boundary: the caller's reading
+  // `t0` starts the resolve phase, and each of resolve | acquire | logic |
+  // release ends with a reading of its own. Four readings on commit, three
+  // on abort, plus the two LockTable::Wait takes per lock wait.
+  runtime::Attempt TryExecute(txn::Txn* t, hal::Cycles t0) override {
     BeginLockedAttempt(*t);
 
     // Planned data access: the index is read-only during a run, so every
     // row resolves before the first lock and the misses overlap. Only
     // pointers are stored and prefetches issued; row contents are touched
     // by logic->Run alone, after every lock is held.
-    const hal::Cycles t0 = hal::Now();
     ResolveRows(db_, &t->accesses);
     const hal::Cycles t1 = hal::Now();
     stats()->Add(TimeCategory::kExecution, t1 - t0);
@@ -50,8 +50,7 @@ class TwoPlStrategy final : public runtime::LockingStrategy {
     ChargeAcquirePhase(t2 - t1, waited_before, modelled);
 
     if (aborted) {
-      ReleaseAllLocks(t2);
-      return runtime::TxnOutcome::kAbort;
+      return {runtime::TxnOutcome::kAbort, ReleaseAllLocks(t2)};
     }
 
     // All locks held, per-access work charged: apply the procedure's real
@@ -64,9 +63,10 @@ class TwoPlStrategy final : public runtime::LockingStrategy {
     // Durability: capture redo images while the exclusive locks are still
     // held (the commit epoch and per-row versions are only sound there).
     if (ok && wal_ != nullptr) wal_->Capture(t, db_);
-    ReleaseAllLocks(t3);
-    return ok ? runtime::TxnOutcome::kCommitted
-              : runtime::TxnOutcome::kMismatch;
+    const hal::Cycles end = ReleaseAllLocks(t3);
+    return {ok ? runtime::TxnOutcome::kCommitted
+               : runtime::TxnOutcome::kMismatch,
+            end};
   }
 
  private:

@@ -11,6 +11,7 @@ namespace orthrus::hal {
 SimPlatform::SimPlatform(int num_cores, SimConfig config)
     : num_cores_(num_cores), config_(config), cores_(num_cores) {
   ORTHRUS_CHECK(num_cores >= 1 && num_cores <= Bitset128::kBits);
+  stats_.clock_reads.assign(static_cast<std::size_t>(num_cores), 0);
   if (config_.race_detect) {
     detector_ = std::make_unique<analysis::RaceDetector>(num_cores);
     detector_->set_report_fatal(config_.race_report_fatal);
@@ -78,6 +79,7 @@ void SimPlatform::Run() {
 
 Cycles SimPlatform::Now() {
   ORTHRUS_DCHECK(current_ >= 0);
+  stats_.clock_reads[static_cast<std::size_t>(current_)]++;
   return cores_[current_].local_now;
 }
 

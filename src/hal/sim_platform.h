@@ -84,6 +84,8 @@ struct SimStats {
   std::uint64_t storage_syncs = 0;
   std::uint64_t storage_sync_bytes = 0;
   std::uint64_t storage_stall_cycles = 0;  // queueing behind a busy device
+  // Now() calls, indexed by core. Counted only: a reading costs no cycles.
+  std::vector<std::uint64_t> clock_reads;
 };
 
 class SimPlatform final : public Platform {

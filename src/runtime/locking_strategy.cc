@@ -31,9 +31,11 @@ void LockingStrategy::ChargeAcquirePhase(hal::Cycles span,
   stats_->Add(TimeCategory::kLocking, span > carved ? span - carved : 0);
 }
 
-void LockingStrategy::ReleaseAllLocks(hal::Cycles since) {
+hal::Cycles LockingStrategy::ReleaseAllLocks(hal::Cycles since) {
   table_->ReleaseAll(ctx_);
-  stats_->Add(TimeCategory::kLocking, hal::Now() - since);
+  const hal::Cycles end = hal::Now();
+  stats_->Add(TimeCategory::kLocking, end - since);
+  return end;
 }
 
 }  // namespace orthrus::runtime

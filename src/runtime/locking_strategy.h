@@ -16,7 +16,7 @@
 // readings that bound it and hands the span to ChargeAcquirePhase, which
 // carves the waits and any declared per-access work out of it and charges
 // the rest to kLocking. ReleaseAllLocks closes the attempt with one more
-// reading.
+// reading and returns it as the attempt's end.
 #ifndef ORTHRUS_RUNTIME_LOCKING_STRATEGY_H_
 #define ORTHRUS_RUNTIME_LOCKING_STRATEGY_H_
 
@@ -68,8 +68,9 @@ class LockingStrategy : public ExecutionStrategy {
                           hal::Cycles modelled);
 
   // Releases every lock held by the current attempt and charges kLocking
-  // from `since`, the caller's last clock reading, to now.
-  void ReleaseAllLocks(hal::Cycles since);
+  // from `since`, the caller's last clock reading, to now. Returns the
+  // reading, which ends the attempt.
+  hal::Cycles ReleaseAllLocks(hal::Cycles since);
 
   WorkerStats* stats() { return stats_; }
 

@@ -40,13 +40,24 @@ enum class TxnOutcome {
   kMismatch,   // stale OLLP estimate; re-plan and retry
 };
 
+// What one execution attempt returns: its outcome and the clock reading
+// that ended it (the end of its release phase).
+struct Attempt {
+  TxnOutcome outcome;
+  hal::Cycles end;
+};
+
 // One attempt at executing a planned transaction. Implementations hold the
 // per-worker state they need (lock-table context, partition locks, ...);
 // the driver owns retries, backoff, re-planning, and commit accounting.
 class ExecutionStrategy {
  public:
   virtual ~ExecutionStrategy() = default;
-  virtual TxnOutcome TryExecute(txn::Txn* t) = 0;
+  // `now` is the caller's reading that starts the attempt (Admit's, on a
+  // first attempt). The strategy charges the time from it to the returned
+  // end reading, phase by phase, and reads no clock before its first
+  // phase boundary.
+  virtual Attempt TryExecute(txn::Txn* t, hal::Cycles now) = 0;
 
   // Durability attachment. When set, a strategy must call
   // wal_->Capture(t, db) after the transaction's logic has succeeded and
@@ -113,15 +124,14 @@ class TxnAdmission {
   // Fills `t` with the next transaction: source pull, OLLP plan, wait-die
   // timestamp (age-ordered, low 16 bits break ties between workers — see
   // kWorkerIdBits; WorkerPool CHECKs that worker ids fit), latency start
-  // stamp, restart counter reset. `now` is the caller's clock reading at
-  // the start of admission. Admit reads the clock once, after planning:
-  // that reading ends the span charged to kExecution, becomes
-  // t->start_cycles, and is returned for the caller's next stage.
-  hal::Cycles Admit(txn::Txn* t, hal::Cycles now) {
+  // stamp, restart counter reset. Admit reads the clock once, after
+  // planning, through the caller's cursor: that reading closes the span
+  // since the cursor's last reading as kExecution, becomes t->start_cycles,
+  // and is returned for the caller's next stage.
+  hal::Cycles Admit(txn::Txn* t, SpanClock* clock) {
     source_->Next(t);
     planner_.Plan(t);
-    const hal::Cycles end = hal::Now();
-    ctx_->stats.Add(TimeCategory::kExecution, end - now);
+    const hal::Cycles end = clock->Mark(TimeCategory::kExecution);
     t->timestamp = (++ts_counter_ << kWorkerIdBits) |
                    static_cast<std::uint64_t>(ctx_->worker_id);
     t->start_cycles = end;

@@ -256,6 +256,80 @@ TEST(PartitionedStoreDeathTest, PartitionerCountMustEqualWorkers) {
                "partitioner\\(\\)\\.n must equal the worker count");
 }
 
+// ------------------------------------------------------- clock readings
+
+// Per-core clock reads on the sim (SimStats::clock_reads) for one worker
+// run. Every worker also reads the clock twice in WorkerClock, at begin and
+// finish.
+constexpr std::uint64_t kWorkerClockReads = 2;
+
+// A 2PL commit reads the clock five times: Admit's post-plan stamp, whose
+// reading starts the attempt, and the ends of its resolve, acquire, logic
+// and release phases; the release-end reading stamps the commit latency
+// and gates the next admission. An abort reads three times in the attempt
+// and once after the backoff; a lock wait reads twice. Under wait-die every
+// abort is a request that died instead of waiting, which lock_waits counts
+// with the waits.
+TEST(ClockReads, TwoPlReadsFivePerCommit) {
+  KvConfig c = SmallKv(1);
+  c.hot_records = 16;
+  KvWorkload wl(c);
+  EngineOptions o = SmallRun(4);
+  TwoPlEngine eng(o, DeadlockPolicyKind::kWaitDie);
+  storage::Database db;
+  wl.Load(&db, 1);
+  hal::SimPlatform sim(4);
+  const RunResult r = eng.Run(&sim, &db, wl);
+  for (int w = 0; w < 4; ++w) {
+    const WorkerStats& s = r.per_worker[w];
+    ASSERT_GT(s.committed, 0u) << "worker " << w;
+    EXPECT_EQ(sim.stats().clock_reads[w],
+              kWorkerClockReads + 5 * s.committed + 4 * s.aborted +
+                  2 * (s.lock_waits - s.aborted))
+        << "worker " << w;
+  }
+  EXPECT_GT(r.total.aborted, 0u);
+  EXPECT_GT(r.total.lock_waits, 0u);
+}
+
+// An ORTHRUS exec thread reads the clock four times per commit: Admit's
+// post-plan stamp, the ends of Dispatch's resolve and send, and the end of
+// the logic. Its other readings are two per idle-loop pass (the empty poll,
+// then the backoff), except the last pass, whose one reading gates the
+// exit. With single-partition transactions and a CC thread per exec
+// thread, the exec threads always have a grant, an ack or a free slot to
+// work on, so they idle only while the last in-flight commits drain.
+TEST(ClockReads, OrthrusExecReadsFourPerCommit) {
+  constexpr int kCc = 2;
+  constexpr int kExec = 2;
+  KvConfig c = SmallKv(kCc);
+  c.placement = KvConfig::Placement::kFixedCount;
+  c.partitions_per_txn = 1;
+  KvWorkload wl(c);
+  EngineOptions o;
+  o.num_cores = kCc + kExec;
+  o.duration_seconds = 0.0005;
+  OrthrusOptions oo;
+  oo.num_cc = kCc;
+  OrthrusEngine eng(o, oo);
+  storage::Database db;
+  wl.Load(&db, 1);
+  hal::SimPlatform sim(o.num_cores);
+  const RunResult r = eng.Run(&sim, &db, wl);
+  for (int e = kCc; e < kCc + kExec; ++e) {
+    const std::uint64_t commits = r.per_worker[e].committed;
+    const std::uint64_t reads = sim.stats().clock_reads[e];
+    ASSERT_GT(commits, 100u) << "exec core " << e;
+    const std::uint64_t per_commit = 4 * commits;
+    ASSERT_GE(reads, kWorkerClockReads + per_commit + 1) << "exec core " << e;
+    const std::uint64_t idle = reads - kWorkerClockReads - per_commit - 1;
+    EXPECT_EQ(idle % 2, 0u) << "exec core " << e;
+    // The drain of at most max_inflight commits.
+    EXPECT_LE(idle / 2, static_cast<std::uint64_t>(2 * oo.max_inflight))
+        << "exec core " << e;
+  }
+}
+
 // ---------------------------------------------------------------- ORTHRUS
 
 TEST_P(EnginesOnPlatform, OrthrusSinglePartitionTxns) {
@@ -289,6 +363,41 @@ TEST_P(EnginesOnPlatform, OrthrusHighContention) {
   oo.num_cc = 2;
   OrthrusEngine eng(SmallRun(6), oo);
   RunKvAndCheck(&eng, &wl, GetParam().simulated, 6);
+}
+
+// ORTHRUS's exec and CC threads read the clock only through their
+// SpanClock, which charges every span since the previous reading, so each
+// worker's split fits the run and, on the sim, fills it: the categories of
+// every thread sum to its whole run, within 1% (a worker starts at the
+// run's start and stops only as the last commits drain).
+TEST_P(EnginesOnPlatform, OrthrusTimeFitsElapsed) {
+  KvConfig c = SmallKv(2);
+  c.hot_records = 16;
+  c.placement = KvConfig::Placement::kUniform;
+  KvWorkload wl(c);
+  EngineOptions o;
+  o.num_cores = 6;
+  o.duration_seconds = GetParam().simulated ? 0.0005 : 0.02;
+  OrthrusOptions oo;
+  oo.num_cc = 2;
+  OrthrusEngine eng(o, oo);  // 2 CC + 4 exec
+  storage::Database db;
+  wl.Load(&db, 1);
+  auto platform = MakePlatform(GetParam().simulated, o.num_cores);
+  const RunResult r = eng.Run(platform.get(), &db, wl);
+  EXPECT_GT(r.total.committed, 0u);
+  EXPECT_EQ(wl.SumCounters(db), r.total.committed * c.ops_per_txn);
+  ExpectTimeFitsElapsed(r);
+  if (!GetParam().simulated) return;
+  const double elapsed = r.elapsed_seconds * r.cycles_per_second;
+  for (std::size_t w = 0; w < r.per_worker.size(); ++w) {
+    const WorkerStats& s = r.per_worker[w];
+    double sum = 0;
+    for (int k = 0; k < static_cast<int>(TimeCategory::kCount); ++k) {
+      sum += static_cast<double>(s.cycles[k]);
+    }
+    EXPECT_GE(sum, 0.99 * elapsed) << "worker " << w;
+  }
 }
 
 TEST_P(EnginesOnPlatform, OrthrusNeverAbortsOnStaticAccessSets) {

@@ -59,7 +59,8 @@ class NoopSource final : public workload::TxnSource {
 // Scripted strategy: for each transaction, emits `aborts` kAbort outcomes
 // and then `mismatches` kMismatch outcomes before committing, charging
 // `cycles_per_attempt` of modeled work per attempt. Records the restart
-// counts and timestamps it observes.
+// counts and timestamps it observes, and ends each attempt with one clock
+// reading, as the real strategies end theirs with the release phase's.
 class ScriptedStrategy final : public ExecutionStrategy {
  public:
   ScriptedStrategy(int aborts, int mismatches, hal::Cycles cycles_per_attempt)
@@ -67,20 +68,20 @@ class ScriptedStrategy final : public ExecutionStrategy {
         mismatches_(mismatches),
         cycles_per_attempt_(cycles_per_attempt) {}
 
-  TxnOutcome TryExecute(txn::Txn* t) override {
+  Attempt TryExecute(txn::Txn* t, hal::Cycles) override {
     hal::ConsumeCycles(cycles_per_attempt_);
     attempts_++;
     observed_restarts_.push_back(t->restarts);
     if (t->restarts < static_cast<std::uint32_t>(aborts_)) {
-      return TxnOutcome::kAbort;
+      return {TxnOutcome::kAbort, hal::Now()};
     }
     if (t->restarts <
         static_cast<std::uint32_t>(aborts_) +
             static_cast<std::uint32_t>(mismatches_)) {
-      return TxnOutcome::kMismatch;
+      return {TxnOutcome::kMismatch, hal::Now()};
     }
     observed_timestamps_.push_back(t->timestamp);
-    return TxnOutcome::kCommitted;
+    return {TxnOutcome::kCommitted, hal::Now()};
   }
 
   std::uint64_t attempts() const { return attempts_; }
@@ -279,9 +280,11 @@ TEST(TxnAdmission, TimestampTieBreakSurvivesWorker256) {
   TxnAdmission a256(opts, &db, &src_b, &pool.worker(256));
 
   txn::Txn t0_first, t256_first, t0_second;
-  a0.Admit(&t0_first, 0);
-  a256.Admit(&t256_first, 0);
-  a0.Admit(&t0_second, 0);
+  SpanClock clock0(&pool.worker(0).stats, 0);
+  SpanClock clock256(&pool.worker(256).stats, 0);
+  a0.Admit(&t0_first, &clock0);
+  a256.Admit(&t256_first, &clock256);
+  a0.Admit(&t0_second, &clock0);
 
   // Same age, different workers: distinct, ordered by worker id.
   EXPECT_NE(t0_first.timestamp, t256_first.timestamp);
@@ -291,14 +294,16 @@ TEST(TxnAdmission, TimestampTieBreakSurvivesWorker256) {
   EXPECT_LT(t256_first.timestamp, t0_second.timestamp);
 }
 
-// Admission reads no clock before planning: callers pass the reading that
-// starts it. Source pull and planning are the whole charged span, and the
-// one post-plan reading is both its end and the latency start stamp.
+// Admission reads no clock before planning: the caller's cursor holds the
+// reading that starts it. Source pull and planning are the whole charged
+// span, and the one post-plan reading is its end, the latency start stamp
+// and the cursor's new reading.
 struct AdmitProbe {
   hal::Cycles t0 = 0;
   hal::Cycles returned = 0;
   hal::Cycles start_cycles = 0;
   std::uint64_t charged = 0;
+  hal::Cycles cursor = 0;
 };
 
 // `gap` cycles pass between the caller's reading and the Admit call.
@@ -315,11 +320,13 @@ AdmitProbe ProbeAdmit(hal::Cycles next_cycles, hal::Cycles plan_cycles,
     hal::ConsumeCycles(1234);  // a reading away from the clock's origin
     txn::Txn t;
     p.t0 = hal::Now();
+    SpanClock clock(&ctx.stats, p.t0);
     hal::ConsumeCycles(gap);
     const std::uint64_t before = ctx.stats.Get(TimeCategory::kExecution);
-    p.returned = admission.Admit(&t, p.t0);
+    p.returned = admission.Admit(&t, &clock);
     p.start_cycles = t.start_cycles;
     p.charged = ctx.stats.Get(TimeCategory::kExecution) - before;
+    p.cursor = clock.last();
   });
   pool.Run();
   return p;
@@ -328,11 +335,12 @@ AdmitProbe ProbeAdmit(hal::Cycles next_cycles, hal::Cycles plan_cycles,
 TEST(TxnAdmission, AdmitStampsAndReturnsTheOnePostPlanReading) {
   constexpr hal::Cycles kNext = 700;
   constexpr hal::Cycles kPlan = 50;
-  // The charged span starts at the caller's reading, not at the call.
+  // The charged span starts at the cursor's reading, not at the call.
   for (const hal::Cycles gap : {hal::Cycles{0}, hal::Cycles{9}}) {
     const AdmitProbe p = ProbeAdmit(kNext, kPlan, gap);
     EXPECT_EQ(p.start_cycles, p.t0 + gap + kNext + kPlan) << gap;
     EXPECT_EQ(p.returned, p.start_cycles) << gap;
+    EXPECT_EQ(p.cursor, p.start_cycles) << gap;
     EXPECT_EQ(p.charged, gap + kNext + kPlan) << gap;
   }
 }
@@ -351,6 +359,31 @@ TEST(TxnAdmission, OpenComparesTheCallersReadingWithTheDeadline) {
     EXPECT_FALSE(admission.Open(deadline));
     // The gate reads no clock: the live one is still far from the deadline.
     EXPECT_LT(hal::Now(), deadline);
+  });
+  pool.Run();
+}
+
+// A cursor charges each span between its readings once, to the category
+// its closing Mark names, and Advance moves it without charging.
+TEST(SpanClock, EachMarkChargesTheSpanSinceTheLastReading) {
+  hal::SimPlatform sim(1);
+  WorkerPool pool(&sim, 1, kAmpleDuration);
+  pool.Spawn(0, [&](WorkerContext& ctx) {
+    SpanClock clock(&ctx.stats, ctx.clock.start);
+    hal::ConsumeCycles(100);
+    const hal::Cycles a = clock.Mark(TimeCategory::kExecution);
+    EXPECT_EQ(a, ctx.clock.start + 100);
+    EXPECT_EQ(clock.last(), a);
+    hal::ConsumeCycles(30);
+    clock.Mark(TimeCategory::kLocking);
+    hal::ConsumeCycles(5);
+    clock.Advance(hal::Now());  // the caller's own span: not charged here
+    hal::ConsumeCycles(7);
+    const hal::Cycles end = clock.Mark(TimeCategory::kLocking);
+    EXPECT_EQ(ctx.stats.Get(TimeCategory::kExecution), 100u);
+    EXPECT_EQ(ctx.stats.Get(TimeCategory::kLocking), 37u);
+    EXPECT_EQ(ctx.stats.Get(TimeCategory::kWaiting), 0u);
+    EXPECT_EQ(end, ctx.clock.start + 142);
   });
   pool.Run();
 }

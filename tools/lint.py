@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-contract lint for ORTHRUS. Run from the repo root: python3 tools/lint.py
 
-Enforces two contracts that neither the compiler nor clang-tidy checks:
+Enforces three contracts that neither the compiler nor clang-tidy checks:
 
 1. raw-sync: no raw std::atomic / std::mutex / std::shared_mutex /
    std::condition_variable in src/ outside src/hal/. All cross-core shared
@@ -22,6 +22,17 @@ Enforces two contracts that neither the compiler nor clang-tidy checks:
    Escape: `// lint:allow-alloc <why>` on the offending line or the line
    above it.
 
+3. clock-read: no clock reading (hal::Now(), or any other Now() call) in
+   src/engine/orthrus/ except through SpanClock (common/stats.h). Each
+   ORTHRUS thread reads its clock only via its cursor's Mark, which charges
+   the span since the previous reading, so every cycle is charged exactly
+   once and a commit costs a known number of readings (4 per exec-thread
+   commit, pinned on the sim by SimStats::clock_reads). A stray reading
+   costs a virtual call and an rdtsc natively, and it opens an uncharged
+   gap in the time breakdown.
+   Escape: `// lint:allow-now <why>` on the offending line or the line
+   above it.
+
 Exit status 0 when clean, 1 with one `path:line: [rule] message` per
 violation otherwise.
 """
@@ -39,6 +50,7 @@ ALLOC = re.compile(
     r"(\bnew\s+[A-Za-z_:<]|\bmalloc\s*\(|\bcalloc\s*\(|\brealloc\s*\(|"
     r"\bfree\s*\(|\bmake_unique\b|\bmake_shared\b)"
 )
+CLOCK_READ = re.compile(r"\bNow\s*\(")
 
 
 def strip_comments(text):
@@ -99,6 +111,13 @@ def lint_file(path, rules):
                      "allocation in a hot-path directory — size it at "
                      "setup, or mark the setup site "
                      "`// lint:allow-alloc <why>`"))
+        if "clock-read" in rules and CLOCK_READ.search(code):
+            if "lint:allow-now" not in marked:
+                violations.append(
+                    (path, lineno, "clock-read",
+                     "clock read outside SpanClock — use the thread's "
+                     "cursor (SpanClock::Mark), or mark "
+                     "`// lint:allow-now <why>`"))
     return violations
 
 
@@ -115,6 +134,8 @@ def main():
                 ("src/mp/", "src/lock/", "src/storage/",
                  "src/engine/orthrus/")):
             rules.add("hot-alloc")
+        if rel.startswith("src/engine/orthrus/"):
+            rules.add("clock-read")
         if rules:
             violations.extend(lint_file(path, rules))
 
