@@ -115,7 +115,7 @@ BENCHMARK(BM_LockTableAcquireRelease);
 
 // Index probe plus first row touch, per access, on 10-access sets drawn
 // uniformly from one table: a serial ResolveRow loop against the batched
-// engine::ResolveRows, whose index and row prefetches overlap the misses.
+// runtime::ResolveRows, whose index and row prefetches overlap the misses.
 // 8M rows (100-byte payload, 0.8 GB plus a 512 MiB index) miss every
 // cache level; 200k rows mostly fit in L2/L3. Off-core, so nothing is
 // charged. arg0: rows; arg1: 0 = serial loop, 1 = ResolveRows.
@@ -147,9 +147,9 @@ void BM_ResolveRows(benchmark::State& state) {
                 set.begin());
     next = (next + 1) & (kSets - 1);
     if (batched) {
-      engine::ResolveRows(db, &set);
+      runtime::ResolveRows(db, &set);
     } else {
-      for (txn::Access& a : set) engine::ResolveRow(db, &a);
+      for (txn::Access& a : set) runtime::ResolveRow(db, &a);
     }
     for (const txn::Access& a : set) {
       sum += *static_cast<const std::uint64_t*>(a.row);

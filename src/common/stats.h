@@ -81,10 +81,14 @@ class SpanClock {
     return now;
   }
 
-  // Moves the cursor to `reading`, a later reading of the same thread whose
-  // span since the previous one the caller charges itself (or leaves
-  // uncharged on purpose).
-  void Advance(hal::Cycles reading) { last_ = reading; }
+  // Charges `cycles` of the open span to `cat` without reading the clock:
+  // work whose length the caller already knows (the cycles
+  // hal::ConsumeCycles reports). The cursor moves past them, so the next
+  // Mark charges only the rest of the span.
+  void Charge(TimeCategory cat, hal::Cycles cycles) {
+    stats_->Add(cat, cycles);
+    last_ += cycles;
+  }
 
   hal::Cycles last() const { return last_; }
 

@@ -9,9 +9,9 @@
 namespace orthrus::engine {
 namespace {
 
-// One attempt of deadlock-free locking: resolve the pre-declared access set,
-// sort it into the canonical global order, acquire everything (FIFO wait
-// via runtime::LockingStrategy with a null deadlock policy — deadlock
+// One attempt of deadlock-free locking over the driver's resolved access
+// set: sort it into the canonical global order, acquire everything (FIFO
+// wait via runtime::LockingStrategy with a null deadlock policy — deadlock
 // freedom by construction), then execute with all locks held.
 class DeadlockFreeStrategy final : public runtime::LockingStrategy {
  public:
@@ -19,35 +19,25 @@ class DeadlockFreeStrategy final : public runtime::LockingStrategy {
                        storage::Database* db, WorkerStats* st)
       : LockingStrategy(lock_table, ctx, /*policy=*/nullptr, st), db_(db) {}
 
-  // Timed by phase, as 2PL: from the caller's reading `t0`, one reading at
-  // the end of each of resolve | acquire | logic | release. The sort is
-  // charged with the resolve phase.
-  runtime::Attempt TryExecute(txn::Txn* t, hal::Cycles t0) override {
+  // Timed by phase, as 2PL: one Mark at the end of each of acquire | logic
+  // | release, plus two per lock wait.
+  runtime::TxnOutcome TryExecute(txn::Txn* t, SpanClock* clock) override {
+    // Phase 1: acquire everything. The sort exists only to order the
+    // acquisition, so it is lock work.
     std::sort(t->accesses.begin(), t->accesses.end(), txn::AccessKeyOrder());
+    for (const txn::Access& a : t->accesses) AcquireOrdered(a, clock);
+    clock->Mark(TimeCategory::kLocking);
 
-    // Phase 1: resolve and prefetch every row before the first lock.
-    ResolveRows(db_, &t->accesses);
-    const hal::Cycles t1 = hal::Now();
-    stats()->Add(TimeCategory::kExecution, t1 - t0);
-
-    // Phase 2: acquire everything; the waits inside the span are kWaiting.
-    const hal::Cycles waited_before = WaitedSoFar();
-    for (const txn::Access& a : t->accesses) AcquireOrdered(a);
-    const hal::Cycles t2 = hal::Now();
-    ChargeAcquirePhase(t2 - t1, waited_before, /*modelled=*/0);
-
-    // Phase 3: execute with all locks held.
+    // Phase 2: execute with all locks held.
     txn::ExecContext ec{db_, stats(), /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
-    const hal::Cycles t3 = hal::Now();
-    stats()->Add(TimeCategory::kExecution, t3 - t2);
+    clock->Mark(TimeCategory::kExecution);
 
     // Durability: capture redo images before the locks drop.
     if (ok && wal_ != nullptr) wal_->Capture(t, db_);
-    const hal::Cycles end = ReleaseAllLocks(t3);
-    return {ok ? runtime::TxnOutcome::kCommitted
-               : runtime::TxnOutcome::kMismatch,
-            end};
+    ReleaseAllLocks(clock);
+    return ok ? runtime::TxnOutcome::kCommitted
+              : runtime::TxnOutcome::kMismatch;
   }
 
  private:

@@ -12,11 +12,12 @@
 //                          control cores + execution cores communicating by
 //                          message passing (the paper's contribution)
 //
-// The transaction lifecycle itself (admission, OLLP planning, deadline and
-// commit-cap gating, RestartBackoff, stat accounting) is shared: it lives
-// in src/runtime/, and the shared-everything engines are thin
-// runtime::ExecutionStrategy implementations over it. See
-// runtime/txn_driver.h for how to add a new architecture.
+// The transaction lifecycle itself (admission, OLLP planning, row
+// resolution, deadline and commit-cap gating, RestartBackoff, stat
+// accounting) is shared: it lives in src/runtime/, and the
+// shared-everything engines are thin runtime::ExecutionStrategy
+// implementations over it. See runtime/txn_driver.h for how to add a new
+// architecture.
 #ifndef ORTHRUS_ENGINE_ENGINE_H_
 #define ORTHRUS_ENGINE_ENGINE_H_
 
@@ -105,26 +106,6 @@ class Engine {
 
   virtual std::string name() const = 0;
 };
-
-// Resolves the row pointer for an access, charging the modeled index-probe
-// cost.
-inline void ResolveRow(storage::Database* db, txn::Access* a) {
-  a->row = db->GetTable(a->table)->Lookup(a->key);
-  ORTHRUS_CHECK_MSG(a->row != nullptr, "access to missing key");
-}
-
-// Resolves a whole access set in three passes: prefetch every probe's
-// first index line, resolve every access in order (the same charges as
-// ResolveRow), then prefetch every row. The misses of one pass overlap
-// instead of following one another. Prefetches are free in the sim.
-inline void ResolveRows(storage::Database* db,
-                        std::vector<txn::Access>* accesses) {
-  for (const txn::Access& a : *accesses) {
-    db->GetTable(a.table)->PrefetchIndex(a.key);
-  }
-  for (txn::Access& a : *accesses) ResolveRow(db, &a);
-  for (const txn::Access& a : *accesses) hal::Prefetch(a.row);
-}
 
 }  // namespace orthrus::engine
 

@@ -526,7 +526,7 @@ class ExecThread {
   void Dispatch(Tcb* tcb) {
     Txn& t = tcb->txn;
     ORTHRUS_CHECK(t.accesses.size() <= kMaxAccesses);
-    ResolveRows(db_, &t.accesses);
+    runtime::ResolveRows(db_, &t.accesses);
     clock_.Mark(TimeCategory::kExecution);
     tcb->n_stages = BuildStages(&t.accesses, db_->partitioner(),
                                 sort_scratch_.data(), tcb->stages.data());

@@ -20,44 +20,32 @@ class PartitionedStrategy final : public runtime::ExecutionStrategy {
     parts_.reserve(16);
   }
 
-  runtime::Attempt TryExecute(txn::Txn* t, hal::Cycles t0) override {
+  // Timed by phase, one Mark at the end of each of lock | logic | unlock.
+  runtime::TxnOutcome TryExecute(txn::Txn* t, SpanClock* clock) override {
     // Partition footprint, ascending and deduplicated: the ascending order
-    // makes partition-lock acquisition deadlock free.
+    // makes partition-lock acquisition deadlock free, so the footprint is
+    // lock work.
     parts_.clear();
     for (const txn::Access& a : t->accesses) {
       parts_.push_back(db_->partitioner().PartOf(a.key));
     }
     std::sort(parts_.begin(), parts_.end());
     parts_.erase(std::unique(parts_.begin(), parts_.end()), parts_.end());
-
-    // Timed by phase from the caller's reading `t0`, one reading at the end
-    // of each of resolve | lock | logic | unlock; the footprint above is
-    // charged with the resolve phase. Every row resolves before the first
-    // partition lock, so the misses overlap outside the critical section.
-    ResolveRows(db_, &t->accesses);
-    const hal::Cycles t1 = hal::Now();
-    st_->Add(TimeCategory::kExecution, t1 - t0);
-
     LockFootprint();
-    const hal::Cycles t2 = hal::Now();
-    st_->Add(TimeCategory::kLocking, t2 - t1);
+    clock->Mark(TimeCategory::kLocking);
 
     txn::ExecContext ec{db_, st_, /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
-    const hal::Cycles t3 = hal::Now();
-    st_->Add(TimeCategory::kExecution, t3 - t2);
+    clock->Mark(TimeCategory::kExecution);
 
     // Durability: capture redo images under the partition locks — the
     // coarse locks cover every row the transaction wrote.
     if (ok && wal_ != nullptr) wal_->Capture(t, db_);
 
     UnlockFootprint();
-    const hal::Cycles end = hal::Now();
-    st_->Add(TimeCategory::kLocking, end - t3);
-
-    return {ok ? runtime::TxnOutcome::kCommitted
-               : runtime::TxnOutcome::kMismatch,
-            end};
+    clock->Mark(TimeCategory::kLocking);
+    return ok ? runtime::TxnOutcome::kCommitted
+              : runtime::TxnOutcome::kMismatch;
   }
 
  private:

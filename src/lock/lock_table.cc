@@ -197,10 +197,8 @@ bool LockTable::Wait(WorkerLockCtx* ctx, DeadlockPolicy* policy) {
   ORTHRUS_CHECK(req != nullptr);
   static DeadlockPolicy fifo_wait;
   DeadlockPolicy* p = policy != nullptr ? policy : &fifo_wait;
-  const hal::Cycles wait_start = hal::Now();
   const bool granted = p->WaitForGrant(ctx, req, this);
   p->OnWaitEnd(ctx);
-  ctx->stats->Add(TimeCategory::kWaiting, hal::Now() - wait_start);
   ctx->waiting_request = nullptr;
   ctx->blocker = nullptr;
   if (granted) return true;

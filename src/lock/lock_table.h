@@ -160,6 +160,7 @@ class LockTable {
   // Blocks (spins) until the pending request is granted. Returns false if
   // the policy detected a deadlock; the request has then been removed and
   // the caller must release all held locks and restart the transaction.
+  // Reads no clock: the caller times the wait.
   bool Wait(WorkerLockCtx* ctx, DeadlockPolicy* policy);
 
   // Releases every lock held by ctx's current transaction, waking queued

@@ -2,20 +2,18 @@
 
 namespace orthrus::runtime {
 
-bool LockingStrategy::AcquireOrAbort(const txn::Access& a) {
+bool LockingStrategy::AcquireOrAbort(const txn::Access& a, SpanClock* clock) {
   const lock::LockTable::AcquireResult r =
       table_->Acquire(ctx_, a.table, a.key, a.mode, policy_);
-  if (r == lock::LockTable::AcquireResult::kWaiting) {
-    return table_->Wait(ctx_, policy_);
-  }
+  if (r == lock::LockTable::AcquireResult::kWaiting) return Wait(clock);
   return r != lock::LockTable::AcquireResult::kDie;
 }
 
-void LockingStrategy::AcquireOrdered(const txn::Access& a) {
+void LockingStrategy::AcquireOrdered(const txn::Access& a, SpanClock* clock) {
   const lock::LockTable::AcquireResult r =
       table_->Acquire(ctx_, a.table, a.key, a.mode, policy_);
   if (r == lock::LockTable::AcquireResult::kWaiting) {
-    const bool granted = table_->Wait(ctx_, policy_);
+    const bool granted = Wait(clock);
     ORTHRUS_CHECK_MSG(granted, "FIFO wait cannot abort");
   } else {
     ORTHRUS_CHECK_MSG(r == lock::LockTable::AcquireResult::kGranted,
@@ -23,19 +21,16 @@ void LockingStrategy::AcquireOrdered(const txn::Access& a) {
   }
 }
 
-void LockingStrategy::ChargeAcquirePhase(hal::Cycles span,
-                                         hal::Cycles waited_before,
-                                         hal::Cycles modelled) {
-  const hal::Cycles carved = (WaitedSoFar() - waited_before) + modelled;
-  stats_->Add(TimeCategory::kExecution, modelled);
-  stats_->Add(TimeCategory::kLocking, span > carved ? span - carved : 0);
+void LockingStrategy::ReleaseAllLocks(SpanClock* clock) {
+  table_->ReleaseAll(ctx_);
+  clock->Mark(TimeCategory::kLocking);
 }
 
-hal::Cycles LockingStrategy::ReleaseAllLocks(hal::Cycles since) {
-  table_->ReleaseAll(ctx_);
-  const hal::Cycles end = hal::Now();
-  stats_->Add(TimeCategory::kLocking, end - since);
-  return end;
+bool LockingStrategy::Wait(SpanClock* clock) {
+  clock->Mark(TimeCategory::kLocking);
+  const bool granted = table_->Wait(ctx_, policy_);
+  clock->Mark(TimeCategory::kWaiting);
+  return granted;
 }
 
 }  // namespace orthrus::runtime

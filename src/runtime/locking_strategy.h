@@ -7,16 +7,15 @@
 // request waits or dies. LockingStrategy hoists exactly that plumbing
 // behind the strategy interface: concrete strategies describe *when* locks
 // are taken and how execution work interleaves with them; the wait loop,
-// the DeadlockPolicy hand-off, the acquire-phase accounting and
-// release-all live here, in one place.
+// the DeadlockPolicy hand-off, the timing of lock waits and release-all
+// live here, in one place.
 //
-// Accounting is by phase, not by lock call: the acquire calls read no
-// clock. Blocked time is charged to kWaiting inside LockTable::Wait (two
-// readings per wait). A strategy times its whole acquire phase with the
-// readings that bound it and hands the span to ChargeAcquirePhase, which
-// carves the waits and any declared per-access work out of it and charges
-// the rest to kLocking. ReleaseAllLocks closes the attempt with one more
-// reading and returns it as the attempt's end.
+// Timing goes through the worker's clock cursor (SpanClock), and the lock
+// table reads no clock. An acquire that has to wait marks kLocking before
+// LockTable::Wait, closing the lock work since the cursor's last reading,
+// and kWaiting after it (two readings per wait). The strategy marks the end
+// of its acquire phase itself, and ReleaseAllLocks marks the release as
+// kLocking, so every cycle of an attempt lands in exactly one category.
 #ifndef ORTHRUS_RUNTIME_LOCKING_STRATEGY_H_
 #define ORTHRUS_RUNTIME_LOCKING_STRATEGY_H_
 
@@ -43,38 +42,27 @@ class LockingStrategy : public ExecutionStrategy {
   // lock, and if queued behind a conflict runs the configured deadlock
   // policy's wait. Returns false when the policy aborted the attempt (die
   // at request time, or a detected deadlock during the wait); the caller
-  // must then release all held locks and report TxnOutcome::kAbort. No
-  // clock reading outside the wait: the caller times the phase.
-  bool AcquireOrAbort(const txn::Access& a);
+  // must then release all held locks and report TxnOutcome::kAbort. Reads
+  // the clock only around a wait.
+  bool AcquireOrAbort(const txn::Access& a, SpanClock* clock);
 
   // Ordered-acquisition variant: FIFO wait that can never abort (deadlock
-  // freedom must be guaranteed by the caller's acquisition order). Timed
-  // by the caller, like AcquireOrAbort.
-  void AcquireOrdered(const txn::Access& a);
+  // freedom must be guaranteed by the caller's acquisition order). Reads
+  // the clock only around a wait, like AcquireOrAbort.
+  void AcquireOrdered(const txn::Access& a, SpanClock* clock);
 
-  // The kWaiting total so far; read it at the start of an acquire phase
-  // and pass it to ChargeAcquirePhase at the end.
-  hal::Cycles WaitedSoFar() const {
-    return stats_->Get(TimeCategory::kWaiting);
-  }
-
-  // Charges an acquire phase that spanned `span` cycles. The lock waits
-  // inside it (charged to kWaiting since `waited_before`) and `modelled`
-  // cycles of declared per-access work (hal::ConsumeCycles' return, charged
-  // here to kExecution) are carved out; the rest is kLocking, clamped at 0
-  // because unpinned native threads can read a clock that runs behind the
-  // one read inside a wait.
-  void ChargeAcquirePhase(hal::Cycles span, hal::Cycles waited_before,
-                          hal::Cycles modelled);
-
-  // Releases every lock held by the current attempt and charges kLocking
-  // from `since`, the caller's last clock reading, to now. Returns the
-  // reading, which ends the attempt.
-  hal::Cycles ReleaseAllLocks(hal::Cycles since);
+  // Releases every lock held by the current attempt and marks the span
+  // since the cursor's last reading as kLocking. That reading ends the
+  // attempt.
+  void ReleaseAllLocks(SpanClock* clock);
 
   WorkerStats* stats() { return stats_; }
 
  private:
+  // Waits for the pending request: the lock work before it is kLocking,
+  // the wait itself kWaiting. Returns LockTable::Wait's verdict.
+  bool Wait(SpanClock* clock);
+
   lock::LockTable* table_;
   lock::WorkerLockCtx* ctx_;
   lock::DeadlockPolicy* policy_;

@@ -13,10 +13,10 @@ TxnDriver::TxnDriver(const DriverOptions& options, storage::Database* db,
 
 void TxnDriver::Run() {
   txn::Txn t;
-  // The worker's clock cursor. A committed attempt's release-end reading
-  // both stamps its commit latency and gates the next admission, so a
-  // commit reads the clock once in Admit plus the strategy's phase
-  // boundaries after it.
+  storage::Database* db = admission_.planner()->db();
+  // The worker's clock cursor: every reading below is a Mark, so each span
+  // of the run is charged once. A committed attempt's release-end reading
+  // both stamps its commit latency and gates the next admission.
   SpanClock clock(&ctx_->stats, ctx_->clock.start);
   while (admission_.Open(clock.last(),
                          wal_ != nullptr ? wal_->PendingCount() : 0)) {
@@ -24,30 +24,29 @@ void TxnDriver::Run() {
       // Quantum maintenance first (flush staged fragments, heartbeat the
       // epoch, acknowledge matured commits), then the arena gate: Capture
       // runs under locks and must never block, so admission waits here —
-      // outside any lock — until a whole transaction's fragments fit.
-      // The maintenance is not admission: it stays uncharged, and a fresh
-      // reading gates and starts what follows.
+      // outside any lock — until a whole transaction's fragments fit. A
+      // stalled pass is waiting; otherwise the maintenance is charged with
+      // the admission that follows it.
       wal_->Poll();
       if (!wal_->AdmitReady()) {
         hal::CpuRelax();
-        clock.Advance(hal::Now());
+        clock.Mark(TimeCategory::kWaiting);
         continue;
       }
-      clock.Advance(hal::Now());
     }
     admission_.Admit(&t, &clock);
+    ResolveRows(db, &t.accesses);
+    clock.Mark(TimeCategory::kExecution);
     bool done = false;
     while (!done) {
-      const Attempt a = strategy_->TryExecute(&t, clock.last());
-      clock.Advance(a.end);
-      switch (a.outcome) {
+      switch (strategy_->TryExecute(&t, &clock)) {
         case TxnOutcome::kCommitted:
           // With durability on, the strategy's Capture queued the commit
           // as pending; it is counted (and latency-stamped) when its epoch
           // turns durable — see wal::Producer::Poll.
           if (wal_ == nullptr) {
             ctx_->stats.committed++;
-            ctx_->stats.txn_latency.Record(a.end - t.start_cycles);
+            ctx_->stats.txn_latency.Record(clock.last() - t.start_cycles);
           }
           done = true;
           break;
@@ -58,20 +57,25 @@ void TxnDriver::Run() {
           // modeled: on a native core ConsumeCycles declares the cycles
           // and waits for none, so there the retry is immediate (after one
           // CpuRelax yield) and runtime.backoffs_per_commit counts
-          // immediate retries. The backoff stays uncharged.
+          // immediate retries. The access set is unchanged, so the retry
+          // keeps its resolved rows.
           ctx_->stats.aborted++;
           ctx_->stats.backoffs++;
           t.restarts++;
           hal::ConsumeCycles(RestartBackoff(t.restarts));
           hal::CpuRelax();
-          clock.Advance(hal::Now());
+          clock.Mark(TimeCategory::kWaiting);
           break;
         case TxnOutcome::kMismatch:
-          // Stale OLLP estimate: re-plan with a fresh reconnaissance pass.
-          // A transaction that exhausts its retry budget is dropped. The
-          // replan stays uncharged.
-          if (!admission_.planner()->Replan(&t, &ctx_->stats)) done = true;
-          clock.Advance(hal::Now());
+          // Stale OLLP estimate: re-plan with a fresh reconnaissance pass
+          // and resolve the new set. A transaction that exhausts its retry
+          // budget is dropped.
+          if (admission_.planner()->Replan(&t, &ctx_->stats)) {
+            ResolveRows(db, &t.accesses);
+          } else {
+            done = true;
+          }
+          clock.Mark(TimeCategory::kExecution);
           break;
       }
     }
@@ -79,12 +83,13 @@ void TxnDriver::Run() {
   if (wal_ != nullptr) {
     // Drain the pipeline: every admitted commit must be acknowledged (the
     // group commit that covers it must complete) before the worker leaves.
-    const hal::Cycles t0 = hal::Now();
+    const hal::Cycles drain_start = clock.last();
     while (!wal_->Drained()) {
       wal_->Poll();
       hal::CpuRelax();
     }
-    ctx_->stats.wal_wait_cycles += hal::Now() - t0;
+    ctx_->stats.wal_wait_cycles +=
+        clock.Mark(TimeCategory::kWaiting) - drain_start;
     wal_->Retire();
   }
 }

@@ -4,12 +4,12 @@
 // Every architecture in the paper runs the same loop around its
 // concurrency control: pull a transaction from the worker's source, plan
 // its access set (OLLP reconnaissance when data-dependent), stamp it,
-// try to execute it until it commits — backing off (RestartBackoff) after
-// deadlock aborts and re-planning after stale-estimate aborts — all gated
-// by the run deadline and an optional per-worker commit cap. Before this
-// layer each engine re-implemented that loop; now an engine supplies only
-// an ExecutionStrategy (how one attempt acquires locks and runs logic) and
-// the TxnDriver owns everything else.
+// resolve its rows, try to execute it until it commits — backing off
+// (RestartBackoff) after deadlock aborts and re-planning after
+// stale-estimate aborts — all gated by the run deadline and an optional
+// per-worker commit cap. Before this layer each engine re-implemented that
+// loop; now an engine supplies only an ExecutionStrategy (how one attempt
+// acquires locks and runs logic) and the TxnDriver owns everything else.
 //
 // ORTHRUS's execution threads pipeline several transactions and therefore
 // cannot use the sequential driver loop; they share the same admission
@@ -40,24 +40,17 @@ enum class TxnOutcome {
   kMismatch,   // stale OLLP estimate; re-plan and retry
 };
 
-// What one execution attempt returns: its outcome and the clock reading
-// that ended it (the end of its release phase).
-struct Attempt {
-  TxnOutcome outcome;
-  hal::Cycles end;
-};
-
 // One attempt at executing a planned transaction. Implementations hold the
 // per-worker state they need (lock-table context, partition locks, ...);
 // the driver owns retries, backoff, re-planning, and commit accounting.
 class ExecutionStrategy {
  public:
   virtual ~ExecutionStrategy() = default;
-  // `now` is the caller's reading that starts the attempt (Admit's, on a
-  // first attempt). The strategy charges the time from it to the returned
-  // end reading, phase by phase, and reads no clock before its first
-  // phase boundary.
-  virtual Attempt TryExecute(txn::Txn* t, hal::Cycles now) = 0;
+  // `t`'s rows are resolved (ResolveRows) and `clock` is the worker's
+  // cursor, whose last reading starts the attempt. The strategy reads the
+  // clock only through the cursor, with one Mark at the end of each phase;
+  // its last Mark ends the release phase and the attempt.
+  virtual TxnOutcome TryExecute(txn::Txn* t, SpanClock* clock) = 0;
 
   // Durability attachment. When set, a strategy must call
   // wal_->Capture(t, db) after the transaction's logic has succeeded and
@@ -69,6 +62,30 @@ class ExecutionStrategy {
  protected:
   wal::Producer* wal_ = nullptr;
 };
+
+// Resolves the row pointer for an access, charging the modeled index-probe
+// cost.
+inline void ResolveRow(storage::Database* db, txn::Access* a) {
+  a->row = db->GetTable(a->table)->Lookup(a->key);
+  ORTHRUS_CHECK_MSG(a->row != nullptr, "access to missing key");
+}
+
+// Resolves a whole access set in three passes: prefetch every probe's
+// first index line, resolve every access in order (the same charges as
+// ResolveRow), then prefetch every row. The misses of one pass overlap
+// instead of following one another. Prefetches are free in the sim.
+//
+// Planned data access: the index is read-only during a run, so a row's
+// address does not depend on its lock. A set resolves once per plan, before
+// its first lock; a restart that keeps the set keeps its rows.
+inline void ResolveRows(storage::Database* db,
+                        std::vector<txn::Access>* accesses) {
+  for (const txn::Access& a : *accesses) {
+    db->GetTable(a.table)->PrefetchIndex(a.key);
+  }
+  for (txn::Access& a : *accesses) ResolveRow(db, &a);
+  for (const txn::Access& a : *accesses) hal::Prefetch(a.row);
+}
 
 // The restart backoff: a capped exponential with deterministic per-core
 // jitter, (100 << min(restarts, 4)) + FastJitter(256). `restarts` is the

@@ -33,18 +33,20 @@ inline constexpr int kMaxWorkers = 1 << kWorkerIdBits;
 
 // Per-worker deadline bookkeeping. Begin/Finish run on the worker's own
 // logical core so start/end are that core's clock readings. The deadline
-// is checked against the caller's reading (TxnAdmission::Open).
+// is checked against the caller's reading (TxnAdmission::Open). These two
+// readings bound the worker's run; every reading between them goes through
+// the worker's SpanClock, which starts at `start`.
 struct WorkerClock {
   hal::Cycles start = 0;
   hal::Cycles deadline = 0;
   hal::Cycles end = 0;
 
   void Begin(double duration_seconds, double cycles_per_second) {
-    start = hal::Now();
+    start = hal::Now();  // lint:allow-now the run's first reading
     deadline = start + static_cast<hal::Cycles>(duration_seconds *
                                                 cycles_per_second);
   }
-  void Finish() { end = hal::Now(); }
+  void Finish() { end = hal::Now(); }  // lint:allow-now the run's last reading
 };
 
 // What a worker core does for an engine. kFlex is the default: the worker

@@ -33,7 +33,7 @@ struct Access {
   std::uint32_t table = 0;
   LockMode mode = LockMode::kShared;
   std::uint64_t key = 0;
-  void* row = nullptr;  // resolved by the engine before the logic runs
+  void* row = nullptr;  // resolved (runtime::ResolveRows) before any lock
 };
 
 class TxnLogic;

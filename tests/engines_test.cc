@@ -2,6 +2,7 @@
 // must preserve serializability invariants (no lost updates, consistent
 // TPC-C aggregates), terminate cleanly, and report sane statistics.
 #include <cstdlib>
+#include <functional>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -111,10 +112,9 @@ TEST_P(EnginesOnPlatform, TwoPlWaitDieHighContention) {
 
 // Every worker's Figure-10 split fits in the run: no category exceeds the
 // elapsed cycles (which bound each worker's own), and the three sum to no
-// more. A category over the bound is an unsigned underflow where the lock
-// waits are carved out of an acquire span; a sum over it is time charged
-// twice.
-void ExpectTimeFitsElapsed(const RunResult& r) {
+// more (a sum over it is time charged twice) and to at least `min_fill` of
+// them (a sum under it is time charged to no category).
+void ExpectTimeFitsElapsed(const RunResult& r, double min_fill = 0) {
   const double elapsed = r.elapsed_seconds * r.cycles_per_second + 1;
   for (std::size_t w = 0; w < r.per_worker.size(); ++w) {
     const WorkerStats& s = r.per_worker[w];
@@ -125,6 +125,7 @@ void ExpectTimeFitsElapsed(const RunResult& r) {
       sum += v;
     }
     EXPECT_LE(sum, elapsed) << "worker " << w;
+    EXPECT_GE(sum, min_fill * elapsed) << "worker " << w;
   }
 }
 
@@ -246,6 +247,61 @@ TEST_P(EnginesOnPlatform, PartitionedStorePctMultiMix) {
   RunKvAndCheck(&eng, &wl, GetParam().simulated, 4);
 }
 
+// ------------------------------------------------------------- time fill
+
+// The thread-per-transaction engines read the clock only through their
+// worker's SpanClock, backoffs and replans included, so on the sim each
+// worker's three categories fill its whole run. Deadline-bound with no
+// commit cap, so every worker runs until the deadline; at 16 hot keys
+// wait-die restarts often, and its backoffs must be charged too.
+TEST(TimeFill, ThreadPerTxnEnginesChargeEveryCycle) {
+  constexpr int kCores = 4;
+  EngineOptions o;
+  o.num_cores = kCores;
+  o.duration_seconds = 0.002;
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<engine::Engine>()> make;
+    int partitions;
+  };
+  const Case cases[] = {
+      {"2pl-waitdie",
+       [&] {
+         return std::make_unique<TwoPlEngine>(o, DeadlockPolicyKind::kWaitDie);
+       },
+       1},
+      {"2pl-waitforgraph",
+       [&] {
+         return std::make_unique<TwoPlEngine>(
+             o, DeadlockPolicyKind::kWaitForGraph);
+       },
+       1},
+      {"2pl-dreadlocks",
+       [&] {
+         return std::make_unique<TwoPlEngine>(o,
+                                              DeadlockPolicyKind::kDreadlocks);
+       },
+       1},
+      {"deadlock-free",
+       [&] { return std::make_unique<DeadlockFreeEngine>(o); }, 1},
+      {"partitioned-store",
+       [&] { return std::make_unique<PartitionedEngine>(o); }, kCores},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    KvConfig kv = SmallKv(c.partitions);
+    kv.hot_records = 16;
+    KvWorkload wl(kv);
+    storage::Database db;
+    wl.Load(&db, 1);
+    hal::SimPlatform sim(kCores);
+    const RunResult r = c.make()->Run(&sim, &db, wl);
+    EXPECT_GT(r.total.committed, 0u);
+    EXPECT_EQ(wl.SumCounters(db), r.total.committed * kv.ops_per_txn);
+    ExpectTimeFitsElapsed(r, 0.99);
+  }
+}
+
 TEST(PartitionedStoreDeathTest, PartitionerCountMustEqualWorkers) {
   KvWorkload wl(SmallKv(2));  // partitioner().n = 2 against 4 workers
   storage::Database db;
@@ -263,13 +319,14 @@ TEST(PartitionedStoreDeathTest, PartitionerCountMustEqualWorkers) {
 // finish.
 constexpr std::uint64_t kWorkerClockReads = 2;
 
-// A 2PL commit reads the clock five times: Admit's post-plan stamp, whose
-// reading starts the attempt, and the ends of its resolve, acquire, logic
-// and release phases; the release-end reading stamps the commit latency
-// and gates the next admission. An abort reads three times in the attempt
-// and once after the backoff; a lock wait reads twice. Under wait-die every
-// abort is a request that died instead of waiting, which lock_waits counts
-// with the waits.
+// A thread-per-transaction commit reads the clock five times: Admit's
+// post-plan stamp, the driver's end of row resolution, whose reading starts
+// the attempt, and the ends of the strategy's acquire, logic and release
+// phases; the release-end reading stamps the commit latency and gates the
+// next admission. A 2PL abort reads twice in the attempt (acquire and
+// release ends) and once after the backoff, and its retry keeps its rows;
+// a lock wait reads twice. Under wait-die every abort is a request that
+// died instead of waiting, which lock_waits counts with the waits.
 TEST(ClockReads, TwoPlReadsFivePerCommit) {
   KvConfig c = SmallKv(1);
   c.hot_records = 16;
@@ -284,12 +341,54 @@ TEST(ClockReads, TwoPlReadsFivePerCommit) {
     const WorkerStats& s = r.per_worker[w];
     ASSERT_GT(s.committed, 0u) << "worker " << w;
     EXPECT_EQ(sim.stats().clock_reads[w],
-              kWorkerClockReads + 5 * s.committed + 4 * s.aborted +
+              kWorkerClockReads + 5 * s.committed + 3 * s.aborted +
                   2 * (s.lock_waits - s.aborted))
         << "worker " << w;
   }
   EXPECT_GT(r.total.aborted, 0u);
   EXPECT_GT(r.total.lock_waits, 0u);
+}
+
+// Deadlock-free locking reads as 2PL does, and never aborts: five readings
+// per commit and two per FIFO lock wait.
+TEST(ClockReads, DeadlockFreeReadsFivePerCommit) {
+  KvConfig c = SmallKv(1);
+  c.hot_records = 16;
+  KvWorkload wl(c);
+  DeadlockFreeEngine eng(SmallRun(4));
+  storage::Database db;
+  wl.Load(&db, 1);
+  hal::SimPlatform sim(4);
+  const RunResult r = eng.Run(&sim, &db, wl);
+  for (int w = 0; w < 4; ++w) {
+    const WorkerStats& s = r.per_worker[w];
+    ASSERT_GT(s.committed, 0u) << "worker " << w;
+    EXPECT_EQ(sim.stats().clock_reads[w],
+              kWorkerClockReads + 5 * s.committed + 2 * s.lock_waits)
+        << "worker " << w;
+  }
+  EXPECT_EQ(r.total.aborted, 0u);
+  EXPECT_GT(r.total.lock_waits, 0u);
+}
+
+// Partitioned-store spins on its partition latches inside the lock phase,
+// so a commit reads five times whatever the contention.
+TEST(ClockReads, PartitionedStoreReadsFivePerCommit) {
+  KvConfig c = SmallKv(4);
+  c.placement = KvConfig::Placement::kFixedCount;
+  c.partitions_per_txn = 2;
+  KvWorkload wl(c);
+  PartitionedEngine eng(SmallRun(4));
+  storage::Database db;
+  wl.Load(&db, 1);
+  hal::SimPlatform sim(4);
+  const RunResult r = eng.Run(&sim, &db, wl);
+  for (int w = 0; w < 4; ++w) {
+    const WorkerStats& s = r.per_worker[w];
+    ASSERT_GT(s.committed, 0u) << "worker " << w;
+    EXPECT_EQ(sim.stats().clock_reads[w], kWorkerClockReads + 5 * s.committed)
+        << "worker " << w;
+  }
 }
 
 // An ORTHRUS exec thread reads the clock four times per commit: Admit's
@@ -387,17 +486,7 @@ TEST_P(EnginesOnPlatform, OrthrusTimeFitsElapsed) {
   const RunResult r = eng.Run(platform.get(), &db, wl);
   EXPECT_GT(r.total.committed, 0u);
   EXPECT_EQ(wl.SumCounters(db), r.total.committed * c.ops_per_txn);
-  ExpectTimeFitsElapsed(r);
-  if (!GetParam().simulated) return;
-  const double elapsed = r.elapsed_seconds * r.cycles_per_second;
-  for (std::size_t w = 0; w < r.per_worker.size(); ++w) {
-    const WorkerStats& s = r.per_worker[w];
-    double sum = 0;
-    for (int k = 0; k < static_cast<int>(TimeCategory::kCount); ++k) {
-      sum += static_cast<double>(s.cycles[k]);
-    }
-    EXPECT_GE(sum, 0.99 * elapsed) << "worker " << w;
-  }
+  ExpectTimeFitsElapsed(r, GetParam().simulated ? 0.99 : 0);
 }
 
 TEST_P(EnginesOnPlatform, OrthrusNeverAbortsOnStaticAccessSets) {

@@ -1,6 +1,7 @@
 // Tests for the shared-everything lock table and the three deadlock
 // policies: grant compatibility, FIFO fairness, wake-ups, wait-die ordering
 // rules, and forced-deadlock detection for the graph-based schemes.
+#include <cstdlib>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,18 @@ namespace orthrus::lock {
 namespace {
 
 using txn::LockMode;
+
+// CI race arm: ORTHRUS_RACE_DETECT=1 reruns the suite with happens-before
+// checking on and abort-on-first-race. Detection is zero-perturbation, so
+// every exact count below must still hold.
+hal::SimConfig SimConfigFromEnv() {
+  hal::SimConfig config;
+  if (std::getenv("ORTHRUS_RACE_DETECT") != nullptr) {
+    config.race_detect = true;
+    config.race_report_fatal = true;
+  }
+  return config;
+}
 
 LockTable::Config SmallConfig() {
   LockTable::Config c;
@@ -135,7 +148,7 @@ TEST_F(LockTableBasic, WaitDieDieReleasesQueueSlot) {
 TEST(LockTableSim, ReleaseWakesWaiterFifo) {
   LockTable table(SmallConfig());
   WorkerStats stats[2];
-  hal::SimPlatform sim(2);
+  hal::SimPlatform sim(2, SimConfigFromEnv());
   WorkerLockCtx* c0 = table.RegisterWorker(0, &stats[0]);
   WorkerLockCtx* c1 = table.RegisterWorker(1, &stats[1]);
   std::vector<int> order;
@@ -159,7 +172,11 @@ TEST(LockTableSim, ReleaseWakesWaiterFifo) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 0);
   EXPECT_EQ(order[1], 1);
-  EXPECT_GT(stats[1].Get(TimeCategory::kWaiting), 0u);
+  EXPECT_EQ(stats[1].lock_waits, 1u);
+  // The wait read no clock and charged no time: the caller's cursor times
+  // it (LockingStrategy.ALockWaitIsChargedAsWaiting in runtime_test).
+  EXPECT_EQ(sim.stats().clock_reads[1], 0u);
+  EXPECT_EQ(stats[1].Get(TimeCategory::kWaiting), 0u);
 }
 
 // Forces a true deadlock (0 holds A wants B; 1 holds B wants A) and checks
@@ -169,7 +186,7 @@ template <typename Policy>
 void RunForcedDeadlock(Policy* policy) {
   LockTable table(SmallConfig());
   WorkerStats stats[2];
-  hal::SimPlatform sim(2);
+  hal::SimPlatform sim(2, SimConfigFromEnv());
   WorkerLockCtx* ctx[2] = {table.RegisterWorker(0, &stats[0]),
                            table.RegisterWorker(1, &stats[1])};
   ctx[0]->txn_timestamp = 1;
@@ -211,7 +228,7 @@ TEST(LockTableSim, WaitDieAvoidsForcedDeadlock) {
 TEST(LockTableSim, SharedReadersProceedConcurrently) {
   LockTable table(SmallConfig());
   WorkerStats stats[4];
-  hal::SimPlatform sim(4);
+  hal::SimPlatform sim(4, SimConfigFromEnv());
   WorkerLockCtx* ctx[4];
   for (int i = 0; i < 4; ++i) ctx[i] = table.RegisterWorker(i, &stats[i]);
   int completed = 0;
@@ -305,7 +322,7 @@ TEST(LockTableNative, WaitDieStressEventuallyAllCommit) {
 TEST(LockTableEdge, SingleWorkerReacquiresFreely) {
   LockTable table(SmallConfig());
   WorkerStats stats;
-  hal::SimPlatform sim(1);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   WorkerLockCtx* ctx = table.RegisterWorker(0, &stats);
   sim.Spawn(0, [&] {
     for (int i = 0; i < 100; ++i) {
@@ -324,7 +341,7 @@ TEST(LockTableEdge, DreadlocksDigestResetBetweenTransactions) {
   // later transactions.
   LockTable table(SmallConfig());
   WorkerStats stats[2];
-  hal::SimPlatform sim(2);
+  hal::SimPlatform sim(2, SimConfigFromEnv());
   WorkerLockCtx* c0 = table.RegisterWorker(0, &stats[0]);
   WorkerLockCtx* c1 = table.RegisterWorker(1, &stats[1]);
   DreadlocksPolicy policy;
@@ -350,7 +367,7 @@ TEST(LockTableEdge, DreadlocksDigestResetBetweenTransactions) {
 TEST(LockTableEdge, WaitForGraphEdgeClearedAfterGrant) {
   LockTable table(SmallConfig());
   WorkerStats stats[2];
-  hal::SimPlatform sim(2);
+  hal::SimPlatform sim(2, SimConfigFromEnv());
   WorkerLockCtx* c0 = table.RegisterWorker(0, &stats[0]);
   WorkerLockCtx* c1 = table.RegisterWorker(1, &stats[1]);
   WaitForGraphPolicy policy(2);
@@ -376,7 +393,7 @@ TEST(LockTableEdge, QueueCountersBalanceAfterChurn) {
   // exclusively must succeed instantly for every key touched.
   LockTable table(SmallConfig());
   WorkerStats stats[3];
-  hal::SimPlatform sim(3);
+  hal::SimPlatform sim(3, SimConfigFromEnv());
   WorkerLockCtx* ctx[3];
   for (int i = 0; i < 3; ++i) ctx[i] = table.RegisterWorker(i, &stats[i]);
   WaitDiePolicy policy;
@@ -460,7 +477,7 @@ TEST(LockTableEdge, LockHeadsStayBoundedOverManyKeys) {
   c.num_buckets = 16;
   LockTable table(c);
   WorkerStats stats[kWorkers];
-  hal::SimPlatform sim(kWorkers);
+  hal::SimPlatform sim(kWorkers, SimConfigFromEnv());
   WorkerLockCtx* ctx[kWorkers];
   for (int i = 0; i < kWorkers; ++i) {
     ctx[i] = table.RegisterWorker(i, &stats[i]);

@@ -4,12 +4,15 @@
 // clock/stat aggregation and per-worker RNG streams. Uses scripted fake
 // strategies on the deterministic simulator, so every counter is exact.
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hal/sim_platform.h"
+#include "lock/lock_table.h"
+#include "runtime/locking_strategy.h"
 #include "runtime/txn_driver.h"
 #include "runtime/worker_pool.h"
 #include "workload/workload.h"
@@ -17,9 +20,21 @@
 namespace orthrus::runtime {
 namespace {
 
-// Minimal transaction type: static single-access set, planned in
-// `plan_cycles` of modeled work; Run always succeeds (the fake strategies
-// below never call it).
+// CI race arm: ORTHRUS_RACE_DETECT=1 reruns the suite with happens-before
+// checking on and abort-on-first-race. Detection is zero-perturbation, so
+// every exact count below must still hold.
+hal::SimConfig SimConfigFromEnv() {
+  hal::SimConfig config;
+  if (std::getenv("ORTHRUS_RACE_DETECT") != nullptr) {
+    config.race_detect = true;
+    config.race_report_fatal = true;
+  }
+  return config;
+}
+
+// Minimal transaction type: static single-access set (table 0, key 1; see
+// OneRowDb), planned in `plan_cycles` of modeled work; Run always succeeds
+// (the fake strategies below never call it).
 class NoopLogic final : public txn::TxnLogic {
  public:
   explicit NoopLogic(hal::Cycles plan_cycles = 0)
@@ -56,11 +71,19 @@ class NoopSource final : public workload::TxnSource {
   std::uint64_t issued_ = 0;
 };
 
+// A database holding the one row NoopLogic accesses, which the driver
+// resolves.
+void OneRowDb(storage::Database* db) {
+  db->CreateTable(0, "one_row", 1, 8)->Insert(1);
+}
+
 // Scripted strategy: for each transaction, emits `aborts` kAbort outcomes
 // and then `mismatches` kMismatch outcomes before committing, charging
 // `cycles_per_attempt` of modeled work per attempt. Records the restart
-// counts and timestamps it observes, and ends each attempt with one clock
-// reading, as the real strategies end theirs with the release phase's.
+// counts, timestamps and resolved rows it observes (clearing the row after
+// each attempt, so a later attempt sees it set only if the driver resolved
+// again), and ends each attempt with one Mark, as the real strategies end
+// theirs with the release phase's.
 class ScriptedStrategy final : public ExecutionStrategy {
  public:
   ScriptedStrategy(int aborts, int mismatches, hal::Cycles cycles_per_attempt)
@@ -68,25 +91,31 @@ class ScriptedStrategy final : public ExecutionStrategy {
         mismatches_(mismatches),
         cycles_per_attempt_(cycles_per_attempt) {}
 
-  Attempt TryExecute(txn::Txn* t, hal::Cycles) override {
+  TxnOutcome TryExecute(txn::Txn* t, SpanClock* clock) override {
     hal::ConsumeCycles(cycles_per_attempt_);
     attempts_++;
     observed_restarts_.push_back(t->restarts);
+    observed_resolved_.push_back(t->accesses[0].row != nullptr);
+    t->accesses[0].row = nullptr;
+    clock->Mark(TimeCategory::kExecution);
     if (t->restarts < static_cast<std::uint32_t>(aborts_)) {
-      return {TxnOutcome::kAbort, hal::Now()};
+      return TxnOutcome::kAbort;
     }
     if (t->restarts <
         static_cast<std::uint32_t>(aborts_) +
             static_cast<std::uint32_t>(mismatches_)) {
-      return {TxnOutcome::kMismatch, hal::Now()};
+      return TxnOutcome::kMismatch;
     }
     observed_timestamps_.push_back(t->timestamp);
-    return {TxnOutcome::kCommitted, hal::Now()};
+    return TxnOutcome::kCommitted;
   }
 
   std::uint64_t attempts() const { return attempts_; }
   const std::vector<std::uint32_t>& observed_restarts() const {
     return observed_restarts_;
+  }
+  const std::vector<bool>& observed_resolved() const {
+    return observed_resolved_;
   }
   const std::vector<std::uint64_t>& observed_timestamps() const {
     return observed_timestamps_;
@@ -98,6 +127,7 @@ class ScriptedStrategy final : public ExecutionStrategy {
   hal::Cycles cycles_per_attempt_;
   std::uint64_t attempts_ = 0;
   std::vector<std::uint32_t> observed_restarts_;
+  std::vector<bool> observed_resolved_;
   std::vector<std::uint64_t> observed_timestamps_;
 };
 
@@ -108,6 +138,7 @@ struct DriverRun {
   std::uint64_t plans = 0;
   std::uint64_t replans = 0;
   std::vector<std::uint32_t> observed_restarts;
+  std::vector<bool> observed_resolved;
   std::vector<std::uint64_t> observed_timestamps;
   RunResult result;
 };
@@ -119,7 +150,8 @@ DriverRun RunDriver(const DriverOptions& options, double duration_seconds,
   NoopSource source(&logic);
   ScriptedStrategy strategy(aborts, mismatches, cycles_per_attempt);
   storage::Database db;
-  hal::SimPlatform sim(1);
+  OneRowDb(&db);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   WorkerPool pool(&sim, 1, duration_seconds);
   DriverRun out;
   pool.Spawn(0, [&](WorkerContext& ctx) {
@@ -133,6 +165,7 @@ DriverRun RunDriver(const DriverOptions& options, double duration_seconds,
   out.issued = source.issued();
   out.attempts = strategy.attempts();
   out.observed_restarts = strategy.observed_restarts();
+  out.observed_resolved = strategy.observed_resolved();
   out.observed_timestamps = strategy.observed_timestamps();
   return out;
 }
@@ -140,7 +173,7 @@ DriverRun RunDriver(const DriverOptions& options, double duration_seconds,
 // The simulator's nominal clock rate, for converting cycle budgets into
 // duration_seconds without hardcoding the platform constant.
 double SimCps() {
-  hal::SimPlatform sim(1);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   return sim.CyclesPerSecond();
 }
 
@@ -251,6 +284,35 @@ TEST(TxnDriver, ExhaustedReplanBudgetDropsTheTransaction) {
   EXPECT_EQ(r.stats.ollp_aborts, r.issued * (txn::kMaxOllpRetries + 1));
 }
 
+// A transaction's rows resolve once per plan: after admission and after
+// each replan, never again after an abort, whose retry keeps the same
+// access set.
+TEST(TxnDriver, RowsResolveOncePerPlan) {
+  const DriverRun r = RunDriver(CappedOptions(3), kAmpleDuration,
+                                /*aborts=*/2, /*mismatches=*/1, 100);
+  ASSERT_EQ(r.observed_resolved.size(), 12u);  // 4 attempts per transaction
+  for (std::size_t i = 0; i < r.observed_resolved.size(); ++i) {
+    // Attempts: admitted, after abort, after abort, after replan.
+    const bool resolved = i % 4 == 0 || i % 4 == 3;
+    EXPECT_EQ(r.observed_resolved[i], resolved) << "attempt " << i;
+  }
+}
+
+// Every cycle of a driver run is charged once: the categories sum to the
+// worker's run, backoffs and replans included.
+TEST(TxnDriver, EveryCycleIsCharged) {
+  const DriverRun r = RunDriver(CappedOptions(5), kAmpleDuration,
+                                /*aborts=*/2, /*mismatches=*/1, 100);
+  const WorkerStats& s = r.stats;
+  EXPECT_NEAR(static_cast<double>(s.Get(TimeCategory::kExecution) +
+                                  s.Get(TimeCategory::kLocking) +
+                                  s.Get(TimeCategory::kWaiting)),
+              r.result.elapsed_seconds * SimCps(), 1.0);
+  // The backoffs are waiting: at least 100 << 1 and 100 << 2 per
+  // transaction.
+  EXPECT_GE(s.Get(TimeCategory::kWaiting), 5u * (200 + 400));
+}
+
 // -------------------------------------------------- admission stamping
 
 TEST(TxnDriver, TimestampsAreAgeOrderedAndWorkerTagged) {
@@ -273,7 +335,7 @@ TEST(TxnAdmission, TimestampTieBreakSurvivesWorker256) {
   NoopLogic logic;
   NoopSource src_a(&logic), src_b(&logic);
   storage::Database db;
-  hal::SimPlatform sim(1);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   WorkerPool pool(&sim, 300, kAmpleDuration);
   DriverOptions opts;
   TxnAdmission a0(opts, &db, &src_a, &pool.worker(0));
@@ -312,7 +374,7 @@ AdmitProbe ProbeAdmit(hal::Cycles next_cycles, hal::Cycles plan_cycles,
   NoopLogic logic(plan_cycles);
   NoopSource source(&logic, next_cycles);
   storage::Database db;
-  hal::SimPlatform sim(1);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   WorkerPool pool(&sim, 1, kAmpleDuration);
   AdmitProbe p;
   pool.Spawn(0, [&](WorkerContext& ctx) {
@@ -349,7 +411,7 @@ TEST(TxnAdmission, OpenComparesTheCallersReadingWithTheDeadline) {
   NoopLogic logic;
   NoopSource source(&logic);
   storage::Database db;
-  hal::SimPlatform sim(1);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   WorkerPool pool(&sim, 1, 1000.0 / SimCps());
   pool.Spawn(0, [&](WorkerContext& ctx) {
     TxnAdmission admission(DriverOptions{}, &db, &source, &ctx);
@@ -364,9 +426,10 @@ TEST(TxnAdmission, OpenComparesTheCallersReadingWithTheDeadline) {
 }
 
 // A cursor charges each span between its readings once, to the category
-// its closing Mark names, and Advance moves it without charging.
+// its closing Mark names; Charge books known cycles of the open span to
+// their own category without a reading.
 TEST(SpanClock, EachMarkChargesTheSpanSinceTheLastReading) {
-  hal::SimPlatform sim(1);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   WorkerPool pool(&sim, 1, kAmpleDuration);
   pool.Spawn(0, [&](WorkerContext& ctx) {
     SpanClock clock(&ctx.stats, ctx.clock.start);
@@ -377,10 +440,11 @@ TEST(SpanClock, EachMarkChargesTheSpanSinceTheLastReading) {
     hal::ConsumeCycles(30);
     clock.Mark(TimeCategory::kLocking);
     hal::ConsumeCycles(5);
-    clock.Advance(hal::Now());  // the caller's own span: not charged here
+    clock.Charge(TimeCategory::kExecution, 5);
+    EXPECT_EQ(clock.last(), a + 35);
     hal::ConsumeCycles(7);
     const hal::Cycles end = clock.Mark(TimeCategory::kLocking);
-    EXPECT_EQ(ctx.stats.Get(TimeCategory::kExecution), 100u);
+    EXPECT_EQ(ctx.stats.Get(TimeCategory::kExecution), 105u);
     EXPECT_EQ(ctx.stats.Get(TimeCategory::kLocking), 37u);
     EXPECT_EQ(ctx.stats.Get(TimeCategory::kWaiting), 0u);
     EXPECT_EQ(end, ctx.clock.start + 142);
@@ -388,8 +452,73 @@ TEST(SpanClock, EachMarkChargesTheSpanSinceTheLastReading) {
   pool.Run();
 }
 
+// Takes one lock in order, then releases it: the smallest LockingStrategy.
+class OneLockStrategy final : public LockingStrategy {
+ public:
+  OneLockStrategy(lock::LockTable* table, lock::WorkerLockCtx* ctx,
+                  WorkerStats* stats)
+      : LockingStrategy(table, ctx, /*policy=*/nullptr, stats) {}
+
+  TxnOutcome TryExecute(txn::Txn* t, SpanClock* clock) override {
+    AcquireOrdered(t->accesses[0], clock);
+    clock->Mark(TimeCategory::kLocking);
+    ReleaseAllLocks(clock);
+    return TxnOutcome::kCommitted;
+  }
+};
+
+// A lock wait is timed where the strategy waits: the lock work before it
+// is kLocking and the wait kWaiting, with one reading on each side. The
+// lock table reads no clock, and every cycle of the attempt is charged.
+TEST(LockingStrategy, ALockWaitIsChargedAsWaiting) {
+  constexpr hal::Cycles kHold = 20000;
+  constexpr hal::Cycles kArrive = 1000;
+  lock::LockTable::Config config;
+  config.num_buckets = 64;
+  config.max_workers = 2;
+  lock::LockTable table(config);
+  hal::SimPlatform sim(2, SimConfigFromEnv());
+  WorkerPool pool(&sim, 2, kAmpleDuration);
+  lock::WorkerLockCtx* holder = table.RegisterWorker(0, &pool.worker(0).stats);
+  OneLockStrategy waiter(&table,
+                         table.RegisterWorker(1, &pool.worker(1).stats),
+                         &pool.worker(1).stats);
+  pool.Spawn(0, [&](WorkerContext&) {
+    ASSERT_EQ(table.Acquire(holder, 0, 1, txn::LockMode::kExclusive, nullptr),
+              lock::LockTable::AcquireResult::kGranted);
+    hal::ConsumeCycles(kHold);
+    table.ReleaseAll(holder);
+  });
+  hal::Cycles span = 0;
+  pool.Spawn(1, [&](WorkerContext& ctx) {
+    hal::ConsumeCycles(kArrive);  // core 0 holds the lock by now
+    txn::Txn t;
+    txn::Access a;
+    a.table = 0;
+    a.key = 1;
+    a.mode = txn::LockMode::kExclusive;
+    t.accesses.push_back(a);
+    SpanClock clock(&ctx.stats, ctx.clock.start);
+    EXPECT_EQ(waiter.TryExecute(&t, &clock), TxnOutcome::kCommitted);
+    span = clock.last() - ctx.clock.start;
+  });
+  pool.Run();
+  const WorkerStats& s = pool.worker(1).stats;
+  EXPECT_EQ(s.lock_waits, 1u);
+  EXPECT_GT(s.Get(TimeCategory::kWaiting), kHold - kArrive);
+  EXPECT_GE(s.Get(TimeCategory::kLocking), kArrive);
+  EXPECT_EQ(s.Get(TimeCategory::kExecution), 0u);
+  EXPECT_EQ(s.Get(TimeCategory::kLocking) + s.Get(TimeCategory::kWaiting),
+            span);
+  // WorkerClock's two, two around the wait, the acquire and release ends.
+  EXPECT_EQ(sim.stats().clock_reads[1], 6u);
+  // The holder took no reading beyond its WorkerClock's: the lock table
+  // reads none.
+  EXPECT_EQ(sim.stats().clock_reads[0], 2u);
+}
+
 TEST(WorkerPool, RejectsWorkerIdsBeyondTheTieBreakField) {
-  hal::SimPlatform sim(1);
+  hal::SimPlatform sim(1, SimConfigFromEnv());
   EXPECT_DEATH(WorkerPool(&sim, kMaxWorkers + 1, 1.0), "CHECK");
   // The full field is usable.
   WorkerPool ok(&sim, kMaxWorkers, 1.0);
@@ -399,7 +528,7 @@ TEST(WorkerPool, RejectsWorkerIdsBeyondTheTieBreakField) {
 // ------------------------------------------------------------ WorkerPool
 
 TEST(WorkerPool, AggregatesStatsAndSpansClocks) {
-  hal::SimPlatform sim(3);
+  hal::SimPlatform sim(3, SimConfigFromEnv());
   WorkerPool pool(&sim, 3, /*duration_seconds=*/1.0);
   for (int w = 0; w < 3; ++w) {
     pool.Spawn(w, [w](WorkerContext& ctx) {
@@ -420,7 +549,7 @@ TEST(WorkerPool, AggregatesStatsAndSpansClocks) {
 }
 
 TEST(WorkerPool, SplitRunAllowsMidpointAssertions) {
-  hal::SimPlatform sim(2);
+  hal::SimPlatform sim(2, SimConfigFromEnv());
   WorkerPool pool(&sim, 2, 1.0);
   bool ran[2] = {false, false};
   for (int w = 0; w < 2; ++w) {
@@ -438,7 +567,7 @@ TEST(WorkerPool, SplitRunAllowsMidpointAssertions) {
 // ----------------------------------------------------------- worker roles
 
 TEST(WorkerPool, RoleAssignmentAndCounting) {
-  hal::SimPlatform sim(5);
+  hal::SimPlatform sim(5, SimConfigFromEnv());
   WorkerPool pool(&sim, 5, 1.0);
   // Default: every worker is a flex (shared-everything) worker.
   EXPECT_EQ(pool.CountRole(WorkerRole::kFlex), 5);

@@ -23,13 +23,16 @@ Enforces three contracts that neither the compiler nor clang-tidy checks:
    above it.
 
 3. clock-read: no clock reading (hal::Now(), or any other Now() call) in
-   src/engine/orthrus/ except through SpanClock (common/stats.h). Each
-   ORTHRUS thread reads its clock only via its cursor's Mark, which charges
-   the span since the previous reading, so every cycle is charged exactly
-   once and a commit costs a known number of readings (4 per exec-thread
-   commit, pinned on the sim by SimStats::clock_reads). A stray reading
-   costs a virtual call and an rdtsc natively, and it opens an uncharged
-   gap in the time breakdown.
+   src/engine/, src/runtime/ or src/lock/ except through SpanClock
+   (common/stats.h). Every worker of every engine reads its clock only via
+   its cursor's Mark, which charges the span since the previous reading,
+   so every cycle is charged exactly once and a commit costs a known
+   number of readings (4 per ORTHRUS exec-thread commit, 5 per 2PL,
+   deadlock-free and partitioned-store commit, pinned on the sim by
+   SimStats::clock_reads). A stray reading costs a virtual call and an
+   rdtsc natively, and it opens an uncharged gap in the time breakdown.
+   WorkerClock::Begin/Finish, the readings that bound a worker's run, are
+   the only escapes.
    Escape: `// lint:allow-now <why>` on the offending line or the line
    above it.
 
@@ -134,7 +137,7 @@ def main():
                 ("src/mp/", "src/lock/", "src/storage/",
                  "src/engine/orthrus/")):
             rules.add("hot-alloc")
-        if rel.startswith("src/engine/orthrus/"):
+        if rel.startswith(("src/engine/", "src/runtime/", "src/lock/")):
             rules.add("clock-read")
         if rules:
             violations.extend(lint_file(path, rules))
