@@ -1,5 +1,5 @@
 // Component micro-benchmarks (google-benchmark): real-time costs of the
-// building blocks on the host machine — SPSC queue ops, lock-table
+// building blocks on the host machine — mesh send/drain, lock-table
 // acquire/release, index probes, RNG draws, fiber switches, native hal
 // hooks, and simulator event dispatch. These measure the *infrastructure
 // itself* (wall-clock), unlike the fig* binaries which measure *simulated*
@@ -18,7 +18,6 @@
 #include "hal/sim_platform.h"
 #include "lock/lock_table.h"
 #include "mp/queue_mesh.h"
-#include "mp/spsc_queue.h"
 #include "storage/table.h"
 
 namespace {
@@ -42,61 +41,27 @@ void BM_ZipfianNext(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfianNext);
 
-void BM_SpscEnqueueDequeue(benchmark::State& state) {
-  mp::SpscQueue<std::uint64_t> q(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    q.TryEnqueue(1);
-    q.TryDequeue(&v);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SpscEnqueueDequeue);
-
-// Batched counterpart of BM_SpscEnqueueDequeue moving the same number of
-// messages per items_processed: compare the two rows' items/s to see the
-// index-publication amortization (the batched row must not be slower).
-void BM_SpscBatchEnqueueDequeue(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  mp::SpscQueue<std::uint64_t> q(1024);
-  std::uint64_t buf[64];
-  for (std::size_t i = 0; i < batch; ++i) buf[i] = i;
-  for (auto _ : state) {
-    q.PushBatch(buf, batch);
-    q.PopBatch(buf, batch);
-    benchmark::DoNotOptimize(buf[0]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_SpscBatchEnqueueDequeue)->Arg(8)->Arg(64);
-
-// Mesh fan-in: drain a burst from `senders` queues, batched vs. one
-// message per pop (max_batch=1). items/s compares delivery hot paths.
-void BM_QueueMeshDrain(benchmark::State& state) {
+// Ring push/pop per message through the mesh: each of `senders` rings
+// takes a Send burst, then the one receiver Drains to empty. items/s is
+// messages moved; a burst fills kBurst / kMsgsPerLine payload lines per
+// ring, and each Drain call takes at most one line per sender.
+void BM_QueueMeshSendDrain(benchmark::State& state) {
   const int senders = static_cast<int>(state.range(0));
-  const std::size_t max_batch = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kBurst = 32;  // messages per sender per iteration
+  constexpr std::uint64_t kBurst = 32;  // messages per sender per iteration
   mp::QueueMesh<std::uint64_t> mesh(senders, 1, 64);
-  std::uint64_t buf[kBurst];
-  for (std::size_t i = 0; i < kBurst; ++i) buf[i] = i;
   std::uint64_t sink = 0;
   for (auto _ : state) {
     for (int s = 0; s < senders; ++s) {
-      mesh.at(s, 0).PushBatch(buf, kBurst);
+      for (std::uint64_t i = 0; i < kBurst; ++i) mesh.Send(s, 0, i);
     }
-    while (mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; },
-                      max_batch) != 0) {
+    while (mesh.Drain(0, [&sink](std::uint64_t v) { sink += v; }) != 0) {
     }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           senders * static_cast<std::int64_t>(kBurst));
 }
-BENCHMARK(BM_QueueMeshDrain)
-    ->ArgsProduct({{4, 16}, {1, 8}})
-    ->ArgNames({"senders", "batch"});
+BENCHMARK(BM_QueueMeshSendDrain)->Arg(1)->Arg(4)->Arg(16)->ArgName("senders");
 
 void BM_LockTableAcquireRelease(benchmark::State& state) {
   lock::LockTable::Config cfg;

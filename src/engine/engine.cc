@@ -31,7 +31,6 @@ RunResult RunThreadPerTxn(const EngineOptions& options,
     });
   }
   for (int l = 0; l < loggers; ++l) {
-    pool.AssignRole(n + l, runtime::WorkerRole::kLogger);
     pool.Spawn(n + l, [log, l](runtime::WorkerContext& ctx) {
       log->RunLogger(l, &ctx);
     });

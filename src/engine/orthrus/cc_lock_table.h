@@ -25,7 +25,7 @@
 namespace orthrus::engine {
 
 // Modeled CPU work per partition-local lock insert or release, in cycles.
-// Lower than the shared lock table's per-op cost (lock::LockTable::Config):
+// Lower than the shared lock table's per-op cost (lock::kLockOpCycles):
 // a CC thread's instructions and lock meta-data stay cache-resident because
 // the thread does nothing else, the cache-locality benefit of partitioned
 // functionality (Sections 2.1 and 3.1).

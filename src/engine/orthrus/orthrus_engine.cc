@@ -692,15 +692,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
 
   runtime::WorkerPool pool(platform, options_.num_cores + loggers,
                            options_.duration_seconds);
-  for (int c = 0; c < n_cc; ++c) {
-    pool.AssignRole(c, runtime::WorkerRole::kCc);
-  }
-  for (int e = 0; e < n_exec; ++e) {
-    pool.AssignRole(n_cc + e, runtime::WorkerRole::kExec);
-  }
-  for (int l = 0; l < loggers; ++l) {
-    pool.AssignRole(options_.num_cores + l, runtime::WorkerRole::kLogger);
-  }
   const runtime::DriverOptions dopts = MakeDriverOptions(options_);
 
   std::vector<std::unique_ptr<CcThread>> cc_threads;

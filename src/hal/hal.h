@@ -13,7 +13,7 @@
 //
 // The contract engines must follow:
 //  - all cross-core shared mutable state lives in hal::Atomic<T> (or
-//    structures built from it, e.g. hal::SpinLock, mp::SpscQueue);
+//    structures built from it, e.g. hal::SpinLock, mp::QueueMesh);
 //  - spin loops call hal::CpuRelax() every iteration;
 //  - modeled computation (transaction logic, record copies) is declared via
 //    hal::ConsumeCycles(n);
@@ -101,9 +101,9 @@ struct LineMeta {
   std::int16_t owner = -1;   // core that last wrote the line
   // Whether accesses through this line establish happens-before edges for
   // the race detector (SimConfig::race_detect). True for every hal::Atomic —
-  // their loads/stores really are acquire/release. mp::detail::LineRing
-  // clears it on its payload lines: the payload words are *relaxed*, their
-  // ordering is carried by the queue-index atomics, so treating the payload
+  // their loads/stores really are acquire/release. mp::QueueMesh clears
+  // it on its rings' payload lines: the payload words are *relaxed*, their
+  // ordering is carried by the ring-index atomics, so treating the payload
   // touch itself as a sync edge would mask exactly the publication races the
   // detector exists to find. Fits in struct padding; the cost model never
   // reads it.
@@ -349,11 +349,6 @@ class ORTHRUS_CAPABILITY("mutex") SpinLock {
     // Only the holder writes `serving_`, so the increment is race-free; the
     // RMW's invalidation of all spinning waiters is the modeled handoff.
     serving_.fetch_add(1);
-  }
-
-  // Setup-time (unmodeled) check, for tests.
-  bool IsLockedRaw() const {
-    return next_.RawLoad() != serving_.RawLoad();
   }
 
  private:

@@ -59,7 +59,7 @@ LockHead* LockTable::FindOrCreateHead(WorkerLockCtx* ctx, Bucket* b,
 
 bool LockTable::NoConflictAhead(const Request* req) const {
   for (const Request* r = req->prev; r != nullptr; r = r->prev) {
-    hal::ConsumeCycles(config_.node_touch_cycles);
+    hal::ConsumeCycles(kNodeTouchCycles);
     if (Conflicts(req->mode, r->mode)) return false;
   }
   return true;
@@ -78,7 +78,7 @@ void LockTable::GrantFollowers(LockHead* head) {
   // the same (or more) predecessors, so the sweep stops.
   bool x_seen = false;
   for (Request* r = head->queue_head; r != nullptr; r = r->next) {
-    hal::ConsumeCycles(config_.node_touch_cycles);
+    hal::ConsumeCycles(kNodeTouchCycles);
     if (r->granted.RawLoad() == 0) {
       const bool grantable = r->mode == LockMode::kExclusive
                                  ? r == head->queue_head
@@ -148,7 +148,7 @@ LockTable::AcquireResult LockTable::Acquire(WorkerLockCtx* ctx,
   // The hash-chain walk and queue manipulation happen while the latch is
   // held — latch hold time covering list work is what turns workload
   // contention into physical contention (Section 2.1).
-  hal::ConsumeCycles(config_.lock_op_cycles);
+  hal::ConsumeCycles(kLockOpCycles);
   LockHead* head = FindOrCreateHead(ctx, bucket, table, key);
   req->head = head;
   // FIFO enqueue; the counters make the grant check O(1).
@@ -223,7 +223,7 @@ void LockTable::ReleaseAll(WorkerLockCtx* ctx) {
   for (Request* req : ctx->acquired) {
     Bucket* bucket = BucketFor(req->head->table, req->head->key);
     bucket->latch.Lock();
-    hal::ConsumeCycles(config_.lock_op_cycles);
+    hal::ConsumeCycles(kLockOpCycles);
     LockHead* head = req->head;
     Unlink(head, req);
     GrantFollowers(head);

@@ -38,6 +38,19 @@ struct LockHead;
 struct Request;
 class DeadlockPolicy;
 
+// Modeled CPU work per acquire/release, in cycles. Includes the
+// instruction- and data-cache refetches a worker pays because lock-manager
+// code and meta-data evict transaction-logic lines (and vice versa) — the
+// cache pollution cost of conflated functionality (Section 2.1).
+inline constexpr hal::Cycles kLockOpCycles = 35;
+
+// Modeled cost of touching one queued request node while holding the
+// bucket latch, in cycles. Queue nodes are written by the cores that own
+// them, so walking a contended lock's queue ping-pongs their lines; this is
+// the data-movement overhead of Section 2.1, and it makes latch hold times
+// grow with contention (the feedback loop behind Figure 1's collapse).
+inline constexpr hal::Cycles kNodeTouchCycles = 40;
+
 // Per-worker lock-manager state. Stable address for the whole run (other
 // workers read the digest / waits-for fields while this worker waits).
 struct WorkerLockCtx {
@@ -122,17 +135,6 @@ class LockTable {
   struct Config {
     std::uint64_t num_buckets = 1 << 16;  // rounded up to a power of two
     int max_workers = 128;
-    // Fixed CPU work per acquire/release. Includes the instruction- and
-    // data-cache refetches a worker pays because lock-manager code and
-    // meta-data evict transaction-logic lines (and vice versa) — the cache
-    // pollution cost of conflated functionality (Section 2.1).
-    hal::Cycles lock_op_cycles = 35;
-    // Cost of touching one queued request node while holding the bucket
-    // latch. Queue nodes are written by the cores that own them, so walking
-    // a contended lock's queue ping-pongs their lines; this is the
-    // data-movement overhead of Section 2.1, and it makes latch hold times
-    // grow with contention (the feedback loop behind Figure 1's collapse).
-    hal::Cycles node_touch_cycles = 40;
   };
 
   enum class AcquireResult {

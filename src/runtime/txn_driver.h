@@ -157,7 +157,6 @@ class TxnAdmission {
   }
 
   txn::OllpPlanner* planner() { return &planner_; }
-  WorkerContext* context() { return ctx_; }
 
  private:
   DriverOptions options_;

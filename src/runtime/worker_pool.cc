@@ -18,12 +18,6 @@ WorkerPool::WorkerPool(hal::Platform* platform, int num_workers,
   for (int w = 0; w < num_workers; ++w) workers_[w].worker_id = w;
 }
 
-int WorkerPool::CountRole(WorkerRole role) const {
-  int n = 0;
-  for (const WorkerContext& w : workers_) n += w.role == role ? 1 : 0;
-  return n;
-}
-
 void WorkerPool::Spawn(int w, std::function<void(WorkerContext&)> body) {
   WorkerContext* ctx = &workers_[w];
   platform_->Spawn(w, [this, ctx, body = std::move(body)]() {

@@ -49,18 +49,6 @@ struct WorkerClock {
   void Finish() { end = hal::Now(); }  // lint:allow-now the run's last reading
 };
 
-// What a worker core does for an engine. kFlex is the default: the worker
-// both runs transactions and manipulates shared CC state (the
-// shared-everything engines). Engines with partitioned functionality
-// assign kCc / kExec so tools can tell the groups apart without
-// engine-specific id arithmetic.
-enum class WorkerRole : std::uint8_t {
-  kFlex = 0,
-  kCc,
-  kExec,
-  kLogger,  // durability: drains redo-log fragments, seals group commits
-};
-
 // Everything a worker owns for the duration of a run. Plain (non-atomic)
 // fields: exactly one logical core touches a context while the platform is
 // running; the pool aggregates after join. Line-aligned because the pool
@@ -68,7 +56,6 @@ enum class WorkerRole : std::uint8_t {
 // share a cache line with its neighbour's clock.
 struct alignas(kCacheLineSize) WorkerContext {
   int worker_id = -1;
-  WorkerRole role = WorkerRole::kFlex;
   WorkerStats stats;
   WorkerClock clock;
 };
@@ -92,20 +79,11 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  double cycles_per_second() const { return cps_; }
 
   // Context accessors are valid from construction on, so engines can
   // register per-worker state (e.g. lock-table contexts) before spawning.
   // Addresses are stable for the pool's lifetime.
   WorkerContext& worker(int w) { return workers_[w]; }
-
-  // Role bookkeeping: call before Spawn. Roles do not change what the pool
-  // does — they let engines and reports tell worker groups apart (e.g.
-  // "sum committed over kExec workers") without engine-specific id
-  // arithmetic.
-  void AssignRole(int w, WorkerRole role) { workers_[w].role = role; }
-  WorkerRole role(int w) const { return workers_[w].role; }
-  int CountRole(WorkerRole role) const;
 
   // Registers worker `w` on logical core `w`. All Spawn calls must happen
   // before Run. The body runs with the worker's clock already begun and is

@@ -7,8 +7,8 @@
 //
 //  * Commit paths emit *fragments* — the transaction's after-images grouped
 //    by lock-space partition — as pointer messages over the per-pair
-//    mp::QueueMesh (producer x logger) to a dedicated logger role
-//    (runtime::WorkerRole::kLogger), each sent as it is produced.
+//    mp::QueueMesh (producer x logger) to a dedicated logger worker, each
+//    sent as it is produced.
 //
 //  * Commit ordering uses Silo-style epochs (Tu et al., SOSP'13): a global
 //    epoch counter advances on a virtual-time interval; every committing
@@ -188,7 +188,6 @@ class GroupCommitLog {
 
   int n_producers() const { return n_producers_; }
   int loggers() const { return opts_.loggers; }
-  int partitions() const { return partitions_; }
   const DurabilityOptions& options() const { return opts_; }
 
   // The logger that owns partition p's stream for the whole run.
@@ -201,9 +200,6 @@ class GroupCommitLog {
   void RunLogger(int logger_index, runtime::WorkerContext* ctx);
 
   // --- post-run / test inspection (off-core) ---------------------------
-
-  std::uint64_t DurableEpochRaw() const { return durable_epoch_.RawLoad(); }
-  std::uint64_t EpochRaw() const { return epoch_.RawLoad(); }
 
   // Per-partition log images: as-is (clean shutdown) or as-if killed at
   // virtual time `t` (truncated to each stream's last durable sync).

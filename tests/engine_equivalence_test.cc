@@ -10,7 +10,6 @@
 // duplicated, or phantom grant anywhere in the lock or message-passing
 // plumbing shows up as a digest mismatch.
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,23 +22,12 @@
 #include "engine/partitioned/partitioned_engine.h"
 #include "engine/twopl/twopl_engine.h"
 #include "hal/sim_platform.h"
+#include "sim_env.h"
 #include "workload/tpcc/tpcc_workload.h"
 #include "workload/ycsb.h"
 
 namespace orthrus {
 namespace {
-
-// CI race arm: ORTHRUS_RACE_DETECT=1 reruns the equivalence suite with
-// happens-before checking on and abort-on-first-race. Detection never
-// perturbs the schedule, so the digests must match the plain run's.
-hal::SimConfig SimConfigFromEnv() {
-  hal::SimConfig config;
-  if (std::getenv("ORTHRUS_RACE_DETECT") != nullptr) {
-    config.race_detect = true;
-    config.race_report_fatal = true;
-  }
-  return config;
-}
 
 constexpr int kExecWorkers = 3;   // transaction-issuing workers per engine
 constexpr std::uint64_t kTxnsPerWorker = 25;

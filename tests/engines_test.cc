@@ -1,7 +1,6 @@
 // Integration tests: every engine runs real workloads on both platforms and
 // must preserve serializability invariants (no lost updates, consistent
 // TPC-C aggregates), terminate cleanly, and report sane statistics.
-#include <cstdlib>
 #include <functional>
 #include <memory>
 
@@ -13,6 +12,7 @@
 #include "engine/twopl/twopl_engine.h"
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
+#include "sim_env.h"
 #include "workload/micro.h"
 #include "workload/tpcc/tpcc_workload.h"
 
@@ -31,15 +31,7 @@ using workload::KvWorkload;
 
 std::unique_ptr<hal::Platform> MakePlatform(bool simulated, int cores) {
   if (simulated) {
-    hal::SimConfig config;
-    // CI race arm: ORTHRUS_RACE_DETECT=1 reruns the whole suite with
-    // happens-before checking on and abort-on-first-race. Detection is
-    // zero-perturbation, so every assertion below must still hold.
-    if (std::getenv("ORTHRUS_RACE_DETECT") != nullptr) {
-      config.race_detect = true;
-      config.race_report_fatal = true;
-    }
-    return std::make_unique<hal::SimPlatform>(cores, config);
+    return std::make_unique<hal::SimPlatform>(cores, SimConfigFromEnv());
   }
   return std::make_unique<hal::NativePlatform>(cores);
 }

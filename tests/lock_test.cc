@@ -1,7 +1,6 @@
 // Tests for the shared-everything lock table and the three deadlock
 // policies: grant compatibility, FIFO fairness, wake-ups, wait-die ordering
 // rules, and forced-deadlock detection for the graph-based schemes.
-#include <cstdlib>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -9,23 +8,12 @@
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
 #include "lock/lock_table.h"
+#include "sim_env.h"
 
 namespace orthrus::lock {
 namespace {
 
 using txn::LockMode;
-
-// CI race arm: ORTHRUS_RACE_DETECT=1 reruns the suite with happens-before
-// checking on and abort-on-first-race. Detection is zero-perturbation, so
-// every exact count below must still hold.
-hal::SimConfig SimConfigFromEnv() {
-  hal::SimConfig config;
-  if (std::getenv("ORTHRUS_RACE_DETECT") != nullptr) {
-    config.race_detect = true;
-    config.race_report_fatal = true;
-  }
-  return config;
-}
 
 LockTable::Config SmallConfig() {
   LockTable::Config c;

@@ -14,6 +14,7 @@
 #include "engine/orthrus/orthrus_engine.h"
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
+#include "sim_env.h"
 #include "workload/micro.h"
 #include "workload/tpcc/tpcc_schema.h"
 #include "workload/tpcc/tpcc_workload.h"
@@ -49,7 +50,7 @@ RunResult RunOrthrus(const KvConfig& kv, OrthrusOptions oo, int cores,
     hal::NativePlatform p(cores);
     r = eng.Run(&p, db, *wl_holder);
   } else {
-    hal::SimPlatform p(cores);
+    hal::SimPlatform p(cores, SimConfigFromEnv());
     r = eng.Run(&p, db, *wl_holder);
   }
   if (wl_out != nullptr) *wl_out = wl_holder.get();
@@ -111,7 +112,7 @@ TEST(OrthrusStats, CcWorkersAccrueLockingTime) {
   KvWorkload wl(MultiPartKv(2, 1));
   storage::Database db;
   wl.Load(&db, 1);
-  hal::SimPlatform sim(6);
+  hal::SimPlatform sim(6, SimConfigFromEnv());
   RunResult r = eng.Run(&sim, &db, wl);
   ASSERT_GT(r.total.committed, 0u);
   // CC workers do locking work; exec workers do execution work.
@@ -173,7 +174,7 @@ TEST(OrthrusInflight, WiderWindowRaisesThroughputWhenUncontended) {
     o.max_txns_per_worker = 0;       // time-bound for a fair rate comparison
     o.duration_seconds = 0.002;
     OrthrusEngine eng(o, oo);
-    hal::SimPlatform sim(6);
+    hal::SimPlatform sim(6, SimConfigFromEnv());
     return eng.Run(&sim, &db, wl).Throughput();
   };
   EXPECT_GT(run(wide), run(narrow) * 1.2);
@@ -204,7 +205,7 @@ TEST(OrthrusScaleOut, MoreCcThreadsRunFasterWithNoSharedRmwPerCommit) {
     OrthrusOptions oo;
     oo.num_cc = n_cc;
     OrthrusEngine eng(o, oo);
-    hal::SimPlatform sim(o.num_cores);
+    hal::SimPlatform sim(o.num_cores, SimConfigFromEnv());
     const RunResult r = eng.Run(&sim, &db, wl);
     EXPECT_GT(r.total.committed, 0u) << n_cc;
     EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10) << n_cc;
@@ -289,7 +290,7 @@ TEST(OrthrusZipfian, SkewConcentratesConflictsOnHotPartition) {
   storage::Database db;
   wl.Load(&db, 1);
   OrthrusEngine eng(SmallRun(10), oo);
-  hal::SimPlatform sim(10);
+  hal::SimPlatform sim(10, SimConfigFromEnv());
   RunResult r = eng.Run(&sim, &db, wl);
   ASSERT_GT(r.total.committed, 0u);
   const std::uint64_t waits0 = r.per_worker[0].lock_waits;
@@ -309,7 +310,7 @@ void BuildEngine(const OrthrusOptions& oo, int cores) {
 
 void RunOnSim(OrthrusEngine* eng, storage::Database* db,
               const workload::Workload& wl, int cores) {
-  hal::SimPlatform sim(cores);
+  hal::SimPlatform sim(cores, SimConfigFromEnv());
   eng->Run(&sim, db, wl);
 }
 
@@ -496,7 +497,7 @@ TEST(OrthrusStatic, LiveLocksStayWithinBound) {
   eo.max_txns_per_worker = 0;
   eo.duration_seconds = 0.004;
   OrthrusEngine eng(eo, oo);
-  hal::SimPlatform sim(6);
+  hal::SimPlatform sim(6, SimConfigFromEnv());
   RunResult r = eng.Run(&sim, &db, wl);
   const std::uint64_t bound = static_cast<std::uint64_t>(eng.num_exec()) *
                               static_cast<std::uint64_t>(oo.max_inflight) *

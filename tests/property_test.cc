@@ -17,6 +17,7 @@
 #include "engine/partitioned/partitioned_engine.h"
 #include "engine/twopl/twopl_engine.h"
 #include "hal/sim_platform.h"
+#include "sim_env.h"
 #include "workload/micro.h"
 
 namespace orthrus {
@@ -110,7 +111,7 @@ TEST_P(ConservationProperty, NoLostOrPhantomUpdates) {
   options.max_txns_per_worker = 80;
 
   auto eng = MakeEngine(c.engine, options);
-  hal::SimPlatform sim(kCores);
+  hal::SimPlatform sim(kCores, SimConfigFromEnv());
   RunResult r = eng->Run(&sim, &db, wl);
 
   EXPECT_GT(r.total.committed, 0u) << Name(c.engine);
@@ -173,7 +174,7 @@ TEST_P(ReadOnlyNeverAborts, AnyEngineAnyContention) {
   options.duration_seconds = 0.05;
   options.max_txns_per_worker = 60;
   auto eng = MakeEngine(kinds[engine_idx], options);
-  hal::SimPlatform sim(kCores);
+  hal::SimPlatform sim(kCores, SimConfigFromEnv());
   RunResult r = eng->Run(&sim, &db, wl);
   EXPECT_GT(r.total.committed, 0u);
   EXPECT_EQ(r.total.aborted, 0u);
@@ -209,7 +210,7 @@ TEST_P(DeterminismProperty, RepeatRunsAreIdentical) {
     options.duration_seconds = 0.05;
     options.max_txns_per_worker = 60;
     auto eng = MakeEngine(kind, options);
-    hal::SimPlatform sim(kCores);
+    hal::SimPlatform sim(kCores, SimConfigFromEnv());
     RunResult r = eng->Run(&sim, &db, wl);
     return std::make_tuple(r.total.committed, r.total.aborted,
                            sim.GlobalClock(), wl.SumCounters(db));

@@ -124,7 +124,7 @@ TEST(RaceDetectorUnit, ForgetRangeDropsShadowState) {
 
 // A deliberately broken SPSC handoff: the producer publishes its index with
 // a relaxed store (hal::Atomic::RawStore bypasses the modeled access, so no
-// release edge exists), exactly the bug LineRing's index discipline
+// release edge exists), exactly the bug QueueMesh's ring-index discipline
 // prevents. One payload word, one flag.
 struct BrokenRing {
   std::uint64_t payload = 0;

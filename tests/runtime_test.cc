@@ -4,7 +4,6 @@
 // clock/stat aggregation and per-worker RNG streams. Uses scripted fake
 // strategies on the deterministic simulator, so every counter is exact.
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -15,22 +14,11 @@
 #include "runtime/locking_strategy.h"
 #include "runtime/txn_driver.h"
 #include "runtime/worker_pool.h"
+#include "sim_env.h"
 #include "workload/workload.h"
 
 namespace orthrus::runtime {
 namespace {
-
-// CI race arm: ORTHRUS_RACE_DETECT=1 reruns the suite with happens-before
-// checking on and abort-on-first-race. Detection is zero-perturbation, so
-// every exact count below must still hold.
-hal::SimConfig SimConfigFromEnv() {
-  hal::SimConfig config;
-  if (std::getenv("ORTHRUS_RACE_DETECT") != nullptr) {
-    config.race_detect = true;
-    config.race_report_fatal = true;
-  }
-  return config;
-}
 
 // Minimal transaction type: static single-access set (table 0, key 1; see
 // OneRowDb), planned in `plan_cycles` of modeled work; Run always succeeds
@@ -562,23 +550,6 @@ TEST(WorkerPool, SplitRunAllowsMidpointAssertions) {
   EXPECT_TRUE(ran[0] && ran[1]);  // joined: safe to assert engine state here
   const RunResult r = pool.Finalize();
   EXPECT_EQ(r.total.committed, 2u);
-}
-
-// ----------------------------------------------------------- worker roles
-
-TEST(WorkerPool, RoleAssignmentAndCounting) {
-  hal::SimPlatform sim(5, SimConfigFromEnv());
-  WorkerPool pool(&sim, 5, 1.0);
-  // Default: every worker is a flex (shared-everything) worker.
-  EXPECT_EQ(pool.CountRole(WorkerRole::kFlex), 5);
-  pool.AssignRole(0, WorkerRole::kCc);
-  pool.AssignRole(1, WorkerRole::kCc);
-  for (int w = 2; w < 5; ++w) pool.AssignRole(w, WorkerRole::kExec);
-  EXPECT_EQ(pool.role(0), WorkerRole::kCc);
-  EXPECT_EQ(pool.role(4), WorkerRole::kExec);
-  EXPECT_EQ(pool.CountRole(WorkerRole::kCc), 2);
-  EXPECT_EQ(pool.CountRole(WorkerRole::kExec), 3);
-  EXPECT_EQ(pool.CountRole(WorkerRole::kFlex), 0);
 }
 
 }  // namespace

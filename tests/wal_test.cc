@@ -45,6 +45,7 @@
 #include "engine/twopl/twopl_engine.h"
 #include "hal/native_platform.h"
 #include "hal/sim_platform.h"
+#include "sim_env.h"
 #include "wal/wal.h"
 #include "workload/micro.h"
 #include "workload/tpcc/tpcc_workload.h"
@@ -178,7 +179,7 @@ TEST(WalCrashReplay, KillAndRecoverMatchesTheCleanRunOnEveryEngine) {
       wl.Load(&db, 1);
       db.partitioner().n = c.partitions;
       std::unique_ptr<engine::Engine> eng = c.make(CappedOptions(c.cores));
-      hal::SimPlatform sim(c.cores);
+      hal::SimPlatform sim(c.cores, SimConfigFromEnv());
       const RunResult r = eng->Run(&sim, &db, wl);
       ASSERT_EQ(r.total.committed, want);
       off_digest = wl.CanonicalDigest(db);
@@ -194,7 +195,7 @@ TEST(WalCrashReplay, KillAndRecoverMatchesTheCleanRunOnEveryEngine) {
     engine::EngineOptions durable_opts = CappedOptions(c.cores);
     durable_opts.wal = &log;
     std::unique_ptr<engine::Engine> eng = c.make(durable_opts);
-    hal::SimPlatform sim(c.cores + log.loggers());
+    hal::SimPlatform sim(c.cores + log.loggers(), SimConfigFromEnv());
     const RunResult r = eng->Run(&sim, &db, wl);
     ASSERT_EQ(r.total.committed, want);
     const std::uint64_t clean_digest = wl.CanonicalDigest(db);
@@ -243,7 +244,7 @@ TEST(WalCrashReplay, KillAndRecoverMatchesTheCleanRunOnEveryEngine) {
       engine::EngineOptions resume_opts = CappedOptions(c.cores);
       resume_opts.resume_committed = &credit;
       std::unique_ptr<engine::Engine> resumed_eng = c.make(resume_opts);
-      hal::SimPlatform resume_sim(c.cores);
+      hal::SimPlatform resume_sim(c.cores, SimConfigFromEnv());
       const RunResult rr = resumed_eng->Run(&resume_sim, &rdb, skipped);
       EXPECT_EQ(rr.total.committed, want - resumed);
       EXPECT_EQ(rwl.CanonicalDigest(rdb), clean_digest)
@@ -276,7 +277,7 @@ struct DurableRunFixture {
     engine::EngineOptions o = CappedOptions(kWorkers);
     o.wal = &log;
     engine::TwoPlEngine eng(o, engine::DeadlockPolicyKind::kWaitDie);
-    hal::SimPlatform sim(kWorkers + log.loggers());
+    hal::SimPlatform sim(kWorkers + log.loggers(), SimConfigFromEnv());
     const RunResult r = eng.Run(&sim, &db, wl);
     ORTHRUS_CHECK(r.total.committed == kWorkers * kTxnsPerWorker);
     clean_digest = wl.CanonicalDigest(db);
@@ -360,7 +361,7 @@ TEST(WalRecovery, MidFrameTruncationShrinksTheDurablePrefixAndResumes) {
   engine::EngineOptions o = CappedOptions(kWorkers);
   o.resume_committed = &credit;
   engine::TwoPlEngine eng(o, engine::DeadlockPolicyKind::kWaitDie);
-  hal::SimPlatform sim(kWorkers);
+  hal::SimPlatform sim(kWorkers, SimConfigFromEnv());
   const RunResult r = eng.Run(&sim, &db, skipped);
   EXPECT_EQ(r.total.committed, kWorkers * kTxnsPerWorker - resumed);
   EXPECT_EQ(wl.CanonicalDigest(db), fx.clean_digest);
@@ -450,7 +451,7 @@ TEST(WalOrthrus, TimeBoundRunReplaysToTheLiveState) {
   o.duration_seconds = 0.004;
   o.wal = &log;
   engine::OrthrusEngine eng(o, oo);
-  hal::SimPlatform sim(8 + log.loggers());
+  hal::SimPlatform sim(8 + log.loggers(), SimConfigFromEnv());
   const RunResult r = eng.Run(&sim, &db, wl);
   ASSERT_GT(r.total.committed, 0u);
   // Conservation with acknowledgement deferred to group commit: every
@@ -610,7 +611,7 @@ TEST(WalOrthrus, CrashPointsRecoverWholePairs) {
   o.max_txns_per_worker = 150;
   o.wal = &log;
   engine::OrthrusEngine eng(o, oo);
-  hal::SimPlatform sim(8 + log.loggers());
+  hal::SimPlatform sim(8 + log.loggers(), SimConfigFromEnv());
   const RunResult r = eng.Run(&sim, &db, wl);
   const hal::Cycles end = sim.GlobalClock();
 
@@ -691,7 +692,7 @@ void RunDurableOrthrus(const wal::DurabilityOptions& dopts, int n_producers) {
   engine::EngineOptions o = CappedOptions(4);
   o.wal = &log;
   engine::OrthrusEngine eng(o, oo);
-  hal::SimPlatform sim(4 + log.loggers());
+  hal::SimPlatform sim(4 + log.loggers(), SimConfigFromEnv());
   eng.Run(&sim, &db, wl);
 }
 
